@@ -1,42 +1,25 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels: the pairwise Frank-Wolfe welfare solver and the
+perfect matching used by the Birkhoff-von-Neumann decomposition.
 
-Two implementations exist for each kernel: a numba ``@njit`` version and a
-pure-numpy fallback.  The active one is chosen at import time; set
-``NSWRANK_NO_NUMBA=1`` to force the numpy path (useful for debugging and for
-the benchmark in benchmarks/bench_kernels.py).
+The welfare solver performs per-user pairwise Frank-Wolfe steps
+(Lacoste-Julien & Jaggi, NeurIPS 2015) in Gauss-Seidel passes: weight moves
+from the worst active vertex of a user's current mixture onto the vertex the
+sort oracle proposes, with the step length found by a safeguarded Newton
+search on the items the move touches.  Plain Frank-Wolfe with exact line
+search stalls in a zig-zag well above a 1e-6 relative gap; the pairwise
+update converges linearly while using the same oracle.
 
-The welfare solver comes in two modes.  ``pairwise`` (the default) performs
-per-user pairwise Frank-Wolfe steps: weight moves from the worst active
-vertex of a user's current mixture onto the vertex the sort oracle proposes,
-with the step length found by derivative-sign bisection.  Plain Frank-Wolfe
-with exact line search stalls in a zig-zag well above a 1e-6 relative gap;
-the pairwise update converges linearly while using the same oracle and the
-same line search.  ``plain`` keeps the classic update with the diminishing
-2/(t+2) schedule.
+Each user's state is the weight left on the uniform start point plus a
+mixture of permutation vertices, looked up by their exposed top-K prefix.
+The dense (m, n, n) policy is built once, from that mixture, at the end.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
-    HAVE_NUMBA = False
-
-
-def _numba_selected() -> bool:
-    flag = os.environ.get("NSWRANK_NO_NUMBA", "").strip()
-    return HAVE_NUMBA and flag in ("", "0")
-
-
-USE_NUMBA = _numba_selected()
-
 _TINY = 1e-300
+_NEWTON_ITERS = 100
 
 
 # --------------------------------------------------------------------------
@@ -44,534 +27,201 @@ _TINY = 1e-300
 # where Imp_i = sum_u V[u, i] * E[u, i] and E[u] ranges over the convex hull
 # of permutations of the exposure weights e.
 #
-# Shared conventions:
 #   V       (m, n) impact multiplier per user/item
 #   e       (n,)   nonincreasing exposure weights, zero beyond the cutoff
 #   w       (n,)   objective weights (merit ** alpha)
 #   active  (n,)   bool, items that take part in the objective
-# Returns (X, iterations, final FW gap, final objective).
 # --------------------------------------------------------------------------
 
 
-def fw_plain_numpy(V, e, w, active, rel_gap_tol, max_iters, ls_iters=60):
-    """Classic Frank-Wolfe with the diminishing 2/(t+2) step schedule."""
-    m, n = V.shape
-    K = int(np.count_nonzero(e > 0.0))
-    te = float(e.sum())
+def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
+    """Pairwise Frank-Wolfe; returns (X, passes, final FW gap, objective).
 
-    E = np.full((m, n), te / n)
-    imp = V.sum(axis=0) * (te / n)
-    X = np.full((m, n, n), 1.0 / n)
-
-    rows = np.arange(m)[:, None]
-    cols = np.arange(n)[None, :]
-    wa = w[active]
-    gap = 0.0
-    objective = float(np.sum(wa * np.log(imp[active])))
-    iters = 0
-
-    for t in range(max_iters):
-        iters = t
-        ratio = np.zeros(n)
-        ratio[active] = w[active] / imp[active]
-        c = V * ratio
-        order = np.argsort(-c, axis=1)
-
-        ES = np.zeros((m, n))
-        ES[rows, order[:, :K]] = e[:K]
-        impS = np.einsum("ui,ui->i", V, ES)
-
-        ia = imp[active]
-        gap = float(np.sum(wa * (impS[active] - ia) / ia))
-        objective = float(np.sum(wa * np.log(ia)))
-        if gap <= rel_gap_tol * max(abs(objective), _TINY):
-            break
-
-        gamma = 2.0 / (t + 2.0)
-        X *= 1.0 - gamma
-        X[rows, order, cols] += gamma
-        E = (1.0 - gamma) * E + gamma * ES
-        imp = (1.0 - gamma) * imp + gamma * impS
-        iters = t + 1
-
-    return X, iters, gap, objective
-
-
-def fw_pairwise_numpy(V, e, w, active, rel_gap_tol, max_iters, ls_iters=60):
-    """Pairwise Frank-Wolfe with exact bisection line search.
-
-    State per user: a convex mixture of the uniform matrix (the start point)
-    and permutation vertices discovered by the sort oracle.  One iteration is
-    a pass over all users; each user transfers mass from its worst-value
-    mixture component onto the oracle vertex.
+    One iteration is a pass over all users; each user transfers mass from
+    its worst-value mixture component onto the oracle vertex.
     """
+    V = np.asarray(V, dtype=np.float64)
     m, n = V.shape
     K = int(np.count_nonzero(e > 0.0))
-    te = float(e.sum())
+    eK = np.ascontiguousarray(e[:K], dtype=np.float64)
+    u0 = float(e.sum()) / n         # exposure of every item under uniform
+    # Inactive items get zero impact columns and a dummy impact of 1, so
+    # their coefficient w/imp and their log term are both exactly 0.
+    wa = np.where(active, w, 0.0)
+    Va = V * active
+    neg_Va = -Va
+    inactive = ~np.asarray(active, dtype=bool)
 
-    X = np.full((m, n, n), 1.0 / n)
-    E = np.full((m, n), te / n)
-    theta0 = np.ones(m)                 # weight still on the uniform start
-    perms = [[] for _ in range(m)]      # permutation vertices per user
-    thetas = [[] for _ in range(m)]
+    theta0 = np.ones(m)             # weight still on the uniform start
+    # full permutation and weight per vertex; slots not yet used weigh 0
+    cap = 4
+    perms = np.zeros((m, cap, n), np.int64)
+    thetas = np.zeros((m, cap))
+    nv = [0] * m
+    keys = [{} for _ in range(m)]   # top-K prefix bytes -> vertex slot
 
-    ranks = np.arange(n)
+    def snapshot():
+        # reads perms and thetas at call time, so it sees them after growth
+        E = _exposures(theta0, thetas, perms[:, :, :K], eK, u0, n)
+        imp = np.einsum("ui,ui->i", Va, E)
+        imp[inactive] = 1.0
+        return E, imp, float(wa @ np.log(imp))
+
     gap = 0.0
-    imp = np.einsum("ui,ui->i", V, E)
-    objective = float(np.sum(w[active] * np.log(imp[active])))
     iters = 0
     done = False
-
     for t in range(max_iters):
-        iters = t
-        imp = np.einsum("ui,ui->i", V, E)
-        objective = float(np.sum(w[active] * np.log(imp[active])))
+        _, imp, objective = snapshot()
+        ratio = wa / imp
         bound = rel_gap_tol * max(abs(objective), _TINY)
         pass_gap = 0.0
         for u in range(m):
-            c = np.zeros(n)
-            c[active] = V[u, active] * w[active] / imp[active]
-            order = np.argsort(-c)
-            f_best = float(e[:K] @ c[order[:K]])
-            cur = float(c @ E[u])
-            g = f_best - cur
+            cn = neg_Va[u] * ratio      # minus the gradient coefficients
+            order = cn.argsort()
+            top = order[:K]
+            f_best = -float(cn[top] @ eK)
+            k = nv[u]
+            t0 = theta0[u]
+            uni = -u0 * float(neg_Va[u] @ ratio)
+            th = thetas[u, :k]
+            vals = -(cn[perms[u, :k, :K]] @ eK)
+            g = f_best - t0 * uni - float(th @ vals)
             pass_gap += g
             if g <= 0.0:
                 continue
 
-            # worst-value component of the current mixture
-            a_idx = -2
+            # worst-value component of the current mixture; uniform wins ties
+            a = -2
             a_val = np.inf
-            if theta0[u] > 0.0:
-                a_val = te / n * float(c.sum())
-                a_idx = -1
-            for v, perm in enumerate(perms[u]):
-                if thetas[u][v] > 0.0:
-                    val = float(e[:K] @ c[perm[:K]])
-                    if val < a_val:
-                        a_val = val
-                        a_idx = v
-            if a_idx == -2 or f_best - a_val <= 0.0:
+            if t0 > 0.0:
+                a, a_val = -1, uni
+            if k:
+                j = int(np.argmin(np.where(th > 0.0, vals, np.inf)))
+                if th[j] > 0.0 and vals[j] < a_val:
+                    a, a_val = j, float(vals[j])
+            if a == -2 or f_best - a_val <= 0.0:
                 continue
 
-            # locate or append the oracle vertex (keyed by its exposed prefix)
-            s_idx = -1
-            for v, perm in enumerate(perms[u]):
-                if np.array_equal(perm[:K], order[:K]):
-                    s_idx = v
-                    break
-            if s_idx < 0:
-                perms[u].append(order.copy())
-                thetas[u].append(0.0)
-                s_idx = len(perms[u]) - 1
-            if s_idx == a_idx:
+            # locate or append the oracle vertex; a prefix keeps its first
+            # full permutation
+            key = top.tobytes()
+            s = keys[u].get(key)
+            if s is None:
+                if k == cap:
+                    perms = np.concatenate([perms, np.zeros_like(perms)], axis=1)
+                    thetas = np.concatenate([thetas, np.zeros_like(thetas)], axis=1)
+                    cap *= 2
+                s = keys[u][key] = k
+                perms[u, s] = order
+                nv[u] = k + 1
+            if s == a:
                 continue
 
-            s_perm = perms[u][s_idx]
-            if a_idx == -1:
-                delta_e = -np.full(n, te / n)
-                gamma_max = theta0[u]
+            if a == -1:
+                d = np.full(n, -u0)
+                gamma_max = t0
             else:
-                a_perm = perms[u][a_idx]
-                delta_e = np.zeros(n)
-                delta_e[a_perm[:K]] -= e[:K]
-                gamma_max = thetas[u][a_idx]
-            delta_e[s_perm[:K]] += e[:K]
-            dimp = V[u] * delta_e
+                d = np.zeros(n)
+                d[perms[u, a, :K]] = -eK
+                gamma_max = float(thetas[u, a])
+            d[perms[u, s, :K]] += eK
+            dimp = Va[u] * d
+            supp = np.flatnonzero(dimp)
+            imp_s = imp[supp]
+            dimp_s = dimp[supp]
+            w_s = wa[supp]
 
-            gamma = _bisect_step(imp, dimp, w, active, gamma_max, ls_iters)
+            gamma = newton_step(imp_s, dimp_s, w_s, gamma_max)
             if gamma <= 0.0:
                 continue
 
-            thetas[u][s_idx] += gamma
-            if a_idx == -1:
-                theta0[u] -= gamma
-                X[u] -= gamma / n
-                if gamma >= gamma_max:
-                    theta0[u] = 0.0
+            thetas[u, s] += gamma
+            if a == -1:
+                theta0[u] = 0.0 if gamma >= gamma_max else t0 - gamma
             else:
-                thetas[u][a_idx] -= gamma
-                X[u, a_perm, ranks] -= gamma
-                if gamma >= gamma_max:
-                    thetas[u][a_idx] = 0.0
-            X[u, s_perm, ranks] += gamma
-            E[u] += gamma * delta_e
-            imp = imp + gamma * dimp
+                thetas[u, a] = 0.0 if gamma >= gamma_max else gamma_max - gamma
+            new_imp = imp_s + gamma * dimp_s
+            imp[supp] = new_imp
+            ratio[supp] = w_s / new_imp
         iters = t + 1
 
         if pass_gap <= bound:
             # verify on a consistent snapshot before declaring convergence
-            gap = _global_gap_numpy(V, e, w, active, E, imp, K)
+            E, imp, objective = snapshot()
+            gap = _global_gap(Va, wa, eK, E, imp)
             if gap <= bound:
                 done = True
                 break
         gap = pass_gap
     if not done:
-        imp = np.einsum("ui,ui->i", V, E)
-        gap = _global_gap_numpy(V, e, w, active, E, imp, K)
-        objective = float(np.sum(w[active] * np.log(imp[active])))
-    return X, iters, gap, objective
+        E, imp, objective = snapshot()
+        gap = _global_gap(Va, wa, eK, E, imp)
+    return _policy(theta0, thetas, perms), iters, gap, objective
 
 
-def _bisect_step(imp, dimp, w, active, gamma_max, ls_iters):
-    """Maximize sum_active w*log(imp + g*dimp) over g in [0, gamma_max]."""
-    da = dimp[active]
-    ia = imp[active]
-    wa = w[active]
-    post = ia + gamma_max * da
-    if np.all(post > 0.0) and float(np.sum(wa * da / post)) >= 0.0:
-        return gamma_max
-    lo, hi = 0.0, gamma_max
-    for _ in range(ls_iters):
-        mid = 0.5 * (lo + hi)
-        dv = float(np.sum(wa * da / (ia + mid * da)))
-        if dv > 0.0:
-            lo = mid
+def newton_step(imp, dimp, w, gamma_max):
+    """Maximize phi(g) = sum w*log(imp + g*dimp) over g in [0, gamma_max].
+
+    phi is concave, and phi'(0) > 0 for an ascent direction.  The bracket
+    [lo, hi] keeps phi'(lo) > 0 >= phi'(hi) and stays below the first point
+    where some impact reaches zero; a Newton step that leaves it falls back
+    to bisection.
+    """
+    post = imp + gamma_max * dimp
+    if post.min() > 0.0:
+        if float(w @ (dimp / post)) >= 0.0:
+            return gamma_max
+        hi = gamma_max
+    else:
+        dec = dimp < 0.0
+        hi = float(np.min(imp[dec] / -dimp[dec]))
+    lo = 0.0
+    g = 0.0
+    tol = 1e-15 * gamma_max
+    for _ in range(_NEWTON_ITERS):
+        q = dimp / (imp + g * dimp)
+        wq = w * q
+        d1 = float(w @ q)           # phi'(g)
+        if d1 > 0.0:
+            lo = g
+        elif d1 < 0.0:
+            hi = g
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _global_gap_numpy(V, e, w, active, E, imp, K):
-    ratio = np.zeros_like(imp)
-    ratio[active] = w[active] / imp[active]
-    c = V * ratio
-    top = -np.sort(-c, axis=1)[:, :K]
-    oracle = float(np.sum(top * e[:K]))
-    return oracle - float(np.sum(c * E))
-
-
-def fw_solve_numpy(V, e, w, active, rel_gap_tol, max_iters, mode, ls_iters=60):
-    if mode == "pairwise":
-        return fw_pairwise_numpy(V, e, w, active, rel_gap_tol, max_iters, ls_iters)
-    return fw_plain_numpy(V, e, w, active, rel_gap_tol, max_iters, ls_iters)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _fw_plain_jit(V, e, w, active, rel_gap_tol, max_iters, ls_iters):
-        m, n = V.shape
-        K = 0
-        for k in range(n):
-            if e[k] > 0.0:
-                K += 1
-            else:
-                break
-        te = 0.0
-        for k in range(n):
-            te += e[k]
-
-        E = np.full((m, n), te / n)
-        imp = np.zeros(n)
-        for i in range(n):
-            s = 0.0
-            for u in range(m):
-                s += V[u, i]
-            imp[i] = s * te / n
-        X = np.full((m, n, n), 1.0 / n)
-
-        cneg = np.empty(n)
-        ES = np.zeros((m, n))
-        impS = np.zeros(n)
-        order = np.empty((m, n), np.int64)
-        gap = 0.0
-        objective = 0.0
-        for i in range(n):
-            if active[i]:
-                objective += w[i] * np.log(imp[i])
-        iters = 0
-
-        for t in range(max_iters):
-            iters = t
-            for u in range(m):
-                for i in range(n):
-                    if active[i]:
-                        cneg[i] = -V[u, i] * w[i] / imp[i]
-                    else:
-                        cneg[i] = 0.0
-                order[u] = np.argsort(cneg)
-
-            for i in range(n):
-                impS[i] = 0.0
-            for u in range(m):
-                for i in range(n):
-                    ES[u, i] = 0.0
-                for k in range(K):
-                    i = order[u, k]
-                    ES[u, i] = e[k]
-                    impS[i] += V[u, i] * e[k]
-
-            gap = 0.0
-            objective = 0.0
-            for i in range(n):
-                if active[i]:
-                    gap += w[i] * (impS[i] / imp[i] - 1.0)
-                    objective += w[i] * np.log(imp[i])
-            bound = abs(objective)
-            if bound < _TINY:
-                bound = _TINY
-            if gap <= rel_gap_tol * bound:
-                break
-
-            gamma = 2.0 / (t + 2.0)
-            g1 = 1.0 - gamma
-            for u in range(m):
-                for i in range(n):
-                    for k in range(n):
-                        X[u, i, k] *= g1
-                for k in range(n):
-                    X[u, order[u, k], k] += gamma
-                for i in range(n):
-                    E[u, i] = g1 * E[u, i] + gamma * ES[u, i]
-            for i in range(n):
-                imp[i] = g1 * imp[i] + gamma * impS[i]
-            iters = t + 1
-
-        return X, iters, gap, objective
-
-    @njit(cache=True)
-    def _gap_sweep_jit(V, e, w, active, E, imp, K, cneg):
-        m, n = V.shape
-        total = 0.0
-        for u in range(m):
-            for i in range(n):
-                if active[i]:
-                    cneg[i] = -V[u, i] * w[i] / imp[i]
-                else:
-                    cneg[i] = 0.0
-            order = np.argsort(cneg)
-            f_best = 0.0
-            for k in range(K):
-                f_best += e[k] * (-cneg[order[k]])
-            cur = 0.0
-            for i in range(n):
-                cur += (-cneg[i]) * E[u, i]
-            total += f_best - cur
-        return total
-
-    @njit(cache=True)
-    def _fw_pairwise_jit(V, e, w, active, rel_gap_tol, max_iters, ls_iters):
-        m, n = V.shape
-        K = 0
-        for k in range(n):
-            if e[k] > 0.0:
-                K += 1
-            else:
-                break
-        te = 0.0
-        for k in range(n):
-            te += e[k]
-
-        amax = 2 * n + 2
-        if amax < 64:
-            amax = 64
-        X = np.full((m, n, n), 1.0 / n)
-        E = np.full((m, n), te / n)
-        theta0 = np.ones(m)
-        thetas = np.zeros((m, amax))
-        perms = np.zeros((m, amax, n), np.int64)
-        nact = np.zeros(m, np.int64)
-
-        imp = np.zeros(n)
-        c = np.empty(n)
-        cneg = np.empty(n)
-        dimp = np.empty(n)
-        delta_e = np.empty(n)
-        gap = 0.0
-        objective = 0.0
-        iters = 0
-        done = False
-
-        for t in range(max_iters):
-            iters = t
-            for i in range(n):
-                s = 0.0
-                for u in range(m):
-                    s += V[u, i] * E[u, i]
-                imp[i] = s
-            objective = 0.0
-            for i in range(n):
-                if active[i]:
-                    objective += w[i] * np.log(imp[i])
-            bound = abs(objective)
-            if bound < _TINY:
-                bound = _TINY
-            bound *= rel_gap_tol
-
-            pass_gap = 0.0
-            for u in range(m):
-                for i in range(n):
-                    if active[i]:
-                        c[i] = V[u, i] * w[i] / imp[i]
-                    else:
-                        c[i] = 0.0
-                    cneg[i] = -c[i]
-                order = np.argsort(cneg)
-                f_best = 0.0
-                for k in range(K):
-                    f_best += e[k] * c[order[k]]
-                cur = 0.0
-                for i in range(n):
-                    cur += c[i] * E[u, i]
-                g = f_best - cur
-                pass_gap += g
-                if g <= 0.0:
-                    continue
-
-                a_idx = -2
-                a_val = 1e300
-                if theta0[u] > 0.0:
-                    csum = 0.0
-                    for i in range(n):
-                        csum += c[i]
-                    a_val = te / n * csum
-                    a_idx = -1
-                for v in range(nact[u]):
-                    if thetas[u, v] > 0.0:
-                        val = 0.0
-                        for k in range(K):
-                            val += e[k] * c[perms[u, v, k]]
-                        if val < a_val:
-                            a_val = val
-                            a_idx = v
-                if a_idx == -2 or f_best - a_val <= 0.0:
-                    continue
-
-                s_idx = -1
-                for v in range(nact[u]):
-                    match = True
-                    for k in range(K):
-                        if perms[u, v, k] != order[k]:
-                            match = False
-                            break
-                    if match:
-                        s_idx = v
-                        break
-                if s_idx < 0:
-                    if nact[u] >= amax:
-                        continue  # active set full; let other users progress
-                    s_idx = nact[u]
-                    for k in range(n):
-                        perms[u, s_idx, k] = order[k]
-                    thetas[u, s_idx] = 0.0
-                    nact[u] += 1
-                if s_idx == a_idx:
-                    continue
-
-                if a_idx == -1:
-                    gamma_max = theta0[u]
-                    for i in range(n):
-                        delta_e[i] = -te / n
-                else:
-                    gamma_max = thetas[u, a_idx]
-                    for i in range(n):
-                        delta_e[i] = 0.0
-                    for k in range(K):
-                        delta_e[perms[u, a_idx, k]] -= e[k]
-                for k in range(K):
-                    delta_e[perms[u, s_idx, k]] += e[k]
-                for i in range(n):
-                    dimp[i] = V[u, i] * delta_e[i]
-
-                # exact bisection of the step length on [0, gamma_max]
-                full_ok = True
-                for i in range(n):
-                    if active[i] and imp[i] + gamma_max * dimp[i] <= 0.0:
-                        full_ok = False
-                        break
-                if full_ok:
-                    dv = 0.0
-                    for i in range(n):
-                        if active[i]:
-                            dv += w[i] * dimp[i] / (imp[i] + gamma_max * dimp[i])
-                    full_ok = dv >= 0.0
-                if full_ok:
-                    gamma = gamma_max
-                else:
-                    lo = 0.0
-                    hi = gamma_max
-                    for _ in range(ls_iters):
-                        mid = 0.5 * (lo + hi)
-                        dv = 0.0
-                        for i in range(n):
-                            if active[i]:
-                                dv += w[i] * dimp[i] / (imp[i] + mid * dimp[i])
-                        if dv > 0.0:
-                            lo = mid
-                        else:
-                            hi = mid
-                    gamma = 0.5 * (lo + hi)
-                if gamma <= 0.0:
-                    continue
-
-                thetas[u, s_idx] += gamma
-                if a_idx == -1:
-                    theta0[u] -= gamma
-                    if gamma >= gamma_max:
-                        theta0[u] = 0.0
-                    gn = gamma / n
-                    for i in range(n):
-                        for k in range(n):
-                            X[u, i, k] -= gn
-                else:
-                    thetas[u, a_idx] -= gamma
-                    for k in range(n):
-                        X[u, perms[u, a_idx, k], k] -= gamma
-                    if gamma >= gamma_max:
-                        thetas[u, a_idx] = 0.0
-                        # compact: move the last active slot into the freed one
-                        last = nact[u] - 1
-                        if a_idx != last:
-                            thetas[u, a_idx] = thetas[u, last]
-                            for k in range(n):
-                                perms[u, a_idx, k] = perms[u, last, k]
-                            if s_idx == last:
-                                s_idx = a_idx
-                        thetas[u, last] = 0.0
-                        nact[u] = last
-                for k in range(n):
-                    X[u, perms[u, s_idx, k], k] += gamma
-                for i in range(n):
-                    E[u, i] += gamma * delta_e[i]
-                    imp[i] += gamma * dimp[i]
-            iters = t + 1
-
-            if pass_gap <= bound:
-                gap = _gap_sweep_jit(V, e, w, active, E, imp, K, cneg)
-                if gap <= bound:
-                    done = True
-                    break
-            gap = pass_gap
-
-        if not done:
-            for i in range(n):
-                s = 0.0
-                for u in range(m):
-                    s += V[u, i] * E[u, i]
-                imp[i] = s
-            gap = _gap_sweep_jit(V, e, w, active, E, imp, K, cneg)
-            objective = 0.0
-            for i in range(n):
-                if active[i]:
-                    objective += w[i] * np.log(imp[i])
-        return X, iters, gap, objective
-
-    def fw_solve_numba(V, e, w, active, rel_gap_tol, max_iters, mode,
-                       ls_iters=60):
-        args = (np.ascontiguousarray(V, dtype=np.float64),
-                np.ascontiguousarray(e, dtype=np.float64),
-                np.ascontiguousarray(w, dtype=np.float64),
-                np.ascontiguousarray(active, dtype=np.bool_),
-                float(rel_gap_tol), int(max_iters), int(ls_iters))
-        if mode == "pairwise":
-            X, iters, gap, objective = _fw_pairwise_jit(*args)
+            return g
+        step = g + d1 / float(wq @ q)
+        if lo < step < hi:
+            if abs(step - g) <= tol:
+                return step
         else:
-            X, iters, gap, objective = _fw_plain_jit(*args)
-        return X, int(iters), float(gap), float(objective)
+            step = 0.5 * (lo + hi)
+            if hi - lo <= tol:
+                return step
+        g = step
+    return g
 
-else:  # pragma: no cover
-    fw_solve_numba = None
+
+def _exposures(theta0, thetas, prefixes, eK, u0, n):
+    """Per-user exposure E (m, n) of the mixtures, by one scatter-add."""
+    m = prefixes.shape[0]
+    flat = (np.arange(m)[:, None, None] * n + prefixes).ravel()
+    return np.bincount(flat, weights=(thetas[:, :, None] * eK).ravel(),
+                       minlength=m * n).reshape(m, n) + (theta0 * u0)[:, None]
+
+
+def _global_gap(Va, wa, eK, E, imp):
+    c = Va * (wa / imp)
+    top = -np.sort(-c, axis=1)[:, :eK.size]
+    return float(np.sum(top @ eK)) - float(np.sum(c * E))
+
+
+def _policy(theta0, thetas, perms):
+    """Dense X = theta0/n + sum_v theta_v * P(perm_v), built in one pass."""
+    m, _, n = perms.shape
+    ranks = np.arange(n)
+    flat = ((np.arange(m)[:, None, None] * n + perms) * n + ranks).ravel()
+    weights = np.repeat(thetas.ravel(), n)
+    X = np.bincount(flat, weights=weights, minlength=m * n * n)
+    return X.reshape(m, n, n) + (theta0 / n)[:, None, None]
 
 
 # --------------------------------------------------------------------------
@@ -580,68 +230,11 @@ else:  # pragma: no cover
 # --------------------------------------------------------------------------
 
 
-def perfect_matching_numpy(support):
+def perfect_matching(support):
+    # imported here so that commands which never decompose skip loading csgraph
     import scipy.sparse as sp
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     graph = sp.csr_matrix(support.astype(np.int8))
     match = maximum_bipartite_matching(graph, perm_type="column")
     return match.astype(np.int64)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _matching_jit(support):
-        n = support.shape[0]
-        rank_of_item = np.full(n, -1, np.int64)
-        item_of_rank = np.full(n, -1, np.int64)
-        parent_item = np.empty(n, np.int64)
-        seen = np.empty(n, np.bool_)
-        queue = np.empty(n + 1, np.int64)
-
-        for start in range(n):
-            for k in range(n):
-                seen[k] = False
-                parent_item[k] = -1
-            head = 0
-            tail = 0
-            queue[tail] = start
-            tail += 1
-            found = -1
-            while head < tail and found < 0:
-                it = queue[head]
-                head += 1
-                for k in range(n):
-                    if support[it, k] and not seen[k]:
-                        seen[k] = True
-                        parent_item[k] = it
-                        if item_of_rank[k] < 0:
-                            found = k
-                            break
-                        queue[tail] = item_of_rank[k]
-                        tail += 1
-            if found < 0:
-                return np.full(n, -1, np.int64)
-            k = found
-            while k >= 0:
-                it = parent_item[k]
-                prev = rank_of_item[it]
-                item_of_rank[k] = it
-                rank_of_item[it] = k
-                k = prev
-        return rank_of_item
-
-    def perfect_matching_numba(support):
-        return _matching_jit(np.ascontiguousarray(support, dtype=np.bool_))
-
-else:  # pragma: no cover
-    perfect_matching_numba = None
-
-
-if USE_NUMBA:
-    fw_solve = fw_solve_numba
-    perfect_matching = perfect_matching_numba
-else:
-    fw_solve = fw_solve_numpy
-    perfect_matching = perfect_matching_numpy

@@ -3,8 +3,9 @@
 Each user's doubly stochastic matrix is peeled into a convex combination of
 permutation matrices: repeatedly find a perfect matching on the entries above
 epsilon, subtract the smallest matched entry times that permutation, and
-normalize the collected weights at the end.  Sampling a concrete ranking for
-a user is then a seeded draw over that user's terms.
+normalize the collected weights at the end; mass still unassigned after the
+Marcus-Ree bound on the number of terms raises MatchingFailure.  Sampling a
+concrete ranking for a user is then a seeded draw over that user's terms.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ def _decompose_user(mat: np.ndarray, epsilon: float) -> list:
         terms.append((weight, items_by_rank))
         work[np.arange(n), rank_of_item] -= weight
         remaining -= weight
+    if remaining > n * epsilon + 1e-15:
+        raise MatchingFailure(
+            f"{max_terms} terms left mass {remaining:.3e} unassigned; "
+            "retry with a smaller epsilon")
     if not terms:
         raise MatchingFailure("decomposition produced no terms")
     total = sum(w for w, _ in terms)

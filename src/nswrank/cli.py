@@ -24,6 +24,7 @@ from .errors import (
     InfeasibleError,
     MatchingFailure,
     NotDoublyStochastic,
+    NswrankError,
     ParseError,
     SchemaError,
     ZeroMeritError,
@@ -227,7 +228,11 @@ def _parse_sweep_config(doc: dict) -> dict:
 
 
 def _sweep_unit(task: tuple) -> list:
-    """Solve every policy for one (grid point, seed); returns finished rows."""
+    """Solve every policy for one (grid point, seed); returns finished rows.
+
+    A typed nswrank error or a ValueError marks a row "error"; any other
+    exception is a bug and propagates.
+    """
     (lam, noise_c, k, n_items, seed, users, exposure_kind, policies,
      tol, max_iters) = task
     rows = []
@@ -235,7 +240,7 @@ def _sweep_unit(task: tuple) -> list:
         rel_true, rel_pred = generate_market(SyntheticConfig(
             m=users, n=n_items, lam=lam, noise_c=noise_c, seed=seed))
         exp = ExposureModel.make(exposure_kind, n_items, k)
-    except Exception:
+    except (NswrankError, ValueError):
         for name, _, _ in policies:
             rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
                                              seed, "error"))
@@ -248,7 +253,7 @@ def _sweep_unit(task: tuple) -> list:
                       report.pct_improved_10, report.pct_decreased_10)
             rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
                                              seed, values))
-        except Exception:
+        except (NswrankError, ValueError):
             rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
                                              seed, "error"))
     return rows

@@ -46,7 +46,6 @@ class NswConfig:
     alpha: float = 0.0
     max_iters: int = 10000
     rel_gap_tol: float = 1e-6
-    line_search: str = "exact_bisection"
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -55,8 +54,6 @@ class NswConfig:
             raise ValueError("rel_gap_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.line_search not in ("exact_bisection", "diminishing"):
-            raise ValueError(f"unknown line search {self.line_search!r}")
 
 
 @dataclass(frozen=True)
@@ -227,11 +224,11 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
               cfg: NswConfig = NswConfig(),
               vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED,
               ) -> tuple[PolicyTensor, SolveDiagnostics]:
-    """Maximize sum_i merit_i^alpha * log(impact_i) by Frank-Wolfe.
+    """Maximize sum_i merit_i^alpha * log(impact_i) by pairwise Frank-Wolfe.
 
     The gradient is separable per user as e(k) * coefficient(u, i), so the
     linear oracle is a sort of items against exposure weights; the step size
-    comes from sign bisection of the 1-D concave restriction's derivative.
+    comes from a safeguarded Newton search on the 1-D concave restriction.
     Hitting max_iters is not an error: the policy is returned with its final
     duality gap in the diagnostics.
     """
@@ -251,9 +248,8 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
             "the welfare objective", RuntimeWarning, stacklevel=2)
 
     V = vfn.user_weights(rel)
-    mode = "pairwise" if cfg.line_search == "exact_bisection" else "plain"
     X, iters, _, _ = _kernels.fw_solve(
-        V, exp.weights, w, active, cfg.rel_gap_tol, cfg.max_iters, mode)
+        V, exp.weights, w, active, cfg.rel_gap_tol, cfg.max_iters)
     policy = PolicyTensor(X)
 
     # Recompute objective and FW gap from the validated policy so the

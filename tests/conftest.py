@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from nswrank import ExposureModel, RelevanceMatrix, solve_nsw
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so timed tests measure algorithm work."""
-    rel = RelevanceMatrix([[0.6, 0.2], [0.1, 0.9]])
-    exp = ExposureModel.make("inverse", 2, 1)
-    solve_nsw(rel, exp)
+from nswrank import ExposureModel, RelevanceMatrix
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from nswrank import (
     solve_utility_max,
     user_utility,
 )
+from nswrank import _kernels
 from nswrank.bvn import _decompose_user
 
 
@@ -54,6 +55,14 @@ class TestBvnDecompose:
         # the mass as unrecoverable
         with pytest.raises(MatchingFailure):
             _decompose_user(np.full((2, 2), 0.5), epsilon=0.6)
+
+    def test_matching_failure_when_terms_run_out(self, monkeypatch):
+        # a matching that keeps returning the identity exhausts the diagonal
+        # after one term, so the Marcus-Ree bound runs out with mass left
+        monkeypatch.setattr(_kernels, "perfect_matching",
+                            lambda support: np.arange(support.shape[0]))
+        with pytest.raises(MatchingFailure, match="unassigned"):
+            _decompose_user(np.full((2, 2), 0.5), epsilon=1e-9)
 
 
 class TestRoundTrip:

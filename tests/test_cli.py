@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from nswrank import cli
 from nswrank import io as nio
 from nswrank.cli import main
+from nswrank.errors import InfeasibleError
 
 TOY = "# m=2 n=2\n0.8,0.3\n0.5,0.4\n"
 
@@ -248,6 +250,23 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 2 and "error" not in out.read_text()
+
+    def test_unit_marks_typed_errors_and_raises_bugs(self, monkeypatch):
+        task = (0.5, 0.05, 2, 5, 0, 6, "inverse", (("max", "max", 0.0),),
+                1e-6, 10000)
+
+        def infeasible(rel, exp):
+            raise InfeasibleError("no policy")
+
+        monkeypatch.setattr(cli, "solve_utility_max", infeasible)
+        assert cli._sweep_unit(task)[0].endswith(",error")
+
+        def bug(rel, exp):
+            raise TypeError("a bug, not a data error")
+
+        monkeypatch.setattr(cli, "solve_utility_max", bug)
+        with pytest.raises(TypeError):
+            cli._sweep_unit(task)
 
     def test_bad_config(self, tmp_path):
         path = tmp_path / "config.json"

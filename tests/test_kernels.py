@@ -1,16 +1,11 @@
-"""Parity between the numba kernels and the pure-numpy fallbacks."""
-
-import os
-import subprocess
-import sys
+"""The numpy Frank-Wolfe kernel, its Newton line search and the matching."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nswrank import _kernels
-
-pytestmark = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                reason="numba not importable")
 
 
 def random_problem(seed, m=6, n=5, k=2):
@@ -29,59 +24,109 @@ def check_doubly_stochastic(X):
     assert np.abs(X.sum(axis=1) - 1).max() < 1e-9
 
 
-@pytest.mark.parametrize("mode", ["pairwise", "plain"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fw_paths_agree_on_objective(mode, seed):
-    V, e, w, active = random_problem(seed)
-    tol, iters = (1e-8, 4000) if mode == "pairwise" else (1e-3, 4000)
-    X_nb, it_nb, gap_nb, obj_nb = _kernels.fw_solve_numba(
-        V, e, w, active, tol, iters, mode)
-    X_np, it_np, gap_np, obj_np = _kernels.fw_solve_numpy(
-        V, e, w, active, tol, iters, mode)
-    check_doubly_stochastic(X_nb)
-    check_doubly_stochastic(X_np)
-    assert obj_nb == pytest.approx(obj_np, abs=1e-6)
-    if mode == "plain":
-        # identical deterministic schedule: the paths should track closely
-        assert it_nb == it_np
+def test_output_is_doubly_stochastic():
+    # some users collect more vertices than the active-set arrays first hold
+    V, e, w, active = random_problem(3, m=12, n=8, k=3)
+    V[:, 5] = 0.0                 # an item outside the objective
+    active[5] = False
+    X, passes, _, _ = _kernels.fw_solve(V, e, w, active, 1e-8, 5000)
+    assert X.shape == (12, 8, 8) and passes > 1
+    check_doubly_stochastic(X)
 
 
-def test_pairwise_reaches_gap_target():
-    V, e, w, active = random_problem(7, m=8, n=6, k=3)
-    _, _, gap, obj = _kernels.fw_solve_numba(V, e, w, active, 1e-8, 5000,
-                                             "pairwise")
+@pytest.mark.parametrize("seed,k", [(0, 2), (1, 5), (7, 3)])
+def test_gap_target_reached(seed, k):
+    V, e, w, active = random_problem(seed, m=8, n=5 if k == 5 else 6, k=k)
+    X, _, gap, obj = _kernels.fw_solve(V, e, w, active, 1e-8, 5000)
     assert gap <= 1e-8 * abs(obj)
+    # the returned objective and gap describe the returned policy
+    E = X @ e
+    imp = np.einsum("ui,ui->i", V, E)
+    assert obj == pytest.approx(float(np.sum(w * np.log(imp))), rel=1e-12)
+    c = V * (w / imp)
+    oracle = float(np.sum(-np.sort(-c, axis=1)[:, :k] * e[:k]))
+    assert oracle - float(np.sum(c * E)) == pytest.approx(gap, abs=1e-10)
+
+
+def dense_maximiser(imp, dimp, w, gamma_max, grid=2001):
+    """Argmax of sum w*log(imp + g*dimp) on [0, gamma_max], by a dense grid
+    refined with derivative-sign bisection, in extended precision."""
+    imp, dimp, w = (np.asarray(x, dtype=np.longdouble) for x in (imp, dimp, w))
+    dec = dimp < 0
+    pole = np.min(imp[dec] / -dimp[dec]) if dec.any() else np.inf
+    hi = min(np.longdouble(gamma_max), pole)
+    gs = np.linspace(0, hi, grid, dtype=np.longdouble)
+    if hi == pole:
+        gs = gs[:-1]
+    phi = (w * np.log(imp + gs[:, None] * dimp)).sum(axis=1)
+    j = int(np.argmax(phi))
+    lo = gs[max(j - 1, 0)]
+    up = gs[j + 1] if j + 1 < gs.size else hi
+    for _ in range(200):
+        mid = (lo + up) / 2
+        if np.sum(w * dimp / (imp + mid * dimp)) > 0:
+            lo = mid
+        else:
+            up = mid
+    return float((lo + up) / 2)
+
+
+def ascent_direction(rng, n):
+    imp = rng.uniform(0.1, 2.0, n)
+    dimp = rng.uniform(-1.0, 1.0, n)
+    w = rng.uniform(0.5, 2.0, n)
+    if w @ (dimp / imp) < 0:
+        dimp = -dimp
+    return imp, dimp, w
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_newton_step_matches_dense_maximiser(seed):
+    rng = np.random.default_rng(seed)
+    imp, dimp, w = ascent_direction(rng, int(rng.integers(2, 12)))
+    gamma_max = float(rng.uniform(0.05, 1.0))
+    got = _kernels.newton_step(imp, dimp, w, gamma_max)
+    assert 0.0 <= got <= gamma_max
+    assert np.all(imp + got * dimp > 0)
+    assert got == pytest.approx(dense_maximiser(imp, dimp, w, gamma_max),
+                                abs=1e-12 * gamma_max)
+
+
+def test_newton_step_takes_the_full_step():
+    imp = np.array([1.0, 1.0])
+    dimp = np.array([0.5, -0.1])
+    assert _kernels.newton_step(imp, dimp, np.ones(2), 0.3) == 0.3
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
+       past=st.floats(1.0, 4.0))
+def test_newton_step_stops_before_an_impact_hits_zero(seed, n, past):
+    rng = np.random.default_rng(seed)
+    imp, dimp, w = ascent_direction(rng, n)
+    dec = dimp < 0
+    assume(dec.any())
+    # gamma_max lies at or past the point where the first impact reaches 0
+    gamma_max = float(np.min(imp[dec] / -dimp[dec])) * past
+    got = _kernels.newton_step(imp, dimp, w, gamma_max)
+    assert np.all(imp + got * dimp > 0)
+    assert got == pytest.approx(dense_maximiser(imp, dimp, w, gamma_max),
+                                abs=1e-12 * gamma_max)
 
 
 class TestMatching:
-    def _random_support(self, seed, n=8):
+    @pytest.mark.parametrize("seed", range(5))
+    def test_finds_valid_matching(self, seed):
+        n = 8
         rng = np.random.default_rng(seed)
         # union of a few permutations always admits a perfect matching
         support = np.zeros((n, n), dtype=bool)
         for _ in range(3):
             support[rng.permutation(n), np.arange(n)] = True
-        return support
+        match = _kernels.perfect_matching(support)
+        assert sorted(match.tolist()) == list(range(n))
+        assert all(support[i, match[i]] for i in range(n))
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_both_paths_find_valid_matchings(self, seed):
-        support = self._random_support(seed)
-        for fn in (_kernels.perfect_matching_numba,
-                   _kernels.perfect_matching_numpy):
-            match = fn(support)
-            assert sorted(match.tolist()) == list(range(support.shape[0]))
-            assert all(support[i, match[i]] for i in range(support.shape[0]))
-
-    def test_both_paths_detect_absence(self):
+    def test_reports_absence(self):
         support = np.array([[True, False], [True, False]])
-        for fn in (_kernels.perfect_matching_numba,
-                   _kernels.perfect_matching_numpy):
-            assert (fn(support) < 0).any()
-
-
-def test_env_flag_selects_numpy_path():
-    code = ("import nswrank._kernels as k; "
-            "print(k.USE_NUMBA, k.fw_solve is k.fw_solve_numpy)")
-    env = dict(os.environ, NSWRANK_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.split() == ["False", "True"]
+        assert (_kernels.perfect_matching(support) < 0).any()

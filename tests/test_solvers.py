@@ -182,12 +182,6 @@ class TestSolveNsw:
         with pytest.raises(DegenerateMarketError):
             solve_nsw(rel, exp)
 
-    def test_diminishing_schedule_converges_loosely(self, toy_market):
-        rel, exp = toy_market
-        cfg = NswConfig(line_search="diminishing", max_iters=3000, rel_gap_tol=1e-3)
-        policy, _ = solve_nsw(rel, exp, cfg)
-        assert np.allclose(item_impact(policy, rel, exp), [0.8, 0.4], atol=0.01)
-
 
 class TestBruteForceOracle:
     def test_toy_nsw_objective(self, toy_market):
