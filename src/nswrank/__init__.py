@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     SchemaError,
     SizeError,
+    SolverError,
     ZeroMeritError,
 )
 from .metrics import (
@@ -64,7 +65,7 @@ __all__ = [
     "exposure_profile", "item_impact", "merit", "user_utility",
     "DegenerateMarketError", "DimensionError", "InfeasibleError",
     "MatchingFailure", "NotDoublyStochastic", "NswrankError", "ParseError",
-    "SchemaError", "SizeError", "ZeroMeritError",
+    "SchemaError", "SizeError", "SolverError", "ZeroMeritError",
     "FairnessReport", "dominance_stats", "envy_matrix", "fairness_report",
     "max_envy_per_item", "mean_max_envy", "weighted_envy_matrix",
     "LinkFunction", "NswConfig", "SolveDiagnostics", "brute_force_oracle",

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable/unwritable or
 malformed files, 4 solver finished without reaching its gap target (policy is
 still written), 5 infeasible or degenerate program, 6 dimension mismatch,
-7 decomposition matching failure.
+7 decomposition matching failure, 8 the LP solver stopped without an optimum
+for another reason.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     NswrankError,
     ParseError,
     SchemaError,
+    SolverError,
     ZeroMeritError,
 )
 from .metrics import fairness_report
@@ -318,6 +320,9 @@ def main(argv=None) -> int:
     except MatchingFailure as exc:
         print(f"error: {exc} (hint: lower --epsilon)", file=sys.stderr)
         return 7
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 8
 
 
 def entry() -> None:  # console-script wrapper

@@ -33,6 +33,11 @@ class MatchingFailure(NswrankError):
     """
 
 
+class SolverError(NswrankError):
+    """The LP solver stopped without an optimum for a reason other than
+    infeasibility (iteration limit, numerical trouble)."""
+
+
 class SizeError(NswrankError):
     """Instance exceeds the enumerable bound of the brute-force oracle."""
 

@@ -1,14 +1,21 @@
 """File formats: relevance CSV, policy/metrics/decomposition JSON, sweep CSV.
 
 All formats are platform-independent: LF line endings, UTF-8, period decimal
-separator.  Matrices serialize with 12 significant digits, sweep rows with 10;
-both sit well below every test tolerance.  Every load validates the target
+separator.  Relevance CSVs serialize with 12 significant digits and sweep rows
+with 10, both well below every test tolerance; JSON numbers (policy matrices,
+decomposition weights) are written at full round-trip precision, so a load
+gives back the saved floats bit for bit.  Every load validates the target
 type's invariants and fails loudly.
+
+Policy and decomposition JSON hold one large array (m * n^2 matrix entries,
+or all BvN terms).  Their writers stream that array one user at a time and
+produce exactly the bytes of ``json.dump(doc, fh, indent=2)`` plus a newline.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -80,9 +87,10 @@ def save_policy(path, policy: PolicyTensor, policy_type: str,
                 exposure_kind: str, cutoff: int,
                 diagnostics: SolveDiagnostics | None = None,
                 alpha: float | None = None) -> None:
-    # PolicyTensor construction already enforced double stochasticity; going
-    # through it again here guards callers that hand-built the tensor.
-    policy = PolicyTensor(policy.matrices)
+    if not isinstance(policy, PolicyTensor):
+        # a PolicyTensor was validated when it was built; anything else that
+        # carries matrices is validated (and renormalized) here
+        policy = PolicyTensor(policy.matrices)
     diag = diagnostics or SolveDiagnostics(objective_value=0.0)
     doc = {
         "schema": POLICY_SCHEMA,
@@ -91,7 +99,7 @@ def save_policy(path, policy: PolicyTensor, policy_type: str,
         "policy_type": policy_type,
         "alpha": alpha,
         "exposure": {"kind": exposure_kind, "cutoff": cutoff},
-        "matrices": [mat.ravel().tolist() for mat in policy.matrices],
+        "matrices": _SLOT,
         "diagnostics": {
             "objective": diag.objective_value,
             "duality_gap": diag.duality_gap,
@@ -99,7 +107,10 @@ def save_policy(path, policy: PolicyTensor, policy_type: str,
             "constraint_residual": diag.constraint_residual,
         },
     }
-    _dump_json(doc, path)
+    # entries are finite (PolicyTensor checks), so repr is json's spelling
+    _dump_json_streamed(doc, path, (
+        _list_text(list(map(float.__repr__, mat.ravel().tolist())), 2)
+        for mat in policy.matrices))
 
 
 def load_policy(path) -> dict:
@@ -152,13 +163,17 @@ def save_decomposition(path, dec: BvnDecomposition) -> None:
         "m": dec.m,
         "n": dec.n,
         "epsilon": dec.epsilon,
-        "users": [
-            [{"weight": float(w), "items_by_rank": perm.tolist()}
-             for w, perm in user_terms]
-            for user_terms in dec.terms
-        ],
+        "users": _SLOT,
     }
-    _dump_json(doc, path)
+    _dump_json_streamed(doc, path, (
+        _list_text([_term_text(w, perm) for w, perm in user_terms], 2)
+        for user_terms in dec.terms))
+
+
+def _term_text(weight, items_by_rank) -> str:
+    ranks = _list_text(list(map(int.__repr__, items_by_rank.tolist())), 4)
+    return (f'{{\n        "weight": {_float_text(float(weight))},'
+            f'\n        "items_by_rank": {ranks}\n      }}')
 
 
 def load_decomposition(path) -> BvnDecomposition:
@@ -216,6 +231,44 @@ def _dump_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+# Stands in for the large array of a document until it is streamed out.
+_SLOT = "<streamed array>"
+
+
+def _dump_json_streamed(doc, path, items) -> None:
+    """Write ``json.dump(doc, fh, indent=2)`` and a newline, byte for byte.
+
+    One top-level field of ``doc`` holds ``_SLOT`` in place of a list, and no
+    string field comes after it.  ``items`` yields the texts of that list's
+    elements, each rendered at nesting depth 2; they are written as they come.
+    """
+    head, _, tail = json.dumps(doc, indent=2).rpartition(json.dumps(_SLOT))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        sep = "[\n    "
+        for item in items:
+            fh.write(sep)
+            fh.write(item)
+            sep = ",\n    "
+        fh.write("[]" if sep == "[\n    " else "\n  ]")
+        fh.write(tail)
+        fh.write("\n")
+
+
+def _list_text(texts: list, depth: int) -> str:
+    """``json.dumps(..., indent=2)`` of a list nested ``depth`` levels deep,
+    from the texts of its elements."""
+    if not texts:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _float_text(value: float) -> str:
+    # json writes finite floats as repr and the rest as NaN / Infinity
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _read_json(path) -> dict:

@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from . import _kernels
 from .core import (
@@ -32,6 +30,7 @@ from .errors import (
     DimensionError,
     InfeasibleError,
     SizeError,
+    SolverError,
     ZeroMeritError,
 )
 
@@ -87,6 +86,18 @@ def _check_market(rel: RelevanceMatrix, exp: ExposureModel) -> None:
             f"exposure weights have length {exp.n}, relevance has n={rel.n} items")
 
 
+def _validated_twice(mats: np.ndarray) -> PolicyTensor:
+    """PolicyTensor of a numerical solution, renormalized a second time.
+
+    Renormalizing the NSW or LP output once more still moves some entries by
+    an ulp.  The policy files of these solvers hold the matrices after the
+    second pass, so they stay bit-identical across versions, and
+    ``save_policy`` writes a PolicyTensor as it is: the solver returns
+    exactly what its file holds.
+    """
+    return PolicyTensor(PolicyTensor(mats).matrices)
+
+
 def solve_uniform(m: int, n: int) -> PolicyTensor:
     """Policy that samples every permutation uniformly: all marginals 1/n."""
     if m < 1 or n < 2:
@@ -136,13 +147,25 @@ def _check_targets_feasible(targets: np.ndarray, m: int, e: np.ndarray) -> None:
             f"{m * np.cumsum(e_sorted)[j - 1]:.6g} is available")
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use.
+
+    Loading scipy.optimize takes longer than every other import of the CLI
+    together, so only the exposure-fair solve pays for it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
                     link: LinkFunction = LinkFunction()) -> tuple[PolicyTensor, SolveDiagnostics]:
     """Utility-maximizing policy subject to exposure proportional to merit.
 
     Positions beyond the cutoff carry zero exposure, so they are pooled into a
     single LP column class and spread back uniformly afterwards; the returned
-    tensor is always full n x n.
+    tensor is always full n x n.  Raises InfeasibleError when the targets
+    cannot be met and SolverError when HiGHS stops for any other reason.
     """
     _check_market(rel, exp)
     m, n = rel.m, rel.n
@@ -193,6 +216,8 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
         rhs.append(targets[i])
         row_id += 1
 
+    import scipy.sparse as sp
+
     a_eq = sp.coo_matrix((vals_a, (rows_a, cols_a)), shape=(row_id, nvar)).tocsr()
     res = linprog(cost, A_eq=a_eq, b_eq=rhs, bounds=(0.0, 1.0),
                   method="highs-ds",
@@ -201,14 +226,14 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     if res.status == 2:
         raise InfeasibleError("exposure-fair program reported infeasible")
     if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
+        raise SolverError(f"LP solver failed: {res.message}")
 
     x = res.x.reshape(m, n, nc)
     mats = np.zeros((m, n, n))
     mats[:, :, :K] = x[:, :, :K]
     if pooled:
         mats[:, :, K:] = x[:, :, K][:, :, None] / (n - K)
-    policy = PolicyTensor(mats)
+    policy = _validated_twice(mats)
 
     prof = exposure_profile(policy, exp)
     ratios = prof.sum(axis=0) / link.apply(merit(rel))
@@ -250,7 +275,7 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     V = vfn.user_weights(rel)
     X, iters, _, _ = _kernels.fw_solve(
         V, exp.weights, w, active, cfg.rel_gap_tol, cfg.max_iters)
-    policy = PolicyTensor(X)
+    policy = _validated_twice(X)
 
     # Recompute objective and FW gap from the validated policy so the
     # diagnostics certify the object actually returned.

@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nswrank import cli
+from nswrank import cli, solvers
 from nswrank import io as nio
 from nswrank.cli import main
 from nswrank.errors import InfeasibleError
@@ -95,6 +96,18 @@ class TestSolve:
 
     def test_bad_flags(self):
         assert main(["solve", "--policy", "bogus"]) == 2
+
+    def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        failed = SimpleNamespace(status=4, success=False, x=None, nit=0,
+                                 message="Numerical difficulties encountered.")
+        monkeypatch.setattr(solvers, "linprog", lambda *a, **k: failed)
+        toy = write_toy(tmp_path)
+        out = tmp_path / "fair.json"
+        rc = main(["solve", "--policy", "expo-fair", "--relevance", str(toy),
+                   "--cutoff", "1", "--out", str(out)])
+        assert rc == 8
+        assert "Numerical difficulties" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gap_target_unmet_still_writes_policy(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -267,6 +280,18 @@ class TestSweep:
         monkeypatch.setattr(cli, "solve_utility_max", bug)
         with pytest.raises(TypeError):
             cli._sweep_unit(task)
+
+    def test_lp_failure_gives_error_rows(self, tmp_path, monkeypatch):
+        failed = SimpleNamespace(status=4, success=False, x=None, nit=0,
+                                 message="Numerical difficulties encountered.")
+        monkeypatch.setattr(solvers, "linprog", lambda *a, **k: failed)
+        cfg = self._config(tmp_path, policies=["expo-fair", "max"])
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 2 * 2
+        for row in rows:
+            assert (row[6:] == ["error"] * 4) == (row[0] == "expo-fair")
 
     def test_bad_config(self, tmp_path):
         path = tmp_path / "config.json"

@@ -6,17 +6,23 @@ import numpy as np
 import pytest
 
 from nswrank import (
+    BvnDecomposition,
     DimensionError,
     ExposureModel,
     NotDoublyStochastic,
+    NswConfig,
     ParseError,
+    PolicyTensor,
     RelevanceMatrix,
     SchemaError,
+    SolveDiagnostics,
     bvn_decompose,
     item_impact,
     reconstruct,
+    solve_expo_fair,
     solve_nsw,
     solve_uniform,
+    solve_utility_max,
 )
 from nswrank import io as nio
 
@@ -133,6 +139,103 @@ class TestDecompositionJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             nio.load_decomposition(path)
+
+
+def json_dump_text(doc) -> str:
+    """What ``json.dump(doc, fh, indent=2)`` and a newline write."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def small_market(m=6, n=4, cutoff=2, seed=0):
+    rng = np.random.default_rng(seed)
+    rel = RelevanceMatrix(rng.uniform(0.1, 1.0, (m, n)))
+    return rel, ExposureModel.make("inverse", n, cutoff)
+
+
+def solved_policies():
+    """(name, policy, diagnostics, alpha) from each of the four solvers."""
+    rel, exp = small_market()
+    fair, fair_diag = solve_expo_fair(rel, exp)
+    nsw, nsw_diag = solve_nsw(rel, exp, NswConfig(alpha=0.5))
+    return [("max", solve_utility_max(rel, exp), None, None),
+            ("uniform", solve_uniform(rel.m, rel.n), None, None),
+            ("expo-fair", fair, fair_diag, None),
+            ("nsw", nsw, nsw_diag, 0.5)]
+
+
+def awkward_policy() -> PolicyTensor:
+    # one 2 x 2 user per float whose repr is easy to get wrong
+    mats = [[[a, 1.0 - a], [1.0 - a, a]] for a in (5e-324, 1e-17, 0.1, 1 / 3)]
+    return PolicyTensor(np.array(mats))
+
+
+class TestStreamedWritersMatchJsonDump:
+    @pytest.mark.parametrize("case", range(5))
+    def test_save_policy(self, tmp_path, case):
+        cases = solved_policies() + [("uniform", awkward_policy(), None, None)]
+        name, policy, diag, alpha = cases[case]
+        path = tmp_path / "policy.json"
+        nio.save_policy(path, policy, name, "inverse", 2, diagnostics=diag,
+                        alpha=alpha)
+        diag = diag or SolveDiagnostics(objective_value=0.0)
+        expected = json_dump_text({
+            "schema": nio.POLICY_SCHEMA,
+            "m": policy.m,
+            "n": policy.n,
+            "policy_type": name,
+            "alpha": alpha,
+            "exposure": {"kind": "inverse", "cutoff": 2},
+            "matrices": [mat.ravel().tolist() for mat in policy.matrices],
+            "diagnostics": {
+                "objective": diag.objective_value,
+                "duality_gap": diag.duality_gap,
+                "iterations": diag.iterations,
+                "constraint_residual": diag.constraint_residual,
+            },
+        })
+        assert path.read_text(encoding="utf-8") == expected
+        if case == 4:
+            assert "5e-324" in expected and "1e-17" in expected
+
+    def test_save_policy_writes_a_policy_tensor_as_it_is(self, tmp_path):
+        # renormalizing an LP solution again moves entries by an ulp, so a
+        # second validation on save would show up here
+        rel, exp = small_market(m=30, n=12, cutoff=5)
+        policy, diag = solve_expo_fair(rel, exp)
+        path = tmp_path / "policy.json"
+        nio.save_policy(path, policy, "expo-fair", "inverse", 5, diagnostics=diag)
+        saved = np.array(json.loads(path.read_text())["matrices"])
+        assert np.array_equal(saved, policy.matrices.reshape(rel.m, -1))
+
+    @pytest.mark.parametrize("source", ["uniform", "nsw", "expo-fair", "awkward"])
+    def test_save_decomposition(self, tmp_path, source):
+        rel, exp = small_market()
+        if source == "uniform":
+            dec = bvn_decompose(solve_uniform(3, 3))
+        elif source == "nsw":
+            dec = bvn_decompose(solve_nsw(rel, exp)[0])
+        elif source == "expo-fair":
+            dec = bvn_decompose(solve_expo_fair(rel, exp)[0])
+        else:
+            perms = [np.array([0, 1]), np.array([1, 0])]
+            # a NaN weight passes the sum check, and json spells it NaN
+            weights = [(1 / 3, 2 / 3), (0.1, 0.9), (5e-324, 1.0), (float("nan"),)]
+            dec = BvnDecomposition(m=4, n=2, epsilon=1e-9, terms=tuple(
+                list(zip(ws, perms)) for ws in weights))
+        path = tmp_path / "dec.json"
+        nio.save_decomposition(path, dec)
+        expected = json_dump_text({
+            "schema": nio.DECOMPOSITION_SCHEMA,
+            "m": dec.m,
+            "n": dec.n,
+            "epsilon": dec.epsilon,
+            "users": [
+                [{"weight": float(w), "items_by_rank": perm.tolist()}
+                 for w, perm in user_terms]
+                for user_terms in dec.terms
+            ],
+        })
+        assert path.read_text(encoding="utf-8") == expected
 
 
 class TestSweepCsv:

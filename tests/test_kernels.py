@@ -130,3 +130,20 @@ class TestMatching:
     def test_reports_absence(self):
         support = np.array([[True, False], [True, False]])
         assert (_kernels.perfect_matching(support) < 0).any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 7), cols=st.integers(1, 7),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_csr_matching(self, rows, cols, density, seed):
+        # the CSR arrays built from the nonzeros must give Hopcroft-Karp the
+        # graph that converting the dense mask gives, so the matching, and
+        # every BvN term after it, stays the same (-1 entries included)
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
+        support = np.random.default_rng(seed).random((rows, cols)) < density
+        dense = maximum_bipartite_matching(
+            sp.csr_matrix(support.astype(np.int8)), perm_type="column")
+        got = _kernels.perfect_matching(support)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense)

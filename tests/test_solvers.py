@@ -1,10 +1,14 @@
 """Policy solvers against hand-computed optima and the enumeration oracle."""
 
 import itertools
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nswrank import solvers
 from nswrank import (
     DegenerateMarketError,
     ExposureModel,
@@ -14,6 +18,7 @@ from nswrank import (
     NswConfig,
     RelevanceMatrix,
     SizeError,
+    SolverError,
     ZeroMeritError,
     amortized_exposure,
     brute_force_oracle,
@@ -123,6 +128,39 @@ class TestSolveExpoFair:
         exp = ExposureModel.make("inverse", 2, 1)
         with pytest.raises(ZeroMeritError):
             solve_expo_fair(rel, exp)
+
+    def test_calls_the_module_level_linprog(self, toy_market, monkeypatch):
+        # solvers.linprog is the seam that loads scipy.optimize on first use;
+        # the solve must look it up there on every call
+        calls = []
+        lp = solvers.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lp(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "linprog", counting)
+        rel, exp = toy_market
+        solve_expo_fair(rel, exp)
+        assert len(calls) == 1
+
+    def test_solver_failure_is_typed(self, toy_market, monkeypatch):
+        failed = SimpleNamespace(status=1, success=False, x=None, nit=7,
+                                 message="Iteration limit reached.")
+        monkeypatch.setattr(solvers, "linprog", lambda *a, **k: failed)
+        rel, exp = toy_market
+        with pytest.raises(SolverError, match="Iteration limit"):
+            solve_expo_fair(rel, exp)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = ("import sys, nswrank.cli; "
+            "print(sorted(k for k in ('scipy.optimize', 'scipy.sparse') "
+            "if k in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSolveNsw:
