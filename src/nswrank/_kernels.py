@@ -225,23 +225,34 @@ def _policy(theta0, thetas, perms):
 
 
 # --------------------------------------------------------------------------
-# Perfect matching on a boolean item x rank support matrix.
-# Returns rank_of_item (length n, -1 entries when no perfect matching exists).
+# Maximum matchings on a stack of boolean item x rank support matrices.
+# Returns rank_of_item, shape (b, rows), -1 where an item stays unmatched.
 # --------------------------------------------------------------------------
 
 
 def perfect_matching(support):
+    """Match every block of a (b, rows, cols) stack in one Hopcroft-Karp call.
+
+    The blocks are the diagonal blocks of one bipartite graph.  Hopcroft-Karp
+    recomputes its shortest-path layers from scratch in every phase, and a
+    block takes part in a phase only when its own shortest augmenting path is
+    the shortest of the phase; it then augments exactly as it would alone.  So
+    each block gets the matching that a call on that block alone gives.
+    """
     # imported here so that commands which never decompose skip loading csgraph
     import scipy.sparse as sp
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     # CSR arrays straight from the nonzeros: the same structure, in the same
-    # order, as converting the dense matrix, at a third of the cost
-    rows, cols = support.shape
+    # order, as converting the dense block-diagonal matrix.  Entry (j, r, c)
+    # is graph row j * rows + r, graph column j * cols + c.
+    b, rows, cols = support.shape
     flat = np.flatnonzero(support)
-    indptr = np.searchsorted(flat, np.arange(0, rows * cols + 1, cols))
+    indptr = np.searchsorted(flat, np.arange(0, b * rows * cols + 1, cols))
+    indices = flat // (rows * cols) * cols + flat % cols
     graph = sp.csr_matrix(
-        (np.ones(flat.size, dtype=np.int8), (flat % cols).astype(np.int32),
-         indptr.astype(np.int32)), shape=(rows, cols))
+        (np.ones(flat.size, dtype=np.int8), indices.astype(np.int32),
+         indptr.astype(np.int32)), shape=(b * rows, b * cols))
     match = maximum_bipartite_matching(graph, perm_type="column")
-    return match.astype(np.int64)
+    match = match.astype(np.int64).reshape(b, rows)
+    return np.where(match >= 0, match - np.arange(b)[:, None] * cols, -1)

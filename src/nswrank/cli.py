@@ -179,6 +179,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_sample(args) -> int:
     dec = nio.load_decomposition(args.decomposition)
+    if not 0 <= args.user < dec.m:
+        raise ValueError(f"user {args.user} out of range for m={dec.m}")
     ranking = sample_ranking(dec, args.user, args.seed)
     print(" ".join(f"{rank + 1},{item}" for rank, item in enumerate(ranking)))
     return 0

@@ -114,14 +114,21 @@ def save_policy(path, policy: PolicyTensor, policy_type: str,
 
 
 def load_policy(path) -> dict:
+    """The policy document, with the validated ``PolicyTensor`` under
+    ``"policy"`` in place of the ``"matrices"`` arrays."""
     doc = _read_json(path)
     _require_schema(doc, POLICY_SCHEMA)
-    m, n = int(doc["m"]), int(doc["n"])
-    mats = np.asarray(doc["matrices"], dtype=np.float64)
+    m, n = _int_field(doc, "m"), _int_field(doc, "n")
+    matrices = _field(doc, "matrices")
+    try:
+        mats = np.asarray(matrices, dtype=np.float64)
+    except (ValueError, TypeError):
+        raise ParseError("matrices must be arrays of numbers") from None
+    # the parsed lists take several times the memory of the array
+    del doc["matrices"], matrices
     if mats.shape != (m, n * n):
         raise DimensionError(
             f"expected {m} row-major arrays of {n * n} numbers, got {mats.shape}")
-    doc = dict(doc)
     doc["policy"] = PolicyTensor(mats.reshape(m, n, n))
     return doc
 
@@ -179,20 +186,46 @@ def _term_text(weight, items_by_rank) -> str:
 def load_decomposition(path) -> BvnDecomposition:
     doc = _read_json(path)
     _require_schema(doc, DECOMPOSITION_SCHEMA)
-    m, n = int(doc["m"]), int(doc["n"])
-    if len(doc["users"]) != m:
-        raise DimensionError(f"expected {m} users, got {len(doc['users'])}")
+    m, n = _int_field(doc, "m"), _int_field(doc, "n")
+    epsilon = _field(doc, "epsilon")
+    if not _is_number(epsilon):
+        raise ParseError(f"epsilon must be a number, got {epsilon!r}")
+    users = _field(doc, "users")
+    if not isinstance(users, list):
+        raise SchemaError("users must be a list")
+    if len(users) != m:
+        raise DimensionError(f"expected {m} users, got {len(users)}")
     terms = []
-    for user_terms in doc["users"]:
-        parsed = []
-        for term in user_terms:
-            perm = np.asarray(term["items_by_rank"], dtype=np.int64)
-            if sorted(perm.tolist()) != list(range(n)):
-                raise ParseError(f"{perm.tolist()} is not a permutation of 0..{n - 1}")
-            parsed.append((float(term["weight"]), perm))
-        terms.append(parsed)
-    return BvnDecomposition(m=m, n=n, epsilon=float(doc["epsilon"]),
-                            terms=tuple(terms))
+    for u, user_terms in enumerate(users):
+        try:
+            weights = [term["weight"] for term in user_terms]
+            perms = [term["items_by_rank"] for term in user_terms]
+        except (KeyError, TypeError):
+            raise SchemaError(f"user {u}: each term needs a weight and "
+                              "items_by_rank") from None
+        if not weights:
+            raise ParseError(f"user {u} has no terms")
+        if not all(map(_is_number, weights)):
+            raise ParseError(f"user {u}: a weight is not a number")
+        try:
+            perms = np.array(perms)
+        except ValueError:  # ragged lists
+            perms = np.array(None)
+        if perms.dtype.kind != "i" or perms.shape != (len(weights), n):
+            raise ParseError(
+                f"user {u}: items_by_rank must be lists of {n} integers")
+        # all of a user's terms at once: each sorted row must read 0..n-1
+        bad = (np.sort(perms, axis=1) != np.arange(n)).any(axis=1)
+        if bad.any():
+            raise ParseError(f"{perms[bad.argmax()].tolist()} is not a "
+                             f"permutation of 0..{n - 1}")
+        perms = perms.astype(np.int64, copy=False)
+        terms.append(list(zip(map(float, weights), perms)))
+    try:
+        return BvnDecomposition(m=m, n=n, epsilon=float(epsilon),
+                                terms=tuple(terms))
+    except ValueError as exc:  # weights that do not sum to 1
+        raise ParseError(str(exc)) from None
 
 
 # -------------------------------------------------------------------- sweep
@@ -280,6 +313,24 @@ def _read_json(path) -> dict:
 
 
 def _require_schema(doc, expected: str) -> None:
-    found = doc.get("schema")
+    found = doc.get("schema") if isinstance(doc, dict) else None
     if found != expected:
         raise SchemaError(f"expected schema {expected!r}, found {found!r}")
+
+
+def _field(doc: dict, key: str):
+    try:
+        return doc[key]
+    except KeyError:
+        raise SchemaError(f"missing field {key!r}") from None
+
+
+def _int_field(doc: dict, key: str) -> int:
+    value = _field(doc, key)
+    if type(value) is not int:
+        raise ParseError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)

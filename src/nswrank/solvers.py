@@ -158,6 +158,41 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+def _expo_fair_constraints(m: int, n: int, nc: int, e_top: np.ndarray,
+                           targets: np.ndarray):
+    """Equality constraints (CSR matrix, right-hand side) of the
+    exposure-fair LP over variables x[u, i, k] at flat index (u*n + i)*nc + k,
+    where the K = len(e_top) explicit ranks come first and, when K < n, the
+    last rank class pools the n - K unexposed ranks."""
+    import scipy.sparse as sp
+
+    K = e_top.size
+    u, i, k = np.arange(m), np.arange(n), np.arange(nc)
+    # each item occupies exactly one rank class per user: row u*n + i
+    rows1 = np.repeat(np.arange(m * n), nc)
+    cols1 = np.arange(m * n * nc)
+    # each explicit rank holds exactly one item and the pool holds n - K:
+    # row m*n + u*nc + k, items innermost
+    rows2 = np.repeat(m * n + np.arange(m * nc), n)
+    cols2 = ((u[:, None, None] * n + i[None, None, :]) * nc
+             + k[None, :, None]).ravel()
+    # amortized exposure hits its target for every item: row m*n + m*nc + i,
+    # users then explicit ranks innermost
+    rows3 = np.repeat(m * n + m * nc + i, m * K)
+    cols3 = ((u[None, :, None] * n + i[:, None, None]) * nc
+             + k[None, None, :K]).ravel()
+    rows = np.concatenate([rows1, rows2, rows3])
+    cols = np.concatenate([cols1, cols2, cols3])
+    vals = np.concatenate([np.ones(rows1.size + rows2.size),
+                           np.tile(e_top, m * n)])
+    rhs = np.concatenate([np.ones(m * n),
+                          np.tile(np.where(k < K, 1.0, float(n - K)), m),
+                          targets])
+    a_eq = sp.coo_matrix((vals, (rows, cols)),
+                         shape=(rhs.size, m * n * nc)).tocsr()
+    return a_eq, rhs
+
+
 def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
                     link: LinkFunction = LinkFunction()) -> tuple[PolicyTensor, SolveDiagnostics]:
     """Utility-maximizing policy subject to exposure proportional to merit.
@@ -177,48 +212,13 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     pooled = K < n
     nc = K + 1 if pooled else n  # rank classes per user
 
-    def vidx(u, i, k):
-        return (u * n + i) * nc + k
-
     nvar = m * n * nc
     cost = np.zeros(nvar)
     for k in range(K):
         idx = (np.arange(m)[:, None] * n + np.arange(n)[None, :]) * nc + k
         cost.flat[idx.ravel()] = -(e[k] * rel.values).ravel()
 
-    rows_a, cols_a, vals_a, rhs = [], [], [], []
-    row_id = 0
-    # each item occupies exactly one rank class per user
-    for u in range(m):
-        for i in range(n):
-            for k in range(nc):
-                rows_a.append(row_id)
-                cols_a.append(vidx(u, i, k))
-                vals_a.append(1.0)
-            rhs.append(1.0)
-            row_id += 1
-    # each explicit rank holds exactly one item; the pool holds n - K
-    for u in range(m):
-        for k in range(nc):
-            for i in range(n):
-                rows_a.append(row_id)
-                cols_a.append(vidx(u, i, k))
-                vals_a.append(1.0)
-            rhs.append(1.0 if k < K else float(n - K))
-            row_id += 1
-    # amortized exposure hits its target for every item
-    for i in range(n):
-        for u in range(m):
-            for k in range(K):
-                rows_a.append(row_id)
-                cols_a.append(vidx(u, i, k))
-                vals_a.append(e[k])
-        rhs.append(targets[i])
-        row_id += 1
-
-    import scipy.sparse as sp
-
-    a_eq = sp.coo_matrix((vals_a, (rows_a, cols_a)), shape=(row_id, nvar)).tocsr()
+    a_eq, rhs = _expo_fair_constraints(m, n, nc, e[:K], targets)
     res = linprog(cost, A_eq=a_eq, b_eq=rhs, bounds=(0.0, 1.0),
                   method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,

@@ -1,7 +1,13 @@
 """Decomposition into permutations, reconstruction, and sampling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from nswrank import (
     ExposureModel,
@@ -18,7 +24,49 @@ from nswrank import (
     user_utility,
 )
 from nswrank import _kernels
-from nswrank.bvn import _decompose_user
+from nswrank.bvn import DEFAULT_EPSILON
+from nswrank.core import renormalize_doubly_stochastic
+
+
+def decompose_user(mat: np.ndarray, epsilon: float) -> list:
+    """Reference: peel one user's matrix alone, one matching per term."""
+    n = mat.shape[0]
+    work = mat.copy()
+    work[work <= epsilon] = 0.0
+    if np.any(work.sum(axis=0) <= 0) or np.any(work.sum(axis=1) <= 0):
+        raise MatchingFailure("an entire row or column fell at or below epsilon")
+    work = renormalize_doubly_stochastic(work[None])[0]
+
+    terms = []
+    remaining = 1.0
+    max_terms = (n - 1) ** 2 + 1
+    for _ in range(max_terms):
+        if remaining <= n * epsilon + 1e-15:
+            break
+        rank_of_item = maximum_bipartite_matching(
+            sp.csr_matrix((work > epsilon).astype(np.int8)), perm_type="column")
+        if np.any(rank_of_item < 0):
+            raise MatchingFailure("no perfect matching on entries above epsilon")
+        matched = work[np.arange(n), rank_of_item]
+        weight = min(float(matched.min()), remaining)
+        items_by_rank = np.argsort(rank_of_item)
+        terms.append((weight, items_by_rank))
+        work[np.arange(n), rank_of_item] -= weight
+        remaining -= weight
+    if remaining > n * epsilon + 1e-15:
+        raise MatchingFailure(f"{max_terms} terms left mass unassigned")
+    total = sum(w for w, _ in terms)
+    return [(w / total, perm) for w, perm in terms]
+
+
+def unchecked_policy(mats) -> SimpleNamespace:
+    """The fields bvn_decompose reads, without PolicyTensor's validation."""
+    mats = np.asarray(mats, dtype=np.float64)
+    return SimpleNamespace(m=mats.shape[0], n=mats.shape[1], matrices=mats)
+
+
+def identity_matching(support):
+    return np.broadcast_to(np.arange(support.shape[1]), support.shape[:2]).copy()
 
 
 class TestBvnDecompose:
@@ -51,18 +99,107 @@ class TestBvnDecompose:
             bvn_decompose(solve_uniform(1, 2), epsilon=1e-3)
 
     def test_matching_failure_when_threshold_eats_a_row(self):
-        # internal path: a threshold larger than every entry of one row marks
-        # the mass as unrecoverable
-        with pytest.raises(MatchingFailure):
-            _decompose_user(np.full((2, 2), 0.5), epsilon=0.6)
+        # a row with every entry at or below epsilon marks the mass as
+        # unrecoverable, also when the other users are healthy
+        bad = [[1e-7, 1e-7], [1.0, 1.0]]
+        with pytest.raises(MatchingFailure, match="row or column"):
+            bvn_decompose(unchecked_policy([bad]), epsilon=1e-6)
+        with pytest.raises(MatchingFailure, match="row or column"):
+            bvn_decompose(unchecked_policy([np.eye(2), bad, np.eye(2)]),
+                          epsilon=1e-6)
 
     def test_matching_failure_when_terms_run_out(self, monkeypatch):
         # a matching that keeps returning the identity exhausts the diagonal
-        # after one term, so the Marcus-Ree bound runs out with mass left
-        monkeypatch.setattr(_kernels, "perfect_matching",
-                            lambda support: np.arange(support.shape[0]))
+        # after one term, so the Marcus-Ree bound runs out with mass left;
+        # the identity users next to it finish in one term
+        monkeypatch.setattr(_kernels, "perfect_matching", identity_matching)
         with pytest.raises(MatchingFailure, match="unassigned"):
-            _decompose_user(np.full((2, 2), 0.5), epsilon=1e-9)
+            bvn_decompose(solve_uniform(1, 2), epsilon=1e-9)
+        mats = np.stack([np.eye(2), np.full((2, 2), 0.5), np.eye(2)])
+        with pytest.raises(MatchingFailure, match="unassigned"):
+            bvn_decompose(PolicyTensor(mats), epsilon=1e-9)
+
+    def test_matching_failure_when_a_block_has_no_perfect_matching(
+            self, monkeypatch):
+        def second_block_unmatched(support):
+            match = identity_matching(support)
+            match[1, 0] = -1
+            return match
+
+        monkeypatch.setattr(_kernels, "perfect_matching", second_block_unmatched)
+        with pytest.raises(MatchingFailure, match="no perfect matching"):
+            bvn_decompose(PolicyTensor(np.stack([np.eye(3)] * 3)))
+
+
+def random_policy(seed: int, m: int, n: int) -> PolicyTensor:
+    """Users that need very different term counts: a single ranking, sparse
+    mixtures of a few rankings, and dense Sinkhorn-scaled matrices.  Some
+    mixtures carry a ranking of weight 1e-13..1e-5, so thresholding at
+    epsilon removes entries and the renormalization has mass to restore."""
+    rng = np.random.default_rng(seed)
+    mats = np.empty((m, n, n))
+    for u in range(m):
+        kind = rng.integers(3)
+        if kind == 2:
+            mats[u] = renormalize_doubly_stochastic(
+                rng.uniform(0.05, 1.0, (1, n, n)), max_sweeps=1000)[0]
+            continue
+        count = 1 if kind == 0 else int(rng.integers(2, 2 * n))
+        weights = rng.dirichlet(np.ones(count))
+        if count > 1 and rng.random() < 0.5:
+            weights[-1] = 10.0 ** rng.uniform(-13, -5)
+            weights /= weights.sum()
+        mats[u] = 0.0
+        for w in weights:
+            mats[u, rng.permutation(n), np.arange(n)] += w
+    return PolicyTensor(mats)
+
+
+class TestLockstepMatchesPerUserPeel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+           n=st.integers(2, 8), epsilon=st.sampled_from([1e-12, 1e-9, 1e-6]))
+    def test_terms_equal_bit_for_bit(self, seed, m, n, epsilon):
+        policy = random_policy(seed, m, n)
+        dec = bvn_decompose(policy, epsilon=epsilon)
+        for u in range(m):
+            want = decompose_user(policy.matrices[u], epsilon)
+            got = dec.terms[u]
+            assert [w for w, _ in got] == [w for w, _ in want]
+            assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(got, want))
+
+    def test_item_ids_past_one_byte(self):
+        # rounds store rankings in the narrowest integer type that holds n-1
+        rng = np.random.default_rng(0)
+        n = 300
+        mats = np.zeros((2, n, n))
+        for u, weights in enumerate([[0.75, 0.25], [1.0]]):
+            for w in weights:
+                mats[u, rng.permutation(n), np.arange(n)] += w
+        policy = PolicyTensor(mats)
+        dec = bvn_decompose(policy)
+        for u in range(2):
+            want = decompose_user(policy.matrices[u], DEFAULT_EPSILON)
+            assert [w for w, _ in dec.terms[u]] == [w for w, _ in want]
+            for (_, got), (_, perm) in zip(dec.terms[u], want):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, perm)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reconstruct_adds_in_term_order(self, seed):
+        # reference: one permutation matrix at a time, user by user
+        dec = bvn_decompose(random_policy(seed, 8, 7))
+        want = np.zeros((dec.m, dec.n, dec.n))
+        for u, user_terms in enumerate(dec.terms):
+            for weight, items_by_rank in user_terms:
+                want[u, items_by_rank, np.arange(dec.n)] += weight
+        assert np.array_equal(reconstruct(dec).matrices,
+                              PolicyTensor(want).matrices)
+
+    def test_term_counts_differ_across_users(self):
+        # the markets above do exercise users dropping out at different rounds
+        counts = {len(t) for t in bvn_decompose(random_policy(3, 8, 6)).terms}
+        assert len(counts) >= 3
 
 
 class TestRoundTrip:

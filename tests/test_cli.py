@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nswrank import cli, solvers
+from nswrank import PolicyTensor, _kernels, bvn_decompose, cli, solve_uniform, solvers
 from nswrank import io as nio
 from nswrank.cli import main
 from nswrank.errors import InfeasibleError
@@ -215,6 +216,72 @@ class TestDecomposeAndSample:
         assert rc == 0
         line = capsys.readouterr().out.strip()
         assert line == "1,0 2,1"
+
+    @pytest.mark.parametrize("user", ["100", "-1"])
+    def test_sample_user_out_of_range(self, tmp_path, capsys, user):
+        dec = tmp_path / "dec.json"
+        nio.save_decomposition(dec, bvn_decompose(solve_uniform(100, 2)))
+        rc = main(["sample", "--decomposition", str(dec), "--user", user,
+                   "--seed", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: user {user} out of range for m=100\n")
+
+    @pytest.mark.parametrize("term", [
+        {"weight": 1.0},
+        {"weight": "heavy", "items_by_rank": [0, 1]},
+        {"weight": 0.9, "items_by_rank": [0, 1]},
+    ], ids=["no-items_by_rank", "text-weight", "weights-sum-0.9"])
+    def test_sample_malformed_decomposition(self, tmp_path, term):
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps({"schema": "decomposition/v1", "m": 1,
+                                   "n": 2, "epsilon": 1e-9,
+                                   "users": [[term]]}))
+        rc = main(["sample", "--decomposition", str(dec), "--user", "0",
+                   "--seed", "3"])
+        assert rc == 3
+
+    def test_matching_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a matching that keeps returning the identity leaves the uniform
+        # user's off-diagonal mass unassigned
+        monkeypatch.setattr(
+            _kernels, "perfect_matching",
+            lambda support: np.broadcast_to(np.arange(support.shape[1]),
+                                            support.shape[:2]).copy())
+        pol = tmp_path / "unif.json"
+        nio.save_policy(pol, solve_uniform(3, 2), "uniform", "inverse", 1)
+        out = tmp_path / "dec.json"
+        rc = main(["decompose", "--policy", str(pol), "--out", str(out)])
+        assert rc == 7
+        assert "unassigned" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Three users, every entry a dyadic rational (1/2, 1/4, 1/8): validation,
+# peeling and normalization are exact, so the bytes involve no rounding.
+GOLDEN_MIXTURES = [
+    [(0.5, [0, 1, 2, 3]), (0.25, [1, 2, 3, 0]), (0.25, [3, 0, 1, 2])],
+    [(1.0, [2, 0, 3, 1])],
+    [(0.5, [3, 2, 1, 0]), (0.375, [0, 1, 2, 3]), (0.125, [1, 0, 3, 2])],
+]
+GOLDEN_DECOMPOSITION_SHA256 = (
+    "b9fbeab5a62d69370d2a727ee8d47d42decd07b0b90fb501d9b9ac489dd2f4c2")
+
+
+def test_decompose_golden_bytes(tmp_path, capsys):
+    # pins the decomposition/v1 bytes and the printed error line, so that a
+    # change to either shows up as a failing test rather than only in a cmp
+    mats = np.zeros((3, 4, 4))
+    for u, terms in enumerate(GOLDEN_MIXTURES):
+        for weight, items_by_rank in terms:
+            mats[u, items_by_rank, np.arange(4)] += weight
+    pol = tmp_path / "policy.json"
+    nio.save_policy(pol, PolicyTensor(mats), "uniform", "inverse", 2)
+    out = tmp_path / "dec.json"
+    assert main(["decompose", "--policy", str(pol), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        GOLDEN_DECOMPOSITION_SHA256)
 
 
 class TestSweep:

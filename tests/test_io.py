@@ -75,6 +75,8 @@ class TestPolicyJson:
         assert np.allclose(imp, [0.8, 0.4], atol=1e-9)
         assert doc["policy_type"] == "nsw"
         assert doc["exposure"] == {"kind": "inverse", "cutoff": 1}
+        # the parsed arrays are dropped once the tensor is built
+        assert "matrices" not in doc
 
     def test_unknown_schema(self, tmp_path):
         path = tmp_path / "policy.json"
@@ -98,6 +100,25 @@ class TestPolicyJson:
                                "iterations": 0, "constraint_residual": None}}
         path.write_text(json.dumps(doc))
         with pytest.raises(NotDoublyStochastic):
+            nio.load_policy(path)
+
+    @pytest.mark.parametrize("field", ["matrices", "m", "n"])
+    def test_rejects_missing_fields(self, tmp_path, field):
+        path = tmp_path / "policy.json"
+        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=field):
+            nio.load_policy(path)
+
+    def test_rejects_non_numeric_matrices(self, tmp_path):
+        path = tmp_path / "policy.json"
+        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
+        doc = json.loads(path.read_text())
+        doc["matrices"] = [[0.5, 0.5, 0.5], [0.5]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
             nio.load_policy(path)
 
 
@@ -138,6 +159,37 @@ class TestDecompositionJson:
                "users": [[{"weight": 1.0, "items_by_rank": [0, 0]}]]}
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
+            nio.load_decomposition(path)
+
+    @pytest.mark.parametrize("terms, error", [
+        ([{"weight": 1.0}], SchemaError),
+        ([{"weight": "heavy", "items_by_rank": [0, 1]}], ParseError),
+        ([{"weight": None, "items_by_rank": [0, 1]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": ["a", 1]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": [0.0, 1.0]}], ParseError),
+        ([{"weight": 0.5, "items_by_rank": [0, 1]},
+          {"weight": 0.5, "items_by_rank": [1]}], ParseError),
+        ([{"weight": 0.5, "items_by_rank": [0, 1]},
+          {"weight": 0.4, "items_by_rank": [1, 0]}], ParseError),
+        ([], ParseError),
+    ], ids=["no-items_by_rank", "text-weight", "null-weight", "text-rank",
+            "float-rank", "ragged-ranks", "weights-sum-0.9", "no-terms"])
+    def test_rejects_malformed_terms(self, tmp_path, terms, error):
+        path = tmp_path / "dec.json"
+        doc = {"schema": "decomposition/v1", "m": 2, "n": 2, "epsilon": 1e-9,
+               "users": [[{"weight": 1.0, "items_by_rank": [1, 0]}], terms]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            nio.load_decomposition(path)
+
+    @pytest.mark.parametrize("field", ["m", "n", "epsilon", "users"])
+    def test_rejects_missing_fields(self, tmp_path, field):
+        path = tmp_path / "dec.json"
+        doc = {"schema": "decomposition/v1", "m": 1, "n": 2, "epsilon": 1e-9,
+               "users": [[{"weight": 1.0, "items_by_rank": [1, 0]}]]}
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=field):
             nio.load_decomposition(path)
 
 

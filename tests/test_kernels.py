@@ -117,33 +117,46 @@ def test_newton_step_stops_before_an_impact_hits_zero(seed, n, past):
 class TestMatching:
     @pytest.mark.parametrize("seed", range(5))
     def test_finds_valid_matching(self, seed):
-        n = 8
+        b, n = 3, 8
         rng = np.random.default_rng(seed)
         # union of a few permutations always admits a perfect matching
-        support = np.zeros((n, n), dtype=bool)
-        for _ in range(3):
-            support[rng.permutation(n), np.arange(n)] = True
+        support = np.zeros((b, n, n), dtype=bool)
+        for j in range(b):
+            for _ in range(3):
+                support[j, rng.permutation(n), np.arange(n)] = True
         match = _kernels.perfect_matching(support)
-        assert sorted(match.tolist()) == list(range(n))
-        assert all(support[i, match[i]] for i in range(n))
+        assert match.shape == (b, n)
+        for j in range(b):
+            assert sorted(match[j].tolist()) == list(range(n))
+            assert all(support[j, i, match[j, i]] for i in range(n))
 
     def test_reports_absence(self):
-        support = np.array([[True, False], [True, False]])
-        assert (_kernels.perfect_matching(support) < 0).any()
+        # only the middle block lacks a perfect matching
+        support = np.array([np.eye(2, dtype=bool),
+                            [[True, False], [True, False]],
+                            np.eye(2, dtype=bool)])
+        match = _kernels.perfect_matching(support)
+        assert (match[1] < 0).any()
+        assert np.array_equal(match[[0, 2]], [[0, 1], [0, 1]])
 
     @settings(max_examples=300, deadline=None)
-    @given(rows=st.integers(1, 7), cols=st.integers(1, 7),
-           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_dense_csr_matching(self, rows, cols, density, seed):
-        # the CSR arrays built from the nonzeros must give Hopcroft-Karp the
-        # graph that converting the dense mask gives, so the matching, and
-        # every BvN term after it, stays the same (-1 entries included)
+    @given(blocks=st.integers(1, 5), rows=st.integers(1, 7),
+           cols=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_csr_matching(self, blocks, rows, cols, seed):
+        # every block of the stack gets the matching that the dense mask of
+        # that block alone gives, so every BvN term stays the same (-1
+        # entries included); densities differ between blocks, so blocks
+        # finish their augmenting phases at different times
         import scipy.sparse as sp
         from scipy.sparse.csgraph import maximum_bipartite_matching
 
-        support = np.random.default_rng(seed).random((rows, cols)) < density
-        dense = maximum_bipartite_matching(
-            sp.csr_matrix(support.astype(np.int8)), perm_type="column")
+        rng = np.random.default_rng(seed)
+        density = rng.random((blocks, 1, 1))
+        support = rng.random((blocks, rows, cols)) < density
         got = _kernels.perfect_matching(support)
         assert got.dtype == np.int64
-        assert np.array_equal(got, dense)
+        assert got.shape == (blocks, rows)
+        for j in range(blocks):
+            alone = maximum_bipartite_matching(
+                sp.csr_matrix(support[j].astype(np.int8)), perm_type="column")
+            assert np.array_equal(got[j], alone)

@@ -153,6 +153,59 @@ class TestSolveExpoFair:
             solve_expo_fair(rel, exp)
 
 
+def loop_constraints(m, n, nc, e_top, targets):
+    """Reference: the exposure-fair LP's equality constraints, one COO
+    triplet at a time."""
+    import scipy.sparse as sp
+
+    K = len(e_top)
+    rows, cols, vals, rhs = [], [], [], []
+
+    def vidx(u, i, k):
+        return (u * n + i) * nc + k
+
+    for u in range(m):
+        for i in range(n):
+            for k in range(nc):
+                rows.append(len(rhs))
+                cols.append(vidx(u, i, k))
+                vals.append(1.0)
+            rhs.append(1.0)
+    for u in range(m):
+        for k in range(nc):
+            for i in range(n):
+                rows.append(len(rhs))
+                cols.append(vidx(u, i, k))
+                vals.append(1.0)
+            rhs.append(1.0 if k < K else float(n - K))
+    for i in range(n):
+        for u in range(m):
+            for k in range(K):
+                rows.append(len(rhs))
+                cols.append(vidx(u, i, k))
+                vals.append(e_top[k])
+        rhs.append(targets[i])
+    a_eq = sp.coo_matrix((vals, (rows, cols)),
+                         shape=(len(rhs), m * n * nc)).tocsr()
+    return a_eq, rhs
+
+
+@pytest.mark.parametrize("m, n, K", [(1, 2, 1), (3, 4, 4), (5, 7, 3),
+                                     (100, 50, 5)])
+def test_lp_constraints_match_the_loop_construction(m, n, K):
+    rng = np.random.default_rng(m * n + K)
+    e_top = np.sort(rng.random(K))[::-1]
+    targets = rng.random(n)
+    nc = K + 1 if K < n else n
+    want, want_rhs = loop_constraints(m, n, nc, e_top, targets)
+    got, got_rhs = solvers._expo_fair_constraints(m, n, nc, e_top, targets)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got_rhs, want_rhs)
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     code = ("import sys, nswrank.cli; "
             "print(sorted(k for k in ('scipy.optimize', 'scipy.sparse') "
