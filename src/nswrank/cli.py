@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--relevance", required=True)
     s.add_argument("--exposure", choices=_EXPOSURE_KINDS, default="inverse")
     s.add_argument("--cutoff", type=int, default=5)
-    s.add_argument("--link", choices=["identity"], default="identity")
     s.add_argument("--tol", type=float, default=1e-6)
     s.add_argument("--max-iters", type=int, default=10000)
     s.add_argument("--out", required=True)

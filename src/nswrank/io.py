@@ -32,7 +32,9 @@ DECOMPOSITION_SCHEMA = "decomposition/v1"
 SWEEP_HEADER = ("policy,lambda,noise_c,k,n_items,seed,"
                 "user_utility,mean_max_envy,pct_improved_10,pct_decreased_10")
 
-_HEADER_RE = re.compile(r"^# m=(\d+) n=(\d+)$")
+# counts of at most 18 digits: int() refuses digit strings past its length
+# limit with a ValueError
+_HEADER_RE = re.compile(r"^# m=(\d{1,18}) n=(\d{1,18})$")
 
 
 def _fmt(value: float, digits: int = 12) -> str:
@@ -51,8 +53,13 @@ def save_relevance(rel: RelevanceMatrix, path) -> None:
 
 
 def load_relevance(path) -> RelevanceMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
     if not lines:
         raise ParseError("empty relevance file", line=1)
     match = _HEADER_RE.match(lines[0])
@@ -60,22 +67,28 @@ def load_relevance(path) -> RelevanceMatrix:
         raise ParseError(f"malformed header {lines[0]!r}, expected '# m=<M> n=<N>'",
                          line=1, column=1)
     m, n = int(match.group(1)), int(match.group(2))
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [ln.split(",") for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise DimensionError(f"header declares m={m} rows, file has {len(body)}")
-    values = np.empty((m, n))
-    for r, line in enumerate(body):
-        fields = line.split(",")
+    # every width is checked before the array is allocated: the header alone
+    # does not bound its size
+    for r, fields in enumerate(body):
         if len(fields) != n:
             raise DimensionError(
                 f"header declares n={n} columns, row {r + 1} has {len(fields)}")
+    values = np.empty((m, n))
+    for r, fields in enumerate(body):
         col = 1
         for c, field in enumerate(fields):
             try:
-                values[r, c] = float(field)
+                value = float(field)
             except ValueError:
                 raise ParseError(f"invalid number {field!r}",
                                  line=r + 2, column=col) from None
+            if not 0.0 <= value < math.inf:  # also false for nan
+                raise ParseError(f"relevance {field!r} is not a finite "
+                                 "nonnegative number", line=r + 2, column=col)
+            values[r, c] = value
             col += len(field) + 1
     return RelevanceMatrix(values)
 
@@ -229,25 +242,6 @@ def load_decomposition(path) -> BvnDecomposition:
 
 
 # -------------------------------------------------------------------- sweep
-
-
-def append_sweep_row(path, policy: str, lam: float, noise_c: float, k: int,
-                     n_items: int, seed: int, metrics_row) -> None:
-    """Append one row; writes the header first when the file is new or empty.
-
-    metrics_row is (utility, mean_max_envy, pct_improved, pct_decreased) or
-    the string ``"error"`` to record a failed grid point.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            has_header = fh.readline().strip() != ""
-    except FileNotFoundError:
-        has_header = False
-    with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        if not has_header:
-            fh.write(SWEEP_HEADER + "\n")
-        fh.write(format_sweep_row(policy, lam, noise_c, k, n_items, seed,
-                                  metrics_row) + "\n")
 
 
 def format_sweep_row(policy, lam, noise_c, k, n_items, seed, metrics_row) -> str:

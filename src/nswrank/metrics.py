@@ -51,14 +51,14 @@ def envy_matrix(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureModel,
                      for j in range(policy.n)], axis=1)
 
 
+def max_envy_per_item(em: np.ndarray) -> np.ndarray:
+    """How much the best other allocation beats each item's own."""
+    return np.clip(em.max(axis=1) - np.diagonal(em), 0.0, None)
+
+
 def mean_max_envy(em: np.ndarray) -> float:
     """Average over items of how much the best other allocation beats their own."""
-    envy = np.clip(em.max(axis=1) - np.diagonal(em), 0.0, None)
-    return float(envy.mean())
-
-
-def max_envy_per_item(em: np.ndarray) -> np.ndarray:
-    return np.clip(em.max(axis=1) - np.diagonal(em), 0.0, None)
+    return float(max_envy_per_item(em).mean())
 
 
 def dominance_stats(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureModel,
@@ -70,7 +70,11 @@ def dominance_stats(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureMod
     counts (the ratio is undefined there); the denominator stays n.
     """
     ratios, valid = _impact_ratios(policy, rel, exp, vfn)
-    n = policy.n
+    return _dominance_counts(ratios, valid)
+
+
+def _dominance_counts(ratios, valid):
+    n = ratios.size
     improved = 100.0 / n * int(np.count_nonzero(ratios[valid] >= 1.1))
     decreased = 100.0 / n * int(np.count_nonzero(ratios[valid] <= 0.9))
     return improved, decreased
@@ -107,16 +111,15 @@ def fairness_report(policy: PolicyTensor, rel_true: RelevanceMatrix,
     """Evaluate a policy against ground-truth relevance."""
     em = envy_matrix(policy, rel_true, exp, vfn)
     ratios, valid = _impact_ratios(policy, rel_true, exp, vfn)
-    n = policy.n
-    improved = 100.0 / n * int(np.count_nonzero(ratios[valid] >= 1.1))
-    decreased = 100.0 / n * int(np.count_nonzero(ratios[valid] <= 0.9))
+    improved, decreased = _dominance_counts(ratios, valid)
+    envy = max_envy_per_item(em)
     return FairnessReport(
-        mean_max_envy=mean_max_envy(em),
+        mean_max_envy=float(envy.mean()),
         pct_improved_10=improved,
         pct_decreased_10=decreased,
         user_utility=user_utility(policy, rel_true, exp),
         per_item_impact=item_impact(policy, rel_true, exp, vfn),
         per_item_impact_ratio_vs_uniform=ratios,
-        max_envy_per_item=max_envy_per_item(em),
+        max_envy_per_item=envy,
         excluded_items=tuple(np.nonzero(~valid)[0].tolist()),
     )

@@ -23,7 +23,6 @@ from .core import (
     exposure_profile,
     item_impact,
     merit,
-    user_utility,
 )
 from .errors import (
     DegenerateMarketError,
@@ -167,29 +166,19 @@ def _expo_fair_constraints(m: int, n: int, nc: int, e_top: np.ndarray,
     import scipy.sparse as sp
 
     K = e_top.size
-    u, i, k = np.arange(m), np.arange(n), np.arange(nc)
-    # each item occupies exactly one rank class per user: row u*n + i
-    rows1 = np.repeat(np.arange(m * n), nc)
-    cols1 = np.arange(m * n * nc)
-    # each explicit rank holds exactly one item and the pool holds n - K:
-    # row m*n + u*nc + k, items innermost
-    rows2 = np.repeat(m * n + np.arange(m * nc), n)
-    cols2 = ((u[:, None, None] * n + i[None, None, :]) * nc
-             + k[None, :, None]).ravel()
-    # amortized exposure hits its target for every item: row m*n + m*nc + i,
-    # users then explicit ranks innermost
-    rows3 = np.repeat(m * n + m * nc + i, m * K)
-    cols3 = ((u[None, :, None] * n + i[:, None, None]) * nc
-             + k[None, None, :K]).ravel()
-    rows = np.concatenate([rows1, rows2, rows3])
-    cols = np.concatenate([cols1, cols2, cols3])
-    vals = np.concatenate([np.ones(rows1.size + rows2.size),
-                           np.tile(e_top, m * n)])
-    rhs = np.concatenate([np.ones(m * n),
-                          np.tile(np.where(k < K, 1.0, float(n - K)), m),
-                          targets])
-    a_eq = sp.coo_matrix((vals, (rows, cols)),
-                         shape=(rhs.size, m * n * nc)).tocsr()
+    rank_class_sizes = np.where(np.arange(nc) < K, 1.0, float(n - K))
+    e_pad = np.zeros((1, nc))  # no exposure in the pool column
+    e_pad[0, :K] = e_top
+    a_eq = sp.vstack([
+        # each item takes exactly one rank class per user
+        sp.kron(sp.identity(m * n), np.ones((1, nc))),
+        # each explicit rank holds one item, and the pool holds n - K
+        sp.kron(sp.kron(sp.identity(m), np.ones((1, n))), sp.identity(nc)),
+        # amortized exposure meets every item's target
+        sp.kron(sp.kron(np.ones((1, m)), sp.identity(n)), e_pad),
+    ], format="csr")
+    a_eq.eliminate_zeros()  # kron stores the pool column's zero weights
+    rhs = np.concatenate([np.ones(m * n), np.tile(rank_class_sizes, m), targets])
     return a_eq, rhs
 
 
@@ -212,14 +201,11 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     pooled = K < n
     nc = K + 1 if pooled else n  # rank classes per user
 
-    nvar = m * n * nc
-    cost = np.zeros(nvar)
-    for k in range(K):
-        idx = (np.arange(m)[:, None] * n + np.arange(n)[None, :]) * nc + k
-        cost.flat[idx.ravel()] = -(e[k] * rel.values).ravel()
+    cost = np.zeros((m, n, nc))
+    cost[:, :, :K] = -rel.values[:, :, None] * e[:K]
 
     a_eq, rhs = _expo_fair_constraints(m, n, nc, e[:K], targets)
-    res = linprog(cost, A_eq=a_eq, b_eq=rhs, bounds=(0.0, 1.0),
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=rhs, bounds=(0.0, 1.0),
                   method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
@@ -238,7 +224,7 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     prof = exposure_profile(policy, exp)
     ratios = prof.sum(axis=0) / link.apply(merit(rel))
     diag = SolveDiagnostics(
-        objective_value=user_utility(policy, rel, exp),
+        objective_value=float(np.sum(rel.values * prof)),
         iterations=int(getattr(res, "nit", 0)),
         constraint_residual=float(ratios.max() - ratios.min()),
     )

@@ -88,6 +88,22 @@ class TestSolve:
                    str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.json")])
         assert rc == 3
 
+    @pytest.mark.parametrize("field", ["-0.5", "nan", "inf", "-inf", "1e400"])
+    def test_bad_relevance_value_exit_code(self, tmp_path, capsys, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# m=2 n=2\n0.8,0.3\n0.5,{field}\n")
+        rc = main(["solve", "--policy", "max", "--relevance", str(path),
+                   "--cutoff", "1", "--out", str(tmp_path / "o.json")])
+        assert rc == 3
+        assert "(line 3, column 5)" in capsys.readouterr().err
+
+    def test_huge_relevance_header_exit_code(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# m=1 n=99999999999\n0.8,0.3\n")
+        rc = main(["solve", "--policy", "max", "--relevance", str(path),
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == 6
+
     def test_infeasible_expo_fair(self, tmp_path):
         path = tmp_path / "skew.csv"
         path.write_text("# m=1 n=3\n0.98,0.01,0.01\n")
@@ -97,6 +113,11 @@ class TestSolve:
 
     def test_bad_flags(self):
         assert main(["solve", "--policy", "bogus"]) == 2
+
+    def test_link_is_not_a_flag(self, tmp_path):
+        toy = write_toy(tmp_path)
+        assert main(["solve", "--policy", "max", "--relevance", str(toy),
+                     "--link", "identity", "--out", str(tmp_path / "o.json")]) == 2
 
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         failed = SimpleNamespace(status=4, success=False, x=None, nit=0,
