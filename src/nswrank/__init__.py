@@ -15,7 +15,6 @@ from .core import (
     PolicyTensor,
     RelevanceMatrix,
     amortized_exposure,
-    cross_impact,
     exposure_profile,
     item_impact,
     merit,
@@ -36,7 +35,6 @@ from .errors import (
 )
 from .metrics import (
     FairnessReport,
-    dominance_stats,
     envy_matrix,
     fairness_report,
     max_envy_per_item,
@@ -44,7 +42,6 @@ from .metrics import (
     weighted_envy_matrix,
 )
 from .solvers import (
-    LinkFunction,
     NswConfig,
     SolveDiagnostics,
     brute_force_oracle,
@@ -61,16 +58,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BvnDecomposition", "bvn_decompose", "reconstruct", "sample_ranking",
     "DS_TOL", "ExposureModel", "ImpactFunction", "PolicyTensor",
-    "RelevanceMatrix", "amortized_exposure", "cross_impact",
-    "exposure_profile", "item_impact", "merit", "user_utility",
+    "RelevanceMatrix", "amortized_exposure", "exposure_profile",
+    "item_impact", "merit", "user_utility",
     "DegenerateMarketError", "DimensionError", "InfeasibleError",
     "MatchingFailure", "NotDoublyStochastic", "NswrankError", "ParseError",
     "SchemaError", "SizeError", "SolverError", "ZeroMeritError",
-    "FairnessReport", "dominance_stats", "envy_matrix", "fairness_report",
-    "max_envy_per_item", "mean_max_envy", "weighted_envy_matrix",
-    "LinkFunction", "NswConfig", "SolveDiagnostics", "brute_force_oracle",
-    "exposure_targets", "solve_expo_fair", "solve_nsw", "solve_uniform",
-    "solve_utility_max",
+    "FairnessReport", "envy_matrix", "fairness_report", "max_envy_per_item",
+    "mean_max_envy", "weighted_envy_matrix",
+    "NswConfig", "SolveDiagnostics", "brute_force_oracle", "exposure_targets",
+    "solve_expo_fair", "solve_nsw", "solve_uniform", "solve_utility_max",
     "SyntheticConfig", "adversarial_market", "generate_market",
     "__version__",
 ]

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .metrics import fairness_report
 from .solvers import (
-    LinkFunction,
     NswConfig,
     SolveDiagnostics,
     solve_expo_fair,
@@ -123,7 +122,7 @@ def _solve_one(kind: str, rel, exp, alpha: float, tol: float, max_iters: int):
     elif kind == "max":
         policy = solve_utility_max(rel, exp)
     elif kind == "expo-fair":
-        policy, diag = solve_expo_fair(rel, exp, LinkFunction())
+        policy, diag = solve_expo_fair(rel, exp)
         return policy, diag, True
     elif kind == "nsw":
         cfg = NswConfig(alpha=alpha, max_iters=max_iters, rel_gap_tol=tol)
@@ -155,13 +154,9 @@ def cmd_evaluate(args) -> int:
     doc = nio.load_policy(args.policy)
     rel = nio.load_relevance(args.relevance)
     exp = ExposureModel.make(args.exposure, rel.n, args.cutoff)
-    policy: PolicyTensor = doc["policy"]
-    if (policy.m, policy.n) != (rel.m, rel.n):
-        raise DimensionError(
-            f"policy is {policy.m} x {policy.n}, relevance is {rel.m} x {rel.n}")
     vfn = (ImpactFunction.RELEVANCE_WEIGHTED if args.impact == "relevance"
            else ImpactFunction.EXPOSURE_ONLY)
-    report = fairness_report(policy, rel, exp, vfn)
+    report = fairness_report(doc["policy"], rel, exp, vfn)
     nio.save_metrics(args.out_json, report)
     return 0
 

@@ -199,12 +199,12 @@ class PolicyTensor:
 
 def _check_dims(policy: PolicyTensor, exp: ExposureModel,
                 rel: RelevanceMatrix | None = None) -> None:
-    if exp.n != policy.n:
-        raise DimensionError(
-            f"exposure weights have length {exp.n}, policy has n={policy.n} items")
     if rel is not None and (rel.m, rel.n) != (policy.m, policy.n):
         raise DimensionError(
             f"relevance is {rel.m} x {rel.n}, policy is {policy.m} x {policy.n}")
+    if exp.n != policy.n:
+        raise DimensionError(
+            f"exposure weights have length {exp.n}, policy has n={policy.n} items")
 
 
 def exposure_profile(policy: PolicyTensor, exp: ExposureModel) -> np.ndarray:
@@ -226,18 +226,6 @@ def item_impact(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureModel,
     _check_dims(policy, exp, rel)
     prof = exposure_profile(policy, exp)
     return np.einsum("ui,ui->i", vfn.user_weights(rel), prof)
-
-
-def cross_impact(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureModel,
-                 vfn: ImpactFunction, i: int, j: int) -> float:
-    """Impact item i would receive if it were given item j's allocation."""
-    _check_dims(policy, exp, rel)
-    n = policy.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"item indices ({i}, {j}) out of range for n={n}")
-    prof = exposure_profile(policy, exp)
-    # same einsum reduction as item_impact, so the diagonal matches bitwise
-    return float(np.einsum("u,u->", vfn.user_weights(rel)[:, i], prof[:, j]))
 
 
 def amortized_exposure(policy: PolicyTensor, exp: ExposureModel) -> np.ndarray:

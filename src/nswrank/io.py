@@ -81,6 +81,10 @@ def load_relevance(path) -> RelevanceMatrix:
         col = 1
         for c, field in enumerate(fields):
             try:
+                # float() also reads "1_0" as 10 and ignores surrounding
+                # whitespace; neither is a CSV number
+                if "_" in field or field != field.strip():
+                    raise ValueError
                 value = float(field)
             except ValueError:
                 raise ParseError(f"invalid number {field!r}",
@@ -168,8 +172,11 @@ def save_metrics(path, report) -> None:
 def load_metrics(path) -> dict:
     doc = _read_json(path)
     _require_schema(doc, METRICS_SCHEMA)
-    n = len(doc["per_item_impact"])
-    if len(doc["per_item_ratio_vs_uniform"]) != n:
+    impacts = _field(doc, "per_item_impact")
+    ratios = _field(doc, "per_item_ratio_vs_uniform")
+    if not (isinstance(impacts, list) and isinstance(ratios, list)):
+        raise ParseError("per-item impacts and ratios must be lists")
+    if len(ratios) != len(impacts):
         raise DimensionError("per-item arrays disagree in length")
     return doc
 

@@ -2,8 +2,10 @@
 
 Envy compares an item's impact under its own allocation against the impact it
 would get under every other item's allocation; dominance compares per-item
-impact against the uniform random policy.  Reports are always evaluated
-against whichever relevance matrix the caller designates as ground truth.
+impact against the uniform random policy, which gives every (user, item)
+pair exposure sum_k e(k) / n.  Every measurement factors through the
+policy's (m, n) exposure profile.  Reports are always evaluated against
+whichever relevance matrix the caller designates as ground truth.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from .core import (
     ImpactFunction,
     PolicyTensor,
     RelevanceMatrix,
+    _check_dims,
     exposure_profile,
-    item_impact,
     merit,
-    user_utility,
 )
-from .errors import DimensionError, ZeroMeritError
-from .solvers import solve_uniform
+from .errors import ZeroMeritError
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,17 @@ class FairnessReport:
     excluded_items: tuple
 
 
+def _envy_grid(weights: np.ndarray, prof: np.ndarray) -> np.ndarray:
+    # column-wise einsum keeps the diagonal bitwise equal to item_impact
+    return np.stack([np.einsum("ui,u->i", weights, prof[:, j])
+                     for j in range(prof.shape[1])], axis=1)
+
+
 def envy_matrix(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureModel,
                 vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED) -> np.ndarray:
     """n x n grid whose (i, j) entry is item i's impact under j's allocation."""
-    if (rel.m, rel.n) != (policy.m, policy.n):
-        raise DimensionError(
-            f"relevance is {rel.m} x {rel.n}, policy is {policy.m} x {policy.n}")
-    prof = exposure_profile(policy, exp)
-    weights = vfn.user_weights(rel)
-    # column-wise einsum keeps the diagonal bitwise equal to item_impact
-    return np.stack([np.einsum("ui,u->i", weights, prof[:, j])
-                     for j in range(policy.n)], axis=1)
+    _check_dims(policy, exp, rel)
+    return _envy_grid(vfn.user_weights(rel), exposure_profile(policy, exp))
 
 
 def max_envy_per_item(em: np.ndarray) -> np.ndarray:
@@ -59,35 +59,6 @@ def max_envy_per_item(em: np.ndarray) -> np.ndarray:
 def mean_max_envy(em: np.ndarray) -> float:
     """Average over items of how much the best other allocation beats their own."""
     return float(max_envy_per_item(em).mean())
-
-
-def dominance_stats(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureModel,
-                    vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED,
-                    ) -> tuple[float, float]:
-    """Percentages of items whose impact moved >= 10% up / down vs uniform.
-
-    Items with zero impact under the uniform baseline are excluded from both
-    counts (the ratio is undefined there); the denominator stays n.
-    """
-    ratios, valid = _impact_ratios(policy, rel, exp, vfn)
-    return _dominance_counts(ratios, valid)
-
-
-def _dominance_counts(ratios, valid):
-    n = ratios.size
-    improved = 100.0 / n * int(np.count_nonzero(ratios[valid] >= 1.1))
-    decreased = 100.0 / n * int(np.count_nonzero(ratios[valid] <= 0.9))
-    return improved, decreased
-
-
-def _impact_ratios(policy, rel, exp, vfn):
-    imp = item_impact(policy, rel, exp, vfn)
-    uniform = solve_uniform(policy.m, policy.n)
-    imp_unif = item_impact(uniform, rel, exp, vfn)
-    valid = imp_unif > 0
-    ratios = np.full(policy.n, np.nan)
-    ratios[valid] = imp[valid] / imp_unif[valid]
-    return ratios, valid
 
 
 def weighted_envy_matrix(policy: PolicyTensor, rel: RelevanceMatrix,
@@ -108,17 +79,27 @@ def fairness_report(policy: PolicyTensor, rel_true: RelevanceMatrix,
                     exp: ExposureModel,
                     vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED,
                     ) -> FairnessReport:
-    """Evaluate a policy against ground-truth relevance."""
-    em = envy_matrix(policy, rel_true, exp, vfn)
-    ratios, valid = _impact_ratios(policy, rel_true, exp, vfn)
-    improved, decreased = _dominance_counts(ratios, valid)
-    envy = max_envy_per_item(em)
+    """Evaluate a policy against ground-truth relevance.
+
+    Items with zero impact under the uniform baseline get a nan ratio and are
+    excluded from both dominance counts; the percentages still divide by n.
+    """
+    _check_dims(policy, exp, rel_true)
+    n = policy.n
+    prof = exposure_profile(policy, exp)
+    weights = vfn.user_weights(rel_true)
+    envy = max_envy_per_item(_envy_grid(weights, prof))
+    imp = np.einsum("ui,ui->i", weights, prof)  # as item_impact computes it
+    imp_unif = exp.total_exposure / n * weights.sum(axis=0)
+    valid = imp_unif > 0
+    ratios = np.full(n, np.nan)
+    ratios[valid] = imp[valid] / imp_unif[valid]
     return FairnessReport(
         mean_max_envy=float(envy.mean()),
-        pct_improved_10=improved,
-        pct_decreased_10=decreased,
-        user_utility=user_utility(policy, rel_true, exp),
-        per_item_impact=item_impact(policy, rel_true, exp, vfn),
+        pct_improved_10=100.0 / n * int(np.count_nonzero(ratios[valid] >= 1.1)),
+        pct_decreased_10=100.0 / n * int(np.count_nonzero(ratios[valid] <= 0.9)),
+        user_utility=float(np.sum(rel_true.values * prof)),
+        per_item_impact=imp,
         per_item_impact_ratio_vs_uniform=ratios,
         max_envy_per_item=envy,
         excluded_items=tuple(np.nonzero(~valid)[0].tolist()),

@@ -55,23 +55,6 @@ class NswConfig:
 
 
 @dataclass(frozen=True)
-class LinkFunction:
-    """Merit -> exposure-share map used by the exposure-fair constraint."""
-
-    kind: str = "identity"
-    power: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "power"):
-            raise ValueError(f"unknown link function {self.kind!r}")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return np.asarray(x, dtype=np.float64)
-        return np.asarray(x, dtype=np.float64) ** self.power
-
-
-@dataclass(frozen=True)
 class SolveDiagnostics:
     objective_value: float
     duality_gap: float | None = None
@@ -116,15 +99,14 @@ def solve_utility_max(rel: RelevanceMatrix, exp: ExposureModel) -> PolicyTensor:
     return PolicyTensor(mats)
 
 
-def exposure_targets(rel: RelevanceMatrix, exp: ExposureModel,
-                     link: LinkFunction) -> np.ndarray:
+def exposure_targets(rel: RelevanceMatrix, exp: ExposureModel) -> np.ndarray:
     """Per-item exposure totals forced by the proportionality constraint."""
-    f = link.apply(merit(rel))
-    if np.any(f <= 0):
+    mer = merit(rel)
+    if np.any(mer <= 0):
         raise ZeroMeritError(
-            "link function must be positive for every item; zero-merit items: "
-            f"{np.nonzero(f <= 0)[0].tolist()}")
-    return f * (rel.m * exp.total_exposure / f.sum())
+            "merit-proportional exposure needs positive merit for every item; "
+            f"zero-merit items: {np.nonzero(mer <= 0)[0].tolist()}")
+    return mer * (rel.m * exp.total_exposure / mer.sum())
 
 
 def _check_targets_feasible(targets: np.ndarray, m: int, e: np.ndarray) -> None:
@@ -183,7 +165,7 @@ def _expo_fair_constraints(m: int, n: int, nc: int, e_top: np.ndarray,
 
 
 def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
-                    link: LinkFunction = LinkFunction()) -> tuple[PolicyTensor, SolveDiagnostics]:
+                    ) -> tuple[PolicyTensor, SolveDiagnostics]:
     """Utility-maximizing policy subject to exposure proportional to merit.
 
     Positions beyond the cutoff carry zero exposure, so they are pooled into a
@@ -194,7 +176,7 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     _check_market(rel, exp)
     m, n = rel.m, rel.n
     e = exp.weights
-    targets = exposure_targets(rel, exp, link)
+    targets = exposure_targets(rel, exp)
     _check_targets_feasible(targets, m, e)
 
     K = int(np.count_nonzero(e > 0.0))
@@ -222,7 +204,7 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     policy = _validated_twice(mats)
 
     prof = exposure_profile(policy, exp)
-    ratios = prof.sum(axis=0) / link.apply(merit(rel))
+    ratios = prof.sum(axis=0) / merit(rel)
     diag = SolveDiagnostics(
         objective_value=float(np.sum(rel.values * prof)),
         iterations=int(getattr(res, "nit", 0)),
@@ -298,8 +280,7 @@ _ORACLE_MAX_COMBOS = 2 * 10**8
 
 def brute_force_oracle(rel: RelevanceMatrix, exp: ExposureModel,
                        objective: str = "nsw", grid_step: float = 1e-3,
-                       alpha: float = 0.0,
-                       link: LinkFunction = LinkFunction()) -> float:
+                       alpha: float = 0.0) -> float:
     """Exhaustive grid search over top-slot allocations on tiny K=1 instances.
 
     With a single exposed position each user's policy reduces to a point on
@@ -329,7 +310,7 @@ def brute_force_oracle(rel: RelevanceMatrix, exp: ExposureModel,
     r = rel.values
 
     if objective == "expo_fair":
-        targets = exposure_targets(rel, exp, link)
+        targets = exposure_targets(rel, exp)
         expo_tol = 0.5 * m * e1 * grid_step
 
     active = merit(rel) > 0

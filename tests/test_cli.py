@@ -88,7 +88,8 @@ class TestSolve:
                    str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.json")])
         assert rc == 3
 
-    @pytest.mark.parametrize("field", ["-0.5", "nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("field", ["-0.5", "nan", "inf", "-inf", "1e400",
+                                       "1_0", " 2", "2 "])
     def test_bad_relevance_value_exit_code(self, tmp_path, capsys, field):
         path = tmp_path / "bad.csv"
         path.write_text(f"# m=2 n=2\n0.8,0.3\n0.5,{field}\n")
@@ -303,6 +304,38 @@ def test_decompose_golden_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         GOLDEN_DECOMPOSITION_SHA256)
+
+
+# Every relevance and exposure sum of this market is a dyadic rational, so
+# the policy and metrics files hold exact values rather than rounded ones.
+GOLDEN_MARKET = ("# m=3 n=4\n0.5,0.25,0.75,0\n1,0.5,0.125,0.25\n"
+                 "0.25,0.75,0.5,0.125\n")
+GOLDEN_SHA256 = {
+    "max.json":
+        "1a58f318882187bbe58dbe9f718694db6d135a692c0464d211f46696105ba775",
+    "max-metrics.json":
+        "7bb048519d8330a397b5145138ff398f9a91bbbc60973de24515159eef22ef59",
+    "uniform.json":
+        "a9af3a2dbf95262b7cbe3d7e8adc8a6470f065cf51cecd6466b0673cdad38fb8",
+    "uniform-metrics.json":
+        "be5a2f4520d7d1f4db290c166371bd6b173636beaad7f4d442cf14e19e2946b2",
+}
+
+
+@pytest.mark.parametrize("policy", ["max", "uniform"])
+def test_policy_and_metrics_golden_bytes(tmp_path, policy):
+    # pins the policy/v1 and metrics/v1 bytes of solve and evaluate
+    rel = tmp_path / "market.csv"
+    rel.write_text(GOLDEN_MARKET)
+    pol = tmp_path / f"{policy}.json"
+    met = tmp_path / f"{policy}-metrics.json"
+    assert main(["solve", "--policy", policy, "--relevance", str(rel),
+                 "--cutoff", "2", "--out", str(pol)]) == 0
+    assert main(["evaluate", "--policy", str(pol), "--relevance", str(rel),
+                 "--cutoff", "2", "--out-json", str(met)]) == 0
+    for path in (pol, met):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            GOLDEN_SHA256[path.name]), path.name
 
 
 class TestSweep:

@@ -13,7 +13,7 @@ from nswrank import (
     PolicyTensor,
     RelevanceMatrix,
     amortized_exposure,
-    cross_impact,
+    envy_matrix,
     item_impact,
     merit,
     solve_expo_fair,
@@ -141,27 +141,6 @@ class TestItemImpact:
         assert np.allclose(item_impact(policy, rel, exp, RW), [0.8, 0.4], atol=1e-9)
 
 
-class TestCrossImpact:
-    def test_toy_expo_fair_envied_allocation(self, toy_market):
-        rel, exp = toy_market
-        policy, _ = solve_expo_fair(rel, exp)
-        assert cross_impact(policy, rel, exp, RW, 1, 0) == pytest.approx(0.42)
-        assert cross_impact(policy, rel, exp, RW, 1, 1) == pytest.approx(0.28)
-
-    def test_uniform_cross_equals_own(self, toy_market):
-        rel, exp = toy_market
-        policy = solve_uniform(2, 2)
-        for i in range(2):
-            own = cross_impact(policy, rel, exp, RW, i, i)
-            for j in range(2):
-                assert cross_impact(policy, rel, exp, RW, i, j) == pytest.approx(own)
-
-    def test_index_out_of_range(self, toy_market):
-        rel, exp = toy_market
-        with pytest.raises(IndexError):
-            cross_impact(solve_uniform(2, 2), rel, exp, RW, 0, 5)
-
-
 class TestAmortizedExposure:
     def test_toy_utility_max(self, toy_market):
         rel, exp = toy_market
@@ -206,8 +185,7 @@ def test_measurement_invariants(m, n, cutoff, seed):
         m * exp.total_exposure, abs=1e-6)
     # the envy diagonal is the impact vector, and exposure-only impact
     # coincides with amortized exposure
-    imp = item_impact(policy, rel, exp, RW)
-    for i in range(n):
-        assert cross_impact(policy, rel, exp, RW, i, i) == imp[i]
+    assert np.array_equal(np.diagonal(envy_matrix(policy, rel, exp, RW)),
+                          item_impact(policy, rel, exp, RW))
     assert np.array_equal(item_impact(policy, rel, exp, XO),
                           amortized_exposure(policy, exp))

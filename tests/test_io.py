@@ -59,6 +59,16 @@ class TestRelevanceCsv:
         assert err.value.line == 3
         assert err.value.column == 5
 
+    @pytest.mark.parametrize("field", ["1_0", "0_5", " 2", "2 ", "\t2",
+                                       "2\u00a0"])
+    def test_python_only_spellings_rejected(self, tmp_path, field):
+        # float() accepts digit grouping and surrounding whitespace
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# m=2 n=2\n0.8,0.3\n0.5,{field}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            nio.load_relevance(path)
+        assert (err.value.line, err.value.column) == (3, 5)
+
     def test_header_body_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# m=3 n=2\n0.8,0.3\n0.5,0.4\n")
@@ -182,6 +192,22 @@ class TestMetricsJson:
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps({"schema": "policy/v1"}))
         with pytest.raises(SchemaError):
+            nio.load_metrics(path)
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"schema": "metrics/v1"}, SchemaError),
+        ({"schema": "metrics/v1", "per_item_impact": [1.0]}, SchemaError),
+        ({"schema": "metrics/v1", "per_item_impact": 1.0,
+          "per_item_ratio_vs_uniform": [1.0]}, ParseError),
+        ({"schema": "metrics/v1", "per_item_impact": [1.0],
+          "per_item_ratio_vs_uniform": "1.0"}, ParseError),
+        ({"schema": "metrics/v1", "per_item_impact": [1.0],
+          "per_item_ratio_vs_uniform": [1.0, None]}, DimensionError),
+    ])
+    def test_rejects_malformed_per_item_arrays(self, tmp_path, doc, error):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
             nio.load_metrics(path)
 
 

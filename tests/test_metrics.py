@@ -2,24 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nswrank import (
     ExposureModel,
     ImpactFunction,
     NswConfig,
+    PolicyTensor,
     RelevanceMatrix,
     ZeroMeritError,
-    dominance_stats,
     envy_matrix,
     fairness_report,
     item_impact,
+    max_envy_per_item,
     mean_max_envy,
     solve_expo_fair,
     solve_nsw,
     solve_uniform,
     solve_utility_max,
+    user_utility,
     weighted_envy_matrix,
 )
+
+from conftest import random_policy
 
 RW = ImpactFunction.RELEVANCE_WEIGHTED
 XO = ImpactFunction.EXPOSURE_ONLY
@@ -80,27 +86,32 @@ class TestMeanMaxEnvy:
         assert mean_max_envy(envy_matrix(policy, rel, exp)) >= 0.0
 
 
+def dominance(policy, rel, exp):
+    report = fairness_report(policy, rel, exp)
+    return report.pct_improved_10, report.pct_decreased_10
+
+
 class TestDominanceStats:
     def test_toy_utility_max(self, toy_market):
         rel, exp = toy_market
         policy = solve_utility_max(rel, exp)
-        assert dominance_stats(policy, rel, exp) == (50.0, 50.0)
+        assert dominance(policy, rel, exp) == (50.0, 50.0)
 
     def test_uniform_vs_itself(self, toy_market):
         rel, exp = toy_market
-        assert dominance_stats(solve_uniform(2, 2), rel, exp) == (0.0, 0.0)
+        assert dominance(solve_uniform(2, 2), rel, exp) == (0.0, 0.0)
 
     def test_toy_nsw(self, toy_market):
         rel, exp = toy_market
         policy, _ = solve_nsw(rel, exp)
-        assert dominance_stats(policy, rel, exp) == (100.0, 0.0)
+        assert dominance(policy, rel, exp) == (100.0, 0.0)
 
     def test_pct_sum_bounded(self):
         rng = np.random.default_rng(2)
         rel = RelevanceMatrix(rng.uniform(0.1, 1, (5, 6)))
         exp = ExposureModel.make("inverse", 6, 2)
         for policy in (solve_utility_max(rel, exp), solve_nsw(rel, exp)[0]):
-            up, down = dominance_stats(policy, rel, exp)
+            up, down = dominance(policy, rel, exp)
             assert 0.0 <= up + down <= 100.0 + 1e-9
 
 
@@ -174,3 +185,41 @@ class TestFairnessReport:
         assert report.excluded_items == (1,)
         assert np.isnan(report.per_item_impact_ratio_vs_uniform[1])
         assert report.pct_improved_10 == 50.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 7), n=st.integers(2, 7), cutoff=st.integers(1, 7),
+       kind=st.sampled_from(["inverse", "exponential", "dcg"]),
+       vfn=st.sampled_from([RW, XO]), zero_cols=st.integers(0, 2),
+       seed=st.integers(0, 10**6))
+def test_report_matches_uniform_tensor_reference(m, n, cutoff, kind, vfn,
+                                                 zero_cols, seed):
+    # the report's closed-form uniform baseline against the impact of an
+    # explicit uniform PolicyTensor, with some all-zero relevance columns
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0, 1, (m, n))
+    values[:, rng.permutation(n)[:min(zero_cols, n - 1)]] = 0.0
+    rel = RelevanceMatrix(values)
+    exp = ExposureModel.make(kind, n, min(cutoff, n))
+    policy = PolicyTensor(random_policy(m, n, seed))
+    report = fairness_report(policy, rel, exp, vfn)
+
+    imp = item_impact(policy, rel, exp, vfn)
+    imp_unif = item_impact(solve_uniform(m, n), rel, exp, vfn)
+    valid = imp_unif > 0
+    ratios = np.full(n, np.nan)
+    ratios[valid] = imp[valid] / imp_unif[valid]
+    assert report.excluded_items == tuple(np.nonzero(~valid)[0].tolist())
+    assert np.array_equal(np.isnan(report.per_item_impact_ratio_vs_uniform),
+                          ~valid)
+    assert np.allclose(report.per_item_impact_ratio_vs_uniform[valid],
+                       ratios[valid], rtol=1e-12, atol=0.0)
+    assert report.pct_improved_10 == 100.0 / n * np.count_nonzero(
+        ratios[valid] >= 1.1)
+    assert report.pct_decreased_10 == 100.0 / n * np.count_nonzero(
+        ratios[valid] <= 0.9)
+    # the rest of the report is what the single-purpose functions give
+    assert np.array_equal(report.per_item_impact, imp)
+    assert report.user_utility == user_utility(policy, rel, exp)
+    assert np.array_equal(report.max_envy_per_item,
+                          max_envy_per_item(envy_matrix(policy, rel, exp, vfn)))

@@ -14,7 +14,6 @@ from nswrank import (
     ExposureModel,
     ImpactFunction,
     InfeasibleError,
-    LinkFunction,
     NswConfig,
     RelevanceMatrix,
     SizeError,
@@ -349,7 +348,7 @@ class TestSolverInvariants:
                 rel, exp, "expo_fair", grid_step=grid) - 2 * grid
 
     def test_expo_fair_exposure_only_equity(self, toy_market):
-        # identity link forces exposure / merit to be a constant, which is the
+        # merit-proportional exposure makes exposure / merit a constant, the
         # zero point of merit-weighted envy under the exposure-only impact
         rel, exp = toy_market
         policy, _ = solve_expo_fair(rel, exp)
