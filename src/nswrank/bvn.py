@@ -130,7 +130,7 @@ def sample_ranking(dec: BvnDecomposition, user: int, seed: int) -> np.ndarray:
 
 
 def reconstruct(dec: BvnDecomposition) -> PolicyTensor:
-    """Rebuild the policy tensor as the weighted sum of permutation matrices."""
+    """Rebuild the policy as the raw weighted sum of permutation matrices."""
     n = dec.n
     ranks = np.arange(n)
     mats = np.empty((dec.m, n * n))

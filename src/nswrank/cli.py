@@ -190,24 +190,24 @@ def _parse_sweep_config(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("sweep config must be a JSON object")
     policies = []
-    for entry in doc.get("policies", []):
+    for entry in _config_field(doc, "policies", []):
         if isinstance(entry, str):
             if entry not in _POLICY_CHOICES:
                 raise ValueError(f"unknown policy {entry!r}")
             policies.append((entry, entry, 0.0))
         elif isinstance(entry, dict) and set(entry) == {"alpha-nsw"}:
-            for alpha in entry["alpha-nsw"]:
+            for alpha in _config_field(entry, "alpha-nsw", []):
                 alpha = float(alpha)
                 name = "nsw" if alpha == 0.0 else f"nsw-a{alpha:g}"
                 policies.append((name, "nsw", alpha))
         else:
             raise ValueError(f"bad policy entry {entry!r}")
-    grid_doc = doc.get("grid", {})
+    grid_doc = _config_field(doc, "grid", {}, dict)
     grid = {
-        "lambda": [float(v) for v in grid_doc.get("lambda", [0.5])],
-        "noise_c": [float(v) for v in grid_doc.get("noise_c", [0.05])],
-        "k": [int(v) for v in grid_doc.get("k", [5])],
-        "n_items": [int(v) for v in grid_doc.get("n_items", [50])],
+        "lambda": [float(v) for v in _config_field(grid_doc, "lambda", [0.5])],
+        "noise_c": [float(v) for v in _config_field(grid_doc, "noise_c", [0.05])],
+        "k": [int(v) for v in _config_field(grid_doc, "k", [5])],
+        "n_items": [int(v) for v in _config_field(grid_doc, "n_items", [50])],
     }
     if not policies or not all(grid.values()):
         raise ValueError("sweep config needs a nonempty policy list and grid")
@@ -223,6 +223,14 @@ def _parse_sweep_config(doc: dict) -> dict:
         "tol": float(doc.get("tol", 1e-6)),
         "max_iters": int(doc.get("max_iters", 10000)),
     }
+
+
+def _config_field(doc: dict, key: str, default, kind=list):
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise ValueError(f"bad config: {key} must be a JSON "
+                         f"{'array' if kind is list else 'object'}, got {value!r}")
+    return value
 
 
 def _sweep_unit(task: tuple) -> list:

@@ -1,11 +1,11 @@
 """Domain types and measurement primitives for stochastic ranking policies.
 
-A market has m users and n items.  A stochastic ranking policy is represented
-by one n x n doubly stochastic matrix per user whose (i, k) entry is the
-marginal probability that item i occupies rank k for that user.  Positions are
-examined with probability e(k), so everything a policy does to utility,
-exposure and impact factors through the per-user expected exposure of each
-item, ``sum_k e(k) * X[u, i, k]``.
+A market has m users and n items.  A stochastic ranking policy is one n x n
+doubly stochastic matrix per user whose (i, k) entry is the marginal
+probability that item i occupies rank k for that user; it is measured as
+given, never renormalized.  Positions are examined with probability e(k), so
+everything a policy does to utility, exposure and impact factors through the
+per-user expected exposure of each item, ``sum_k e(k) * X[u, i, k]``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, NotDoublyStochastic
 
-# Tolerance accepted on row/column sums of policy matrices.  Solver outputs
-# are validated against it and then hard-renormalized before any measurement.
+# Tolerance accepted on row/column sums of policy matrices.  A policy within
+# it is measured as given; entries are only clipped into [0, 1].
 DS_TOL = 1e-6
 
 _EXPOSURE_KINDS = ("inverse", "exponential", "dcg", "custom")
@@ -159,8 +159,8 @@ def renormalize_doubly_stochastic(mats: np.ndarray, max_sweeps: int = 100,
 class PolicyTensor:
     """Per-user n x n marginal rank-probability matrices, entry (i, k).
 
-    Construction validates each matrix against DS_TOL and renormalizes it, so
-    every measurement downstream sees clean doubly stochastic inputs.
+    Construction checks each matrix against DS_TOL and keeps a read-only
+    copy clipped into [0, 1], so every measurement sees the policy as given.
     """
 
     matrices: np.ndarray
@@ -184,7 +184,7 @@ class PolicyTensor:
             raise NotDoublyStochastic(
                 f"row/column sums deviate from 1 by {max(row_err, col_err):.3e}"
                 f" (tolerance {DS_TOL})")
-        mats = renormalize_doubly_stochastic(mats)
+        mats = np.clip(mats, 0.0, 1.0)  # a copy: the caller's array is untouched
         mats.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
 

@@ -105,8 +105,8 @@ def save_policy(path, policy: PolicyTensor, policy_type: str,
                 diagnostics: SolveDiagnostics | None = None,
                 alpha: float | None = None) -> None:
     if not isinstance(policy, PolicyTensor):
-        # a PolicyTensor was validated when it was built; anything else that
-        # carries matrices is validated (and renormalized) here
+        # a PolicyTensor was checked when it was built and is written as it
+        # is; anything else that carries matrices is checked here
         policy = PolicyTensor(policy.matrices)
     diag = diagnostics or SolveDiagnostics(objective_value=0.0)
     doc = {
@@ -131,8 +131,8 @@ def save_policy(path, policy: PolicyTensor, policy_type: str,
 
 
 def load_policy(path) -> dict:
-    """The policy document, with the validated ``PolicyTensor`` under
-    ``"policy"`` in place of the ``"matrices"`` arrays."""
+    """The policy document, with a ``PolicyTensor`` of the file's exact floats
+    under ``"policy"`` in place of the ``"matrices"`` arrays."""
     doc = _read_json(path)
     _require_schema(doc, POLICY_SCHEMA)
     m, n = _int_field(doc, "m"), _int_field(doc, "n")
@@ -225,8 +225,8 @@ def load_decomposition(path) -> BvnDecomposition:
                               "items_by_rank") from None
         if not weights:
             raise ParseError(f"user {u} has no terms")
-        if not all(map(_is_number, weights)):
-            raise ParseError(f"user {u}: a weight is not a number")
+        if not all(_is_number(w) and 0.0 <= w < math.inf for w in weights):
+            raise ParseError(f"user {u}: a weight is not a finite nonnegative number")
         try:
             perms = np.array(perms)
         except ValueError:  # ragged lists

@@ -68,18 +68,6 @@ def _check_market(rel: RelevanceMatrix, exp: ExposureModel) -> None:
             f"exposure weights have length {exp.n}, relevance has n={rel.n} items")
 
 
-def _validated_twice(mats: np.ndarray) -> PolicyTensor:
-    """PolicyTensor of a numerical solution, renormalized a second time.
-
-    Renormalizing the NSW or LP output once more still moves some entries by
-    an ulp.  The policy files of these solvers hold the matrices after the
-    second pass, so they stay bit-identical across versions, and
-    ``save_policy`` writes a PolicyTensor as it is: the solver returns
-    exactly what its file holds.
-    """
-    return PolicyTensor(PolicyTensor(mats).matrices)
-
-
 def solve_uniform(m: int, n: int) -> PolicyTensor:
     """Policy that samples every permutation uniformly: all marginals 1/n."""
     if m < 1 or n < 2:
@@ -201,7 +189,7 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     mats[:, :, :K] = x[:, :, :K]
     if pooled:
         mats[:, :, K:] = x[:, :, K][:, :, None] / (n - K)
-    policy = _validated_twice(mats)
+    policy = PolicyTensor(mats)
 
     prof = exposure_profile(policy, exp)
     ratios = prof.sum(axis=0) / merit(rel)
@@ -243,7 +231,7 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     V = vfn.user_weights(rel)
     X, iters, _, _ = _kernels.fw_solve(
         V, exp.weights, w, active, cfg.rel_gap_tol, cfg.max_iters)
-    policy = _validated_twice(X)
+    policy = PolicyTensor(X)
 
     # Recompute objective and FW gap from the validated policy so the
     # diagnostics certify the object actually returned.

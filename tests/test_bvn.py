@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from nswrank import (
+    BvnDecomposition,
     ExposureModel,
     MatchingFailure,
     PolicyTensor,
@@ -225,6 +226,14 @@ class TestRoundTrip:
             assert np.abs(rec.matrices - policy.matrices).max() <= n * 1e-9 + 1e-9
             assert user_utility(rec, rel, exp) == pytest.approx(
                 user_utility(policy, rel, exp), abs=1e-6)
+
+    def test_reconstruct_keeps_the_weights_as_they_are(self):
+        # weights within the 1e-9 sum check but off 1: the rebuilt rows show it
+        dec = BvnDecomposition(m=1, n=2, epsilon=DEFAULT_EPSILON, terms=(
+            [(0.5 + 4e-10, np.array([0, 1])), (0.5, np.array([1, 0]))],))
+        rows = reconstruct(dec).matrices.sum(axis=2)
+        assert rows == pytest.approx(np.full((1, 2), 1.0 + 4e-10),
+                                     rel=0, abs=1e-15)
 
     def test_uniform_round_trips_to_uniform(self):
         dec = bvn_decompose(solve_uniform(3, 4))

@@ -263,6 +263,19 @@ class TestDecomposeAndSample:
                    "--seed", "3"])
         assert rc == 3
 
+    @pytest.mark.parametrize("weights", [[float("nan")], [1.5, -0.5]],
+                             ids=["nan", "negative"])
+    def test_sample_unsamplable_weights(self, tmp_path, capsys, weights):
+        dec = tmp_path / "dec.json"
+        terms = [{"weight": w, "items_by_rank": [0, 1]} for w in weights]
+        dec.write_text(json.dumps({"schema": "decomposition/v1", "m": 1,
+                                   "n": 2, "epsilon": 1e-9,
+                                   "users": [terms]}))
+        rc = main(["sample", "--decomposition", str(dec), "--user", "0",
+                   "--seed", "3"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: user 0: ")
+
     def test_matching_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # a matching that keeps returning the identity leaves the uniform
         # user's off-diagonal mass unassigned
@@ -419,6 +432,19 @@ class TestSweep:
         path.write_text(json.dumps({"policies": [], "grid": {}}))
         assert main(["sweep", "--config", str(path),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"policies": "nsw"},
+        {"policies": [{"alpha-nsw": 1.0}]},
+        {"grid": []},
+        {"grid": {"lambda": 0.5}},
+    ], ids=["policies-string", "alpha-nsw-number", "grid-list",
+            "grid-value-number"])
+    def test_config_of_the_wrong_type(self, tmp_path, capsys, overrides):
+        cfg = self._config(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config: ")
 
     def test_bad_exposure_kind_rejected_at_parse(self, tmp_path):
         cfg = self._config(tmp_path, exposure="bogus")

@@ -92,12 +92,30 @@ class TestPolicyTensor:
         with pytest.raises(NotDoublyStochastic):
             PolicyTensor(mats)
 
-    def test_renormalizes_solver_residue(self):
-        mats = np.full((1, 2, 2), 0.5)
-        mats += np.array([[[1e-7, -1e-7], [-1e-7, 1e-7]]])
+    @staticmethod
+    def _residue_policy():
+        # solver residue within DS_TOL: entries 1e-7 off an exact policy,
+        # and one entry of -1e-12
+        mats = np.full((2, 2, 2), 0.5)
+        mats[0] += np.array([[1e-7, -1e-7], [-1e-7, 1e-7]])
+        mats[1] = [[-1e-12, 1.0], [1.0, 1e-7]]
+        return mats
+
+    def test_keeps_entries_as_given(self):
+        mats = self._residue_policy()
         pol = PolicyTensor(mats)
-        assert np.abs(pol.matrices.sum(axis=2) - 1).max() < 1e-12
-        assert np.abs(pol.matrices.sum(axis=1) - 1).max() < 1e-12
+        assert np.array_equal(pol.matrices[0], mats[0])
+        assert pol.matrices[1, 0, 0] == 0.0
+        assert np.array_equal(pol.matrices[1].ravel()[1:], mats[1].ravel()[1:])
+
+    def test_leaves_the_callers_array_alone(self):
+        mats = self._residue_policy()
+        given = mats.copy()
+        pol = PolicyTensor(mats)
+        assert np.array_equal(mats, given) and mats.flags.writeable
+        assert not np.shares_memory(pol.matrices, mats)
+        assert not pol.matrices.flags.writeable
+        assert np.array_equal(pol.matrices, np.clip(given, 0.0, 1.0))
 
     def test_wrong_shape(self):
         with pytest.raises(DimensionError):

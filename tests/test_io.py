@@ -130,6 +130,22 @@ class TestPolicyJson:
         # the parsed arrays are dropped once the tensor is built
         assert "matrices" not in doc
 
+    def test_load_gives_back_the_saved_floats(self, tmp_path):
+        # a loaded policy is measured exactly as it was saved
+        rel, exp = small_market(m=30, n=12, cutoff=5)
+        policies = {"max": solve_utility_max(rel, exp),
+                    "uniform": solve_uniform(rel.m, rel.n),
+                    "expo-fair": solve_expo_fair(rel, exp)[0],
+                    "nsw": solve_nsw(rel, exp)[0]}
+        changed = []
+        for name, policy in policies.items():
+            path = tmp_path / f"{name}.json"
+            nio.save_policy(path, policy, name, "inverse", 5)
+            loaded = nio.load_policy(path)["policy"].matrices
+            if not np.array_equal(loaded, policy.matrices):
+                changed.append(name)
+        assert changed == []
+
     def test_unknown_schema(self, tmp_path):
         path = tmp_path / "policy.json"
         path.write_text(json.dumps({"schema": "policy/v9", "m": 1, "n": 2}))
@@ -240,8 +256,15 @@ class TestDecompositionJson:
         ([{"weight": 0.5, "items_by_rank": [0, 1]},
           {"weight": 0.4, "items_by_rank": [1, 0]}], ParseError),
         ([], ParseError),
+        # these three pass the sum check, which compares with 1 by abs()
+        ([{"weight": float("nan"), "items_by_rank": [0, 1]}], ParseError),
+        ([{"weight": 1.5, "items_by_rank": [0, 1]},
+          {"weight": -0.5, "items_by_rank": [1, 0]}], ParseError),
+        ([{"weight": float("inf"), "items_by_rank": [0, 1]},
+          {"weight": -float("inf"), "items_by_rank": [1, 0]}], ParseError),
     ], ids=["no-items_by_rank", "text-weight", "null-weight", "text-rank",
-            "float-rank", "ragged-ranks", "weights-sum-0.9", "no-terms"])
+            "float-rank", "ragged-ranks", "weights-sum-0.9", "no-terms",
+            "nan-weight", "negative-weight", "infinite-weights"])
     def test_rejects_malformed_terms(self, tmp_path, terms, error):
         path = tmp_path / "dec.json"
         doc = {"schema": "decomposition/v1", "m": 2, "n": 2, "epsilon": 1e-9,
@@ -318,8 +341,8 @@ class TestStreamedWritersMatchJsonDump:
             assert "5e-324" in expected and "1e-17" in expected
 
     def test_save_policy_writes_a_policy_tensor_as_it_is(self, tmp_path):
-        # renormalizing an LP solution again moves entries by an ulp, so a
-        # second validation on save would show up here
+        # an LP solution carries residue of about an ulp, so any rewrite of
+        # the entries on save would show up here
         rel, exp = small_market(m=30, n=12, cutoff=5)
         policy, diag = solve_expo_fair(rel, exp)
         path = tmp_path / "policy.json"

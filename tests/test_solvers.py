@@ -51,6 +51,11 @@ class TestSolveUniform:
     def test_entries(self):
         assert np.all(solve_uniform(2, 2).matrices == 0.5)
 
+    def test_entries_are_exactly_one_over_n(self):
+        # fifty copies of 1/50 sum to 1 only up to rounding; the policy keeps
+        # them as they are
+        assert np.all(solve_uniform(2, 50).matrices == 1.0 / 50)
+
     def test_toy_measurements(self, toy_market):
         rel, exp = toy_market
         policy = solve_uniform(2, 2)
