@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Scale ladder: the library pipeline of each policy on markets of growing size.
+
+Run from the root of a source checkout (no install needed):
+
+    python3 benchmarks/ladder.py --out BENCH_<n>.json
+
+For every rung (users x items x exposed ranks) and policy, one fresh
+interpreter generates ``generate_market(m, n, lam=0.5, noise_c=0.05,
+seed=0)``, solves on the predicted relevance with inverse exposure, audits the
+policy against the ground truth (``fairness_report``), decomposes it
+(``bvn_decompose``) and draws one ranking for every user
+(``sample_ranking``).  It reports the seconds of each step, the BvN terms per
+user and the peak RSS of its own process.  A rung whose dense policy tensor
+would not fit in memory is written as ``null`` with the reason.  The file
+also records the machine's core count and the python, numpy and scipy
+versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+RUNGS = [(100, 50, 5), (1000, 100, 10), (10_000, 1000, 10)]
+POLICIES = ("nsw", "expo-fair")
+# a rung whose float64 policy tensor (m x n x n) exceeds this is not run
+DENSE_LIMIT_BYTES = 4e9
+
+
+def run_rung(m: int, n: int, k: int, policy: str) -> dict:
+    """Time one policy's pipeline on the rung's market, in this process."""
+    from nswrank import (ExposureModel, bvn_decompose, fairness_report,
+                         sample_ranking, solve_expo_fair, solve_nsw)
+    from nswrank.synth import SyntheticConfig, generate_market
+
+    solve = {"nsw": solve_nsw, "expo-fair": solve_expo_fair}[policy]
+    rel_true, rel_pred = generate_market(
+        SyntheticConfig(m=m, n=n, lam=0.5, noise_c=0.05, seed=0))
+    exp = ExposureModel.make("inverse", n, k)
+    clock = time.perf_counter()
+    pol, diag = solve(rel_pred, exp)
+    solved = time.perf_counter()
+    report = fairness_report(pol, rel_true, exp)
+    evaluated = time.perf_counter()
+    dec = bvn_decompose(pol)
+    decomposed = time.perf_counter()
+    for user in range(m):
+        sample_ranking(dec, user, seed=user)
+    sampled = time.perf_counter()
+    counts = [len(user_terms) for user_terms in dec.terms]
+    return {
+        "objective": diag.objective_value,
+        "user_utility": report.user_utility,
+        "solve_s": solved - clock,
+        "evaluate_s": evaluated - solved,
+        "decompose_s": decomposed - evaluated,
+        "sample_s": sampled - decomposed,
+        "terms_per_user": sum(counts) / m,
+        "terms_max": max(counts),
+        # ru_maxrss is in kB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def _run_in_child(m: int, n: int, k: int, policy: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--one", str(m), str(n),
+         str(k), policy],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def ladder(rungs=RUNGS) -> dict:
+    """Every rung and policy, each in its own interpreter."""
+    import numpy
+    import scipy
+
+    out = {
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "market": "generate_market(m, n, lam=0.5, noise_c=0.05, seed=0), "
+                  "inverse exposure",
+        "rungs": [],
+    }
+    for m, n, k in rungs:
+        rung = {"m": m, "n": n, "k": k}
+        dense = 8.0 * m * n * n
+        if dense > DENSE_LIMIT_BYTES:
+            rung.update(policies=None, reason=f"dense tensor {dense / 1e9:.0f} GB")
+        else:
+            rung["policies"] = {}
+            for policy in POLICIES:
+                print(f"{m}x{n}x{k} {policy}", file=sys.stderr, flush=True)
+                rung["policies"][policy] = _run_in_child(m, n, k, policy)
+        out["rungs"].append(rung)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--one", nargs=4, metavar=("M", "N", "K", "POLICY"),
+                        help="run one rung and policy here; print its JSON")
+    args = parser.parse_args(argv)
+    if args.one:
+        m, n, k, policy = args.one
+        print(json.dumps(run_rung(int(m), int(n), int(k), policy)))
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+    doc = ladder()
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,12 +4,19 @@ Each user's doubly stochastic matrix is peeled into a convex combination of
 permutation matrices: repeatedly find a perfect matching on the entries above
 epsilon, subtract the smallest matched entry times that permutation, and
 normalize the collected weights at the end; mass still unassigned after the
-Marcus-Ree bound on the number of terms raises MatchingFailure.  All users
+Marcus-Ree bound on the number of rounds raises MatchingFailure.  All users
 are peeled in lockstep: each round matches every user that still has mass
 left in one block-diagonal matching, and a user leaves the working arrays
 once its mass is spent.  Each user's terms are those that peeling it alone
-gives.  Sampling a concrete ranking for a user is then a seeded draw over
-that user's terms.
+gives.
+
+Trailing rank columns that are equal to the last one form a pooled rank
+class, such as the zero-exposure ranks K..n-1 of the exposure-fair policy.
+The peel treats the P pooled columns as P copies of one class and keeps them
+equal, and each of its terms is then expanded into P cyclic shifts of the
+pooled items over the pooled ranks, each of weight w / P.  A user with no
+pool has P = 1 and gets the plain peel.  Sampling a concrete ranking for a
+user is then a seeded draw over that user's terms.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from .errors import MatchingFailure
 
 DEFAULT_EPSILON = 1e-9
 
-# Marcus-Ree: a doubly stochastic matrix needs at most (n-1)^2 + 1 terms.
+# Marcus-Ree: a doubly stochastic matrix needs at most (n-1)^2 + 1 terms, so
+# the peel stops after that many rounds.
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,15 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
 
     Entries at or below epsilon are zeroed and their mass restored by a
     renormalization sweep first, so solver residue does not force spurious
-    tiny terms.  Reconstruction matches the input entrywise to within
-    ``n * epsilon + 1e-9``.
+    tiny terms.  A user's pool is then the P trailing rank columns that equal
+    its last column (P = 1 when there are none).  A round's weight is bounded
+    by each matched head entry and by P times the entry of each item matched
+    into the pool; it is taken from the head entries and, in shares of
+    weight / P, from every pooled rank of every pooled item, so the pooled
+    columns stay equal.  Each term then becomes P terms of weight w / P: the
+    head as matched, and the pooled items in ascending order, rotated by
+    s = 0..P-1 across the pooled ranks.  Reconstruction matches the input
+    entrywise to within ``n * epsilon + 1e-9``.
     """
     if not 1e-12 <= epsilon <= 1e-6:
         raise ValueError(f"epsilon must lie in [1e-12, 1e-6], got {epsilon}")
@@ -68,8 +83,16 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
         # one user at a time: the sweep stops on the largest residual of
         # what it is given, so a batched call would change the entries
         work[u] = renormalize_doubly_stochastic(kept[None])[0]
+    # the rescaling keeps equal columns equal, since their sums are equal
+    same = (work == work[:, :, -1:]).all(axis=1)
+    width = np.logical_and.accumulate(same[:, ::-1], axis=1).sum(axis=1)
 
-    users = np.arange(m)        # the users still in the working arrays
+    # pooled users lead the working arrays, so their pooled columns are one
+    # slice; the stable order keeps the rest as they are
+    users = np.argsort(width == 1, kind="stable")
+    if np.any(users != np.arange(m)):
+        work = work[users]
+    pool = width[users]         # the pool width of each working user
     remaining = np.ones(m)      # their mass not yet assigned to a term
     done = n * epsilon + 1e-15
     max_terms = (n - 1) ** 2 + 1
@@ -82,6 +105,7 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
         live = remaining > done
         if not live.all():
             users, work, remaining = users[live], work[live], remaining[live]
+            pool = pool[live]
             if users.size == 0:
                 break
         rank_of_item = _kernels.perfect_matching(work > epsilon)
@@ -90,12 +114,28 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
                 "no perfect matching on entries above epsilon; "
                 "retry with a smaller epsilon")
         block = np.arange(users.size)[:, None]
-        weight = np.minimum(work[block, ranks, rank_of_item].min(axis=1),
-                            remaining)
+        head = (n - pool)[:, None]              # each user's first pooled rank
+        pooled = rank_of_item >= head
+        matched = work[block, ranks, rank_of_item]
+        # a pooled item's entry stands for all P of its pooled ranks
+        weight = np.minimum(
+            (matched * np.where(pooled, pool[:, None], 1.0)).min(axis=1),
+            remaining)
+        # the pooled items take the pooled ranks in ascending item order
+        slot = np.where(pooled, head + np.cumsum(pooled, axis=1) - 1,
+                        rank_of_item)
         items_by_rank = np.empty(rank_of_item.shape, dtype=rank_type)
-        items_by_rank[block, rank_of_item] = ranks
+        items_by_rank[block, slot] = ranks
         rounds.append((users, weight, items_by_rank))
-        work[block, ranks, rank_of_item] -= weight[:, None]
+        matched -= np.where(pooled, (weight / pool)[:, None], weight[:, None])
+        work[block, ranks, rank_of_item] = matched
+        wide = np.count_nonzero(pool > 1)
+        if wide:
+            # copy each pooled item's new entry to all of its pooled ranks
+            first = int(head[:wide].min())
+            spread = pooled[:wide, :, None] & (ranks[first:] >= head[:wide, :, None])
+            np.copyto(work[:wide, :, first:], matched[:wide, :, None],
+                      where=spread)
         remaining -= weight
     if np.any(remaining > done):
         raise MatchingFailure(
@@ -104,12 +144,22 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
     if not rounds:
         raise MatchingFailure("decomposition produced no terms")
 
-    # regroup the rounds by user, each user's terms in the order it got them
+    # regroup the rounds by user, each user's terms in the order it got them,
+    # and expand each term into the P cyclic shifts of its pooled items
     user_of = np.concatenate([r[0] for r in rounds])
     order = np.argsort(user_of, kind="stable")
-    weights = np.concatenate([r[1] for r in rounds])[order].tolist()
-    perms = np.concatenate([r[2] for r in rounds])[order].astype(np.int64)
-    ends = np.cumsum(np.bincount(user_of, minlength=m)).tolist()
+    copies = width[user_of[order]]
+    source = np.repeat(order, copies)
+    shift = np.arange(source.size) - np.repeat(np.cumsum(copies) - copies, copies)
+    shares = np.repeat(copies, copies)
+    head = (n - shares)[:, None]
+    offset = ranks - head
+    rank_from = np.where(offset < 0, ranks,
+                         head + (offset + shift[:, None]) % shares[:, None])
+    weights = (np.concatenate([r[1] for r in rounds])[source] / shares).tolist()
+    perms = np.concatenate([r[2] for r in rounds])[source[:, None], rank_from]
+    perms = perms.astype(np.int64)
+    ends = np.cumsum(np.bincount(user_of, minlength=m) * width).tolist()
     terms = []
     for start, end in zip([0] + ends[:-1], ends):
         total = sum(weights[start:end])

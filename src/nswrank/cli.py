@@ -197,17 +197,18 @@ def _parse_sweep_config(doc: dict) -> dict:
             policies.append((entry, entry, 0.0))
         elif isinstance(entry, dict) and set(entry) == {"alpha-nsw"}:
             for alpha in _config_field(entry, "alpha-nsw", []):
-                alpha = float(alpha)
+                alpha = _config_number(alpha, "alpha-nsw", float)
                 name = "nsw" if alpha == 0.0 else f"nsw-a{alpha:g}"
                 policies.append((name, "nsw", alpha))
         else:
             raise ValueError(f"bad policy entry {entry!r}")
     grid_doc = _config_field(doc, "grid", {}, dict)
     grid = {
-        "lambda": [float(v) for v in _config_field(grid_doc, "lambda", [0.5])],
-        "noise_c": [float(v) for v in _config_field(grid_doc, "noise_c", [0.05])],
-        "k": [int(v) for v in _config_field(grid_doc, "k", [5])],
-        "n_items": [int(v) for v in _config_field(grid_doc, "n_items", [50])],
+        key: [_config_number(v, key, kind)
+              for v in _config_field(grid_doc, key, [default])]
+        for key, kind, default in (("lambda", float, 0.5),
+                                   ("noise_c", float, 0.05),
+                                   ("k", int, 5), ("n_items", int, 50))
     }
     if not policies or not all(grid.values()):
         raise ValueError("sweep config needs a nonempty policy list and grid")
@@ -217,11 +218,12 @@ def _parse_sweep_config(doc: dict) -> dict:
     return {
         "policies": policies,
         "grid": grid,
-        "seeds": int(doc.get("seeds", 10)),
-        "users": int(doc.get("users", 100)),
+        "seeds": _config_number(doc.get("seeds", 10), "seeds", int),
+        "users": _config_number(doc.get("users", 100), "users", int),
         "exposure": exposure,
-        "tol": float(doc.get("tol", 1e-6)),
-        "max_iters": int(doc.get("max_iters", 10000)),
+        "tol": _config_number(doc.get("tol", 1e-6), "tol", float),
+        "max_iters": _config_number(doc.get("max_iters", 10000), "max_iters",
+                                    int),
     }
 
 
@@ -231,6 +233,18 @@ def _config_field(doc: dict, key: str, default, kind=list):
         raise ValueError(f"bad config: {key} must be a JSON "
                          f"{'array' if kind is list else 'object'}, got {value!r}")
     return value
+
+
+def _config_number(value, key: str, kind):
+    """A JSON number as ``kind``: null, booleans, strings and containers are
+    rejected, and so is a count (``kind`` int) that is not a whole number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float)
+            and not value.is_integer()):
+        raise ValueError(f"bad config: {key} must be a JSON "
+                         f"{'integer' if kind is int else 'number'}, "
+                         f"got {json.dumps(value)}")
+    return kind(value)
 
 
 def _sweep_unit(task: tuple) -> list:

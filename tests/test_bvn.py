@@ -60,6 +60,55 @@ def decompose_user(mat: np.ndarray, epsilon: float) -> list:
     return [(w / total, perm) for w, perm in terms]
 
 
+def pool_width(mat: np.ndarray) -> int:
+    """The number of trailing rank columns equal to the last one."""
+    width = 1
+    while width < mat.shape[1] and np.array_equal(mat[:, -width - 1], mat[:, -1]):
+        width += 1
+    return width
+
+
+def decompose_pooled_user(mat: np.ndarray, epsilon: float) -> list:
+    """Reference: peel one user's matrix alone, one matching per term, with
+    its trailing equal rank columns as one pooled class of width P; each term
+    becomes P terms, its pooled items ascending and rotated across the pool."""
+    n = mat.shape[0]
+    work = mat.copy()
+    work[work <= epsilon] = 0.0
+    if np.any(work.sum(axis=0) <= 0) or np.any(work.sum(axis=1) <= 0):
+        raise MatchingFailure("an entire row or column fell at or below epsilon")
+    work = renormalize_doubly_stochastic(work[None])[0]
+    width = pool_width(work)
+    head = n - width
+
+    terms = []
+    remaining = 1.0
+    max_terms = (n - 1) ** 2 + 1
+    for _ in range(max_terms):
+        if remaining <= n * epsilon + 1e-15:
+            break
+        rank_of_item = maximum_bipartite_matching(
+            sp.csr_matrix((work > epsilon).astype(np.int8)), perm_type="column")
+        if np.any(rank_of_item < 0):
+            raise MatchingFailure("no perfect matching on entries above epsilon")
+        matched = work[np.arange(n), rank_of_item]
+        pooled = rank_of_item >= head
+        weight = min(float(np.where(pooled, matched * width, matched).min()),
+                     remaining)
+        head_items = np.argsort(rank_of_item)[:head]
+        pooled_items = np.flatnonzero(pooled)
+        for shift in range(width):
+            terms.append((weight / width, np.concatenate(
+                [head_items, np.roll(pooled_items, -shift)])))
+        work[head_items, np.arange(head)] -= weight
+        work[pooled_items, head:] = (matched[pooled] - weight / width)[:, None]
+        remaining -= weight
+    if remaining > n * epsilon + 1e-15:
+        raise MatchingFailure(f"{max_terms} terms left mass unassigned")
+    total = sum(w for w, _ in terms)
+    return [(w / total, perm) for w, perm in terms]
+
+
 def unchecked_policy(mats) -> SimpleNamespace:
     """The fields bvn_decompose reads, without PolicyTensor's validation."""
     mats = np.asarray(mats, dtype=np.float64)
@@ -112,11 +161,13 @@ class TestBvnDecompose:
     def test_matching_failure_when_terms_run_out(self, monkeypatch):
         # a matching that keeps returning the identity exhausts the diagonal
         # after one term, so the Marcus-Ree bound runs out with mass left;
-        # the identity users next to it finish in one term
+        # the identity users next to it finish in one term.  The matrix has
+        # no pool: a uniform one is peeled in one round whatever the matching
         monkeypatch.setattr(_kernels, "perfect_matching", identity_matching)
+        skewed = [[0.75, 0.25], [0.25, 0.75]]
         with pytest.raises(MatchingFailure, match="unassigned"):
-            bvn_decompose(solve_uniform(1, 2), epsilon=1e-9)
-        mats = np.stack([np.eye(2), np.full((2, 2), 0.5), np.eye(2)])
+            bvn_decompose(PolicyTensor([skewed]), epsilon=1e-9)
+        mats = np.stack([np.eye(2), skewed, np.eye(2)])
         with pytest.raises(MatchingFailure, match="unassigned"):
             bvn_decompose(PolicyTensor(mats), epsilon=1e-9)
 
@@ -201,6 +252,72 @@ class TestLockstepMatchesPerUserPeel:
         # the markets above do exercise users dropping out at different rounds
         counts = {len(t) for t in bvn_decompose(random_policy(3, 8, 6)).terms}
         assert len(counts) >= 3
+
+
+def pooled_policy(seed: int, m: int, n: int) -> PolicyTensor:
+    """The users of random_policy, about half of them with the last P ranks
+    (2 <= P <= n) replaced by their mean: a prefix mixture with a uniform
+    tail, one pooled rank class of width P."""
+    rng = np.random.default_rng(seed)
+    mats = random_policy(seed, m, n).matrices.copy()
+    for u in np.flatnonzero(rng.random(m) < 0.5):
+        width = int(rng.integers(2, n + 1))
+        mats[u, :, n - width:] = mats[u, :, n - width:].mean(axis=1, keepdims=True)
+    return PolicyTensor(mats)
+
+
+class TestPooledPeel:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+           n=st.integers(2, 8), epsilon=st.sampled_from([1e-12, 1e-9, 1e-6]))
+    def test_terms_equal_pooled_reference_bit_for_bit(self, seed, m, n, epsilon):
+        policy = pooled_policy(seed, m, n)
+        dec = bvn_decompose(policy, epsilon=epsilon)
+        for u in range(m):
+            want = decompose_pooled_user(policy.matrices[u], epsilon)
+            got = dec.terms[u]
+            assert [w for w, _ in got] == [w for w, _ in want]
+            assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(got, want))
+        err = np.abs(reconstruct(dec).matrices - policy.matrices).max()
+        assert err <= n * epsilon + 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+           n=st.integers(2, 8))
+    def test_terms_come_in_blocks_of_cyclic_shifts(self, seed, m, n):
+        policy = pooled_policy(seed, m, n)
+        dec = bvn_decompose(policy)
+        for u, user_terms in enumerate(dec.terms):
+            width = pool_width(policy.matrices[u])
+            assert len(user_terms) % width == 0
+            for start in range(0, len(user_terms), width):
+                weights = {w for w, _ in user_terms[start:start + width]}
+                perms = [p for _, p in user_terms[start:start + width]]
+                assert len(weights) == 1
+                pool = perms[0][n - width:]
+                assert np.array_equal(pool, np.sort(pool))
+                for shift, perm in enumerate(perms):
+                    assert np.array_equal(perm[:n - width], perms[0][:n - width])
+                    assert np.array_equal(perm[n - width:], np.roll(pool, -shift))
+
+    def test_uniform_user_is_one_round_of_shifts(self, monkeypatch):
+        # a uniform user is one pooled class of width n: one matching and n
+        # shifts of the identity, next to a user with no pool
+        calls = []
+
+        def counted(support):
+            calls.append(support.shape[0])
+            return matching(support)
+
+        matching = _kernels.perfect_matching
+        monkeypatch.setattr(_kernels, "perfect_matching", counted)
+        mats = np.stack([np.full((4, 4), 0.25), np.eye(4)[[1, 0, 3, 2]]])
+        dec = bvn_decompose(PolicyTensor(mats))
+        assert calls == [2]
+        assert [w for w, _ in dec.terms[0]] == [0.25] * 4
+        assert [p.tolist() for _, p in dec.terms[0]] == [
+            [0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+        assert [p.tolist() for _, p in dec.terms[1]] == [[1, 0, 3, 2]]
 
 
 class TestRoundTrip:

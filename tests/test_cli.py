@@ -277,14 +277,16 @@ class TestDecomposeAndSample:
         assert capsys.readouterr().err.startswith("error: user 0: ")
 
     def test_matching_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        # a matching that keeps returning the identity leaves the uniform
-        # user's off-diagonal mass unassigned
+        # a matching that keeps returning the identity leaves the users'
+        # off-diagonal mass unassigned (a uniform user, being one pooled
+        # rank class, would finish in one round whatever the matching)
         monkeypatch.setattr(
             _kernels, "perfect_matching",
             lambda support: np.broadcast_to(np.arange(support.shape[1]),
                                             support.shape[:2]).copy())
         pol = tmp_path / "unif.json"
-        nio.save_policy(pol, solve_uniform(3, 2), "uniform", "inverse", 1)
+        skewed = PolicyTensor(np.tile([[0.75, 0.25], [0.25, 0.75]], (3, 1, 1)))
+        nio.save_policy(pol, skewed, "uniform", "inverse", 1)
         out = tmp_path / "dec.json"
         rc = main(["decompose", "--policy", str(pol), "--out", str(out)])
         assert rc == 7
@@ -317,6 +319,37 @@ def test_decompose_golden_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         GOLDEN_DECOMPOSITION_SHA256)
+
+
+# Three users whose last two ranks are one pooled class: each top-2 prefix
+# leaves its other two items half of its weight at each pooled rank.
+GOLDEN_POOLED_PREFIXES = [
+    [(0.5, [0, 1]), (0.5, [0, 1])],
+    [(0.5, [0, 1]), (0.25, [1, 2]), (0.25, [3, 0])],
+    [(0.75, [2, 0]), (0.25, [1, 3])],
+]
+GOLDEN_POOLED_DECOMPOSITION_SHA256 = (
+    "df79e1ef54e30c805415fb502262fa62941a3e6309287f6920d14d9376887bd1")
+
+
+def test_decompose_pooled_golden_bytes(tmp_path, capsys):
+    # pins the bytes of a decomposition whose terms are cyclic shifts of
+    # each peeled term's pooled items; every entry is dyadic, so exact
+    mats = np.zeros((3, 4, 4))
+    for u, terms in enumerate(GOLDEN_POOLED_PREFIXES):
+        for weight, prefix in terms:
+            rest = [i for i in range(4) if i not in prefix]
+            mats[u, prefix, [0, 1]] += weight
+            mats[u, rest, 2:] += weight / 2
+    pol = tmp_path / "policy.json"
+    nio.save_policy(pol, PolicyTensor(mats), "expo-fair", "inverse", 2)
+    out = tmp_path / "dec.json"
+    assert main(["decompose", "--policy", str(pol), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        GOLDEN_POOLED_DECOMPOSITION_SHA256)
+    pooled = [len(user) for user in json.loads(out.read_text())["users"]]
+    assert pooled == [2, 6, 6]
 
 
 # Every relevance and exposure sum of this market is a dyadic rational, so
@@ -438,8 +471,21 @@ class TestSweep:
         {"policies": [{"alpha-nsw": 1.0}]},
         {"grid": []},
         {"grid": {"lambda": 0.5}},
+        {"grid": {"lambda": [None]}},
+        {"grid": {"k": [True]}},
+        {"grid": {"n_items": [2.5]}},
+        {"policies": [{"alpha-nsw": [None]}]},
+        {"seeds": None},
+        {"seeds": float("inf")},
+        {"users": None},
+        {"users": False},
+        {"tol": None},
+        {"tol": "1e-6"},
+        {"max_iters": None},
     ], ids=["policies-string", "alpha-nsw-number", "grid-list",
-            "grid-value-number"])
+            "grid-value-number", "lambda-null", "k-boolean", "n-items-fraction",
+            "alpha-nsw-null", "seeds-null", "seeds-infinite", "users-null",
+            "users-boolean", "tol-null", "tol-string", "max-iters-null"])
     def test_config_of_the_wrong_type(self, tmp_path, capsys, overrides):
         cfg = self._config(tmp_path, **overrides)
         assert main(["sweep", "--config", str(cfg),

@@ -1,0 +1,32 @@
+"""The scale ladder's rung function on a toy market."""
+
+import importlib.util
+import math
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
+                     "ladder.py")
+_spec = importlib.util.spec_from_file_location("ladder", _PATH)
+ladder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ladder)
+
+
+@pytest.mark.parametrize("policy", ladder.POLICIES)
+def test_rung_reports_every_step(policy):
+    row = ladder.run_rung(6, 5, 2, policy)
+    assert set(row) == {"objective", "user_utility", "solve_s", "evaluate_s",
+                        "decompose_s", "sample_s", "terms_per_user",
+                        "terms_max", "peak_rss_mb"}
+    assert all(isinstance(v, (int, float)) and math.isfinite(v)
+               for v in row.values())
+    assert 1.0 <= row["terms_per_user"] <= row["terms_max"] <= 4 ** 2 + 1
+    assert row["peak_rss_mb"] > 0
+
+
+def test_rung_past_memory_is_null_with_reason():
+    doc = ladder.ladder(rungs=[(10_000, 1000, 10)])
+    assert set(doc["machine"]) == {"nproc", "python", "numpy", "scipy"}
+    assert doc["rungs"] == [{"m": 10_000, "n": 1000, "k": 10, "policies": None,
+                             "reason": "dense tensor 80 GB"}]
