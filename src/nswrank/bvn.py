@@ -32,7 +32,7 @@ from .errors import MatchingFailure
 DEFAULT_EPSILON = 1e-9
 
 # Marcus-Ree: a doubly stochastic matrix needs at most (n-1)^2 + 1 terms, so
-# the peel stops after that many rounds.
+# no user's decomposition has more.
 
 
 @dataclass(frozen=True)
@@ -67,45 +67,107 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
     weight / P, from every pooled rank of every pooled item, so the pooled
     columns stay equal.  Each term then becomes P terms of weight w / P: the
     head as matched, and the pooled items in ascending order, rotated by
-    s = 0..P-1 across the pooled ranks.  Reconstruction matches the input
-    entrywise to within ``n * epsilon + 1e-9``.
+    s = 0..P-1 across the pooled ranks.  A pooled user whose peel would pass
+    (n-1)^2 + 1 terms that way is peeled again with P = 1, so no user gets
+    more.  Reconstruction matches the input entrywise to within
+    ``n * epsilon + 1e-9``.
     """
     if not 1e-12 <= epsilon <= 1e-6:
         raise ValueError(f"epsilon must lie in [1e-12, 1e-6], got {epsilon}")
     m, n = policy.m, policy.n
     work = np.empty_like(policy.matrices)
     for u, mat in enumerate(policy.matrices):
-        kept = np.where(mat > epsilon, mat, 0.0)
-        if not (kept.any(axis=0).all() and kept.any(axis=1).all()):
-            raise MatchingFailure(
-                "an entire row or column fell at or below epsilon; "
-                "retry with a smaller epsilon")
-        # one user at a time: the sweep stops on the largest residual of
-        # what it is given, so a batched call would change the entries
-        work[u] = renormalize_doubly_stochastic(kept[None])[0]
+        work[u] = _thresholded(mat, epsilon)
     # the rescaling keeps equal columns equal, since their sums are equal
     same = (work == work[:, :, -1:]).all(axis=1)
     width = np.logical_and.accumulate(same[:, ::-1], axis=1).sum(axis=1)
 
-    # pooled users lead the working arrays, so their pooled columns are one
-    # slice; the stable order keeps the rest as they are
-    users = np.argsort(width == 1, kind="stable")
-    if np.any(users != np.arange(m)):
-        work = work[users]
-    pool = width[users]         # the pool width of each working user
+    rounds, over = _peel(work, width, epsilon)
+    if over.size:
+        # their pooled rounds are dropped and their matrices rebuilt
+        redo = np.zeros(m, dtype=bool)
+        redo[over] = True
+        kept = []
+        for users, weight, perms in rounds:
+            keep = ~redo[users]
+            kept.append((users[keep], weight[keep], perms[keep]))
+        rounds = kept
+        width[over] = 1
+        again = np.stack([_thresholded(policy.matrices[u], epsilon) for u in over])
+        rounds += [(over[users], weight, perms) for users, weight, perms
+                   in _peel(again, width[over], epsilon)[0]]
+
+    # regroup the rounds by user, each user's terms in the order it got them,
+    # and expand each term into the P cyclic shifts of its pooled items
+    ranks = np.arange(n)
+    user_of = np.concatenate([r[0] for r in rounds])
+    order = np.argsort(user_of, kind="stable")
+    copies = width[user_of[order]]
+    source = np.repeat(order, copies)
+    shift = np.arange(source.size) - np.repeat(np.cumsum(copies) - copies, copies)
+    shares = np.repeat(copies, copies)
+    head = (n - shares)[:, None]
+    offset = ranks - head
+    rank_from = np.where(offset < 0, ranks,
+                         head + (offset + shift[:, None]) % shares[:, None])
+    weights = (np.concatenate([r[1] for r in rounds])[source] / shares).tolist()
+    perms = np.concatenate([r[2] for r in rounds])[source[:, None], rank_from]
+    perms = perms.astype(np.int64)
+    ends = np.cumsum(np.bincount(user_of, minlength=m) * width).tolist()
+    terms = []
+    for start, end in zip([0] + ends[:-1], ends):
+        total = sum(weights[start:end])
+        terms.append([(w / total, perm)
+                      for w, perm in zip(weights[start:end], perms[start:end])])
+    return BvnDecomposition(m=m, n=n, epsilon=epsilon, terms=tuple(terms))
+
+
+def _thresholded(mat: np.ndarray, epsilon: float) -> np.ndarray:
+    """One user's matrix with entries at or below epsilon zeroed and the
+    rest rescaled to doubly stochastic."""
+    kept = np.where(mat > epsilon, mat, 0.0)
+    if not (kept.any(axis=0).all() and kept.any(axis=1).all()):
+        raise MatchingFailure(
+            "an entire row or column fell at or below epsilon; "
+            "retry with a smaller epsilon")
+    # one user at a time: the sweep stops on the largest residual of what it
+    # is given, so a batched call would change the entries
+    return renormalize_doubly_stochastic(kept[None])[0]
+
+
+def _peel(work: np.ndarray, pool: np.ndarray, epsilon: float) -> tuple:
+    """Peel the users of ``work`` (m, n, n) in lockstep, in place.
+
+    ``pool[u]`` is user u's pool width P.  Returns the rounds, each as
+    (users, weights, items_by_rank) before the expansion into shifts, and the
+    pooled users that still had mass after (n-1)^2 + 1 terms' worth of
+    rounds, P terms per round; their rounds are incomplete.
+    """
+    m, n = work.shape[:2]
+    users = np.arange(m)
     remaining = np.ones(m)      # their mass not yet assigned to a term
     done = n * epsilon + 1e-15
     max_terms = (n - 1) ** 2 + 1
+    budget = max_terms // pool  # rounds each user may take
+    over = []
     ranks = np.arange(n)
-    rounds = []                 # (users, weights, items_by_rank) per round
+    rounds = []
     # rounds keep their rankings in the narrowest integer type, so that
     # holding them all until the regrouping costs little next to its result
     rank_type = np.min_scalar_type(n - 1)
-    for _ in range(max_terms):
+    for t in range(max_terms + 1):
         live = remaining > done
+        spent = live & (budget <= t)
+        if spent.any():
+            if np.any(pool[spent] == 1):
+                raise MatchingFailure(
+                    f"{max_terms} terms left mass {remaining[spent].max():.3e} "
+                    "unassigned; retry with a smaller epsilon")
+            over.append(users[spent])
+            live &= ~spent
         if not live.all():
             users, work, remaining = users[live], work[live], remaining[live]
-            pool = pool[live]
+            pool, budget = pool[live], budget[live]
             if users.size == 0:
                 break
         rank_of_item = _kernels.perfect_matching(work > epsilon)
@@ -129,43 +191,13 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
         rounds.append((users, weight, items_by_rank))
         matched -= np.where(pooled, (weight / pool)[:, None], weight[:, None])
         work[block, ranks, rank_of_item] = matched
-        wide = np.count_nonzero(pool > 1)
-        if wide:
-            # copy each pooled item's new entry to all of its pooled ranks
-            first = int(head[:wide].min())
-            spread = pooled[:wide, :, None] & (ranks[first:] >= head[:wide, :, None])
-            np.copyto(work[:wide, :, first:], matched[:wide, :, None],
-                      where=spread)
+        if pool.max() > 1:
+            # copy each pooled item's new entry to all of its pooled ranks;
+            # for a user with P = 1 that rewrites the entry just stored
+            np.copyto(work, matched[:, :, None],
+                      where=pooled[:, :, None] & (ranks >= head[:, :, None]))
         remaining -= weight
-    if np.any(remaining > done):
-        raise MatchingFailure(
-            f"{max_terms} terms left mass {remaining.max():.3e} unassigned; "
-            "retry with a smaller epsilon")
-    if not rounds:
-        raise MatchingFailure("decomposition produced no terms")
-
-    # regroup the rounds by user, each user's terms in the order it got them,
-    # and expand each term into the P cyclic shifts of its pooled items
-    user_of = np.concatenate([r[0] for r in rounds])
-    order = np.argsort(user_of, kind="stable")
-    copies = width[user_of[order]]
-    source = np.repeat(order, copies)
-    shift = np.arange(source.size) - np.repeat(np.cumsum(copies) - copies, copies)
-    shares = np.repeat(copies, copies)
-    head = (n - shares)[:, None]
-    offset = ranks - head
-    rank_from = np.where(offset < 0, ranks,
-                         head + (offset + shift[:, None]) % shares[:, None])
-    weights = (np.concatenate([r[1] for r in rounds])[source] / shares).tolist()
-    perms = np.concatenate([r[2] for r in rounds])[source[:, None], rank_from]
-    perms = perms.astype(np.int64)
-    ends = np.cumsum(np.bincount(user_of, minlength=m) * width).tolist()
-    terms = []
-    for start, end in zip([0] + ends[:-1], ends):
-        total = sum(weights[start:end])
-        terms.append([(w / total, perm)
-                      for w, perm in zip(weights[start:end], perms[start:end])])
-    return BvnDecomposition(m=m, n=n, epsilon=epsilon, terms=tuple(terms))
+    return rounds, np.concatenate(over or [np.empty(0, dtype=np.int64)])
 
 
 def sample_ranking(dec: BvnDecomposition, user: int, seed: int) -> np.ndarray:

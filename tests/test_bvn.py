@@ -71,7 +71,8 @@ def pool_width(mat: np.ndarray) -> int:
 def decompose_pooled_user(mat: np.ndarray, epsilon: float) -> list:
     """Reference: peel one user's matrix alone, one matching per term, with
     its trailing equal rank columns as one pooled class of width P; each term
-    becomes P terms, its pooled items ascending and rotated across the pool."""
+    becomes P terms, its pooled items ascending and rotated across the pool.
+    A peel that would pass (n-1)^2 + 1 terms that way is the plain peel."""
     n = mat.shape[0]
     work = mat.copy()
     work[work <= epsilon] = 0.0
@@ -84,7 +85,7 @@ def decompose_pooled_user(mat: np.ndarray, epsilon: float) -> list:
     terms = []
     remaining = 1.0
     max_terms = (n - 1) ** 2 + 1
-    for _ in range(max_terms):
+    for _ in range(max_terms // width):
         if remaining <= n * epsilon + 1e-15:
             break
         rank_of_item = maximum_bipartite_matching(
@@ -104,7 +105,9 @@ def decompose_pooled_user(mat: np.ndarray, epsilon: float) -> list:
         work[pooled_items, head:] = (matched[pooled] - weight / width)[:, None]
         remaining -= weight
     if remaining > n * epsilon + 1e-15:
-        raise MatchingFailure(f"{max_terms} terms left mass unassigned")
+        if width == 1:
+            raise MatchingFailure(f"{max_terms} terms left mass unassigned")
+        return decompose_user(mat, epsilon)
     total = sum(w for w, _ in terms)
     return [(w / total, perm) for w, perm in terms]
 
@@ -217,6 +220,7 @@ class TestLockstepMatchesPerUserPeel:
         for u in range(m):
             want = decompose_user(policy.matrices[u], epsilon)
             got = dec.terms[u]
+            assert len(got) <= (n - 1) ** 2 + 1
             assert [w for w, _ in got] == [w for w, _ in want]
             assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(got, want))
 
@@ -276,6 +280,7 @@ class TestPooledPeel:
         for u in range(m):
             want = decompose_pooled_user(policy.matrices[u], epsilon)
             got = dec.terms[u]
+            assert len(got) <= (n - 1) ** 2 + 1
             assert [w for w, _ in got] == [w for w, _ in want]
             assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(got, want))
         err = np.abs(reconstruct(dec).matrices - policy.matrices).max()
@@ -289,6 +294,9 @@ class TestPooledPeel:
         dec = bvn_decompose(policy)
         for u, user_terms in enumerate(dec.terms):
             width = pool_width(policy.matrices[u])
+            plain = decompose_user(policy.matrices[u], DEFAULT_EPSILON)
+            if [p.tolist() for _, p in user_terms] == [p.tolist() for _, p in plain]:
+                continue    # P shifts per term would pass the Marcus-Ree bound
             assert len(user_terms) % width == 0
             for start in range(0, len(user_terms), width):
                 weights = {w for w, _ in user_terms[start:start + width]}
@@ -299,6 +307,25 @@ class TestPooledPeel:
                 for shift, perm in enumerate(perms):
                     assert np.array_equal(perm[:n - width], perms[0][:n - width])
                     assert np.array_equal(perm[n - width:], np.roll(pool, -shift))
+
+    def test_pool_past_the_term_bound_is_peeled_plainly(self):
+        # expo-fair at cutoff 1 pools ranks 1 and 2 (P = 2); each round can
+        # use one of the three head entries, so three rounds would be six
+        # terms against the bound of five.  That user is peeled with P = 1,
+        # and the uniform and unpooled users next to it are not
+        rel = RelevanceMatrix(np.array([[0.5, 0.3, 0.2]]))
+        policy = solve_expo_fair(rel, ExposureModel.make("inverse", 3, 1))[0]
+        mats = np.concatenate(
+            [np.full((1, 3, 3), 1 / 3), policy.matrices, np.eye(3)[None, [2, 0, 1]]])
+        dec = bvn_decompose(PolicyTensor(mats))
+        assert len(dec.terms[1]) <= (3 - 1) ** 2 + 1
+        for u, want in enumerate([decompose_pooled_user(mats[0], DEFAULT_EPSILON),
+                                  decompose_user(mats[1], DEFAULT_EPSILON),
+                                  decompose_user(mats[2], DEFAULT_EPSILON)]):
+            assert [w for w, _ in dec.terms[u]] == [w for w, _ in want]
+            assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(dec.terms[u], want))
+        assert len(dec.terms[0]) == 3
+        assert np.abs(reconstruct(dec).matrices - mats).max() <= 3e-9 + 1e-9
 
     def test_uniform_user_is_one_round_of_shifts(self, monkeypatch):
         # a uniform user is one pooled class of width n: one matching and n
