@@ -1,5 +1,6 @@
-"""Hot numeric kernels: the pairwise Frank-Wolfe welfare solver and the
-perfect matching used by the Birkhoff-von-Neumann decomposition.
+"""Hot numeric kernels: the sort oracle, the pairwise Frank-Wolfe welfare
+solver and the perfect matching used by the Birkhoff-von-Neumann
+decomposition.
 
 The welfare solver performs per-user pairwise Frank-Wolfe steps
 (Lacoste-Julien & Jaggi, NeurIPS 2015) in Gauss-Seidel passes: weight moves
@@ -208,9 +209,20 @@ def _exposures(theta0, thetas, prefixes, eK, u0, n):
                        minlength=m * n).reshape(m, n) + (theta0 * u0)[:, None]
 
 
+def sort_oracle(coef, K):
+    """Each row's best top-K prefix against nonincreasing exposure weights.
+
+    Returns (prefixes, values): the (m, K) item indices of each row's K
+    largest coefficients in rank order, ties broken by item index, and those
+    coefficients.  Callers reduce the values against their weights.
+    """
+    prefixes = np.argsort(-coef, axis=1, kind="stable")[:, :K]
+    return prefixes, np.take_along_axis(coef, prefixes, axis=1)
+
+
 def _global_gap(Va, wa, eK, E, imp):
     c = Va * (wa / imp)
-    top = -np.sort(-c, axis=1)[:, :eK.size]
+    _, top = sort_oracle(c, eK.size)
     return float(np.sum(top @ eK)) - float(np.sum(c * E))
 
 

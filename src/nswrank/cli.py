@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable/unwritable or
 malformed files, 4 solver finished without reaching its gap target (policy is
 still written), 5 infeasible or degenerate program, 6 dimension mismatch,
-7 decomposition matching failure, 8 the LP solver stopped without an optimum
-for another reason.
+7 decomposition matching failure, 8 the exposure-fair solve found no optimum
+for another reason (HiGHS stopped on its master LP, or artificial mass was
+left on an exposure target).
 """
 
 from __future__ import annotations
@@ -280,6 +281,8 @@ def _sweep_unit(task: tuple) -> list:
 
 
 def cmd_sweep(args) -> int:
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be at least 1, got {args.parallel}")
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = _parse_sweep_config(json.load(fh))
     grid = cfg["grid"]
@@ -293,8 +296,11 @@ def cmd_sweep(args) -> int:
                                       cfg["users"], cfg["exposure"],
                                       tuple(cfg["policies"]), cfg["tol"],
                                       cfg["max_iters"]))
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.parallel) as pool:
+    # the pool starts all its workers at once, so it gets no more than there
+    # are tasks
+    workers = min(args.parallel, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             per_task = list(pool.map(_sweep_unit, tasks))
     else:
         per_task = [_sweep_unit(t) for t in tasks]

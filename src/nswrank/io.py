@@ -139,13 +139,22 @@ def load_policy(path) -> dict:
     matrices = _field(doc, "matrices")
     try:
         mats = np.asarray(matrices, dtype=np.float64)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise ParseError("matrices must be arrays of numbers") from None
-    # the parsed lists take several times the memory of the array
-    del doc["matrices"], matrices
     if mats.shape != (m, n * n):
         raise DimensionError(
             f"expected {m} row-major arrays of {n * n} numbers, got {mats.shape}")
+    # numpy also reads JSON strings and booleans as numbers; the shape check
+    # leaves m lists of scalars, whose types one pass collects
+    kinds = set()
+    for row in matrices:
+        kinds.update(map(type, row))
+    if not kinds <= {int, float}:
+        raise ParseError("matrices must be arrays of numbers, found "
+                         + ", ".join(sorted(t.__name__ for t in kinds
+                                            - {int, float})))
+    # the parsed lists take several times the memory of the array
+    del doc["matrices"], matrices
     doc["policy"] = PolicyTensor(mats.reshape(m, n, n))
     return doc
 

@@ -1,9 +1,12 @@
-"""Policy solvers: utility-max, uniform, exposure-fair LP, NSW/alpha-NSW.
+"""Policy solvers: utility-max, uniform, exposure-fair, NSW/alpha-NSW.
 
 All solvers optimize over per-user doubly stochastic matrices and return a
-validated :class:`~nswrank.core.PolicyTensor`.  A grid-enumeration oracle for
-tiny instances is included so every solver can be checked against an
-independent computation of the same objective.
+validated :class:`~nswrank.core.PolicyTensor`.  The exposure-fair LP is
+solved by column generation over top-K prefixes, and NSW by pairwise
+Frank-Wolfe; both report a duality gap recomputed from the returned policy
+with the same sort oracle (:func:`nswrank._kernels.sort_oracle`).  A
+grid-enumeration oracle for tiny instances is included so every solver can
+be checked against an independent computation of the same objective.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,10 +60,18 @@ class NswConfig:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """What a solve reports about the policy it returns.
+
+    iterations counts Frank-Wolfe passes for NSW and pricing rounds for the
+    exposure-fair solve, whose exposure_prices are the item prices λ of its
+    duality-gap certificate (see ``expo_fair_bound``).
+    """
+
     objective_value: float
     duality_gap: float | None = None
     iterations: int = 0
     constraint_residual: float | None = None
+    exposure_prices: np.ndarray | None = None
 
 
 def _check_market(rel: RelevanceMatrix, exp: ExposureModel) -> None:
@@ -120,85 +132,213 @@ def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use.
 
     Loading scipy.optimize takes longer than every other import of the CLI
-    together, so only the exposure-fair solve pays for it.
+    together, so only the exposure-fair solve pays for it.  The solve calls
+    it only when scipy's HiGHS binding cannot be imported (see ``_Master``).
     """
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
 
 
-def _expo_fair_constraints(m: int, n: int, nc: int, e_top: np.ndarray,
-                           targets: np.ndarray):
-    """Equality constraints (CSR matrix, right-hand side) of the
-    exposure-fair LP over variables x[u, i, k] at flat index (u*n + i)*nc + k,
-    where the K = len(e_top) explicit ranks come first and, when K < n, the
-    last rank class pools the n - K unexposed ranks."""
-    import scipy.sparse as sp
+# The master works on relevance divided by its maximum and exposure divided
+# by e[0], so these constants do not depend on the market's scale.  The
+# artificial columns' penalty is far above the exposure prices (at most 0.35
+# at desk scale) and small enough that HiGHS stays accurate next to it (with
+# a penalty of 1e6 HiGHS fails on the desk market).
+_ARTIFICIAL_COST = 1e3
+_ARTIFICIAL_TOL = 1e-9
+# A column enters when its reduced cost exceeds this share of the largest
+# convexity dual.
+_PRICING_TOL = 1e-12
+_MASTER_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
+                      "dual_feasibility_tolerance": 1e-10}
 
-    K = e_top.size
-    rank_class_sizes = np.where(np.arange(nc) < K, 1.0, float(n - K))
-    e_pad = np.zeros((1, nc))  # no exposure in the pool column
-    e_pad[0, :K] = e_top
-    a_eq = sp.vstack([
-        # each item takes exactly one rank class per user
-        sp.kron(sp.identity(m * n), np.ones((1, nc))),
-        # each explicit rank holds one item, and the pool holds n - K
-        sp.kron(sp.kron(sp.identity(m), np.ones((1, n))), sp.identity(nc)),
-        # amortized exposure meets every item's target
-        sp.kron(sp.kron(np.ones((1, m)), sp.identity(n)), e_pad),
-    ], format="csr")
-    a_eq.eliminate_zeros()  # kron stores the pool column's zero weights
-    rhs = np.concatenate([np.ones(m * n), np.tile(rank_class_sizes, m), targets])
-    return a_eq, rhs
+
+class _Master:
+    """Restricted master LP: minimize cost @ x subject to A x = rhs and
+    x >= 0, where A only ever gains columns.
+
+    It lives in one HiGHS instance of scipy's bundled binding, so each solve
+    restarts from the previous basis.  That binding is private to scipy; when
+    it cannot be imported, each solve is a cold ``linprog`` call over every
+    column so far, which reaches the same optimum more slowly.
+    """
+
+    def __init__(self, rhs: np.ndarray):
+        self.rhs = rhs
+        self.columns = []   # the CSC pieces, kept for the cold solves only
+        try:
+            from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+        except ImportError:
+            self.highs = None
+            return
+        self.optimal = HighsModelStatus.kOptimal
+        self.highs = _Highs()
+        self.highs.setOptionValue("output_flag", False)
+        for key, value in _MASTER_TOLERANCES.items():
+            self.highs.setOptionValue(key, value)
+        # new columns leave the last basis primal feasible, so primal
+        # simplex goes on from it (0.15 s against 0.27 s for the default
+        # dual simplex at desk scale)
+        self.highs.setOptionValue("simplex_strategy", 4)
+        empty = np.zeros(0, dtype=np.int32)
+        self.highs.addRows(rhs.size, rhs, rhs, 0, empty, empty, np.zeros(0))
+
+    def add(self, cost, counts, index, value) -> None:
+        """Append columns given in CSC pieces: column j has counts[j] entries."""
+        if self.highs is None:
+            self.columns.append((cost, counts, index, value))
+            return
+        k = cost.size
+        starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+        self.highs.addCols(k, cost, np.zeros(k), np.full(k, np.inf),
+                           index.size, starts.astype(np.int32),
+                           index.astype(np.int32), value)
+
+    def solve(self):
+        """One solve: ``success`` and ``message``, and on success the
+        primal ``x`` and the row ``duals`` (d objective / d rhs)."""
+        if self.highs is not None:
+            self.highs.run()
+            status = self.highs.getModelStatus()
+            if status != self.optimal:
+                return SimpleNamespace(
+                    success=False,
+                    message=self.highs.modelStatusToString(status))
+            sol = self.highs.getSolution()
+            return SimpleNamespace(success=True, message="",
+                                   x=np.asarray(sol.col_value),
+                                   duals=np.asarray(sol.row_dual))
+        import scipy.sparse as sp
+
+        cost, counts, index, value = map(np.concatenate, zip(*self.columns))
+        a_eq = sp.csc_matrix(
+            (value, index, np.concatenate([[0], np.cumsum(counts)])),
+            shape=(self.rhs.size, counts.size))
+        res = linprog(cost, A_eq=a_eq, b_eq=self.rhs,
+                      bounds=(0.0, None), method="highs-ds",
+                      options=_MASTER_TOLERANCES)
+        if not res.success:
+            return SimpleNamespace(success=False, message=res.message)
+        return SimpleNamespace(success=True, message=res.message, x=res.x,
+                               duals=res.eqlin.marginals)
 
 
 def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
                     ) -> tuple[PolicyTensor, SolveDiagnostics]:
     """Utility-maximizing policy subject to exposure proportional to merit.
 
-    Positions beyond the cutoff carry zero exposure, so they are pooled into a
-    single LP column class and spread back uniformly afterwards; the returned
-    tensor is always full n x n.  Raises InfeasibleError when the targets
-    cannot be met and SolverError when HiGHS stops for any other reason.
+    Column generation (Dantzig-Wolfe) over the LP of Singh & Joachims: the
+    master mixes, per user, top-K prefixes under m convexity rows and the
+    items' exposure-target rows; pricing sorts each user's relevance minus
+    the target rows' duals against e.  Ranks beyond the cutoff carry no
+    exposure, so each item's leftover mass is spread uniformly over them and
+    the returned tensor is always full n x n.  The diagnostics carry the
+    exposure prices and the Lagrangian duality gap of the returned policy.
+    Raises InfeasibleError when the targets cannot be met, and SolverError
+    when HiGHS stops for any other reason or artificial mass is left on a
+    target.
     """
     _check_market(rel, exp)
     m, n = rel.m, rel.n
     e = exp.weights
     targets = exposure_targets(rel, exp)
     _check_targets_feasible(targets, m, e)
-
     K = int(np.count_nonzero(e > 0.0))
-    pooled = K < n
-    nc = K + 1 if pooled else n  # rank classes per user
 
-    cost = np.zeros((m, n, nc))
-    cost[:, :, :K] = -rel.values[:, :, None] * e[:K]
+    scale = float(rel.values.max())   # positive: every merit is
+    r = rel.values / scale
+    e_top = e[0] if K else 1.0        # K = 0: nothing exposed, all targets 0
+    eK = e[:K] / e_top
+    # Every prefix carries the same total exposure, so the convexity rows
+    # imply the sum of the target rows; the last target row is left out and
+    # its item's price is 0.
+    nt = n - 1
+    master = _Master(np.concatenate([np.ones(m), targets[:nt] / e_top]))
+    # a +1 and a -1 artificial column per target row make the master
+    # feasible from the first round
+    master.add(np.full(2 * nt, _ARTIFICIAL_COST), np.ones(2 * nt, np.int64),
+               np.repeat(m + np.arange(nt), 2), np.tile([1.0, -1.0], nt))
 
-    a_eq, rhs = _expo_fair_constraints(m, n, nc, e[:K], targets)
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=rhs, bounds=(0.0, 1.0),
-                  method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if res.status == 2:
-        raise InfeasibleError("exposure-fair program reported infeasible")
-    if not res.success:
-        raise SolverError(f"LP solver failed: {res.message}")
+    col_users, col_prefixes, seen = [], [], set()
 
-    x = res.x.reshape(m, n, nc)
-    mats = np.zeros((m, n, n))
-    mats[:, :, :K] = x[:, :, :K]
-    if pooled:
-        mats[:, :, K:] = x[:, :, K][:, :, None] / (n - K)
+    def add_columns(users, prefixes):
+        index = np.concatenate([users[:, None], m + prefixes], axis=1)
+        value = np.broadcast_to(np.concatenate([[1.0], eK]), index.shape)
+        kept = index < m + nt
+        cost = -(np.take_along_axis(r[users], prefixes, axis=1) @ eK)
+        master.add(cost, kept.sum(axis=1), index[kept], value[kept])
+        col_users.append(users)
+        col_prefixes.append(prefixes)
+        seen.update(zip(users.tolist(), map(bytes, prefixes)))
+
+    prefixes, _ = _kernels.sort_oracle(r, K)
+    add_columns(np.arange(m), prefixes)
+    rounds = 0
+    while True:
+        res = master.solve()
+        rounds += 1
+        if not res.success:
+            raise SolverError(f"LP solver failed: {res.message}")
+        mu = -res.duals[:m]
+        prices = np.append(-res.duals[m:], 0.0)
+        prefixes, top = _kernels.sort_oracle(r - prices, K)
+        reduced = top @ eK - mu
+        tol = _PRICING_TOL * float(np.abs(mu).max())
+        # a column already in the master can price above tol within HiGHS's
+        # own dual tolerance; adding it again would repeat the round forever
+        users = [u for u in np.flatnonzero(reduced > tol).tolist()
+                 if (u, bytes(prefixes[u])) not in seen]
+        if not users:
+            break
+        users = np.asarray(users)
+        add_columns(users, prefixes[users])
+
+    artificial = float(res.x[:2 * nt].max())
+    if artificial > _ARTIFICIAL_TOL:
+        raise SolverError(
+            f"column generation ended with artificial mass {artificial:.3g} "
+            "on an exposure target")
+
+    theta = res.x[2 * nt:]
+    used = theta > 0.0
+    users = np.concatenate(col_users)[used]
+    prefixes = np.concatenate(col_prefixes)[used]
+    flat = (users[:, None] * n + prefixes) * K + np.arange(K)
+    head = np.bincount(flat.ravel(), weights=np.repeat(theta[used], K),
+                       minlength=m * n * K).reshape(m, n, K)
+    mats = np.empty((m, n, n))
+    mats[:, :, :K] = head
+    if K < n:
+        mats[:, :, K:] = ((1.0 - head.sum(axis=2)) / (n - K))[:, :, None]
     policy = PolicyTensor(mats)
 
+    prices *= scale
     prof = exposure_profile(policy, exp)
+    objective = float(np.sum(rel.values * prof))
     ratios = prof.sum(axis=0) / merit(rel)
     diag = SolveDiagnostics(
-        objective_value=float(np.sum(rel.values * prof)),
-        iterations=int(getattr(res, "nit", 0)),
+        objective_value=objective,
+        duality_gap=expo_fair_bound(rel, exp, prices) - objective,
+        iterations=rounds,
         constraint_residual=float(ratios.max() - ratios.min()),
+        exposure_prices=prices,
     )
     return policy, diag
+
+
+def expo_fair_bound(rel: RelevanceMatrix, exp: ExposureModel,
+                    prices: np.ndarray) -> float:
+    """Lagrangian upper bound on the exposure-fair utility at item exposure
+    prices λ: ``sum_u max_prefix sum_k e_k (r_u - λ)_{prefix_k} + λ·t``.
+
+    Every λ gives a bound; the solver's prices give the optimum up to its
+    tolerances.
+    """
+    e = exp.weights
+    K = int(np.count_nonzero(e > 0.0))
+    _, top = _kernels.sort_oracle(rel.values - prices, K)
+    return float(np.sum(top @ e[:K]) + prices @ exposure_targets(rel, exp))
 
 
 def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
@@ -240,7 +380,7 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     coef = np.zeros_like(V)
     coef[:, active] = V[:, active] * (w[active] / imp[active])
     K = int(np.count_nonzero(exp.weights > 0.0))
-    top = -np.sort(-coef, axis=1)[:, :K]
+    _, top = _kernels.sort_oracle(coef, K)
     oracle_value = float(np.sum(top * exp.weights[:K]))
     gap = oracle_value - float(np.sum(w[active]))
     diag = SolveDiagnostics(objective_value=objective, duality_gap=gap,

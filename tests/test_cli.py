@@ -121,9 +121,9 @@ class TestSolve:
                      "--link", "identity", "--out", str(tmp_path / "o.json")]) == 2
 
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        failed = SimpleNamespace(status=4, success=False, x=None, nit=0,
+        failed = SimpleNamespace(success=False,
                                  message="Numerical difficulties encountered.")
-        monkeypatch.setattr(solvers, "linprog", lambda *a, **k: failed)
+        monkeypatch.setattr(solvers._Master, "solve", lambda self: failed)
         toy = write_toy(tmp_path)
         out = tmp_path / "fair.json"
         rc = main(["solve", "--policy", "expo-fair", "--relevance", str(toy),
@@ -188,6 +188,16 @@ class TestEvaluate:
         rc = main(["evaluate", "--policy", str(pol), "--relevance", str(other),
                    "--cutoff", "1", "--out-json", str(tmp_path / "m.json")])
         assert rc == 6
+
+    def test_policy_entry_of_the_wrong_type_exit_code(self, tmp_path):
+        toy, pol = self._solve(tmp_path, "max")
+        doc = json.loads(pol.read_text())
+        doc["matrices"][0] = ["1.0", False, 0, True]
+        pol.write_text(json.dumps(doc))
+        out = tmp_path / "m.json"
+        assert main(["evaluate", "--policy", str(pol), "--relevance", str(toy),
+                     "--cutoff", "1", "--out-json", str(out)]) == 3
+        assert not out.exists()
 
     def test_exposure_only_impact(self, tmp_path):
         toy, pol = self._solve(tmp_path, "max")
@@ -423,6 +433,50 @@ class TestSweep:
                      "--parallel", "2"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_pool_is_capped_at_the_task_count(self, tmp_path, monkeypatch):
+        # records the pool size and runs the units in process, so no test
+        # starts a worker
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        cfg = self._config(tmp_path)
+        serial = tmp_path / "serial.csv"
+        capped = tmp_path / "capped.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
+        assert sizes == []
+        assert main(["sweep", "--config", str(cfg), "--out", str(capped),
+                     "--parallel", "1000"]) == 0
+        assert sizes == [2 * 2]  # grid points x seeds
+        assert capped.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_below_one_is_rejected(self, tmp_path, monkeypatch,
+                                            capsys, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool may start")
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(self._config(tmp_path)),
+                     "--out", str(out), "--parallel", workers]) == 2
+        assert "--parallel must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exponential_exposure_config(self, tmp_path):
         cfg = self._config(tmp_path, exposure="exponential",
                            policies=["nsw"], seeds=1)
@@ -449,9 +503,9 @@ class TestSweep:
             cli._sweep_unit(task)
 
     def test_lp_failure_gives_error_rows(self, tmp_path, monkeypatch):
-        failed = SimpleNamespace(status=4, success=False, x=None, nit=0,
+        failed = SimpleNamespace(success=False,
                                  message="Numerical difficulties encountered.")
-        monkeypatch.setattr(solvers, "linprog", lambda *a, **k: failed)
+        monkeypatch.setattr(solvers._Master, "solve", lambda self: failed)
         cfg = self._config(tmp_path, policies=["expo-fair", "max"])
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0

@@ -189,6 +189,33 @@ class TestPolicyJson:
         with pytest.raises(ParseError):
             nio.load_policy(path)
 
+    @pytest.mark.parametrize("row", [
+        ["1.0", False, 0, True],
+        [True, False, False, True],
+        [1.0, False, 0, 1],
+        [1.0, None, 0.0, 1.0],
+        [10**400, 0.0, 0.0, 1.0],
+    ], ids=["string-and-booleans", "booleans", "boolean-among-numbers",
+            "null", "huge-integer"])
+    def test_rejects_entries_that_are_not_numbers(self, tmp_path, row):
+        # numpy reads each of these rows as a 2 x 2 matrix of floats
+        path = tmp_path / "policy.json"
+        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
+        doc = json.loads(path.read_text())
+        doc["matrices"] = [row]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            nio.load_policy(path)
+
+    def test_integer_entries_are_numbers(self, tmp_path):
+        path = tmp_path / "policy.json"
+        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
+        doc = json.loads(path.read_text())
+        doc["matrices"] = [[1, 0, 0.0, 1.0]]
+        path.write_text(json.dumps(doc))
+        assert np.array_equal(nio.load_policy(path)["policy"].matrices[0],
+                              np.eye(2))
+
 
 class TestMetricsJson:
     def test_round_trip_with_excluded_items(self, tmp_path):

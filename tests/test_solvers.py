@@ -7,8 +7,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nswrank import solvers
+from nswrank.solvers import expo_fair_bound
 from nswrank import (
     DegenerateMarketError,
     ExposureModel,
@@ -18,9 +21,12 @@ from nswrank import (
     RelevanceMatrix,
     SizeError,
     SolverError,
+    SyntheticConfig,
     ZeroMeritError,
     amortized_exposure,
     brute_force_oracle,
+    exposure_targets,
+    generate_market,
     item_impact,
     merit,
     solve_expo_fair,
@@ -124,8 +130,14 @@ class TestSolveExpoFair:
         # exceeds what a single doubly stochastic row can collect
         rel = RelevanceMatrix([[0.98, 0.01, 0.01]])
         exp = ExposureModel.make("inverse", 3, 2)
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(InfeasibleError, match="exceeds the maximum"):
             solve_expo_fair(rel, exp)
+
+    def test_no_exposed_rank_gives_the_uniform_policy(self):
+        rel = RelevanceMatrix([[0.5, 0.2, 0.1], [0.3, 0.4, 0.6]])
+        policy, diag = solve_expo_fair(rel, ExposureModel.custom([0.0] * 3))
+        assert np.all(policy.matrices == 1.0 / 3)
+        assert diag.objective_value == diag.duality_gap == 0.0
 
     def test_zero_merit(self):
         rel = RelevanceMatrix([[0.5, 0.0], [0.5, 0.0]])
@@ -134,8 +146,9 @@ class TestSolveExpoFair:
             solve_expo_fair(rel, exp)
 
     def test_calls_the_module_level_linprog(self, toy_market, monkeypatch):
-        # solvers.linprog is the seam that loads scipy.optimize on first use;
-        # the solve must look it up there on every call
+        # without scipy's private HiGHS binding every master solve is a cold
+        # solvers.linprog call, looked up there on every round
+        force_cold_master(monkeypatch)
         calls = []
         lp = solvers.linprog
 
@@ -145,16 +158,61 @@ class TestSolveExpoFair:
 
         monkeypatch.setattr(solvers, "linprog", counting)
         rel, exp = toy_market
-        solve_expo_fair(rel, exp)
-        assert len(calls) == 1
+        _, diag = solve_expo_fair(rel, exp)
+        assert len(calls) == diag.iterations >= 1
 
     def test_solver_failure_is_typed(self, toy_market, monkeypatch):
-        failed = SimpleNamespace(status=1, success=False, x=None, nit=7,
-                                 message="Iteration limit reached.")
-        monkeypatch.setattr(solvers, "linprog", lambda *a, **k: failed)
+        failed = SimpleNamespace(success=False, message="Iteration limit reached.")
+        monkeypatch.setattr(solvers._Master, "solve", lambda self: failed)
         rel, exp = toy_market
         with pytest.raises(SolverError, match="Iteration limit"):
             solve_expo_fair(rel, exp)
+
+    def test_artificial_mass_left_is_an_error(self, monkeypatch):
+        # free artificial columns let the master ignore the exposure targets;
+        # the solve must refuse to return that policy
+        monkeypatch.setattr(solvers, "_ARTIFICIAL_COST", 0.0)
+        rel, exp = MARKETS["crit6-0"]()
+        with pytest.raises(SolverError, match="artificial"):
+            solve_expo_fair(rel, exp)
+
+    def test_a_column_already_in_the_master_ends_pricing(self, monkeypatch):
+        # here HiGHS stops with an existing column pricing just above the
+        # pricing tolerance, within its own dual tolerance; adding that
+        # column again would give the same duals round after round
+        rel = RelevanceMatrix([[0.2859354478403595, 0.04493178781326068,
+                                0.20266157509814406, 0.1202438833936993,
+                                0.9246001744331733, 0.000125315670180647,
+                                0.9903779428226731, 0.0074508591669880525]])
+        exp = ExposureModel.make("exponential", 8, 6)
+        rounds = []
+        solve = solvers._Master.solve
+
+        def bounded(master):
+            rounds.append(1)
+            assert len(rounds) <= 100, "pricing does not terminate"
+            return solve(master)
+
+        monkeypatch.setattr(solvers._Master, "solve", bounded)
+        policy, diag = solve_expo_fair(rel, exp)
+        assert diag.duality_gap <= 1e-9 * user_utility(policy, rel, exp)
+
+    def test_warm_and_cold_masters_agree(self, monkeypatch):
+        rel, exp = MARKETS["desk"]()
+        warm, _ = solve_expo_fair(rel, exp)
+        force_cold_master(monkeypatch)
+        cold, cold_diag = solve_expo_fair(rel, exp)
+        warm_util = user_utility(warm, rel, exp)
+        assert user_utility(cold, rel, exp) == pytest.approx(warm_util, rel=1e-9)
+        assert cold_diag.constraint_residual <= 1e-9
+        assert cold_diag.duality_gap <= 1e-9 * warm_util
+
+
+def force_cold_master(monkeypatch):
+    """Make the import of scipy's private HiGHS binding fail."""
+    import scipy.optimize  # noqa: F401  (the public solver stays importable)
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
 
 
 def loop_constraints(m, n, nc, e_top, targets):
@@ -194,20 +252,113 @@ def loop_constraints(m, n, nc, e_top, targets):
     return a_eq, rhs
 
 
-@pytest.mark.parametrize("m, n, K", [(1, 2, 1), (3, 4, 4), (5, 7, 3),
-                                     (100, 50, 5)])
-def test_lp_constraints_match_the_loop_construction(m, n, K):
-    rng = np.random.default_rng(m * n + K)
-    e_top = np.sort(rng.random(K))[::-1]
-    targets = rng.random(n)
+def dense_lp_utility(rel, exp):
+    """Reference: the exposure-fair LP over every x[u, i, rank class], with
+    ranks K..n-1 pooled into one class, solved by HiGHS in one go."""
+    from scipy.optimize import linprog
+
+    m, n = rel.m, rel.n
+    e = exp.weights
+    K = int(np.count_nonzero(e > 0.0))
     nc = K + 1 if K < n else n
-    want, want_rhs = loop_constraints(m, n, nc, e_top, targets)
-    got, got_rhs = solvers._expo_fair_constraints(m, n, nc, e_top, targets)
-    assert got.shape == want.shape
-    for name in ("data", "indices", "indptr"):
-        assert getattr(got, name).dtype == getattr(want, name).dtype
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert np.array_equal(got_rhs, want_rhs)
+    cost = np.zeros((m, n, nc))
+    cost[:, :, :K] = -rel.values[:, :, None] * e[:K]
+    a_eq, rhs = loop_constraints(m, n, nc, e[:K], exposure_targets(rel, exp))
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=rhs, bounds=(0.0, 1.0),
+                  method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return -res.fun
+
+
+def _toy():
+    return (RelevanceMatrix([[0.8, 0.3], [0.5, 0.4]]),
+            ExposureModel.make("inverse", 2, 1))
+
+
+def _desk():
+    _, pred = generate_market(SyntheticConfig(m=100, n=50, lam=0.5,
+                                              noise_c=0.05, seed=0))
+    return pred, ExposureModel.make("inverse", 50, 5)
+
+
+def _criterion_6_markets():
+    # the draws of test_criterion_6_appendix_equivalences
+    rng = np.random.default_rng(66)
+    return [(RelevanceMatrix(rng.uniform(0.1, 1.0, (12, 6))),
+             ExposureModel.make("inverse", 6, 2)) for _ in range(4)]
+
+
+def _criterion_7_markets():
+    # the draws of test_criterion_7_bvn_suite
+    rng = np.random.default_rng(777)
+    markets = []
+    for _ in range(20):
+        m = int(rng.integers(1, 21))
+        n = int(rng.integers(2, 21))
+        rel = RelevanceMatrix(rng.uniform(0.05, 1.0, (m, n)))
+        markets.append((rel, ExposureModel.make("inverse", n, min(5, n))))
+    return markets
+
+
+MARKETS = {"toy": _toy, "desk": _desk}
+MARKETS.update({f"crit6-{j}": (lambda j=j: _criterion_6_markets()[j])
+                for j in range(4)})
+MARKETS.update({f"crit7-{j}": (lambda j=j: _criterion_7_markets()[j])
+                for j in range(20)})
+
+
+@pytest.mark.parametrize("name", list(MARKETS))
+def test_utility_matches_the_dense_lp(name):
+    rel, exp = MARKETS[name]()
+    policy, diag = solve_expo_fair(rel, exp)
+    want = dense_lp_utility(rel, exp)
+    assert user_utility(policy, rel, exp) == pytest.approx(want, rel=1e-9)
+    assert diag.objective_value == pytest.approx(want, rel=1e-9)
+    assert diag.constraint_residual <= 1e-9
+
+
+@st.composite
+def _feasible_markets(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 6))
+    K = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["inverse", "exponential", "dcg"]))
+    values = draw(st.lists(st.floats(0.05, 1.0), min_size=m * n,
+                           max_size=m * n))
+    rel = RelevanceMatrix(np.reshape(values, (m, n)))
+    exp = ExposureModel.make(kind, n, K)
+    try:
+        solvers._check_targets_feasible(exposure_targets(rel, exp), m,
+                                        exp.weights)
+    except InfeasibleError:
+        assume(False)
+    return rel, exp
+
+
+@settings(max_examples=150, deadline=None)
+@given(market=_feasible_markets())
+def test_expo_fair_duality_gap_certifies_the_policy(market):
+    rel, exp = market
+    policy, diag = solve_expo_fair(rel, exp)
+    utility = user_utility(policy, rel, exp)
+    # the certificate is the bound at the stored prices minus the utility
+    # of the policy actually returned
+    assert diag.duality_gap == (
+        expo_fair_bound(rel, exp, diag.exposure_prices) - diag.objective_value)
+    assert diag.objective_value == pytest.approx(utility, rel=1e-12)
+    assert -1e-12 <= diag.duality_gap <= 1e-9 * abs(utility)
+
+
+def test_perturbed_prices_give_a_larger_bound():
+    rel, exp = MARKETS["desk"]()
+    _, diag = solve_expo_fair(rel, exp)
+    best = expo_fair_bound(rel, exp, diag.exposure_prices)
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        step = 0.05 * rng.standard_normal(rel.n)
+        assert expo_fair_bound(rel, exp, diag.exposure_prices + step) > best
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
