@@ -11,7 +11,8 @@ seed=0)``, solves on the predicted relevance with inverse exposure, audits the
 policy against the ground truth (``fairness_report``), decomposes it
 (``bvn_decompose``) and draws one ranking for every user
 (``sample_ranking``).  It reports the seconds of each step, the BvN terms per
-user and the peak RSS of its own process.  A rung whose dense policy tensor
+user, the size of the policy JSON that ``nswrank solve`` would write and the
+peak RSS of its own process.  A rung whose dense policy tensor
 would not fit in memory is written as ``null`` with the reason.  The file
 also records the machine's core count and the python, numpy and scipy
 versions.
@@ -26,6 +27,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -39,6 +41,7 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
     """Time one policy's pipeline on the rung's market, in this process."""
     from nswrank import (ExposureModel, bvn_decompose, fairness_report,
                          sample_ranking, solve_expo_fair, solve_nsw)
+    from nswrank.io import save_policy
     from nswrank.synth import SyntheticConfig, generate_market
 
     solve = {"nsw": solve_nsw, "expo-fair": solve_expo_fair}[policy]
@@ -56,6 +59,11 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
         sample_ranking(dec, user, seed=user)
     sampled = time.perf_counter()
     counts = [len(user_terms) for user_terms in dec.terms]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "policy.json")
+        save_policy(path, pol, policy, "inverse", k, diagnostics=diag,
+                    alpha=0.0 if policy == "nsw" else None)
+        policy_bytes = os.path.getsize(path)
     return {
         "objective": diag.objective_value,
         "user_utility": report.user_utility,
@@ -65,6 +73,7 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
         "sample_s": sampled - decomposed,
         "terms_per_user": sum(counts) / m,
         "terms_max": max(counts),
+        "policy_bytes": policy_bytes,
         # ru_maxrss is in kB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }

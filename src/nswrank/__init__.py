@@ -13,6 +13,7 @@ from .core import (
     ExposureModel,
     ImpactFunction,
     PolicyTensor,
+    RankingMixture,
     RelevanceMatrix,
     amortized_exposure,
     exposure_profile,
@@ -58,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BvnDecomposition", "bvn_decompose", "reconstruct", "sample_ranking",
     "DS_TOL", "ExposureModel", "ImpactFunction", "PolicyTensor",
-    "RelevanceMatrix", "amortized_exposure", "exposure_profile",
+    "RankingMixture", "RelevanceMatrix", "amortized_exposure", "exposure_profile",
     "item_impact", "merit", "user_utility",
     "DegenerateMarketError", "DimensionError", "InfeasibleError",
     "MatchingFailure", "NotDoublyStochastic", "NswrankError", "ParseError",

@@ -12,12 +12,15 @@ update converges linearly while using the same oracle.
 
 Each user's state is the weight left on the uniform start point plus a
 mixture of permutation vertices, looked up by their exposed top-K prefix.
-The dense (m, n, n) policy is built once, from that mixture, at the end.
+That mixture is the returned policy: the uniform start is an empty prefix
+and each vertex a full ranking.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .core import RankingMixture
 
 _TINY = 1e-300
 _NEWTON_ITERS = 100
@@ -36,7 +39,8 @@ _NEWTON_ITERS = 100
 
 
 def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
-    """Pairwise Frank-Wolfe; returns (X, passes, final FW gap, objective).
+    """Pairwise Frank-Wolfe; returns (policy, passes, final FW gap,
+    objective), the policy as a ``RankingMixture``.
 
     One iteration is a pass over all users; each user transfers mass from
     its worst-value mixture component onto the oracle vertex.
@@ -157,7 +161,7 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     if not done:
         E, imp, objective = snapshot()
         gap = _global_gap(Va, wa, eK, E, imp)
-    return _policy(theta0, thetas, perms), iters, gap, objective
+    return _mixture(theta0, thetas, perms), iters, gap, objective
 
 
 def newton_step(imp, dimp, w, gamma_max):
@@ -226,14 +230,15 @@ def _global_gap(Va, wa, eK, E, imp):
     return float(np.sum(top @ eK)) - float(np.sum(c * E))
 
 
-def _policy(theta0, thetas, perms):
-    """Dense X = theta0/n + sum_v theta_v * P(perm_v), built in one pass."""
-    m, _, n = perms.shape
-    ranks = np.arange(n)
-    flat = ((np.arange(m)[:, None, None] * n + perms) * n + ranks).ravel()
-    weights = np.repeat(thetas.ravel(), n)
-    X = np.bincount(flat, weights=weights, minlength=m * n * n)
-    return X.reshape(m, n, n) + (theta0 / n)[:, None, None]
+def _mixture(theta0, thetas, perms):
+    """Each user's uniform weight theta0 as an empty prefix, then its vertices
+    as full rankings in slot order; terms of weight 0 are left out."""
+    m, cap, n = perms.shape
+    weights = np.concatenate([theta0[:, None], thetas], axis=1)
+    kept = weights > 0.0
+    lengths = np.broadcast_to(np.where(np.arange(cap + 1) > 0, n, 0), kept.shape)
+    return RankingMixture.from_counts(n, kept.sum(axis=1), weights[kept],
+                                      lengths[kept], perms[kept[:, 1:]].ravel())
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,13 @@ class, such as the zero-exposure ranks K..n-1 of the exposure-fair policy.
 The peel treats the P pooled columns as P copies of one class and keeps them
 equal, and each of its terms is then expanded into P cyclic shifts of the
 pooled items over the pooled ranks, each of weight w / P.  A user with no
-pool has P = 1 and gets the plain peel.  Sampling a concrete ranking for a
-user is then a seeded draw over that user's terms.
+pool has P = 1 and gets the plain peel.
+
+A ``RankingMixture`` is already a mixture of rankings whose left-out items
+share the tail ranks uniformly, which is a pooled term: it is expanded into
+cyclic shifts in the same way, with no matching (and no scipy import).
+Sampling a concrete ranking for a user is then a seeded draw over that
+user's terms.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import PolicyTensor, renormalize_doubly_stochastic
+from .core import Policy, PolicyTensor, RankingMixture, renormalize_doubly_stochastic
 from .errors import MatchingFailure
 
 DEFAULT_EPSILON = 1e-9
@@ -55,28 +60,70 @@ class BvnDecomposition:
                 raise ValueError(f"term weights sum to {total}, expected 1")
 
 
-def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> BvnDecomposition:
-    """Decompose every user's matrix into weighted permutations.
+def bvn_decompose(policy: Policy, epsilon: float = DEFAULT_EPSILON) -> BvnDecomposition:
+    """Decompose every user's policy into weighted permutations.
 
-    Entries at or below epsilon are zeroed and their mass restored by a
-    renormalization sweep first, so solver residue does not force spurious
-    tiny terms.  A user's pool is then the P trailing rank columns that equal
-    its last column (P = 1 when there are none).  A round's weight is bounded
-    by each matched head entry and by P times the entry of each item matched
-    into the pool; it is taken from the head entries and, in shares of
-    weight / P, from every pooled rank of every pooled item, so the pooled
-    columns stay equal.  Each term then becomes P terms of weight w / P: the
-    head as matched, and the pooled items in ascending order, rotated by
-    s = 0..P-1 across the pooled ranks.  A pooled user whose peel would pass
-    (n-1)^2 + 1 terms that way is peeled again with P = 1, so no user gets
-    more.  Reconstruction matches the input entrywise to within
+    A ``RankingMixture`` needs no matching: each term of positive weight
+    and prefix length L becomes its P = max(n - L, 1) cyclic shifts of the
+    items it leaves out, in ascending order, over ranks n - P..n-1, each of
+    weight w / P.  A user whose shifts would pass (n-1)^2 + 1 terms is peeled
+    from its dense matrix instead, as below with P = 1.
+
+    A dense policy is peeled.  Entries at or below epsilon are zeroed and
+    their mass restored by a renormalization sweep first, so solver residue
+    does not force spurious tiny terms.  A user's pool is then the P trailing
+    rank columns that equal its last column (P = 1 when there are none).  A
+    round's weight is bounded by each matched head entry and by P times the
+    entry of each item matched into the pool; it is taken from the head
+    entries and, in shares of weight / P, from every pooled rank of every
+    pooled item, so the pooled columns stay equal.  Each term then becomes P
+    terms of weight w / P: the head as matched, and the pooled items in
+    ascending order, rotated by s = 0..P-1 across the pooled ranks.  A pooled
+    user whose peel would pass (n-1)^2 + 1 terms that way is peeled again
+    with P = 1, so no user gets more.
+
+    Either way each user's weights are divided by their sum, and
+    reconstruction matches the input entrywise to within
     ``n * epsilon + 1e-9``.
     """
     if not 1e-12 <= epsilon <= 1e-6:
         raise ValueError(f"epsilon must lie in [1e-12, 1e-6], got {epsilon}")
+    if isinstance(policy, RankingMixture):
+        terms = _mixture_terms(policy, epsilon)
+    else:
+        terms = _peeled_terms(policy.matrices, epsilon)
+    return _expand(policy.m, policy.n, epsilon, *terms)
+
+
+def _mixture_terms(policy: RankingMixture, epsilon: float) -> tuple:
+    """(users, weights, items_by_rank, shifts) of the mixture's terms of
+    positive weight, with the dense peel's terms for the users past the
+    term bound."""
     m, n = policy.m, policy.n
-    work = np.empty_like(policy.matrices)
-    for u, mat in enumerate(policy.matrices):
+    live = policy.weights > 0.0
+    users = policy.term_users()[live]
+    shifts = np.maximum(n - policy.lengths[live], 1)
+    parts = [(users, policy.weights[live], policy.rankings()[live], shifts)]
+    over = np.flatnonzero(np.bincount(users, weights=shifts, minlength=m)
+                          > (n - 1) ** 2 + 1)
+    if over.size:
+        keep = ~np.isin(users, over)
+        parts = [tuple(a[keep] for a in parts[0])]
+        mats = np.stack([_thresholded(mat, epsilon)
+                         for mat in policy.dense()[over]])
+        for peeled, weight, perms in _peel(mats, np.ones(over.size, np.int64),
+                                           epsilon)[0]:
+            parts.append((over[peeled], weight, perms,
+                          np.ones(peeled.size, np.int64)))
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _peeled_terms(matrices: np.ndarray, epsilon: float) -> tuple:
+    """(users, weights, items_by_rank, shifts) of the rounds of the pooled
+    peel, the shifts being each user's pool width."""
+    m = matrices.shape[0]
+    work = np.empty_like(matrices)
+    for u, mat in enumerate(matrices):
         work[u] = _thresholded(mat, epsilon)
     # the rescaling keeps equal columns equal, since their sums are equal
     same = (work == work[:, :, -1:]).all(axis=1)
@@ -93,16 +140,21 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
             kept.append((users[keep], weight[keep], perms[keep]))
         rounds = kept
         width[over] = 1
-        again = np.stack([_thresholded(policy.matrices[u], epsilon) for u in over])
+        again = np.stack([_thresholded(matrices[u], epsilon) for u in over])
         rounds += [(over[users], weight, perms) for users, weight, perms
                    in _peel(again, width[over], epsilon)[0]]
+    users, weights, perms = (np.concatenate(a) for a in zip(*rounds))
+    return users, weights, perms, width[users]
 
-    # regroup the rounds by user, each user's terms in the order it got them,
-    # and expand each term into the P cyclic shifts of its pooled items
+
+def _expand(m: int, n: int, epsilon: float, users, weights, perms,
+            shifts) -> BvnDecomposition:
+    """Regroup the terms by user, each user's terms in the order given, and
+    expand each term into the P = shifts cyclic shifts of its last P items
+    over the last P ranks."""
     ranks = np.arange(n)
-    user_of = np.concatenate([r[0] for r in rounds])
-    order = np.argsort(user_of, kind="stable")
-    copies = width[user_of[order]]
+    order = np.argsort(users, kind="stable")
+    copies = shifts[order]
     source = np.repeat(order, copies)
     shift = np.arange(source.size) - np.repeat(np.cumsum(copies) - copies, copies)
     shares = np.repeat(copies, copies)
@@ -110,10 +162,9 @@ def bvn_decompose(policy: PolicyTensor, epsilon: float = DEFAULT_EPSILON) -> Bvn
     offset = ranks - head
     rank_from = np.where(offset < 0, ranks,
                          head + (offset + shift[:, None]) % shares[:, None])
-    weights = (np.concatenate([r[1] for r in rounds])[source] / shares).tolist()
-    perms = np.concatenate([r[2] for r in rounds])[source[:, None], rank_from]
-    perms = perms.astype(np.int64)
-    ends = np.cumsum(np.bincount(user_of, minlength=m) * width).tolist()
+    weights = (weights[source] / shares).tolist()
+    perms = perms[source[:, None], rank_from].astype(np.int64)
+    ends = np.cumsum(np.bincount(users[source], minlength=m)).tolist()
     terms = []
     for start, end in zip([0] + ends[:-1], ends):
         total = sum(weights[start:end])

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import io as nio
-from .core import ExposureModel, ImpactFunction, PolicyTensor, user_utility
+from .core import ExposureModel, ImpactFunction, user_utility
 from .bvn import bvn_decompose, reconstruct, sample_ranking
 from .errors import (
     DegenerateMarketError,
@@ -163,11 +163,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    doc = nio.load_policy(args.policy)
-    policy: PolicyTensor = doc["policy"]
+    policy = nio.load_policy(args.policy)["policy"]
     dec = bvn_decompose(policy, epsilon=args.epsilon)
     nio.save_decomposition(args.out, dec)
-    err = float(np.abs(reconstruct(dec).matrices - policy.matrices).max())
+    err = float(np.abs(reconstruct(dec).matrices - policy.dense()).max())
     print(f"reconstruction_error={err:.3e}")
     return 0
 
@@ -236,14 +235,34 @@ def _config_field(doc: dict, key: str, default, kind=list):
     return value
 
 
+# The values each numeric config field accepts, checked before any unit
+# runs; the constructors the units call would reject the rest row by row.
+_CONFIG_RANGES = {
+    "alpha-nsw": (lambda v: 0.0 <= v < np.inf, "finite and >= 0"),
+    "lambda": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "noise_c": (lambda v: 0.0 <= v < np.inf, "finite and >= 0"),
+    "k": (lambda v: v >= 1, ">= 1"),
+    "n_items": (lambda v: v >= 2, ">= 2"),
+    "seeds": (lambda v: v >= 1, ">= 1"),
+    "users": (lambda v: v >= 1, ">= 1"),
+    "tol": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
+    "max_iters": (lambda v: v >= 1, ">= 1"),
+}
+
+
 def _config_number(value, key: str, kind):
-    """A JSON number as ``kind``: null, booleans, strings and containers are
-    rejected, and so is a count (``kind`` int) that is not a whole number."""
+    """A JSON number as ``kind``, within the field's range: null, booleans,
+    strings and containers are rejected, and so is a count (``kind`` int)
+    that is not a whole number."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind is int and isinstance(value, float)
             and not value.is_integer()):
         raise ValueError(f"bad config: {key} must be a JSON "
                          f"{'integer' if kind is int else 'number'}, "
+                         f"got {json.dumps(value)}")
+    in_range, allowed = _CONFIG_RANGES[key]
+    if not in_range(value):  # also false for NaN
+        raise ValueError(f"bad config: {key} must be {allowed}, "
                          f"got {json.dumps(value)}")
     return kind(value)
 

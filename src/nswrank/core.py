@@ -1,11 +1,15 @@
 """Domain types and measurement primitives for stochastic ranking policies.
 
-A market has m users and n items.  A stochastic ranking policy is one n x n
-doubly stochastic matrix per user whose (i, k) entry is the marginal
-probability that item i occupies rank k for that user; it is measured as
-given, never renormalized.  Positions are examined with probability e(k), so
-everything a policy does to utility, exposure and impact factors through the
-per-user expected exposure of each item, ``sum_k e(k) * X[u, i, k]``.
+A market has m users and n items.  A stochastic ranking policy gives each
+user an n x n doubly stochastic matrix whose (i, k) entry is the marginal
+probability that item i occupies rank k for that user.  It comes in two
+forms: a ``PolicyTensor`` holds those matrices, and a ``RankingMixture``
+holds, per user, a few weighted ranking prefixes whose left-out items share
+the remaining ranks uniformly.  Either is measured as given, never
+renormalized.  Positions are examined with probability e(k), so everything a
+policy does to utility, exposure and impact factors through the per-user
+expected exposure of each item, ``sum_k e(k) * X[u, i, k]``, which both
+forms compute (``exposures``).
 """
 
 from __future__ import annotations
@@ -196,8 +200,180 @@ class PolicyTensor:
     def n(self) -> int:
         return self.matrices.shape[1]
 
+    def exposures(self, e: np.ndarray) -> np.ndarray:
+        """(m, n) expected exposure of each (user, item) under weights e."""
+        return self.matrices @ e
 
-def _check_dims(policy: PolicyTensor, exp: ExposureModel,
+    def dense(self) -> np.ndarray:
+        """The (m, n, n) matrices themselves."""
+        return self.matrices
+
+
+@dataclass(frozen=True)
+class RankingMixture:
+    """Per-user convex combinations of ranking prefixes, stored CSR-style.
+
+    User u's terms are ``indptr[u]:indptr[u + 1]``.  Term t has weight
+    ``weights[t]`` and a prefix of ``lengths[t] = L`` items, the next L
+    entries of ``items``, which it places at ranks 0..L-1; the n - L items it
+    leaves out share ranks L..n-1 uniformly.  L = n is one full ranking and
+    L = 0 the uniform policy.
+
+    Construction checks the mixture: integer index arrays of consistent
+    sizes, prefixes of distinct items in 0..n-1, weights finite and
+    nonnegative and each user's weights summing to 1 within DS_TOL.  It keeps
+    read-only copies as given and never renormalizes.
+    """
+
+    n: int
+    indptr: np.ndarray
+    weights: np.ndarray
+    lengths: np.ndarray
+    items: np.ndarray
+
+    def __post_init__(self):
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise DimensionError(f"need n >= 2 items, got n={n!r}")
+        indptr = _index_array(self.indptr, "indptr")
+        lengths = _index_array(self.lengths, "lengths")
+        items = _index_array(self.items, "items")
+        weights = np.array(self.weights, dtype=np.float64)
+        terms = weights.size
+        if indptr.size < 2:
+            raise DimensionError("need m >= 1 users")
+        if (indptr[0] != 0 or indptr[-1] != terms or np.any(np.diff(indptr) < 0)
+                or weights.ndim != 1 or lengths.shape != weights.shape):
+            raise DimensionError(
+                "indptr must rise from 0 to the number of terms, with one "
+                "weight and one prefix length per term")
+        if np.any(lengths < 0) or np.any(lengths > n) or lengths.sum() != items.size:
+            raise DimensionError(
+                f"prefix lengths must lie in 0..{n} and add up to the "
+                f"{items.size} prefix items")
+        if items.size and (items.min() < 0 or items.max() >= n):
+            raise DimensionError(f"prefix items must lie in 0..{n - 1}")
+        if _repeats_an_item(lengths, items):
+            raise NotDoublyStochastic("a prefix lists an item twice")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+            raise NotDoublyStochastic("mixture weights must be finite and nonnegative")
+        m = indptr.size - 1
+        err = np.abs(np.bincount(np.repeat(np.arange(m), np.diff(indptr)),
+                                 weights=weights, minlength=m) - 1.0).max()
+        if err > DS_TOL:
+            raise NotDoublyStochastic(
+                f"a user's weights sum to 1 +- {err:.3e} (tolerance {DS_TOL})")
+        weights.flags.writeable = False
+        for name, value in (("n", int(n)), ("indptr", indptr), ("weights", weights),
+                            ("lengths", lengths), ("items", items)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_counts(cls, n: int, counts, weights, lengths, items) -> "RankingMixture":
+        """A mixture whose user u has the next ``counts[u]`` terms."""
+        indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+        return cls(n=n, indptr=indptr, weights=weights, lengths=lengths,
+                   items=items)
+
+    @property
+    def m(self) -> int:
+        return self.indptr.size - 1
+
+    def term_users(self) -> np.ndarray:
+        """The user of each term."""
+        return np.repeat(np.arange(self.m), np.diff(self.indptr))
+
+    def exposures(self, e: np.ndarray) -> np.ndarray:
+        """(m, n) expected exposure of each (user, item) under weights e.
+
+        A term of length L gives each item it leaves out the mean of e[L:],
+        times its weight.  Every item of the user gets that share in one
+        broadcast, and the prefix entries, whose own exposure replaces it,
+        carry the difference: one scatter-add over the prefix items.
+        """
+        n, lengths = self.n, self.lengths
+        e = np.asarray(e, dtype=np.float64)
+        suffix = np.append(np.cumsum(e[::-1])[::-1], 0.0)   # sum of e[L:]
+        share = self.weights * suffix[lengths] / np.maximum(n - lengths, 1)
+        users = self.term_users()
+        term = np.repeat(np.arange(lengths.size), lengths)
+        rank = _segments(np.zeros_like(lengths), lengths)
+        prefix = np.bincount(users[term] * n + self.items,
+                             weights=self.weights[term] * e[rank] - share[term],
+                             minlength=self.m * n).reshape(self.m, n)
+        return prefix + np.bincount(users, weights=share, minlength=self.m)[:, None]
+
+    def rankings(self) -> np.ndarray:
+        """(terms, n) items by rank of each term: its prefix, then the items
+        it leaves out in ascending order."""
+        terms, n, lengths = self.weights.size, self.n, self.lengths
+        left_out = np.ones((terms, n), dtype=bool)
+        left_out[np.repeat(np.arange(terms), lengths), self.items] = False
+        head = np.arange(n) < lengths[:, None]
+        out = np.empty((terms, n), dtype=np.int64)
+        out[head] = self.items
+        out[~head] = np.nonzero(left_out)[1]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """(m, n, n) marginal rank probabilities, by one scatter-add: each
+        prefix item at its rank, and each left-out item at every rank of the
+        tail with weight / (n - L).  Entries are clipped at 1, as a
+        PolicyTensor's are: weights that sum to 1 within DS_TOL can put a
+        ranked item an ulp above it."""
+        n, lengths, weights = self.n, self.lengths, self.weights
+        ranked = self.rankings()
+        terms = np.arange(lengths.size)
+        tail = n - lengths
+        head_term = np.repeat(terms, lengths)
+        head_rank = _segments(np.zeros_like(lengths), lengths)
+        cell_term = np.repeat(terms, tail * tail)
+        cell = _segments(np.zeros_like(tail), tail * tail)
+        width = tail[cell_term]
+        tail_item = ranked[cell_term, lengths[cell_term] + cell // width]
+        tail_rank = lengths[cell_term] + cell % width
+        term = np.concatenate([head_term, cell_term])
+        item = np.concatenate([self.items, tail_item])
+        rank = np.concatenate([head_rank, tail_rank])
+        share = np.concatenate([weights[head_term],
+                                (weights / np.maximum(tail, 1))[cell_term]])
+        flat = (self.term_users()[term] * n + item) * n + rank
+        dense = np.bincount(flat, weights=share, minlength=self.m * n * n)
+        return np.minimum(dense, 1.0, out=dense).reshape(self.m, n, n)
+
+
+def _index_array(values, name: str) -> np.ndarray:
+    """A read-only int64 copy of a 1-D array of integers."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
+        raise DimensionError(f"{name} must be a 1-D array of integers")
+    arr = arr.astype(np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _repeats_an_item(lengths: np.ndarray, items: np.ndarray) -> bool:
+    """Whether some prefix lists an item twice, by sorting each prefix; the
+    memory taken is that of the items, whatever n is."""
+    if lengths.size and np.all(lengths == lengths[0]):
+        rows = np.sort(items.reshape(lengths.size, int(lengths[0])), axis=1)
+        return bool(np.any(rows[:, 1:] == rows[:, :-1]))
+    term = np.repeat(np.arange(lengths.size), lengths)
+    order = np.lexsort((items, term))
+    return bool(np.any((np.diff(items[order]) == 0) & (np.diff(term[order]) == 0)))
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` for each start s and count c."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
+Policy = PolicyTensor | RankingMixture
+
+
+def _check_dims(policy: Policy, exp: ExposureModel,
                 rel: RelevanceMatrix | None = None) -> None:
     if rel is not None and (rel.m, rel.n) != (policy.m, policy.n):
         raise DimensionError(
@@ -207,20 +383,20 @@ def _check_dims(policy: PolicyTensor, exp: ExposureModel,
             f"exposure weights have length {exp.n}, policy has n={policy.n} items")
 
 
-def exposure_profile(policy: PolicyTensor, exp: ExposureModel) -> np.ndarray:
+def exposure_profile(policy: Policy, exp: ExposureModel) -> np.ndarray:
     """(m, n) matrix of expected exposure per (user, item), sum_k e(k) X[u,i,k]."""
     _check_dims(policy, exp)
-    return policy.matrices @ exp.weights
+    return policy.exposures(exp.weights)
 
 
-def user_utility(policy: PolicyTensor, rel: RelevanceMatrix,
+def user_utility(policy: Policy, rel: RelevanceMatrix,
                  exp: ExposureModel) -> float:
     """Total expected relevance examined across all users."""
     _check_dims(policy, exp, rel)
     return float(np.sum(rel.values * exposure_profile(policy, exp)))
 
 
-def item_impact(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureModel,
+def item_impact(policy: Policy, rel: RelevanceMatrix, exp: ExposureModel,
                 vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED) -> np.ndarray:
     """Impact each item receives from its own position allocation."""
     _check_dims(policy, exp, rel)
@@ -228,6 +404,6 @@ def item_impact(policy: PolicyTensor, rel: RelevanceMatrix, exp: ExposureModel,
     return np.einsum("ui,ui->i", vfn.user_weights(rel), prof)
 
 
-def amortized_exposure(policy: PolicyTensor, exp: ExposureModel) -> np.ndarray:
+def amortized_exposure(policy: Policy, exp: ExposureModel) -> np.ndarray:
     """Total exposure allocated to each item, summed over users."""
     return exposure_profile(policy, exp).sum(axis=0)

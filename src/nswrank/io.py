@@ -2,14 +2,20 @@
 
 All formats are platform-independent: LF line endings, UTF-8, period decimal
 separator.  Relevance CSVs serialize with 12 significant digits and sweep rows
-with 10, both well below every test tolerance; JSON numbers (policy matrices,
-decomposition weights) are written at full round-trip precision, so a load
-gives back the saved floats bit for bit.  Every load validates the target
-type's invariants and fails loudly.
+with 10, both well below every test tolerance; JSON numbers (policy matrices
+and weights, decomposition weights) are written at full round-trip
+precision, so a load gives back the saved floats bit for bit.  Every load
+validates the target type's invariants and fails loudly.
 
-Policy and decomposition JSON hold one large array (m * n^2 matrix entries,
-or all BvN terms).  Their writers stream that array one user at a time and
-produce exactly the bytes of ``json.dump(doc, fh, indent=2)`` plus a newline.
+A ``RankingMixture`` is written as ``policy/v2``: per user, a list of terms
+``{"weight": w, "items_by_rank": prefix}``, the layout of
+``decomposition/v1`` with prefixes of any length 0..n in place of full
+permutations.  A ``PolicyTensor`` is written as ``policy/v1``, its m * n^2
+matrix entries.  ``load_policy`` reads both.
+
+Policy and decomposition JSON hold one large array (matrix entries or
+terms).  Their writers stream that array one user at a time and produce
+exactly the bytes of ``json.dump(doc, fh, indent=2)`` plus a newline.
 """
 
 from __future__ import annotations
@@ -21,11 +27,13 @@ import re
 import numpy as np
 
 from .bvn import BvnDecomposition
-from .core import PolicyTensor, RelevanceMatrix
+from .core import (Policy, PolicyTensor, RankingMixture, RelevanceMatrix,
+                   _repeats_an_item)
 from .errors import DimensionError, ParseError, SchemaError
 from .solvers import SolveDiagnostics
 
 POLICY_SCHEMA = "policy/v1"
+POLICY_MIXTURE_SCHEMA = "policy/v2"
 METRICS_SCHEMA = "metrics/v1"
 DECOMPOSITION_SCHEMA = "decomposition/v1"
 
@@ -67,7 +75,8 @@ def load_relevance(path) -> RelevanceMatrix:
         raise ParseError(f"malformed header {lines[0]!r}, expected '# m=<M> n=<N>'",
                          line=1, column=1)
     m, n = int(match.group(1)), int(match.group(2))
-    body = [ln.split(",") for ln in lines[1:] if ln.strip()]
+    lines_of_body = [ln for ln in lines[1:] if ln.strip()]
+    body = [ln.split(",") for ln in lines_of_body]
     if len(body) != m:
         raise DimensionError(f"header declares m={m} rows, file has {len(body)}")
     # every width is checked before the array is allocated: the header alone
@@ -76,6 +85,18 @@ def load_relevance(path) -> RelevanceMatrix:
         if len(fields) != n:
             raise DimensionError(
                 f"header declares n={n} columns, row {r + 1} has {len(fields)}")
+    # every entry at once: numpy parses each string with float(), so the
+    # values are the same; a file that fails is parsed again entry by entry
+    # to find its first bad entry
+    text = "".join(lines_of_body)
+    if "_" not in text and text.split() == [text]:  # no whitespace either
+        try:
+            values = np.array(body, dtype=np.float64).reshape(m, n)
+        except ValueError:
+            pass
+        else:
+            if np.all((values >= 0.0) & (values < math.inf)):  # false for nan
+                return RelevanceMatrix(values)
     values = np.empty((m, n))
     for r, fields in enumerate(body):
         col = 1
@@ -100,23 +121,38 @@ def load_relevance(path) -> RelevanceMatrix:
 # ------------------------------------------------------------------- policy
 
 
-def save_policy(path, policy: PolicyTensor, policy_type: str,
+def save_policy(path, policy: Policy, policy_type: str,
                 exposure_kind: str, cutoff: int,
                 diagnostics: SolveDiagnostics | None = None,
                 alpha: float | None = None) -> None:
-    if not isinstance(policy, PolicyTensor):
-        # a PolicyTensor was checked when it was built and is written as it
-        # is; anything else that carries matrices is checked here
-        policy = PolicyTensor(policy.matrices)
+    """Write a ``RankingMixture`` as policy/v2 and any other policy as
+    policy/v1."""
+    if isinstance(policy, RankingMixture):
+        schema, field = POLICY_MIXTURE_SCHEMA, "users"
+        items = policy.items.tolist()
+        starts = np.cumsum(policy.lengths) - policy.lengths
+        terms = [_term_text(w, items[a:a + k]) for w, a, k in zip(
+            policy.weights.tolist(), starts.tolist(), policy.lengths.tolist())]
+        indptr = policy.indptr.tolist()
+        texts = (_list_text(terms[a:b], 2) for a, b in zip(indptr, indptr[1:]))
+    else:
+        if not isinstance(policy, PolicyTensor):
+            # a PolicyTensor was checked when it was built and is written as
+            # it is; anything else that carries matrices is checked here
+            policy = PolicyTensor(policy.matrices)
+        schema, field = POLICY_SCHEMA, "matrices"
+        # entries are finite (PolicyTensor checks), so repr is json's spelling
+        texts = (_list_text(list(map(float.__repr__, mat.ravel().tolist())), 2)
+                 for mat in policy.matrices)
     diag = diagnostics or SolveDiagnostics(objective_value=0.0)
     doc = {
-        "schema": POLICY_SCHEMA,
+        "schema": schema,
         "m": policy.m,
         "n": policy.n,
         "policy_type": policy_type,
         "alpha": alpha,
         "exposure": {"kind": exposure_kind, "cutoff": cutoff},
-        "matrices": _SLOT,
+        field: _SLOT,
         "diagnostics": {
             "objective": diag.objective_value,
             "duality_gap": diag.duality_gap,
@@ -124,18 +160,23 @@ def save_policy(path, policy: PolicyTensor, policy_type: str,
             "constraint_residual": diag.constraint_residual,
         },
     }
-    # entries are finite (PolicyTensor checks), so repr is json's spelling
-    _dump_json_streamed(doc, path, (
-        _list_text(list(map(float.__repr__, mat.ravel().tolist())), 2)
-        for mat in policy.matrices))
+    _dump_json_streamed(doc, path, texts)
 
 
 def load_policy(path) -> dict:
-    """The policy document, with a ``PolicyTensor`` of the file's exact floats
-    under ``"policy"`` in place of the ``"matrices"`` arrays."""
+    """The policy document, with the policy under ``"policy"`` in place of
+    its arrays: a ``RankingMixture`` for policy/v2 (``"users"``), a
+    ``PolicyTensor`` for policy/v1 (``"matrices"``), each of the file's exact
+    floats."""
     doc = _read_json(path)
-    _require_schema(doc, POLICY_SCHEMA)
+    schema = _require_schema(doc, POLICY_SCHEMA, POLICY_MIXTURE_SCHEMA)
     m, n = _int_field(doc, "m"), _int_field(doc, "n")
+    if schema == POLICY_MIXTURE_SCHEMA:
+        counts, weights, lengths, items = _parse_users(doc, m, n, full=False)
+        del doc["users"]
+        doc["policy"] = RankingMixture.from_counts(n, counts, weights, lengths,
+                                                   items)
+        return doc
     matrices = _field(doc, "matrices")
     try:
         mats = np.asarray(matrices, dtype=np.float64)
@@ -202,12 +243,13 @@ def save_decomposition(path, dec: BvnDecomposition) -> None:
         "users": _SLOT,
     }
     _dump_json_streamed(doc, path, (
-        _list_text([_term_text(w, perm) for w, perm in user_terms], 2)
+        _list_text([_term_text(w, perm.tolist()) for w, perm in user_terms], 2)
         for user_terms in dec.terms))
 
 
-def _term_text(weight, items_by_rank) -> str:
-    ranks = _list_text(list(map(int.__repr__, items_by_rank.tolist())), 4)
+def _term_text(weight, items_by_rank: list) -> str:
+    """One term of a decomposition/v1 or policy/v2 user, as json writes it."""
+    ranks = _list_text(list(map(int.__repr__, items_by_rank)), 4)
     return (f'{{\n        "weight": {_float_text(float(weight))},'
             f'\n        "items_by_rank": {ranks}\n      }}')
 
@@ -219,42 +261,71 @@ def load_decomposition(path) -> BvnDecomposition:
     epsilon = _field(doc, "epsilon")
     if not _is_number(epsilon):
         raise ParseError(f"epsilon must be a number, got {epsilon!r}")
+    counts, weights, _, items = _parse_users(doc, m, n, full=True)
+    perms = items.reshape(-1, n)
+    ends = np.cumsum(counts).tolist()
+    terms = tuple(list(zip(weights[a:b], perms[a:b]))
+                  for a, b in zip([0] + ends[:-1], ends))
+    try:
+        return BvnDecomposition(m=m, n=n, epsilon=float(epsilon), terms=terms)
+    except ValueError as exc:  # weights that do not sum to 1
+        raise ParseError(str(exc)) from None
+
+
+def _parse_users(doc: dict, m: int, n: int, full: bool) -> tuple:
+    """The ``users`` of a decomposition/v1 or policy/v2 document: each user's
+    term count, and over all terms in order their weights (a list of
+    floats), prefix lengths and concatenated items_by_rank (int64 arrays).
+
+    Each user needs at least one term, each term a finite nonnegative weight
+    and an items_by_rank list of distinct integers in 0..n-1; ``full`` asks
+    for all n of them (a permutation), otherwise a prefix of any length
+    0..n.
+    """
     users = _field(doc, "users")
     if not isinstance(users, list):
         raise SchemaError("users must be a list")
     if len(users) != m:
         raise DimensionError(f"expected {m} users, got {len(users)}")
-    terms = []
+    counts, weights, ranks = [], [], []
     for u, user_terms in enumerate(users):
         try:
-            weights = [term["weight"] for term in user_terms]
-            perms = [term["items_by_rank"] for term in user_terms]
+            user_weights = [term["weight"] for term in user_terms]
+            ranks += [term["items_by_rank"] for term in user_terms]
         except (KeyError, TypeError):
             raise SchemaError(f"user {u}: each term needs a weight and "
                               "items_by_rank") from None
-        if not weights:
+        if not user_weights:
             raise ParseError(f"user {u} has no terms")
-        if not all(_is_number(w) and 0.0 <= w < math.inf for w in weights):
-            raise ParseError(f"user {u}: a weight is not a finite nonnegative number")
-        try:
-            perms = np.array(perms)
-        except ValueError:  # ragged lists
-            perms = np.array(None)
-        if perms.dtype.kind != "i" or perms.shape != (len(weights), n):
-            raise ParseError(
-                f"user {u}: items_by_rank must be lists of {n} integers")
-        # all of a user's terms at once: each sorted row must read 0..n-1
-        bad = (np.sort(perms, axis=1) != np.arange(n)).any(axis=1)
-        if bad.any():
-            raise ParseError(f"{perms[bad.argmax()].tolist()} is not a "
-                             f"permutation of 0..{n - 1}")
-        perms = perms.astype(np.int64, copy=False)
-        terms.append(list(zip(map(float, weights), perms)))
+        counts.append(len(user_weights))
+        weights += user_weights
+
+    def first_user(flags) -> int:  # the user of the first flagged term
+        return int(np.searchsorted(np.cumsum(counts), np.argmax(flags),
+                                   side="right"))
+
+    bad = [not (_is_number(w) and 0.0 <= w < math.inf) for w in weights]
+    if any(bad):
+        raise ParseError(f"user {first_user(bad)}: a weight is not a finite "
+                         "nonnegative number")
+    lengths = np.array([len(r) if type(r) is list else -1 for r in ranks],
+                       dtype=np.int64)
+    bad = lengths != n if full else (lengths < 0) | (lengths > n)
+    if bad.any():
+        raise ParseError(f"user {first_user(bad)}: items_by_rank must be "
+                         f"lists of {'' if full else 'at most '}{n} integers")
     try:
-        return BvnDecomposition(m=m, n=n, epsilon=float(epsilon),
-                                terms=tuple(terms))
-    except ValueError as exc:  # weights that do not sum to 1
-        raise ParseError(str(exc)) from None
+        items = np.array([item for r in ranks for item in r])
+    except ValueError:  # nested lists of unequal lengths
+        items = np.array(None)
+    if items.ndim != 1 or items.size and items.dtype.kind != "i":
+        raise ParseError("items_by_rank must hold integers only")
+    items = items.astype(np.int64)
+    if items.size and (items.min() < 0 or items.max() >= n):
+        raise ParseError(f"items_by_rank lists an item outside 0..{n - 1}")
+    if _repeats_an_item(lengths, items):
+        raise ParseError("items_by_rank lists an item twice")
+    return counts, [float(w) for w in weights], lengths, items
 
 
 # -------------------------------------------------------------------- sweep
@@ -322,10 +393,12 @@ def _read_json(path) -> dict:
             raise ParseError(str(exc), line=exc.lineno, column=exc.colno) from None
 
 
-def _require_schema(doc, expected: str) -> None:
+def _require_schema(doc, *expected: str) -> str:
     found = doc.get("schema") if isinstance(doc, dict) else None
-    if found != expected:
-        raise SchemaError(f"expected schema {expected!r}, found {found!r}")
+    if found not in expected:
+        raise SchemaError(f"expected schema {' or '.join(map(repr, expected))}, "
+                          f"found {found!r}")
+    return found
 
 
 def _field(doc: dict, key: str):

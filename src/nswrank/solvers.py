@@ -1,10 +1,14 @@
 """Policy solvers: utility-max, uniform, exposure-fair, NSW/alpha-NSW.
 
-All solvers optimize over per-user doubly stochastic matrices and return a
-validated :class:`~nswrank.core.PolicyTensor`.  The exposure-fair LP is
-solved by column generation over top-K prefixes, and NSW by pairwise
-Frank-Wolfe; both report a duality gap recomputed from the returned policy
-with the same sort oracle (:func:`nswrank._kernels.sort_oracle`).  A
+All solvers optimize over per-user doubly stochastic matrices and return the
+mixture of rankings they build, as a validated
+:class:`~nswrank.core.RankingMixture`: one full ranking per user for
+utility-max, one empty prefix for uniform, the master's top-K prefixes for
+exposure-fair and Frank-Wolfe's uniform start plus its vertices for NSW.  The
+exposure-fair LP is solved by column generation over top-K prefixes, and NSW
+by pairwise Frank-Wolfe; both report a duality gap recomputed from the
+returned policy with the same sort oracle
+(:func:`nswrank._kernels.sort_oracle`).  A
 grid-enumeration oracle for tiny instances is included so every solver can
 be checked against an independent computation of the same objective.
 """
@@ -22,7 +26,7 @@ from . import _kernels
 from .core import (
     ExposureModel,
     ImpactFunction,
-    PolicyTensor,
+    RankingMixture,
     RelevanceMatrix,
     exposure_profile,
     item_impact,
@@ -80,23 +84,22 @@ def _check_market(rel: RelevanceMatrix, exp: ExposureModel) -> None:
             f"exposure weights have length {exp.n}, relevance has n={rel.n} items")
 
 
-def solve_uniform(m: int, n: int) -> PolicyTensor:
-    """Policy that samples every permutation uniformly: all marginals 1/n."""
+def solve_uniform(m: int, n: int) -> RankingMixture:
+    """Policy that samples every permutation uniformly: all marginals 1/n,
+    one empty prefix per user."""
     if m < 1 or n < 2:
         raise DimensionError(f"need m >= 1 and n >= 2, got m={m}, n={n}")
-    return PolicyTensor(np.full((m, n, n), 1.0 / n))
+    return RankingMixture.from_counts(n, np.ones(m, np.int64), np.ones(m),
+                                      np.zeros(m, np.int64), np.zeros(0, np.int64))
 
 
-def solve_utility_max(rel: RelevanceMatrix, exp: ExposureModel) -> PolicyTensor:
+def solve_utility_max(rel: RelevanceMatrix, exp: ExposureModel) -> RankingMixture:
     """Deterministic sort-by-relevance policy, ties broken by item index."""
     _check_market(rel, exp)
     m, n = rel.m, rel.n
-    mats = np.zeros((m, n, n))
     order = np.argsort(-rel.values, axis=1, kind="stable")
-    rows = np.arange(m)[:, None]
-    cols = np.arange(n)[None, :]
-    mats[rows, order, cols] = 1.0
-    return PolicyTensor(mats)
+    return RankingMixture.from_counts(n, np.ones(m, np.int64), np.ones(m),
+                                      np.full(m, n), order.ravel())
 
 
 def exposure_targets(rel: RelevanceMatrix, exp: ExposureModel) -> np.ndarray:
@@ -225,16 +228,16 @@ class _Master:
 
 
 def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
-                    ) -> tuple[PolicyTensor, SolveDiagnostics]:
+                    ) -> tuple[RankingMixture, SolveDiagnostics]:
     """Utility-maximizing policy subject to exposure proportional to merit.
 
     Column generation (Dantzig-Wolfe) over the LP of Singh & Joachims: the
     master mixes, per user, top-K prefixes under m convexity rows and the
     items' exposure-target rows; pricing sorts each user's relevance minus
-    the target rows' duals against e.  Ranks beyond the cutoff carry no
-    exposure, so each item's leftover mass is spread uniformly over them and
-    the returned tensor is always full n x n.  The diagnostics carry the
-    exposure prices and the Lagrangian duality gap of the returned policy.
+    the target rows' duals against e.  The policy is the master's columns of
+    positive weight, each a top-K prefix whose other items share the ranks
+    beyond the cutoff uniformly (those carry no exposure).  The diagnostics
+    carry the exposure prices and the Lagrangian duality gap of the returned policy.
     Raises InfeasibleError when the targets cannot be met, and SolverError
     when HiGHS stops for any other reason or artificial mass is left on a
     target.
@@ -303,15 +306,11 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     theta = res.x[2 * nt:]
     used = theta > 0.0
     users = np.concatenate(col_users)[used]
-    prefixes = np.concatenate(col_prefixes)[used]
-    flat = (users[:, None] * n + prefixes) * K + np.arange(K)
-    head = np.bincount(flat.ravel(), weights=np.repeat(theta[used], K),
-                       minlength=m * n * K).reshape(m, n, K)
-    mats = np.empty((m, n, n))
-    mats[:, :, :K] = head
-    if K < n:
-        mats[:, :, K:] = ((1.0 - head.sum(axis=2)) / (n - K))[:, :, None]
-    policy = PolicyTensor(mats)
+    # each user's columns in the order they entered the master
+    order = np.argsort(users, kind="stable")
+    policy = RankingMixture.from_counts(
+        n, np.bincount(users, minlength=m), theta[used][order],
+        np.full(order.size, K), np.concatenate(col_prefixes)[used][order].ravel())
 
     prices *= scale
     prof = exposure_profile(policy, exp)
@@ -344,7 +343,7 @@ def expo_fair_bound(rel: RelevanceMatrix, exp: ExposureModel,
 def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
               cfg: NswConfig = NswConfig(),
               vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED,
-              ) -> tuple[PolicyTensor, SolveDiagnostics]:
+              ) -> tuple[RankingMixture, SolveDiagnostics]:
     """Maximize sum_i merit_i^alpha * log(impact_i) by pairwise Frank-Wolfe.
 
     The gradient is separable per user as e(k) * coefficient(u, i), so the
@@ -369,11 +368,10 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
             "the welfare objective", RuntimeWarning, stacklevel=2)
 
     V = vfn.user_weights(rel)
-    X, iters, _, _ = _kernels.fw_solve(
+    policy, iters, _, _ = _kernels.fw_solve(
         V, exp.weights, w, active, cfg.rel_gap_tol, cfg.max_iters)
-    policy = PolicyTensor(X)
 
-    # Recompute objective and FW gap from the validated policy so the
+    # Recompute objective and FW gap from the returned policy so the
     # diagnostics certify the object actually returned.
     imp = item_impact(policy, rel, exp, vfn)
     objective = float(np.sum(w[active] * np.log(imp[active])))

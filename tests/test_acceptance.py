@@ -263,7 +263,7 @@ def test_criterion_7_bvn_suite():
         ]
         for pidx, policy in enumerate(policies):
             dec = bvn_decompose(policy, epsilon=1e-10)
-            err = float(np.abs(reconstruct(dec).matrices - policy.matrices).max())
+            err = float(np.abs(reconstruct(dec).matrices - policy.dense()).max())
             if err > 1e-8:
                 bad.append(f"trial {trial} policy {pidx}: reconstruction {err:.2e}")
             for user_terms in dec.terms:

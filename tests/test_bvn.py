@@ -14,6 +14,7 @@ from nswrank import (
     ExposureModel,
     MatchingFailure,
     PolicyTensor,
+    RankingMixture,
     RelevanceMatrix,
     bvn_decompose,
     reconstruct,
@@ -316,7 +317,7 @@ class TestPooledPeel:
         rel = RelevanceMatrix(np.array([[0.5, 0.3, 0.2]]))
         policy = solve_expo_fair(rel, ExposureModel.make("inverse", 3, 1))[0]
         mats = np.concatenate(
-            [np.full((1, 3, 3), 1 / 3), policy.matrices, np.eye(3)[None, [2, 0, 1]]])
+            [np.full((1, 3, 3), 1 / 3), policy.dense(), np.eye(3)[None, [2, 0, 1]]])
         dec = bvn_decompose(PolicyTensor(mats))
         assert len(dec.terms[1]) <= (3 - 1) ** 2 + 1
         for u, want in enumerate([decompose_pooled_user(mats[0], DEFAULT_EPSILON),
@@ -326,6 +327,22 @@ class TestPooledPeel:
             assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(dec.terms[u], want))
         assert len(dec.terms[0]) == 3
         assert np.abs(reconstruct(dec).matrices - mats).max() <= 3e-9 + 1e-9
+
+    def test_mixture_past_the_term_bound_is_peeled_plainly(self):
+        # three prefixes of length 1 over n = 3 would be six shifts against
+        # the bound of five; that user is peeled from its dense matrix, and
+        # the mixture users next to it are expanded
+        mix = RankingMixture.from_counts(
+            3, [1, 3, 1], [1.0, 0.5, 0.25, 0.25, 1.0], [0, 1, 1, 1, 3],
+            [0, 1, 2, 2, 0, 1])
+        dec = bvn_decompose(mix)
+        want = decompose_user(mix.dense()[1], DEFAULT_EPSILON)
+        assert [w for w, _ in dec.terms[1]] == [w for w, _ in want]
+        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(dec.terms[1], want))
+        assert [p.tolist() for _, p in dec.terms[0]] == [
+            [0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        assert [p.tolist() for _, p in dec.terms[2]] == [[2, 0, 1]]
+        assert np.abs(reconstruct(dec).matrices - mix.dense()).max() <= 3e-9 + 1e-9
 
     def test_uniform_user_is_one_round_of_shifts(self, monkeypatch):
         # a uniform user is one pooled class of width n: one matching and n
@@ -367,7 +384,7 @@ class TestRoundTrip:
                 assert sum(w for w, _ in user_terms) == pytest.approx(1.0, abs=1e-9)
                 assert len(user_terms) <= (n - 1) ** 2 + 1
             rec = reconstruct(dec)
-            assert np.abs(rec.matrices - policy.matrices).max() <= n * 1e-9 + 1e-9
+            assert np.abs(rec.matrices - policy.dense()).max() <= n * 1e-9 + 1e-9
             assert user_utility(rec, rel, exp) == pytest.approx(
                 user_utility(policy, rel, exp), abs=1e-6)
 

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nswrank import PolicyTensor, _kernels, bvn_decompose, cli, solve_uniform, solvers
+from nswrank import (PolicyTensor, RankingMixture, _kernels, bvn_decompose, cli,
+                     solve_uniform, solvers)
 from nswrank import io as nio
 from nswrank.cli import main
 from nswrank.errors import InfeasibleError
@@ -61,7 +62,7 @@ class TestSolve:
         doc = nio.load_policy(out)
         assert doc["diagnostics"]["objective"] == pytest.approx(
             np.log(0.8) + np.log(0.4), abs=1e-6)
-        prof = doc["policy"].matrices @ np.array([1.0, 0.0])
+        prof = doc["policy"].exposures(np.array([1.0, 0.0]))
         utility = float((np.array([[0.8, 0.3], [0.5, 0.4]]) * prof).sum())
         assert utility == pytest.approx(1.20, abs=0.005)
 
@@ -71,7 +72,7 @@ class TestSolve:
         assert main(["solve", "--policy", "uniform", "--relevance", str(toy),
                      "--cutoff", "1", "--out", str(out)]) == 0
         doc = nio.load_policy(out)
-        assert np.all(doc["policy"].matrices == 0.5)
+        assert np.all(doc["policy"].dense() == 0.5)
 
     def test_expo_fair_diagnostics(self, tmp_path):
         toy = write_toy(tmp_path)
@@ -192,7 +193,7 @@ class TestEvaluate:
     def test_policy_entry_of_the_wrong_type_exit_code(self, tmp_path):
         toy, pol = self._solve(tmp_path, "max")
         doc = json.loads(pol.read_text())
-        doc["matrices"][0] = ["1.0", False, 0, True]
+        doc["users"][0][0]["items_by_rank"] = ["1.0", False]
         pol.write_text(json.dumps(doc))
         out = tmp_path / "m.json"
         assert main(["evaluate", "--policy", str(pol), "--relevance", str(toy),
@@ -368,11 +369,11 @@ GOLDEN_MARKET = ("# m=3 n=4\n0.5,0.25,0.75,0\n1,0.5,0.125,0.25\n"
                  "0.25,0.75,0.5,0.125\n")
 GOLDEN_SHA256 = {
     "max.json":
-        "1a58f318882187bbe58dbe9f718694db6d135a692c0464d211f46696105ba775",
+        "0ab0cd71755ce982c78f949e1cd1d0a56116bdef0a92cbc3b3fdee0bec2190a2",
     "max-metrics.json":
         "7bb048519d8330a397b5145138ff398f9a91bbbc60973de24515159eef22ef59",
     "uniform.json":
-        "a9af3a2dbf95262b7cbe3d7e8adc8a6470f065cf51cecd6466b0673cdad38fb8",
+        "637cb1990d1d2a66dd4b161657e6fcbe7296920ef7ddfba3026ae2156d6bae81",
     "uniform-metrics.json":
         "be5a2f4520d7d1f4db290c166371bd6b173636beaad7f4d442cf14e19e2946b2",
 }
@@ -380,7 +381,7 @@ GOLDEN_SHA256 = {
 
 @pytest.mark.parametrize("policy", ["max", "uniform"])
 def test_policy_and_metrics_golden_bytes(tmp_path, policy):
-    # pins the policy/v1 and metrics/v1 bytes of solve and evaluate
+    # pins the policy/v2 and metrics/v1 bytes of solve and evaluate
     rel = tmp_path / "market.csv"
     rel.write_text(GOLDEN_MARKET)
     pol = tmp_path / f"{policy}.json"
@@ -392,6 +393,49 @@ def test_policy_and_metrics_golden_bytes(tmp_path, policy):
     for path in (pol, met):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             GOLDEN_SHA256[path.name]), path.name
+
+
+# Three users of GOLDEN_MARKET whose terms have prefix lengths 0, K = 2 and
+# n = 4, with dyadic weights: exposures, impacts and the decomposition of
+# the mixture are exact.  The metrics are those of the same policy written
+# densely as policy/v1.
+GOLDEN_PREFIX_MIXTURE = [
+    [(0.5, []), (0.25, [1, 3]), (0.25, [2, 0, 3, 1])],
+    [(1.0, [3, 1])],
+    [(0.75, [0, 1, 2, 3]), (0.25, [])],
+]
+GOLDEN_PREFIX_SHA256 = {
+    "policy.json":
+        "83417a12af36a36659ef80d62a7f590ab23eaa3aa08f648f292749be1fa41461",
+    "metrics.json":
+        "9d77d3c7b5b86a20ec62c6c84dc6871a86e610aefc44fab32f2c6f6ca31ea9ec",
+    "dec.json":
+        "ebb4982a8827ef68b2c30d4de2411466e993b25e2ddfa0f7c37b1632fecb91cb",
+}
+
+
+def test_prefix_mixture_golden_bytes(tmp_path, capsys):
+    # pins the policy/v2 bytes of a mixture of prefix lengths 0, K and n,
+    # and what evaluate and decompose make of it
+    terms = [t for user in GOLDEN_PREFIX_MIXTURE for t in user]
+    mixture = RankingMixture.from_counts(
+        4, [len(user) for user in GOLDEN_PREFIX_MIXTURE],
+        [w for w, _ in terms], [len(p) for _, p in terms],
+        np.array([i for _, p in terms for i in p], dtype=np.int64))
+    rel = tmp_path / "market.csv"
+    rel.write_text(GOLDEN_MARKET)
+    pol, met, dec = (tmp_path / name for name in GOLDEN_PREFIX_SHA256)
+    nio.save_policy(pol, mixture, "nsw", "inverse", 2, alpha=0.0)
+    assert main(["evaluate", "--policy", str(pol), "--relevance", str(rel),
+                 "--cutoff", "2", "--out-json", str(met)]) == 0
+    assert main(["decompose", "--policy", str(pol), "--out", str(dec)]) == 0
+    assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"
+    for path in (pol, met, dec):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            GOLDEN_PREFIX_SHA256[path.name]), path.name
+    # 4 + 2 + 1, 2 and 1 + 4 cyclic shifts
+    assert [len(user) for user in json.loads(dec.read_text())["users"]] == [
+        7, 2, 5]
 
 
 class TestSweep:
@@ -545,6 +589,35 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: bad config: ")
+
+    @pytest.mark.parametrize("overrides", [
+        {"grid": {"lambda": [1.5]}},
+        {"grid": {"lambda": [float("nan")]}},
+        {"grid": {"noise_c": [-0.1]}},
+        {"grid": {"k": [0]}},
+        {"grid": {"n_items": [1]}},
+        {"policies": [{"alpha-nsw": [-1]}]},
+        {"policies": [{"alpha-nsw": [float("inf")]}]},
+        {"seeds": 0},
+        {"users": 0},
+        {"tol": -1},
+        {"tol": 0},
+        {"max_iters": 0},
+    ], ids=["lambda-above-one", "lambda-nan", "noise-negative", "k-zero",
+            "n-items-one", "alpha-nsw-negative", "alpha-nsw-infinite",
+            "seeds-zero", "users-zero", "tol-negative", "tol-zero",
+            "max-iters-zero"])
+    def test_config_out_of_range(self, tmp_path, capsys, monkeypatch,
+                                 overrides):
+        def no_unit(task):
+            raise AssertionError("no unit may run")
+
+        monkeypatch.setattr(cli, "_sweep_unit", no_unit)
+        cfg = self._config(tmp_path, **overrides)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config: ")
+        assert not out.exists()
 
     def test_bad_exposure_kind_rejected_at_parse(self, tmp_path):
         cfg = self._config(tmp_path, exposure="bogus")

@@ -15,6 +15,7 @@ from nswrank import (
     NswConfig,
     ParseError,
     PolicyTensor,
+    RankingMixture,
     RelevanceMatrix,
     SchemaError,
     SolveDiagnostics,
@@ -116,6 +117,75 @@ def test_load_relevance_fuzz_raises_only_typed_errors(tmp_path_factory, data):
     assert np.all(np.isfinite(rel.values)) and np.all(rel.values >= 0)
 
 
+def reference_load_relevance(data: bytes):
+    """Reference: the relevance parse entry by entry, as (values, None) or
+    (None, (error type, line, column))."""
+    try:
+        lines = data.decode("utf-8").splitlines()
+        if not lines:
+            raise ParseError("empty", line=1)
+        match = nio._HEADER_RE.match(lines[0])
+        if not match:
+            raise ParseError("header", line=1, column=1)
+        m, n = int(match.group(1)), int(match.group(2))
+        body = [ln.split(",") for ln in lines[1:] if ln.strip()]
+        if len(body) != m or any(len(fields) != n for fields in body):
+            raise DimensionError("shape")
+        values = np.empty((m, n))
+        for r, fields in enumerate(body):
+            col = 1
+            for c, field in enumerate(fields):
+                try:
+                    if "_" in field or field != field.strip():
+                        raise ValueError
+                    values[r, c] = float(field)
+                except ValueError:
+                    raise ParseError("number", line=r + 2, column=col) from None
+                if not 0.0 <= values[r, c] < np.inf:
+                    raise ParseError("range", line=r + 2, column=col)
+                col += len(field) + 1
+        return RelevanceMatrix(values).values, None
+    except UnicodeDecodeError:
+        return None, (ParseError, None, None)
+    except (ParseError, DimensionError) as exc:
+        return None, (type(exc), getattr(exc, "line", None),
+                      getattr(exc, "column", None))
+
+
+@st.composite
+def _mostly_valid_relevance_files(draw):
+    """A well-formed file of floats at full precision, with up to two
+    entries replaced by a fuzz field."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    rows = [[repr(draw(st.floats(0.0, 1e6))) for _ in range(n)]
+            for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = (
+            draw(_FIELDS))
+    text = "\n".join([f"# m={m} n={n}"] + [",".join(row) for row in rows])
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_relevance_files() | _mostly_valid_relevance_files())
+def test_load_relevance_decides_as_the_entry_by_entry_parse(tmp_path_factory,
+                                                            data):
+    # the whole-file parse accepts, rejects and locates errors exactly as
+    # parsing every entry on its own does, and gives the same floats
+    path = tmp_path_factory.getbasetemp() / "same.csv"
+    path.write_bytes(data)
+    want, error = reference_load_relevance(data)
+    try:
+        got = nio.load_relevance(path).values
+    except (ParseError, DimensionError) as exc:
+        assert error is not None
+        if error[1] is not None:
+            assert (type(exc), exc.line, exc.column) == error
+        return
+    assert error is None
+    assert got.tobytes() == want.tobytes()
+
+
 class TestPolicyJson:
     def test_round_trip_preserves_impacts(self, tmp_path, toy_market):
         rel, exp = toy_market
@@ -141,8 +211,8 @@ class TestPolicyJson:
         for name, policy in policies.items():
             path = tmp_path / f"{name}.json"
             nio.save_policy(path, policy, name, "inverse", 5)
-            loaded = nio.load_policy(path)["policy"].matrices
-            if not np.array_equal(loaded, policy.matrices):
+            loaded = nio.load_policy(path)["policy"]
+            if not same_mixture(loaded, policy):
                 changed.append(name)
         assert changed == []
 
@@ -173,7 +243,7 @@ class TestPolicyJson:
     @pytest.mark.parametrize("field", ["matrices", "m", "n"])
     def test_rejects_missing_fields(self, tmp_path, field):
         path = tmp_path / "policy.json"
-        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
+        nio.save_policy(path, UNIFORM_TENSOR, "uniform", "inverse", 1)
         doc = json.loads(path.read_text())
         del doc[field]
         path.write_text(json.dumps(doc))
@@ -182,7 +252,7 @@ class TestPolicyJson:
 
     def test_rejects_non_numeric_matrices(self, tmp_path):
         path = tmp_path / "policy.json"
-        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
+        nio.save_policy(path, UNIFORM_TENSOR, "uniform", "inverse", 1)
         doc = json.loads(path.read_text())
         doc["matrices"] = [[0.5, 0.5, 0.5], [0.5]]
         path.write_text(json.dumps(doc))
@@ -200,7 +270,7 @@ class TestPolicyJson:
     def test_rejects_entries_that_are_not_numbers(self, tmp_path, row):
         # numpy reads each of these rows as a 2 x 2 matrix of floats
         path = tmp_path / "policy.json"
-        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
+        nio.save_policy(path, UNIFORM_TENSOR, "uniform", "inverse", 1)
         doc = json.loads(path.read_text())
         doc["matrices"] = [row]
         path.write_text(json.dumps(doc))
@@ -209,12 +279,123 @@ class TestPolicyJson:
 
     def test_integer_entries_are_numbers(self, tmp_path):
         path = tmp_path / "policy.json"
-        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
+        nio.save_policy(path, UNIFORM_TENSOR, "uniform", "inverse", 1)
         doc = json.loads(path.read_text())
         doc["matrices"] = [[1, 0, 0.0, 1.0]]
         path.write_text(json.dumps(doc))
         assert np.array_equal(nio.load_policy(path)["policy"].matrices[0],
                               np.eye(2))
+
+
+class TestMixturePolicyJson:
+    def test_solvers_write_mixtures_and_tensors_stay_dense(self, tmp_path):
+        rel, exp = small_market()
+        nio.save_policy(tmp_path / "max.json", solve_utility_max(rel, exp),
+                        "max", "inverse", 2)
+        nio.save_policy(tmp_path / "dense.json", UNIFORM_TENSOR, "uniform",
+                        "inverse", 1)
+        assert json.loads((tmp_path / "max.json").read_text())["schema"] == (
+            "policy/v2")
+        assert json.loads((tmp_path / "dense.json").read_text())["schema"] == (
+            "policy/v1")
+
+    @pytest.mark.parametrize("terms, error", [
+        ([{"weight": 1.0}], SchemaError),
+        ([{"weight": "heavy", "items_by_rank": [0]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": [0, 0]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": [0, 2]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": [-1]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": [0.0]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": [0, 1, 0]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": 0}], ParseError),
+        ([{"weight": 0.5, "items_by_rank": []}], NotDoublyStochastic),
+        ([], ParseError),
+    ], ids=["no-items_by_rank", "text-weight", "repeated-item",
+            "item-out-of-range", "negative-item", "float-item",
+            "longer-than-n", "not-a-list", "weights-sum-0.5", "no-terms"])
+    def test_rejects_malformed_terms(self, tmp_path, terms, error):
+        path = tmp_path / "policy.json"
+        nio.save_policy(path, solve_uniform(2, 2), "uniform", "inverse", 1)
+        doc = json.loads(path.read_text())
+        doc["users"][1] = terms
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            nio.load_policy(path)
+
+    @pytest.mark.parametrize("users, error", [
+        ({}, SchemaError), ([[{"weight": 1.0, "items_by_rank": []}]],
+                            DimensionError)])
+    def test_rejects_a_bad_user_list(self, tmp_path, users, error):
+        path = tmp_path / "policy.json"
+        nio.save_policy(path, solve_uniform(2, 2), "uniform", "inverse", 1)
+        doc = json.loads(path.read_text())
+        doc["users"] = users
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            nio.load_policy(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.just(10**30)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["weight", "items_by_rank", "x"]), inner,
+                      max_size=3),
+    max_leaves=10)
+
+
+def _paths(value, path=()):
+    """Every place in a JSON document: the paths of its containers' items."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _policy_docs(draw):
+    """A valid policy/v1 or policy/v2 document, then up to three edits, each
+    replacing or deleting one field, list entry or term anywhere in it."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        users = []
+        for _ in range(m):
+            k = draw(st.integers(1, 3))
+            users.append([{"weight": 1.0 / k,
+                           "items_by_rank": draw(st.permutations(range(n)))[
+                               :draw(st.integers(0, n))]} for _ in range(k)])
+        doc = {"schema": "policy/v2", "m": m, "n": n, "users": users}
+    else:
+        mats = [np.eye(n)[draw(st.permutations(range(n)))].ravel().tolist()
+                for _ in range(m)]
+        doc = {"schema": "policy/v1", "m": m, "n": n, "matrices": mats}
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_policy_docs() | _JSON_VALUES)
+def test_load_policy_fuzz_raises_only_typed_errors(tmp_path_factory, doc):
+    # both policy/v1 and policy/v2 documents, malformed in any field
+    path = tmp_path_factory.getbasetemp() / "fuzz-policy.json"
+    path.write_text(json.dumps(doc))
+    try:
+        policy = nio.load_policy(path)["policy"]
+    except (ParseError, SchemaError, DimensionError, NotDoublyStochastic):
+        return
+    assert policy.m >= 1 and policy.n >= 2
+    if policy.n < 100:
+        X = policy.dense()
+        assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-6
 
 
 class TestMetricsJson:
@@ -311,6 +492,25 @@ class TestDecompositionJson:
             nio.load_decomposition(path)
 
 
+# a policy/v1 file: a PolicyTensor is written as its matrices
+UNIFORM_TENSOR = PolicyTensor(np.full((1, 2, 2), 0.5))
+
+
+def same_mixture(a, b) -> bool:
+    """Whether two mixtures hold the same arrays bit for bit."""
+    return a.n == b.n and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("indptr", "weights", "lengths", "items"))
+
+
+def mixture_users(policy) -> list:
+    """The users of a policy/v2 document, term by term."""
+    starts = np.cumsum(policy.lengths) - policy.lengths
+    terms = [{"weight": float(w), "items_by_rank": policy.items[a:a + k].tolist()}
+             for w, a, k in zip(policy.weights, starts, policy.lengths)]
+    return [terms[a:b] for a, b in zip(policy.indptr[:-1], policy.indptr[1:])]
+
+
 def json_dump_text(doc) -> str:
     """What ``json.dump(doc, fh, indent=2)`` and a newline write."""
     return json.dumps(doc, indent=2) + "\n"
@@ -348,14 +548,20 @@ class TestStreamedWritersMatchJsonDump:
         nio.save_policy(path, policy, name, "inverse", 2, diagnostics=diag,
                         alpha=alpha)
         diag = diag or SolveDiagnostics(objective_value=0.0)
+        if isinstance(policy, RankingMixture):
+            schema, field = nio.POLICY_MIXTURE_SCHEMA, "users"
+            body = mixture_users(policy)
+        else:
+            schema, field = nio.POLICY_SCHEMA, "matrices"
+            body = [mat.ravel().tolist() for mat in policy.matrices]
         expected = json_dump_text({
-            "schema": nio.POLICY_SCHEMA,
+            "schema": schema,
             "m": policy.m,
             "n": policy.n,
             "policy_type": name,
             "alpha": alpha,
             "exposure": {"kind": "inverse", "cutoff": 2},
-            "matrices": [mat.ravel().tolist() for mat in policy.matrices],
+            field: body,
             "diagnostics": {
                 "objective": diag.objective_value,
                 "duality_gap": diag.duality_gap,
@@ -371,7 +577,8 @@ class TestStreamedWritersMatchJsonDump:
         # an LP solution carries residue of about an ulp, so any rewrite of
         # the entries on save would show up here
         rel, exp = small_market(m=30, n=12, cutoff=5)
-        policy, diag = solve_expo_fair(rel, exp)
+        mixture, diag = solve_expo_fair(rel, exp)
+        policy = PolicyTensor(mixture.dense())
         path = tmp_path / "policy.json"
         nio.save_policy(path, policy, "expo-fair", "inverse", 5, diagnostics=diag)
         saved = np.array(json.loads(path.read_text())["matrices"])

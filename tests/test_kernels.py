@@ -29,7 +29,8 @@ def test_output_is_doubly_stochastic():
     V, e, w, active = random_problem(3, m=12, n=8, k=3)
     V[:, 5] = 0.0                 # an item outside the objective
     active[5] = False
-    X, passes, _, _ = _kernels.fw_solve(V, e, w, active, 1e-8, 5000)
+    policy, passes, _, _ = _kernels.fw_solve(V, e, w, active, 1e-8, 5000)
+    X = policy.dense()
     assert X.shape == (12, 8, 8) and passes > 1
     check_doubly_stochastic(X)
 
@@ -37,10 +38,10 @@ def test_output_is_doubly_stochastic():
 @pytest.mark.parametrize("seed,k", [(0, 2), (1, 5), (7, 3)])
 def test_gap_target_reached(seed, k):
     V, e, w, active = random_problem(seed, m=8, n=5 if k == 5 else 6, k=k)
-    X, _, gap, obj = _kernels.fw_solve(V, e, w, active, 1e-8, 5000)
+    policy, _, gap, obj = _kernels.fw_solve(V, e, w, active, 1e-8, 5000)
     assert gap <= 1e-8 * abs(obj)
     # the returned objective and gap describe the returned policy
-    E = X @ e
+    E = policy.dense() @ e
     imp = np.einsum("ui,ui->i", V, E)
     assert obj == pytest.approx(float(np.sum(w * np.log(imp))), rel=1e-12)
     c = V * (w / imp)

@@ -18,11 +18,12 @@ def test_rung_reports_every_step(policy):
     row = ladder.run_rung(6, 5, 2, policy)
     assert set(row) == {"objective", "user_utility", "solve_s", "evaluate_s",
                         "decompose_s", "sample_s", "terms_per_user",
-                        "terms_max", "peak_rss_mb"}
+                        "terms_max", "policy_bytes", "peak_rss_mb"}
     assert all(isinstance(v, (int, float)) and math.isfinite(v)
                for v in row.values())
     assert 1.0 <= row["terms_per_user"] <= row["terms_max"] <= 4 ** 2 + 1
     assert row["peak_rss_mb"] > 0
+    assert row["policy_bytes"] > 0
 
 
 def test_rung_past_memory_is_null_with_reason():

@@ -41,7 +41,7 @@ XO = ImpactFunction.EXPOSURE_ONLY
 
 
 def assert_doubly_stochastic(policy):
-    mats = policy.matrices
+    mats = policy.dense()
     assert mats.min() >= 0.0 and mats.max() <= 1.0
     assert np.abs(mats.sum(axis=2) - 1).max() < 1e-9
     assert np.abs(mats.sum(axis=1) - 1).max() < 1e-9
@@ -55,12 +55,12 @@ def random_market(rng, m_max=6, n_max=6, low=0.1):
 
 class TestSolveUniform:
     def test_entries(self):
-        assert np.all(solve_uniform(2, 2).matrices == 0.5)
+        assert np.all(solve_uniform(2, 2).dense() == 0.5)
 
     def test_entries_are_exactly_one_over_n(self):
         # fifty copies of 1/50 sum to 1 only up to rounding; the policy keeps
         # them as they are
-        assert np.all(solve_uniform(2, 50).matrices == 1.0 / 50)
+        assert np.all(solve_uniform(2, 50).dense() == 1.0 / 50)
 
     def test_toy_measurements(self, toy_market):
         rel, exp = toy_market
@@ -85,7 +85,7 @@ class TestSolveUtilityMax:
     def test_ties_break_by_item_index(self):
         rel = RelevanceMatrix([[0.4, 0.4, 0.4]])
         exp = ExposureModel.make("inverse", 3, 3)
-        assert np.array_equal(solve_utility_max(rel, exp).matrices[0], np.eye(3))
+        assert np.array_equal(solve_utility_max(rel, exp).dense()[0], np.eye(3))
 
     def test_matches_permutation_enumeration(self):
         rel = RelevanceMatrix([[0.1, 0.9, 0.5]])
@@ -98,7 +98,7 @@ class TestSolveUtilityMax:
         assert best == pytest.approx(0.9 + 0.5 / 2 + 0.1 / 3)
         assert user_utility(policy, rel, exp) == pytest.approx(best)
         # ranking is (i2, i3, i1)
-        assert np.array_equal(np.argmax(policy.matrices[0], axis=0), [1, 2, 0])
+        assert np.array_equal(np.argmax(policy.dense()[0], axis=0), [1, 2, 0])
 
 
 class TestSolveExpoFair:
@@ -116,7 +116,7 @@ class TestSolveExpoFair:
         # maximum puts user 1 fully on item 1 and splits user 2 as 0.3 / 0.7
         rel, exp = toy_market
         policy, _ = solve_expo_fair(rel, exp)
-        prof = policy.matrices @ exp.weights
+        prof = policy.dense() @ exp.weights
         assert np.allclose(prof, [[1.0, 0.0], [0.3, 0.7]], atol=1e-8)
 
     def test_equal_merit_square_market(self):
@@ -136,7 +136,7 @@ class TestSolveExpoFair:
     def test_no_exposed_rank_gives_the_uniform_policy(self):
         rel = RelevanceMatrix([[0.5, 0.2, 0.1], [0.3, 0.4, 0.6]])
         policy, diag = solve_expo_fair(rel, ExposureModel.custom([0.0] * 3))
-        assert np.all(policy.matrices == 1.0 / 3)
+        assert np.all(policy.dense() == 1.0 / 3)
         assert diag.objective_value == diag.duality_gap == 0.0
 
     def test_zero_merit(self):
