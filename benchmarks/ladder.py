@@ -10,8 +10,8 @@ interpreter generates ``generate_market(m, n, lam=0.5, noise_c=0.05,
 seed=0)``, solves on the predicted relevance with inverse exposure, audits the
 policy against the ground truth (``fairness_report``), decomposes it
 (``bvn_decompose``) and draws one ranking for every user
-(``sample_ranking``).  It reports the seconds of each step, the BvN terms per
-user, the size of the policy JSON that ``nswrank solve`` would write and the
+(``sample_ranking``).  It reports the seconds of each step, the solver's
+iterations, the BvN terms per user, the size of the policy JSON that ``nswrank solve`` would write and the
 peak RSS of its own process.  A rung whose dense policy tensor
 would not fit in memory is written as ``null`` with the reason.  The file
 also records the machine's core count and the python, numpy and scipy
@@ -66,6 +66,8 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
         policy_bytes = os.path.getsize(path)
     return {
         "objective": diag.objective_value,
+        # Frank-Wolfe passes for nsw, pricing rounds for expo-fair
+        "iterations": diag.iterations,
         "user_utility": report.user_utility,
         "solve_s": solved - clock,
         "evaluate_s": evaluated - solved,

@@ -14,6 +14,18 @@ Each user's state is the weight left on the uniform start point plus a
 mixture of permutation vertices, looked up by their exposed top-K prefix.
 That mixture is the returned policy: the uniform start is an empty prefix
 and each vertex a full ranking.
+
+Pairwise steps find the right vertices early and then creep along the face
+they span.  After any pass whose gap did not fall below half the previous
+pass's gap, ``face_step`` takes Newton steps on that face instead (as
+blended conditional gradients do; Braun, Pokutta, Tu & Wright, ICML 2019):
+each user's heaviest term is its reference, the other terms of positive
+weight are free variables, and the Newton direction for all free weights
+at once comes from one least-squares solve through the smaller of its F x F
+and n x n normal equations.  A projected search along that direction drops
+the terms that reach 0, several per step, and ``newton_step`` sizes each of
+its pieces, so the objective never falls.  The next passes add the vertices
+the face lacks.
 """
 
 from __future__ import annotations
@@ -24,6 +36,9 @@ from .core import RankingMixture
 
 _TINY = 1e-300
 _NEWTON_ITERS = 100
+_STALL = 0.5            # a pass gap above this share of the last one stalls
+_FACE_STEPS = 20        # Newton steps per face_step at most
+_RIDGE = 1e-12          # ridge of the normal equations, relative to their diagonal
 
 
 # --------------------------------------------------------------------------
@@ -43,7 +58,8 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     objective), the policy as a ``RankingMixture``.
 
     One iteration is a pass over all users; each user transfers mass from
-    its worst-value mixture component onto the oracle vertex.
+    its worst-value mixture component onto the oracle vertex.  A pass that
+    stalls is followed by ``face_step``; passes are counted, face steps not.
     """
     V = np.asarray(V, dtype=np.float64)
     m, n = V.shape
@@ -73,6 +89,7 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         return E, imp, float(wa @ np.log(imp))
 
     gap = 0.0
+    last_gap = np.inf
     iters = 0
     done = False
     for t in range(max_iters):
@@ -150,11 +167,15 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
             ratio[supp] = w_s / new_imp
         iters = t + 1
 
-        if pass_gap <= bound:
-            # verify on a consistent snapshot before declaring convergence
+        stalled = pass_gap > _STALL * last_gap
+        last_gap = pass_gap
+        if stalled:
+            face_step(Va, wa, eK, u0, theta0, thetas, perms[:, :, :K], imp)
+        if pass_gap <= bound or stalled:
+            # verify on a consistent snapshot, against its own objective
             E, imp, objective = snapshot()
             gap = _global_gap(Va, wa, eK, E, imp)
-            if gap <= bound:
+            if gap <= rel_gap_tol * max(abs(objective), _TINY):
                 done = True
                 break
         gap = pass_gap
@@ -203,6 +224,189 @@ def newton_step(imp, dimp, w, gamma_max):
                 return step
         g = step
     return g
+
+
+def face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp):
+    """Newton's method on the face that the users' current supports span.
+
+    Each user's support is its uniform weight and its vertices of positive
+    weight; its heaviest term is the reference and the others are free, so
+    impact = base + D.T @ x over the free weights x (see ``_Face``).  The
+    Newton direction is followed by ``_projected_search``, which drops the
+    terms that reach 0 on the way; a term at weight 0 is outside the face
+    and stays there.  Stops after a full step, a step of 0 or _FACE_STEPS
+    steps.  Updates theta0, thetas and imp (the current item impacts, 1 on
+    inactive items) in place.
+    """
+    rows = np.arange(Va.shape[0])
+    W = np.concatenate([theta0[:, None], thetas], axis=1)
+    for _ in range(_FACE_STEPS):
+        ref = W.argmax(axis=1)
+        free = W > 0.0
+        free[rows, ref] = False
+        fu, fs = np.nonzero(free)
+        if fu.size == 0:
+            break
+        face = _Face(Va, eK, u0, prefixes, fu, fs, ref[fu])
+        x, r, g = _projected_search(
+            face, face.newton(wa, imp), W[fu, fs], W[rows, ref], imp, wa)
+        W[fu, fs] = x
+        W[rows, ref] = r
+        if g <= 0.0 or g >= 1.0:
+            break
+    theta0[:] = W[:, 0]
+    thetas[:] = W[:, 1:]
+
+
+def _projected_search(face, p, x, r, imp, wa):
+    """Follow the free weights x + g*p for g in [0, 1], freezing a term where
+    it reaches 0 and every term of a user whose reference weight r reaches 0,
+    up to the first maximum of the objective along that path.
+
+    The path is linear between those events, and ``newton_step`` searches
+    each piece.  Updates imp in place; returns the new (x, r) and the g
+    reached.
+    """
+    fu = face.fu
+    m = r.size
+    with np.errstate(divide="ignore"):
+        hit = np.where(p < 0.0, x / -p, np.inf)     # g where each term empties
+    order = np.argsort(hit, kind="stable")
+    due = hit[order]
+    stop = np.full(fu.size, np.inf)                 # g where each term stops
+    emptied = np.zeros(fu.size, dtype=bool)
+    lost = np.zeros(m, dtype=bool)                  # references that emptied
+    r = r.copy()
+    dr = -np.bincount(fu, p, minlength=m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        empty = np.where(dr < 0.0, r / -dr, np.inf)  # g where a reference empties
+    dimp = face.apply(p)
+    g, k = 0.0, 0
+    while True:
+        while k < due.size and stop[order[k]] < np.inf:
+            k += 1                  # frozen with its user's reference
+        end = min(float(due[k]) if k < due.size else np.inf,
+                  float(empty.min()), 1.0)
+        length = end - g
+        step = newton_step(imp, dimp, wa, length)
+        imp += step * dimp
+        r += step * dr
+        if step < length:
+            g += step
+            break
+        g = end
+        if g >= 1.0:
+            break
+        # freeze the terms that emptied at g, then the moving terms of the
+        # users whose reference did
+        k1 = int(np.searchsorted(due, g, side="right"))
+        out = order[k:k1]
+        k = k1
+        out = out[stop[out] == np.inf]
+        emptied[out] = True
+        users = np.flatnonzero(empty <= g)
+        if users.size:
+            out = np.concatenate([out, np.flatnonzero(
+                np.isin(fu, users) & (stop == np.inf) & ~emptied)])
+            lost[users] = True
+            empty[users] = np.inf
+        stop[out] = g
+        dimp -= face.apply(p[out], out)
+        # the references of the users that lost moving terms change slope
+        np.add.at(dr, fu[out], p[out])
+        dr[lost] = 0.0
+        changed = fu[out]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            empty[changed] = np.where(dr[changed] < 0.0,
+                                      g + r[changed] / -dr[changed], np.inf)
+    x = np.where(emptied, 0.0, np.maximum(x + p * np.minimum(g, stop), 0.0))
+    r = np.where(lost, 0.0, np.maximum(r, 0.0))
+    return x, r, g
+
+
+class _Face:
+    """The free terms of a face as rows of D, impact = base + D.T @ x.
+
+    Row j is Va[u] * (exposure of free term j - exposure of u's reference),
+    kept as its 2K prefix entries (the term's +eK, the reference's -eK; none
+    for the uniform start) plus beta_j * Va[u], where beta_j = +u0 when the
+    free term is the uniform start and -u0 when the reference is.
+    """
+
+    def __init__(self, Va, eK, u0, prefixes, fu, fs, fr):
+        m, n = Va.shape
+        # term 0 is the uniform start, whose prefix entries get value 0
+        self.items = np.concatenate([prefixes[fu, np.maximum(fs - 1, 0)],
+                                     prefixes[fu, np.maximum(fr - 1, 0)]], axis=1)
+        self.vals = np.concatenate(
+            [np.where(fs[:, None] > 0, eK, 0.0),
+             np.where(fr[:, None] > 0, -eK, 0.0)], axis=1)
+        self.vals *= Va[fu[:, None], self.items]
+        self.beta = u0 * ((fs == 0).astype(np.float64) - (fr == 0))
+        # the terms with a beta part, the users whose uniform start is in the
+        # face with their Va rows, and each such term's row in Vu
+        self.sel = np.flatnonzero(self.beta)
+        self.uni, self.at = np.unique(fu[self.sel], return_inverse=True)
+        self.Vu = Va[self.uni]
+        self.fu, self.m, self.n = fu, m, n
+
+    def apply(self, x, rows=slice(None)):
+        """D[rows].T @ x, the impact change of moving those free weights by x."""
+        items, vals = self.items[rows], self.vals[rows]
+        out = np.bincount(items.ravel(), (vals * x[:, None]).ravel(),
+                          minlength=self.n)
+        beta = self.beta[rows] * x
+        if beta.any():
+            per_user = np.bincount(self.fu[rows], beta, minlength=self.m)
+            out += per_user[self.uni] @ self.Vu
+        return out
+
+    def newton(self, wa, imp):
+        """Min-norm least-squares p of diag(sqrt(wa)/imp) D.T p = sqrt(wa),
+        the Newton direction of sum wa*log(imp) in the free weights, through
+        the smaller of the F x F and n x n normal equations with a ridge."""
+        items, vals, beta, sel, at = self.items, self.vals, self.beta, self.sel, self.at
+        F, n = self.fu.size, self.n
+        c = np.sqrt(wa) / imp
+        if F < n:
+            # F rows of n entries: smaller than the n x n system
+            D = np.bincount((np.arange(F)[:, None] * n + items).ravel(), vals.ravel(),
+                            minlength=F * n).reshape(F, n)
+            D[sel] += beta[sel, None] * self.Vu[at]
+            G = (D * (c * c)) @ D.T
+            if not _ridge(G):
+                return np.zeros(F)
+            return np.linalg.solve(G, D @ (c * np.sqrt(wa)))
+        # D.T D as a sum of outer products: the prefix entries pairwise, then
+        # the dense beta * Va[u] parts of users with their uniform start
+        pairs = (items[:, :, None] * n + items[:, None, :]).ravel()
+        G = np.bincount(pairs, (vals[:, :, None] * vals[:, None, :]).ravel(),
+                        minlength=n * n).reshape(n, n)
+        if sel.size:
+            bs = beta[sel]
+            Z = np.bincount((at[:, None] * n + items[sel]).ravel(),
+                            (bs[:, None] * vals[sel]).ravel(),
+                            minlength=self.uni.size * n).reshape(-1, n)
+            Z += 0.5 * np.bincount(at, bs * bs, minlength=self.uni.size)[:, None] * self.Vu
+            X = self.Vu.T @ Z
+            G += X + X.T
+        G *= c[:, None] * c[None, :]
+        if not _ridge(G):
+            return np.zeros(F)
+        y = c * np.linalg.solve(G, np.sqrt(wa))
+        p = (vals * y[items]).sum(axis=1)
+        p[sel] += beta[sel] * (self.Vu @ y)[at]
+        return p
+
+
+def _ridge(G):
+    """Add the ridge to G's diagonal in place; False when G is 0 (every
+    free term moves no impact, so the direction is 0)."""
+    scale = float(G.diagonal().max())
+    if scale <= 0.0:
+        return False
+    G[np.diag_indices(G.shape[0])] += _RIDGE * scale
+    return True
 
 
 def _exposures(theta0, thetas, prefixes, eK, u0, n):

@@ -32,9 +32,13 @@ import numpy as np
 
 from . import _kernels
 from .core import Policy, PolicyTensor, RankingMixture, renormalize_doubly_stochastic
-from .errors import MatchingFailure
+from .errors import MatchingFailure, SizeError
 
 DEFAULT_EPSILON = 1e-9
+
+# the most rank entries (items of all terms' rankings, 8 bytes each) that
+# decomposing a mixture may build: 2 GiB
+MAX_ENTRIES = 2**28
 
 # Marcus-Ree: a doubly stochastic matrix needs at most (n-1)^2 + 1 terms, so
 # no user's decomposition has more.
@@ -84,7 +88,8 @@ def bvn_decompose(policy: Policy, epsilon: float = DEFAULT_EPSILON) -> BvnDecomp
 
     Either way each user's weights are divided by their sum, and
     reconstruction matches the input entrywise to within
-    ``n * epsilon + 1e-9``.
+    ``n * epsilon + 1e-9``.  A mixture whose shifts would hold more than
+    ``MAX_ENTRIES`` rank entries raises ``SizeError`` before anything is built.
     """
     if not 1e-12 <= epsilon <= 1e-6:
         raise ValueError(f"epsilon must lie in [1e-12, 1e-6], got {epsilon}")
@@ -103,6 +108,12 @@ def _mixture_terms(policy: RankingMixture, epsilon: float) -> tuple:
     live = policy.weights > 0.0
     users = policy.term_users()[live]
     shifts = np.maximum(n - policy.lengths[live], 1)
+    # each shift is a ranking of n items; a user past the term bound is
+    # peeled from n x n entries, fewer than its shifts' n * (n-1)^2
+    entries = float(n) * float(shifts.sum(dtype=np.float64))
+    if entries > MAX_ENTRIES:
+        raise SizeError(f"decomposing this policy takes {entries:.3g} rank "
+                        f"entries, more than {MAX_ENTRIES}")
     parts = [(users, policy.weights[live], policy.rankings()[live], shifts)]
     over = np.flatnonzero(np.bincount(users, weights=shifts, minlength=m)
                           > (n - 1) ** 2 + 1)

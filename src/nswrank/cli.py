@@ -5,7 +5,7 @@ malformed files, 4 solver finished without reaching its gap target (policy is
 still written), 5 infeasible or degenerate program, 6 dimension mismatch,
 7 decomposition matching failure, 8 the exposure-fair solve found no optimum
 for another reason (HiGHS stopped on its master LP, or artificial mass was
-left on an exposure target).
+left on an exposure target), 9 a decomposition too large to build.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import sys
 import numpy as np
 
 from . import io as nio
-from .core import ExposureModel, ImpactFunction, user_utility
-from .bvn import bvn_decompose, reconstruct, sample_ranking
+from .core import ExposureModel, ImpactFunction, RankingMixture, user_utility
+from .bvn import (MAX_ENTRIES, BvnDecomposition, bvn_decompose, reconstruct,
+                  sample_ranking)
 from .errors import (
     DegenerateMarketError,
     DimensionError,
@@ -29,6 +30,7 @@ from .errors import (
     NswrankError,
     ParseError,
     SchemaError,
+    SizeError,
     SolverError,
     ZeroMeritError,
 )
@@ -166,9 +168,33 @@ def cmd_decompose(args) -> int:
     policy = nio.load_policy(args.policy)["policy"]
     dec = bvn_decompose(policy, epsilon=args.epsilon)
     nio.save_decomposition(args.out, dec)
-    err = float(np.abs(reconstruct(dec).matrices - policy.dense()).max())
-    print(f"reconstruction_error={err:.3e}")
+    print(f"reconstruction_error={_reconstruction_error(dec, policy):.3e}")
     return 0
+
+
+# users per block of the reconstruction check: its dense (users, n, n)
+# arrays hold about 2^20 entries each
+_CHECK_ENTRIES = 2**20
+
+
+def _reconstruction_error(dec: BvnDecomposition, policy) -> float:
+    """Largest |reconstruct(dec) - policy| entry, one block of users at a
+    time; each entry is computed as on the whole (m, n, n) tensors."""
+    n = dec.n
+    if n * n > MAX_ENTRIES:
+        raise SizeError(f"checking the decomposition takes {n}^2 entries per "
+                        f"user, more than {MAX_ENTRIES}")
+    step = max(1, _CHECK_ENTRIES // (n * n))
+    err = 0.0
+    for lo in range(0, dec.m, step):
+        hi = min(lo + step, dec.m)
+        part = BvnDecomposition(hi - lo, n, dec.epsilon, dec.terms[lo:hi])
+        if isinstance(policy, RankingMixture):
+            want = policy.users(lo, hi).dense()
+        else:
+            want = policy.matrices[lo:hi]
+        err = max(err, float(np.abs(reconstruct(part).matrices - want).max()))
+    return err
 
 
 def cmd_sample(args) -> int:
@@ -366,6 +392,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 8
+    except SizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 9
 
 
 def entry() -> None:  # console-script wrapper

@@ -279,6 +279,15 @@ class RankingMixture:
     def m(self) -> int:
         return self.indptr.size - 1
 
+    def users(self, start: int, stop: int) -> "RankingMixture":
+        """The mixture of users start..stop-1 alone, their terms in order."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        first = int(self.lengths[:lo].sum())
+        return RankingMixture(
+            n=self.n, indptr=self.indptr[start:stop + 1] - lo,
+            weights=self.weights[lo:hi], lengths=self.lengths[lo:hi],
+            items=self.items[first:first + int(self.lengths[lo:hi].sum())])
+
     def term_users(self) -> np.ndarray:
         """The user of each term."""
         return np.repeat(np.arange(self.m), np.diff(self.indptr))

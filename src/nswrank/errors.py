@@ -39,7 +39,8 @@ class SolverError(NswrankError):
 
 
 class SizeError(NswrankError):
-    """Instance exceeds the enumerable bound of the brute-force oracle."""
+    """An instance exceeds a size bound: the brute-force oracle's enumeration
+    or the rank entries a decomposition would hold."""
 
 
 class ParseError(NswrankError):

@@ -250,6 +250,46 @@ class TestDecomposeAndSample:
         line = capsys.readouterr().out.strip()
         assert line == "1,0 2,1"
 
+    def test_huge_declared_n_is_a_size_error(self, tmp_path, capsys):
+        # one user whose empty prefix would expand into 10^8 cyclic shifts
+        # of 10^8 items; the size check runs before anything that large exists
+        import tracemalloc
+
+        pol = tmp_path / "huge.json"
+        pol.write_text(json.dumps({"schema": "policy/v2", "m": 1, "n": 10**8,
+                                   "users": [[{"weight": 1.0,
+                                               "items_by_rank": []}]]}))
+        dec = tmp_path / "dec.json"
+        tracemalloc.start()
+        try:
+            rc = main(["decompose", "--policy", str(pol), "--out", str(dec)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 9
+        assert capsys.readouterr().err == (
+            "error: decomposing this policy takes 1e+16 rank entries, more "
+            "than 268435456\n")
+        assert not dec.exists()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_reconstruction_error_by_user_blocks(self, monkeypatch, block):
+        # blocks of `block` users give the entry of the whole-tensor check
+        rng = np.random.default_rng(block)
+        users = [[(0.25, rng.permutation(4)[:2]), (0.75, rng.permutation(4))]
+                 for _ in range(5)]
+        mixture = RankingMixture.from_counts(
+            4, [2] * 5, [w for u in users for w, _ in u],
+            [len(p) for u in users for _, p in u],
+            np.concatenate([p for u in users for _, p in u]))
+        monkeypatch.setattr(cli, "_CHECK_ENTRIES", block * 16)
+        for policy in (mixture, PolicyTensor(mixture.dense())):
+            dec = bvn_decompose(policy)
+            whole = float(np.abs(cli.reconstruct(dec).matrices
+                                 - policy.dense()).max())
+            assert cli._reconstruction_error(dec, policy) == whole
+
     @pytest.mark.parametrize("user", ["100", "-1"])
     def test_sample_user_out_of_range(self, tmp_path, capsys, user):
         dec = tmp_path / "dec.json"

@@ -115,6 +115,65 @@ def test_newton_step_stops_before_an_impact_hits_zero(seed, n, past):
                                 abs=1e-12 * gamma_max)
 
 
+def face_state(seed, m=4, n=6, k=2, vertices=5):
+    """A random mixture per user: weight on the uniform start and on
+    `vertices` random top-k prefixes, some of them at weight 0.  A prefix may
+    repeat within a user, which makes rows of the face matrix 0."""
+    rng = np.random.default_rng(seed)
+    V, e, w, active = random_problem(seed, m=m, n=n, k=k)
+    weights = rng.dirichlet(np.ones(vertices + 1), size=m)
+    weights[rng.random((m, vertices + 1)) < 0.2] = 0.0
+    weights[:, 1] += weights.sum(axis=1) == 0.0     # no user left empty
+    weights /= weights.sum(axis=1, keepdims=True)
+    prefixes = np.array([[rng.permutation(n)[:k] for _ in range(vertices)]
+                         for _ in range(m)])
+    return V, e[:k], w, weights[:, 0].copy(), weights[:, 1:].copy(), prefixes
+
+
+def face_objective(V, eK, w, theta0, thetas, prefixes):
+    n = V.shape[1]
+    E = _kernels._exposures(theta0, thetas, prefixes, eK, eK.sum() / n, n)
+    imp = np.einsum("ui,ui->i", V, E)
+    return float(w @ np.log(imp)), imp
+
+
+class TestFaceStep:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+           k=st.integers(1, 3), vertices=st.integers(1, 6))
+    def test_objective_rises_and_weights_stay_on_the_simplex(self, seed, n, k,
+                                                              vertices):
+        k = min(k, n)
+        V, eK, w, theta0, thetas, prefixes = face_state(seed, 4, n, k, vertices)
+        before, imp = face_objective(V, eK, w, theta0, thetas, prefixes)
+        was_zero = np.concatenate([theta0[:, None], thetas], axis=1) == 0.0
+        _kernels.face_step(V, w, eK, eK.sum() / n, theta0, thetas, prefixes, imp)
+        after, fresh = face_objective(V, eK, w, theta0, thetas, prefixes)
+        W = np.concatenate([theta0[:, None], thetas], axis=1)
+        assert after >= before - 1e-12 * abs(before)
+        assert W.min() >= 0.0
+        assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12
+        # terms outside the support stay out, and imp follows the weights
+        assert np.all(W[was_zero] == 0.0)
+        assert np.allclose(imp, fresh, rtol=1e-9)
+
+    def test_a_term_that_reaches_zero_leaves_the_support(self):
+        # more terms than items: the face cannot hold them all at its optimum
+        V, eK, w, theta0, thetas, prefixes = face_state(5, m=3, n=4, k=2,
+                                                        vertices=6)
+        positive = np.concatenate([theta0[:, None], thetas], axis=1) > 0.0
+        _, imp = face_objective(V, eK, w, theta0, thetas, prefixes)
+        _kernels.face_step(V, w, eK, eK.sum() / 4, theta0, thetas, prefixes, imp)
+        W = np.concatenate([theta0[:, None], thetas], axis=1)
+        left = positive & (W == 0.0)
+        assert left.any()
+        assert not np.any((W > 0.0) & (W < 1e-12))     # 0 exactly, no residue
+        # a second face step works on the smaller support and leaves those out
+        _kernels.face_step(V, w, eK, eK.sum() / 4, theta0, thetas, prefixes, imp)
+        W = np.concatenate([theta0[:, None], thetas], axis=1)
+        assert np.all(W[left] == 0.0)
+
+
 class TestMatching:
     @pytest.mark.parametrize("seed", range(5))
     def test_finds_valid_matching(self, seed):

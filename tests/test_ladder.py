@@ -16,12 +16,14 @@ _spec.loader.exec_module(ladder)
 @pytest.mark.parametrize("policy", ladder.POLICIES)
 def test_rung_reports_every_step(policy):
     row = ladder.run_rung(6, 5, 2, policy)
-    assert set(row) == {"objective", "user_utility", "solve_s", "evaluate_s",
-                        "decompose_s", "sample_s", "terms_per_user",
-                        "terms_max", "policy_bytes", "peak_rss_mb"}
+    assert set(row) == {"objective", "iterations", "user_utility", "solve_s",
+                        "evaluate_s", "decompose_s", "sample_s",
+                        "terms_per_user", "terms_max", "policy_bytes",
+                        "peak_rss_mb"}
     assert all(isinstance(v, (int, float)) and math.isfinite(v)
                for v in row.values())
     assert 1.0 <= row["terms_per_user"] <= row["terms_max"] <= 4 ** 2 + 1
+    assert isinstance(row["iterations"], int) and row["iterations"] >= 1
     assert row["peak_rss_mb"] > 0
     assert row["policy_bytes"] > 0
 

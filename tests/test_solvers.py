@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nswrank import solvers
@@ -25,6 +25,7 @@ from nswrank import (
     ZeroMeritError,
     amortized_exposure,
     brute_force_oracle,
+    envy_matrix,
     exposure_targets,
     generate_market,
     item_impact,
@@ -349,6 +350,51 @@ def test_expo_fair_duality_gap_certifies_the_policy(market):
         expo_fair_bound(rel, exp, diag.exposure_prices) - diag.objective_value)
     assert diag.objective_value == pytest.approx(utility, rel=1e-12)
     assert -1e-12 <= diag.duality_gap <= 1e-9 * abs(utility)
+
+
+@st.composite
+def _nsw_markets(draw):
+    m = draw(st.integers(1, 8))
+    K = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(max(K, 2), 6))
+    values = draw(st.lists(st.floats(0.05, 1.0), min_size=m * n,
+                           max_size=m * n))
+    return RelevanceMatrix(np.reshape(values, (m, n))), ExposureModel.make("inverse", n, K)
+
+
+@settings(max_examples=150, deadline=None)
+@given(market=_nsw_markets(), alpha=st.sampled_from([0.0, 1.0]))
+# the objective moves from -0.27 to -0.198 within the last pass, so the gap
+# must be held to the bound of the objective the solve ends with
+@example(market=(RelevanceMatrix(np.array([[0.859375, 0.859375, 0.74609375],
+                                           [0.5, 0.5, 0.87890625]])),
+                 ExposureModel.make("inverse", 3, 3)), alpha=0.0)
+def test_nsw_duality_gap_certifies_the_policy(market, alpha):
+    rel, exp = market
+    cfg = NswConfig(alpha=alpha)
+    policy, diag = solve_nsw(rel, exp, cfg)
+    w = np.power(merit(rel), alpha)
+    objective = float(np.sum(w * np.log(item_impact(policy, rel, exp))))
+    assert diag.objective_value == pytest.approx(objective, rel=1e-12)
+    assert -1e-12 <= diag.duality_gap <= cfg.rel_gap_tol * abs(diag.objective_value) + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(market=_nsw_markets(), alpha=st.sampled_from([0.0, 1.0]))
+def test_nsw_at_one_slot_is_envy_free_within_its_gap(market, alpha):
+    # At K = 1 the gap is sum_u sum_j E[u, j] (max_k c[u, k] - c[u, j]) with
+    # c[u, i] = w_i V[u, i] / imp_i, every term nonnegative, so for items i, j
+    # it bounds sum_u E[u, j] (c[u, i] - c[u, j]) = w_i em[i, j] / imp_i - w_j.
+    # Dividing column j by w_j: em[i, j] / w_j - imp_i / w_i <= G imp_i / (w_i w_j).
+    rel, _ = market
+    exp = ExposureModel.make("inverse", rel.n, 1)
+    policy, diag = solve_nsw(rel, exp, NswConfig(alpha=alpha))
+    w = np.power(merit(rel), alpha)
+    imp = item_impact(policy, rel, exp)
+    wem = envy_matrix(policy, rel, exp) / w[None, :]
+    envy = wem - (imp / w)[:, None]
+    bound = max(diag.duality_gap, 0.0) * imp[:, None] / np.outer(w, w)
+    assert np.all(envy <= bound + 1e-12 * (imp / w)[:, None])
 
 
 def test_perturbed_prices_give_a_larger_bound():
