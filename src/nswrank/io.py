@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -258,9 +259,11 @@ def load_decomposition(path) -> BvnDecomposition:
     doc = _read_json(path)
     _require_schema(doc, DECOMPOSITION_SCHEMA)
     m, n = _int_field(doc, "m"), _int_field(doc, "n")
+    if m < 1 or n < 2:
+        raise DimensionError(f"need m >= 1 and n >= 2, got m={m}, n={n}")
     epsilon = _field(doc, "epsilon")
-    if not _is_number(epsilon):
-        raise ParseError(f"epsilon must be a number, got {epsilon!r}")
+    if not _is_finite(epsilon):
+        raise ParseError(f"epsilon must be a finite number, got {epsilon!r}")
     counts, weights, _, items = _parse_users(doc, m, n, full=True)
     perms = items.reshape(-1, n)
     ends = np.cumsum(counts).tolist()
@@ -304,7 +307,7 @@ def _parse_users(doc: dict, m: int, n: int, full: bool) -> tuple:
         return int(np.searchsorted(np.cumsum(counts), np.argmax(flags),
                                    side="right"))
 
-    bad = [not (_is_number(w) and 0.0 <= w < math.inf) for w in weights]
+    bad = [not (_is_finite(w) and w >= 0.0) for w in weights]
     if any(bad):
         raise ParseError(f"user {first_user(bad)}: a weight is not a finite "
                          "nonnegative number")
@@ -417,3 +420,9 @@ def _int_field(doc: dict, key: str) -> int:
 
 def _is_number(value) -> bool:
     return type(value) in (int, float)
+
+
+def _is_finite(value) -> bool:
+    """Whether a JSON value is a number that a float holds finitely: not NaN
+    or infinite, and not an integer too large for float()."""
+    return _is_number(value) and abs(value) <= sys.float_info.max

@@ -15,7 +15,11 @@ be checked against an independent computation of the same objective.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -135,8 +139,9 @@ def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use.
 
     Loading scipy.optimize takes longer than every other import of the CLI
-    together, so only the exposure-fair solve pays for it.  The solve calls
-    it only when scipy's HiGHS binding cannot be imported (see ``_Master``).
+    together (about 0.7 s), so only the cold fallback of the exposure-fair
+    solve pays for it: the solve calls this only when scipy's HiGHS binding
+    cannot be loaded (see ``_highs_core``).
     """
     from scipy.optimize import linprog as scipy_linprog
 
@@ -157,26 +162,62 @@ _MASTER_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
                       "dual_feasibility_tolerance": 1e-10}
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's bundled HiGHS binding, loaded without scipy.optimize, or None
+    when it cannot be loaded.
+
+    Importing it by name runs scipy.optimize's ``__init__`` first (about
+    0.7 s); loading the extension from its file takes the scipy package and
+    the extension alone (about 10 ms).  The module is registered under its
+    own name before it runs, so a later ``import scipy.optimize`` reuses it:
+    pybind11 cannot register its classes twice in one process.  An entry
+    already in ``sys.modules`` is reused, and a ``None`` entry (an import
+    blocked on purpose) means the binding is unavailable.
+    """
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    try:
+        import scipy
+    except ImportError:
+        return None
+    where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [where])
+    if spec is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_CORE] = module
+        spec.loader.exec_module(module)
+    except ImportError:
+        sys.modules.pop(_HIGHS_CORE, None)
+        return None
+    return module
+
+
 class _Master:
     """Restricted master LP: minimize cost @ x subject to A x = rhs and
     x >= 0, where A only ever gains columns.
 
     It lives in one HiGHS instance of scipy's bundled binding, so each solve
-    restarts from the previous basis.  That binding is private to scipy; when
-    it cannot be imported, each solve is a cold ``linprog`` call over every
-    column so far, which reaches the same optimum more slowly.
+    restarts from the previous basis; loading that binding takes the scipy
+    package and the extension alone (``_highs_core``), not scipy.optimize.
+    The binding is private to scipy; when it cannot be loaded, each solve is
+    a cold ``linprog`` call over every column so far, which imports
+    scipy.optimize and reaches the same optimum more slowly.
     """
 
     def __init__(self, rhs: np.ndarray):
         self.rhs = rhs
         self.columns = []   # the CSC pieces, kept for the cold solves only
-        try:
-            from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-        except ImportError:
+        core = _highs_core()
+        if core is None:
             self.highs = None
             return
-        self.optimal = HighsModelStatus.kOptimal
-        self.highs = _Highs()
+        self.optimal = core.HighsModelStatus.kOptimal
+        self.highs = core._Highs()
         self.highs.setOptionValue("output_flag", False)
         for key, value in _MASTER_TOLERANCES.items():
             self.highs.setOptionValue(key, value)

@@ -314,6 +314,25 @@ class TestDecomposeAndSample:
                    "--seed", "3"])
         assert rc == 3
 
+    @pytest.mark.parametrize("fields, rc, message", [
+        ({"n": 0, "users": [[{"weight": 1.0, "items_by_rank": []}]]}, 6,
+         "need m >= 1 and n >= 2, got m=1, n=0"),
+        ({"m": 0, "users": []}, 6, "need m >= 1 and n >= 2, got m=0, n=2"),
+        ({"epsilon": float("nan")}, 3,
+         "epsilon must be a finite number, got nan"),
+    ], ids=["no-items", "no-users", "nan-epsilon"])
+    def test_sample_bad_sizes_and_epsilon(self, tmp_path, capsys, fields, rc,
+                                          message):
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps({"schema": "decomposition/v1", "m": 1,
+                                   "n": 2, "epsilon": 1e-9,
+                                   "users": [[{"weight": 1.0,
+                                               "items_by_rank": [0, 1]}]],
+                                   **fields}))
+        assert main(["sample", "--decomposition", str(dec), "--user", "0",
+                     "--seed", "3"]) == rc
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("weights", [[float("nan")], [1.5, -0.5]],
                              ids=["nan", "negative"])
     def test_sample_unsamplable_weights(self, tmp_path, capsys, weights):

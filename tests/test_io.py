@@ -310,9 +310,12 @@ class TestMixturePolicyJson:
         ([{"weight": 1.0, "items_by_rank": 0}], ParseError),
         ([{"weight": 0.5, "items_by_rank": []}], NotDoublyStochastic),
         ([], ParseError),
+        # an integer too large for float() is not a finite weight
+        ([{"weight": 10**400, "items_by_rank": []}], ParseError),
     ], ids=["no-items_by_rank", "text-weight", "repeated-item",
             "item-out-of-range", "negative-item", "float-item",
-            "longer-than-n", "not-a-list", "weights-sum-0.5", "no-terms"])
+            "longer-than-n", "not-a-list", "weights-sum-0.5", "no-terms",
+            "weight-past-float"])
     def test_rejects_malformed_terms(self, tmp_path, terms, error):
         path = tmp_path / "policy.json"
         nio.save_policy(path, solve_uniform(2, 2), "uniform", "inverse", 1)
@@ -337,6 +340,7 @@ class TestMixturePolicyJson:
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.just(10**30)
+    | st.just(10**400)
     | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["weight", "items_by_rank", "x"]), inner,
@@ -353,10 +357,24 @@ def _paths(value, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _edited(draw, doc: dict) -> dict:
+    """``doc`` after up to three edits, each replacing or deleting one field,
+    list entry or term anywhere in it."""
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_JSON_VALUES)
+        else:
+            del parent[path[-1]]
+    return doc
+
+
 @st.composite
 def _policy_docs(draw):
-    """A valid policy/v1 or policy/v2 document, then up to three edits, each
-    replacing or deleting one field, list entry or term anywhere in it."""
+    """A valid policy/v1 or policy/v2 document, then up to three edits."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
     if draw(st.booleans()):
         users = []
@@ -370,16 +388,7 @@ def _policy_docs(draw):
         mats = [np.eye(n)[draw(st.permutations(range(n)))].ravel().tolist()
                 for _ in range(m)]
         doc = {"schema": "policy/v1", "m": m, "n": n, "matrices": mats}
-    for _ in range(draw(st.integers(0, 3))):
-        path = draw(st.sampled_from(list(_paths(doc))))
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        if draw(st.booleans()):
-            parent[path[-1]] = draw(_JSON_VALUES)
-        else:
-            del parent[path[-1]]
-    return doc
+    return _edited(draw, doc)
 
 
 @settings(max_examples=400, deadline=None)
@@ -470,9 +479,11 @@ class TestDecompositionJson:
           {"weight": -0.5, "items_by_rank": [1, 0]}], ParseError),
         ([{"weight": float("inf"), "items_by_rank": [0, 1]},
           {"weight": -float("inf"), "items_by_rank": [1, 0]}], ParseError),
+        ([{"weight": 10**400, "items_by_rank": [0, 1]}], ParseError),
     ], ids=["no-items_by_rank", "text-weight", "null-weight", "text-rank",
             "float-rank", "ragged-ranks", "weights-sum-0.9", "no-terms",
-            "nan-weight", "negative-weight", "infinite-weights"])
+            "nan-weight", "negative-weight", "infinite-weights",
+            "weight-past-float"])
     def test_rejects_malformed_terms(self, tmp_path, terms, error):
         path = tmp_path / "dec.json"
         doc = {"schema": "decomposition/v1", "m": 2, "n": 2, "epsilon": 1e-9,
@@ -490,6 +501,80 @@ class TestDecompositionJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=field):
             nio.load_decomposition(path)
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"n": 0, "users": [[{"weight": 1.0, "items_by_rank": []}]]},
+         DimensionError),
+        ({"m": 0, "users": []}, DimensionError),
+        ({"epsilon": float("nan")}, ParseError),
+        ({"epsilon": 10**400}, ParseError),
+    ], ids=["no-items", "no-users", "nan-epsilon", "epsilon-past-float"])
+    def test_rejects_bad_sizes_and_epsilon(self, tmp_path, fields, error):
+        path = tmp_path / "dec.json"
+        doc = {"schema": "decomposition/v1", "m": 1, "n": 2, "epsilon": 1e-9,
+               "users": [[{"weight": 1.0, "items_by_rank": [1, 0]}]], **fields}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            nio.load_decomposition(path)
+
+
+@st.composite
+def _metrics_docs(draw):
+    """A valid metrics/v1 document, then up to three edits."""
+    n = draw(st.integers(1, 4))
+    doc = {"schema": "metrics/v1", "user_utility": 1.0, "mean_max_envy": 0.0,
+           "pct_improved_10": 0.0, "pct_decreased_10": 0.0,
+           "per_item_impact": [0.5] * n,
+           "per_item_ratio_vs_uniform": [1.0] * (n - 1) + [None],
+           "excluded_items": []}
+    return _edited(draw, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_metrics_docs() | _JSON_VALUES)
+def test_load_metrics_fuzz_raises_only_typed_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz-metrics.json"
+    path.write_text(json.dumps(doc))
+    try:
+        loaded = nio.load_metrics(path)
+    except (ParseError, SchemaError, DimensionError):
+        return
+    assert len(loaded["per_item_impact"]) == len(
+        loaded["per_item_ratio_vs_uniform"])
+
+
+@st.composite
+def _decomposition_docs(draw):
+    """A decomposition/v1 document, valid but for its sizes (down to 0)
+    and epsilon (any float), then up to three edits."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    users = []
+    for _ in range(m):
+        k = draw(st.integers(1, 3))
+        users.append([{"weight": 1.0 / k,
+                       "items_by_rank": draw(st.permutations(range(n)))}
+                      for _ in range(k)])
+    epsilon = draw(st.just(1e-9) | st.floats() | st.just(10**400))
+    doc = {"schema": "decomposition/v1", "m": m, "n": n, "epsilon": epsilon,
+           "users": users}
+    return _edited(draw, doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_decomposition_docs() | _JSON_VALUES)
+def test_load_decomposition_fuzz_raises_only_typed_errors(tmp_path_factory,
+                                                          doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz-decomposition.json"
+    path.write_text(json.dumps(doc))
+    try:
+        dec = nio.load_decomposition(path)
+    except (ParseError, SchemaError, DimensionError):
+        return
+    assert dec.m == len(dec.terms) >= 1 and dec.n >= 2
+    assert np.isfinite(dec.epsilon)
+    for user_terms in dec.terms:
+        for _, perm in user_terms:
+            assert sorted(perm.tolist()) == list(range(dec.n))
 
 
 # a policy/v1 file: a PolicyTensor is written as its matrices

@@ -417,6 +417,46 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("scipy_first", [False, True],
+                         ids=["highs-first", "scipy-optimize-first"])
+def test_expo_fair_loads_highs_without_scipy_optimize(tmp_path, toy_market,
+                                                      scipy_first):
+    # `solve --policy expo-fair` loads scipy's HiGHS extension by itself.  In
+    # either import order the process ends with one module object for it:
+    # pybind11 cannot register its classes twice.
+    from nswrank import io as nio
+
+    rel, exp = toy_market
+    csv, out = str(tmp_path / "rel.csv"), str(tmp_path / "policy.json")
+    nio.save_relevance(rel, csv)
+    code = "\n".join([
+        "import json, sys",
+        "import numpy as np",
+        "import scipy.optimize" if scipy_first else "",
+        "from nswrank import ExposureModel, RelevanceMatrix, cli, solvers",
+        "name = 'scipy.optimize._highspy._core'",
+        "before = sys.modules.get(name)",
+        "print(cli.main(['solve', '--policy', 'expo-fair', '--relevance',",
+        f"                {csv!r}, '--cutoff', '1', '--out', {out!r}]))",
+        "core = sys.modules[name]",
+        "print('scipy.optimize' in sys.modules, before is core)",
+        "print(solvers._Master(np.ones(1)).highs is not None)",
+        "from scipy.optimize import linprog",
+        "print(linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0]).fun,",
+        "      sys.modules[name] is core)",
+        f"with open({out!r}) as fh:",
+        "    first = json.load(fh)['diagnostics']['objective']",
+        "rel = RelevanceMatrix([[0.8, 0.3], [0.5, 0.4]])",
+        "_, second = solvers.solve_expo_fair(rel, ExposureModel.make('inverse', 2, 1))",
+        "print(second.objective_value == first)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(scipy_first), str(scipy_first),
+                                   "True", "1.0", "True", "True"]
+
+
 class TestSolveNsw:
     def test_toy_plain(self, toy_market):
         rel, exp = toy_market
