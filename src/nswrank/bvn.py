@@ -10,16 +10,9 @@ left in one block-diagonal matching, and a user leaves the working arrays
 once its mass is spent.  Each user's terms are those that peeling it alone
 gives.
 
-Trailing rank columns that are equal to the last one form a pooled rank
-class, such as the zero-exposure ranks K..n-1 of the exposure-fair policy.
-The peel treats the P pooled columns as P copies of one class and keeps them
-equal, and each of its terms is then expanded into P cyclic shifts of the
-pooled items over the pooled ranks, each of weight w / P.  A user with no
-pool has P = 1 and gets the plain peel.
-
 A ``RankingMixture`` is already a mixture of rankings whose left-out items
-share the tail ranks uniformly, which is a pooled term: it is expanded into
-cyclic shifts in the same way, with no matching (and no scipy import).
+share the tail ranks uniformly: each term is expanded into the cyclic shifts
+of those items over the tail ranks, with no matching (and no scipy import).
 Sampling a concrete ranking for a user is then a seeded draw over that
 user's terms.
 """
@@ -71,20 +64,12 @@ def bvn_decompose(policy: Policy, epsilon: float = DEFAULT_EPSILON) -> BvnDecomp
     and prefix length L becomes its P = max(n - L, 1) cyclic shifts of the
     items it leaves out, in ascending order, over ranks n - P..n-1, each of
     weight w / P.  A user whose shifts would pass (n-1)^2 + 1 terms is peeled
-    from its dense matrix instead, as below with P = 1.
+    from its dense matrix instead, as below.
 
     A dense policy is peeled.  Entries at or below epsilon are zeroed and
     their mass restored by a renormalization sweep first, so solver residue
-    does not force spurious tiny terms.  A user's pool is then the P trailing
-    rank columns that equal its last column (P = 1 when there are none).  A
-    round's weight is bounded by each matched head entry and by P times the
-    entry of each item matched into the pool; it is taken from the head
-    entries and, in shares of weight / P, from every pooled rank of every
-    pooled item, so the pooled columns stay equal.  Each term then becomes P
-    terms of weight w / P: the head as matched, and the pooled items in
-    ascending order, rotated by s = 0..P-1 across the pooled ranks.  A pooled
-    user whose peel would pass (n-1)^2 + 1 terms that way is peeled again
-    with P = 1, so no user gets more.
+    does not force spurious tiny terms.  Each round then takes the smallest
+    matched entry as one term's weight, and each term is one ranking.
 
     Either way each user's weights are divided by their sum, and
     reconstruction matches the input entrywise to within
@@ -120,42 +105,21 @@ def _mixture_terms(policy: RankingMixture, epsilon: float) -> tuple:
     if over.size:
         keep = ~np.isin(users, over)
         parts = [tuple(a[keep] for a in parts[0])]
-        mats = np.stack([_thresholded(mat, epsilon)
-                         for mat in policy.dense()[over]])
-        for peeled, weight, perms in _peel(mats, np.ones(over.size, np.int64),
-                                           epsilon)[0]:
-            parts.append((over[peeled], weight, perms,
-                          np.ones(peeled.size, np.int64)))
+        # only these users' matrices: the whole tensor is m * n * n entries
+        mats = np.stack([policy.users(u, u + 1).dense()[0] for u in over])
+        peeled, *terms = _peeled_terms(mats, epsilon)
+        parts.append((over[peeled], *terms))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _peeled_terms(matrices: np.ndarray, epsilon: float) -> tuple:
-    """(users, weights, items_by_rank, shifts) of the rounds of the pooled
-    peel, the shifts being each user's pool width."""
-    m = matrices.shape[0]
+    """(users, weights, items_by_rank, shifts) of the peel's rounds, one
+    shift per term."""
     work = np.empty_like(matrices)
     for u, mat in enumerate(matrices):
         work[u] = _thresholded(mat, epsilon)
-    # the rescaling keeps equal columns equal, since their sums are equal
-    same = (work == work[:, :, -1:]).all(axis=1)
-    width = np.logical_and.accumulate(same[:, ::-1], axis=1).sum(axis=1)
-
-    rounds, over = _peel(work, width, epsilon)
-    if over.size:
-        # their pooled rounds are dropped and their matrices rebuilt
-        redo = np.zeros(m, dtype=bool)
-        redo[over] = True
-        kept = []
-        for users, weight, perms in rounds:
-            keep = ~redo[users]
-            kept.append((users[keep], weight[keep], perms[keep]))
-        rounds = kept
-        width[over] = 1
-        again = np.stack([_thresholded(matrices[u], epsilon) for u in over])
-        rounds += [(over[users], weight, perms) for users, weight, perms
-                   in _peel(again, width[over], epsilon)[0]]
-    users, weights, perms = (np.concatenate(a) for a in zip(*rounds))
-    return users, weights, perms, width[users]
+    users, weights, perms = (np.concatenate(a) for a in zip(*_peel(work, epsilon)))
+    return users, weights, perms, np.ones(users.size, np.int64)
 
 
 def _expand(m: int, n: int, epsilon: float, users, weights, perms,
@@ -197,69 +161,46 @@ def _thresholded(mat: np.ndarray, epsilon: float) -> np.ndarray:
     return renormalize_doubly_stochastic(kept[None])[0]
 
 
-def _peel(work: np.ndarray, pool: np.ndarray, epsilon: float) -> tuple:
+def _peel(work: np.ndarray, epsilon: float) -> list:
     """Peel the users of ``work`` (m, n, n) in lockstep, in place.
 
-    ``pool[u]`` is user u's pool width P.  Returns the rounds, each as
-    (users, weights, items_by_rank) before the expansion into shifts, and the
-    pooled users that still had mass after (n-1)^2 + 1 terms' worth of
-    rounds, P terms per round; their rounds are incomplete.
+    Returns the rounds, each as (users, weights, items_by_rank).
     """
     m, n = work.shape[:2]
     users = np.arange(m)
     remaining = np.ones(m)      # their mass not yet assigned to a term
     done = n * epsilon + 1e-15
     max_terms = (n - 1) ** 2 + 1
-    budget = max_terms // pool  # rounds each user may take
-    over = []
     ranks = np.arange(n)
     rounds = []
     # rounds keep their rankings in the narrowest integer type, so that
     # holding them all until the regrouping costs little next to its result
     rank_type = np.min_scalar_type(n - 1)
-    for t in range(max_terms + 1):
+    for _ in range(max_terms):
         live = remaining > done
-        spent = live & (budget <= t)
-        if spent.any():
-            if np.any(pool[spent] == 1):
-                raise MatchingFailure(
-                    f"{max_terms} terms left mass {remaining[spent].max():.3e} "
-                    "unassigned; retry with a smaller epsilon")
-            over.append(users[spent])
-            live &= ~spent
         if not live.all():
             users, work, remaining = users[live], work[live], remaining[live]
-            pool, budget = pool[live], budget[live]
             if users.size == 0:
-                break
+                return rounds
         rank_of_item = _kernels.perfect_matching(work > epsilon)
         if np.any(rank_of_item < 0):
             raise MatchingFailure(
                 "no perfect matching on entries above epsilon; "
                 "retry with a smaller epsilon")
         block = np.arange(users.size)[:, None]
-        head = (n - pool)[:, None]              # each user's first pooled rank
-        pooled = rank_of_item >= head
         matched = work[block, ranks, rank_of_item]
-        # a pooled item's entry stands for all P of its pooled ranks
-        weight = np.minimum(
-            (matched * np.where(pooled, pool[:, None], 1.0)).min(axis=1),
-            remaining)
-        # the pooled items take the pooled ranks in ascending item order
-        slot = np.where(pooled, head + np.cumsum(pooled, axis=1) - 1,
-                        rank_of_item)
+        weight = np.minimum(matched.min(axis=1), remaining)
         items_by_rank = np.empty(rank_of_item.shape, dtype=rank_type)
-        items_by_rank[block, slot] = ranks
+        items_by_rank[block, rank_of_item] = ranks
         rounds.append((users, weight, items_by_rank))
-        matched -= np.where(pooled, (weight / pool)[:, None], weight[:, None])
-        work[block, ranks, rank_of_item] = matched
-        if pool.max() > 1:
-            # copy each pooled item's new entry to all of its pooled ranks;
-            # for a user with P = 1 that rewrites the entry just stored
-            np.copyto(work, matched[:, :, None],
-                      where=pooled[:, :, None] & (ranks >= head[:, :, None]))
+        work[block, ranks, rank_of_item] = matched - weight[:, None]
         remaining -= weight
-    return rounds, np.concatenate(over or [np.empty(0, dtype=np.int64)])
+    live = remaining > done
+    if live.any():
+        raise MatchingFailure(
+            f"{max_terms} terms left mass {remaining[live].max():.3e} "
+            "unassigned; retry with a smaller epsilon")
+    return rounds
 
 
 def sample_ranking(dec: BvnDecomposition, user: int, seed: int) -> np.ndarray:

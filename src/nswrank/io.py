@@ -317,15 +317,18 @@ def _parse_users(doc: dict, m: int, n: int, full: bool) -> tuple:
     if bad.any():
         raise ParseError(f"user {first_user(bad)}: items_by_rank must be "
                          f"lists of {'' if full else 'at most '}{n} integers")
-    try:
-        items = np.array([item for r in ranks for item in r])
-    except ValueError:  # nested lists of unequal lengths
-        items = np.array(None)
-    if items.ndim != 1 or items.size and items.dtype.kind != "i":
+    flat = [item for r in ranks for item in r]
+    # numpy also reads JSON booleans as integers; one pass collects the types
+    if not set(map(type, flat)) <= {int}:
         raise ParseError("items_by_rank must hold integers only")
-    items = items.astype(np.int64)
+    outside = ParseError(f"items_by_rank lists an item outside 0..{n - 1}")
+    try:
+        items = np.array(flat, dtype=np.int64)
+    except OverflowError:  # past the int64 range
+        raise outside from None
+    del flat  # one pointer per item, as large as the array
     if items.size and (items.min() < 0 or items.max() >= n):
-        raise ParseError(f"items_by_rank lists an item outside 0..{n - 1}")
+        raise outside
     if _repeats_an_item(lengths, items):
         raise ParseError("items_by_rank lists an item twice")
     return counts, [float(w) for w in weights], lengths, items

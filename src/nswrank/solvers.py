@@ -58,10 +58,11 @@ class NswConfig:
     rel_gap_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.rel_gap_tol <= 0:
-            raise ValueError("rel_gap_tol must be positive")
+        if not 0.0 <= self.alpha < np.inf:  # also false for NaN
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0.0 < self.rel_gap_tol < np.inf:
+            raise ValueError("rel_gap_tol must be finite and > 0, "
+                             f"got {self.rel_gap_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 

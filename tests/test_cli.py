@@ -116,6 +116,22 @@ class TestSolve:
     def test_bad_flags(self):
         assert main(["solve", "--policy", "bogus"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "nan", "alpha must be finite and >= 0, got nan"),
+        ("--alpha", "inf", "alpha must be finite and >= 0, got inf"),
+        ("--tol", "nan", "rel_gap_tol must be finite and > 0, got nan"),
+        ("--tol", "inf", "rel_gap_tol must be finite and > 0, got inf"),
+    ], ids=["alpha-nan", "alpha-inf", "tol-nan", "tol-inf"])
+    def test_nsw_config_out_of_range_exit_code(self, tmp_path, capsys, flag,
+                                               value, message):
+        toy = write_toy(tmp_path)
+        out = tmp_path / "nsw.json"
+        rc = main(["solve", "--policy", "nsw", "--relevance", str(toy),
+                   "--cutoff", "1", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_link_is_not_a_flag(self, tmp_path):
         toy = write_toy(tmp_path)
         assert main(["solve", "--policy", "max", "--relevance", str(toy),
@@ -198,6 +214,19 @@ class TestEvaluate:
         out = tmp_path / "m.json"
         assert main(["evaluate", "--policy", str(pol), "--relevance", str(toy),
                      "--cutoff", "1", "--out-json", str(out)]) == 3
+        assert not out.exists()
+
+    def test_boolean_prefix_item_exit_code(self, tmp_path, capsys):
+        # [false, 1] is not the prefix [0, 1]
+        toy, pol = self._solve(tmp_path, "max")
+        doc = json.loads(pol.read_text())
+        doc["users"][0][0]["items_by_rank"] = [False, 1]
+        pol.write_text(json.dumps(doc))
+        out = tmp_path / "m.json"
+        assert main(["evaluate", "--policy", str(pol), "--relevance", str(toy),
+                     "--cutoff", "1", "--out-json", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: items_by_rank must hold integers only\n")
         assert not out.exists()
 
     def test_exposure_only_impact(self, tmp_path):
@@ -304,7 +333,8 @@ class TestDecomposeAndSample:
         {"weight": 1.0},
         {"weight": "heavy", "items_by_rank": [0, 1]},
         {"weight": 0.9, "items_by_rank": [0, 1]},
-    ], ids=["no-items_by_rank", "text-weight", "weights-sum-0.9"])
+        {"weight": 1.0, "items_by_rank": [True, 0]},
+    ], ids=["no-items_by_rank", "text-weight", "weights-sum-0.9", "bool-rank"])
     def test_sample_malformed_decomposition(self, tmp_path, term):
         dec = tmp_path / "dec.json"
         dec.write_text(json.dumps({"schema": "decomposition/v1", "m": 1,
@@ -348,8 +378,7 @@ class TestDecomposeAndSample:
 
     def test_matching_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # a matching that keeps returning the identity leaves the users'
-        # off-diagonal mass unassigned (a uniform user, being one pooled
-        # rank class, would finish in one round whatever the matching)
+        # off-diagonal mass unassigned
         monkeypatch.setattr(
             _kernels, "perfect_matching",
             lambda support: np.broadcast_to(np.arange(support.shape[1]),
@@ -389,37 +418,6 @@ def test_decompose_golden_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         GOLDEN_DECOMPOSITION_SHA256)
-
-
-# Three users whose last two ranks are one pooled class: each top-2 prefix
-# leaves its other two items half of its weight at each pooled rank.
-GOLDEN_POOLED_PREFIXES = [
-    [(0.5, [0, 1]), (0.5, [0, 1])],
-    [(0.5, [0, 1]), (0.25, [1, 2]), (0.25, [3, 0])],
-    [(0.75, [2, 0]), (0.25, [1, 3])],
-]
-GOLDEN_POOLED_DECOMPOSITION_SHA256 = (
-    "df79e1ef54e30c805415fb502262fa62941a3e6309287f6920d14d9376887bd1")
-
-
-def test_decompose_pooled_golden_bytes(tmp_path, capsys):
-    # pins the bytes of a decomposition whose terms are cyclic shifts of
-    # each peeled term's pooled items; every entry is dyadic, so exact
-    mats = np.zeros((3, 4, 4))
-    for u, terms in enumerate(GOLDEN_POOLED_PREFIXES):
-        for weight, prefix in terms:
-            rest = [i for i in range(4) if i not in prefix]
-            mats[u, prefix, [0, 1]] += weight
-            mats[u, rest, 2:] += weight / 2
-    pol = tmp_path / "policy.json"
-    nio.save_policy(pol, PolicyTensor(mats), "expo-fair", "inverse", 2)
-    out = tmp_path / "dec.json"
-    assert main(["decompose", "--policy", str(pol), "--out", str(out)]) == 0
-    assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        GOLDEN_POOLED_DECOMPOSITION_SHA256)
-    pooled = [len(user) for user in json.loads(out.read_text())["users"]]
-    assert pooled == [2, 6, 6]
 
 
 # Every relevance and exposure sum of this market is a dyadic rational, so

@@ -312,10 +312,15 @@ class TestMixturePolicyJson:
         ([], ParseError),
         # an integer too large for float() is not a finite weight
         ([{"weight": 10**400, "items_by_rank": []}], ParseError),
+        # numpy would read these booleans as the prefixes [0, 1] and [1]
+        ([{"weight": 1.0, "items_by_rank": [False, 1]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": [True]}], ParseError),
+        ([{"weight": 1.0, "items_by_rank": [2**64]}], ParseError),
     ], ids=["no-items_by_rank", "text-weight", "repeated-item",
             "item-out-of-range", "negative-item", "float-item",
             "longer-than-n", "not-a-list", "weights-sum-0.5", "no-terms",
-            "weight-past-float"])
+            "weight-past-float", "bool-and-int-items", "bool-item",
+            "item-past-int64"])
     def test_rejects_malformed_terms(self, tmp_path, terms, error):
         path = tmp_path / "policy.json"
         nio.save_policy(path, solve_uniform(2, 2), "uniform", "inverse", 1)
@@ -480,10 +485,12 @@ class TestDecompositionJson:
         ([{"weight": float("inf"), "items_by_rank": [0, 1]},
           {"weight": -float("inf"), "items_by_rank": [1, 0]}], ParseError),
         ([{"weight": 10**400, "items_by_rank": [0, 1]}], ParseError),
+        # numpy would read this boolean as item 1
+        ([{"weight": 1.0, "items_by_rank": [True, 0]}], ParseError),
     ], ids=["no-items_by_rank", "text-weight", "null-weight", "text-rank",
             "float-rank", "ragged-ranks", "weights-sum-0.9", "no-terms",
             "nan-weight", "negative-weight", "infinite-weights",
-            "weight-past-float"])
+            "weight-past-float", "bool-rank"])
     def test_rejects_malformed_terms(self, tmp_path, terms, error):
         path = tmp_path / "dec.json"
         doc = {"schema": "decomposition/v1", "m": 2, "n": 2, "epsilon": 1e-9,

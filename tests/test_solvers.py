@@ -514,6 +514,16 @@ class TestSolveNsw:
         with pytest.raises(DegenerateMarketError):
             solve_nsw(rel, exp)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", -1.0), ("alpha", float("nan")), ("alpha", float("inf")),
+        ("rel_gap_tol", 0.0), ("rel_gap_tol", float("nan")),
+        ("rel_gap_tol", float("inf")), ("max_iters", 0)])
+    def test_config_rejects_out_of_range_values(self, field, value):
+        # a NaN or infinite alpha or tolerance would run every pass and write
+        # a NaN or infinite objective, or stop after one pass
+        with pytest.raises(ValueError, match=field):
+            NswConfig(**{field: value})
+
 
 class TestBruteForceOracle:
     def test_toy_nsw_objective(self, toy_market):
