@@ -5,17 +5,19 @@ Run from the root of a source checkout (no install needed):
 
     python3 benchmarks/ladder.py --out BENCH_<n>.json
 
-For every rung (users x items x exposed ranks) and policy, one fresh
-interpreter generates ``generate_market(m, n, lam=0.5, noise_c=0.05,
-seed=0)``, solves on the predicted relevance with inverse exposure, audits the
-policy against the ground truth (``fairness_report``), decomposes it
-(``bvn_decompose``) and draws one ranking for every user
-(``sample_ranking``).  It reports the seconds of each step, the solver's
-iterations, the BvN terms per user, the size of the policy JSON that ``nswrank solve`` would write and the
-peak RSS of its own process.  A rung whose dense policy tensor
-would not fit in memory is written as ``null`` with the reason.  The file
-also records the machine's core count and the python, numpy and scipy
-versions.
+For every rung (users x items x exposed ranks) and policy, a fresh
+interpreter, started REPEATS times, generates ``generate_market(m, n,
+lam=0.5, noise_c=0.05, seed=0)``, solves on the predicted relevance with
+inverse exposure, audits the policy against the ground truth
+(``fairness_report``), decomposes it (``bvn_decompose``) and draws one
+ranking for every user (``sample_ranking``).  It reports the seconds of each
+step, the solver's iterations, the BvN terms per user, the size of the
+policy JSON that ``nswrank solve`` would write and the peak RSS of its own
+process.  Each figure is the median over the REPEATS runs, and each ``*_s``
+figure also has its least and greatest value as ``*_s_min`` and
+``*_s_max``.  A rung whose dense policy tensor would not fit in memory is
+written as ``null`` with the reason.  The file also records the machine's
+core count and the python, numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -33,6 +36,9 @@ import time
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 RUNGS = [(100, 50, 5), (1000, 100, 10), (10_000, 1000, 10)]
 POLICIES = ("nsw", "expo-fair")
+# runs per rung and policy: one run's timings swing more than most changes
+# move them
+REPEATS = 3
 # a rung whose float64 policy tensor (m x n x n) exceeds this is not run
 DENSE_LIMIT_BYTES = 4e9
 
@@ -92,6 +98,18 @@ def _run_in_child(m: int, n: int, k: int, policy: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def aggregate(runs: list) -> dict:
+    """The median of each figure over the runs, plus the least and the
+    greatest value of each ``*_s`` figure."""
+    out = {"runs": len(runs)}
+    for key in runs[0]:
+        values = [run[key] for run in runs]
+        out[key] = statistics.median(values)
+        if key.endswith("_s"):
+            out[key + "_min"], out[key + "_max"] = min(values), max(values)
+    return out
+
+
 def ladder(rungs=RUNGS) -> dict:
     """Every rung and policy, each in its own interpreter."""
     import numpy
@@ -113,7 +131,8 @@ def ladder(rungs=RUNGS) -> dict:
             rung["policies"] = {}
             for policy in POLICIES:
                 print(f"{m}x{n}x{k} {policy}", file=sys.stderr, flush=True)
-                rung["policies"][policy] = _run_in_child(m, n, k, policy)
+                rung["policies"][policy] = aggregate(
+                    [_run_in_child(m, n, k, policy) for _ in range(REPEATS)])
         out["rungs"].append(rung)
     return out
 

@@ -1,25 +1,21 @@
 """Birkhoff-von-Neumann decomposition of policies and ranking sampling.
 
-Each user's doubly stochastic matrix is peeled into a convex combination of
-permutation matrices: repeatedly find a perfect matching on the entries above
-epsilon, subtract the smallest matched entry times that permutation, and
-normalize the collected weights at the end; mass still unassigned after the
-Marcus-Ree bound on the number of rounds raises MatchingFailure.  All users
-are peeled in lockstep: each round matches every user that still has mass
-left in one block-diagonal matching, and a user leaves the working arrays
-once its mass is spent.  Each user's terms are those that peeling it alone
-gives.
-
-A ``RankingMixture`` is already a mixture of rankings whose left-out items
-share the tail ranks uniformly: each term is expanded into the cyclic shifts
-of those items over the tail ranks, with no matching (and no scipy import).
-Sampling a concrete ranking for a user is then a seeded draw over that
-user's terms.
+A decomposition is a ``RankingMixture`` whose users' weights sum to 1; the
+items a term's prefix leaves out follow it in a uniformly random order.  A
+``RankingMixture`` policy is its own decomposition: its terms of positive
+weight, with no matching and no scipy import.  A dense policy is peeled
+into permutations: repeatedly find a perfect matching on the entries above
+epsilon and subtract the smallest matched entry along it; mass still
+unassigned after the Marcus-Ree bound on the number of rounds raises
+MatchingFailure.  All users are peeled in lockstep, in one block-diagonal
+matching per round, and each gets the terms that peeling it alone gives.
+Sampling a ranking for a user is a seeded draw over that user's terms, then
+a seeded shuffle of the items the drawn prefix leaves out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,123 +25,95 @@ from .errors import MatchingFailure, SizeError
 
 DEFAULT_EPSILON = 1e-9
 
-# the most rank entries (items of all terms' rankings, 8 bytes each) that
-# decomposing a mixture may build: 2 GiB
+# the most entries of one user's n x n matrix that checking a reconstruction
+# may build, or that a decomposition file's rankings may span: 2 GiB
 MAX_ENTRIES = 2**28
 
 # Marcus-Ree: a doubly stochastic matrix needs at most (n-1)^2 + 1 terms, so
-# no user's decomposition has more.
+# no user's peel has more.
+
+
+def check_size(n: int) -> None:
+    """Raise SizeError when n items pass MAX_ENTRIES entries per user."""
+    if n * n > MAX_ENTRIES:
+        raise SizeError(f"a policy over {n} items takes {n}^2 entries per "
+                        f"user, more than {MAX_ENTRIES}")
 
 
 @dataclass(frozen=True)
 class BvnDecomposition:
-    """Per-user convex combinations of rank permutations.
-
-    ``terms[u]`` is a list of ``(weight, items_by_rank)`` pairs where
-    ``items_by_rank[k]`` is the item placed at rank k.
+    """Per-user convex combinations of rankings, as a ``RankingMixture``
+    whose users' weights each sum to 1 within 1e-9.  A term of length n is
+    a permutation; a shorter one is followed by the items it leaves out in
+    a uniformly random order.
     """
 
-    m: int
-    n: int
+    mixture: RankingMixture
     epsilon: float
-    terms: tuple
+    # where each term's prefix starts in ``mixture.items``
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for user_terms in self.terms:
-            total = sum(w for w, _ in user_terms)
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"term weights sum to {total}, expected 1")
+        mix = self.mixture
+        sums = np.bincount(mix.term_users(), weights=mix.weights, minlength=mix.m)
+        err = np.abs(sums - 1.0)
+        if err.max() > 1e-9:
+            raise ValueError(f"term weights sum to {sums[err.argmax()]}, expected 1")
+        object.__setattr__(self, "starts", np.cumsum(mix.lengths) - mix.lengths)
+
+    @property
+    def m(self) -> int:
+        return self.mixture.m
+
+    @property
+    def n(self) -> int:
+        return self.mixture.n
+
+    @property
+    def terms(self) -> tuple:
+        """Per user, its ``(weight, items_by_rank)`` pairs: ``items_by_rank[k]``
+        is the item at rank k of the term's prefix."""
+        mix = self.mixture
+        pairs = list(zip(mix.weights.tolist(), np.split(mix.items, self.starts[1:])))
+        indptr = mix.indptr.tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(indptr, indptr[1:]))
 
 
 def bvn_decompose(policy: Policy, epsilon: float = DEFAULT_EPSILON) -> BvnDecomposition:
-    """Decompose every user's policy into weighted permutations.
+    """Decompose every user's policy into weighted rankings.
 
-    A ``RankingMixture`` needs no matching: each term of positive weight
-    and prefix length L becomes its P = max(n - L, 1) cyclic shifts of the
-    items it leaves out, in ascending order, over ranks n - P..n-1, each of
-    weight w / P.  A user whose shifts would pass (n-1)^2 + 1 terms is peeled
-    from its dense matrix instead, as below.
-
-    A dense policy is peeled.  Entries at or below epsilon are zeroed and
+    A ``RankingMixture`` gives its terms of positive weight, in order.  A
+    dense policy is peeled.  Entries at or below epsilon are zeroed and
     their mass restored by a renormalization sweep first, so solver residue
     does not force spurious tiny terms.  Each round then takes the smallest
     matched entry as one term's weight, and each term is one ranking.
 
     Either way each user's weights are divided by their sum, and
     reconstruction matches the input entrywise to within
-    ``n * epsilon + 1e-9``.  A mixture whose shifts would hold more than
-    ``MAX_ENTRIES`` rank entries raises ``SizeError`` before anything is built.
+    ``n * epsilon + 1e-9``.
     """
     if not 1e-12 <= epsilon <= 1e-6:
         raise ValueError(f"epsilon must lie in [1e-12, 1e-6], got {epsilon}")
-    if isinstance(policy, RankingMixture):
-        terms = _mixture_terms(policy, epsilon)
-    else:
-        terms = _peeled_terms(policy.matrices, epsilon)
-    return _expand(policy.m, policy.n, epsilon, *terms)
-
-
-def _mixture_terms(policy: RankingMixture, epsilon: float) -> tuple:
-    """(users, weights, items_by_rank, shifts) of the mixture's terms of
-    positive weight, with the dense peel's terms for the users past the
-    term bound."""
     m, n = policy.m, policy.n
-    live = policy.weights > 0.0
-    users = policy.term_users()[live]
-    shifts = np.maximum(n - policy.lengths[live], 1)
-    # each shift is a ranking of n items; a user past the term bound is
-    # peeled from n x n entries, fewer than its shifts' n * (n-1)^2
-    entries = float(n) * float(shifts.sum(dtype=np.float64))
-    if entries > MAX_ENTRIES:
-        raise SizeError(f"decomposing this policy takes {entries:.3g} rank "
-                        f"entries, more than {MAX_ENTRIES}")
-    parts = [(users, policy.weights[live], policy.rankings()[live], shifts)]
-    over = np.flatnonzero(np.bincount(users, weights=shifts, minlength=m)
-                          > (n - 1) ** 2 + 1)
-    if over.size:
-        keep = ~np.isin(users, over)
-        parts = [tuple(a[keep] for a in parts[0])]
-        # only these users' matrices: the whole tensor is m * n * n entries
-        mats = np.stack([policy.users(u, u + 1).dense()[0] for u in over])
-        peeled, *terms = _peeled_terms(mats, epsilon)
-        parts.append((over[peeled], *terms))
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-def _peeled_terms(matrices: np.ndarray, epsilon: float) -> tuple:
-    """(users, weights, items_by_rank, shifts) of the peel's rounds, one
-    shift per term."""
-    work = np.empty_like(matrices)
-    for u, mat in enumerate(matrices):
-        work[u] = _thresholded(mat, epsilon)
-    users, weights, perms = (np.concatenate(a) for a in zip(*_peel(work, epsilon)))
-    return users, weights, perms, np.ones(users.size, np.int64)
-
-
-def _expand(m: int, n: int, epsilon: float, users, weights, perms,
-            shifts) -> BvnDecomposition:
-    """Regroup the terms by user, each user's terms in the order given, and
-    expand each term into the P = shifts cyclic shifts of its last P items
-    over the last P ranks."""
-    ranks = np.arange(n)
-    order = np.argsort(users, kind="stable")
-    copies = shifts[order]
-    source = np.repeat(order, copies)
-    shift = np.arange(source.size) - np.repeat(np.cumsum(copies) - copies, copies)
-    shares = np.repeat(copies, copies)
-    head = (n - shares)[:, None]
-    offset = ranks - head
-    rank_from = np.where(offset < 0, ranks,
-                         head + (offset + shift[:, None]) % shares[:, None])
-    weights = (weights[source] / shares).tolist()
-    perms = perms[source[:, None], rank_from].astype(np.int64)
-    ends = np.cumsum(np.bincount(users[source], minlength=m)).tolist()
-    terms = []
-    for start, end in zip([0] + ends[:-1], ends):
-        total = sum(weights[start:end])
-        terms.append([(w / total, perm)
-                      for w, perm in zip(weights[start:end], perms[start:end])])
-    return BvnDecomposition(m=m, n=n, epsilon=epsilon, terms=tuple(terms))
+    if isinstance(policy, RankingMixture):
+        live = policy.weights > 0.0
+        users, weights = policy.term_users()[live], policy.weights[live]
+        lengths = policy.lengths[live]
+        items = policy.items[np.repeat(live, policy.lengths)]
+    else:
+        work = np.empty_like(policy.matrices)
+        for u, mat in enumerate(policy.matrices):
+            work[u] = _thresholded(mat, epsilon)
+        users, weights, perms = (np.concatenate(a) for a in zip(*_peel(work, epsilon)))
+        order = np.argsort(users, kind="stable")
+        users, weights = users[order], weights[order]
+        lengths = np.full(users.size, n)
+        items = perms[order].ravel()
+    # bincount adds each user's weights in term order
+    totals = np.bincount(users, weights=weights, minlength=m)
+    mixture = RankingMixture.from_counts(
+        n, np.bincount(users, minlength=m), weights / totals[users], lengths, items)
+    return BvnDecomposition(mixture=mixture, epsilon=epsilon)
 
 
 def _thresholded(mat: np.ndarray, epsilon: float) -> np.ndarray:
@@ -204,25 +172,24 @@ def _peel(work: np.ndarray, epsilon: float) -> list:
 
 
 def sample_ranking(dec: BvnDecomposition, user: int, seed: int) -> np.ndarray:
-    """Draw one concrete ranking (items by rank) for a user, seeded."""
+    """Draw one concrete ranking (items by rank) for a user, seeded: a term
+    by weight, then a uniformly random order of the items its prefix leaves
+    out (none for a full ranking)."""
     if not 0 <= user < dec.m:
         raise IndexError(f"user {user} out of range for m={dec.m}")
-    user_terms = dec.terms[user]
-    weights = np.array([w for w, _ in user_terms])
+    mix = dec.mixture
+    lo, hi = mix.indptr[user:user + 2]
+    weights = mix.weights[lo:hi]
     rng = np.random.default_rng(seed)
-    choice = int(rng.choice(len(user_terms), p=weights / weights.sum()))
-    return user_terms[choice][1].copy()
+    t = lo + int(rng.choice(hi - lo, p=weights / weights.sum()))
+    prefix = mix.items[dec.starts[t]:dec.starts[t] + mix.lengths[t]]
+    if prefix.size == mix.n:
+        return prefix.copy()
+    left_out = np.ones(mix.n, dtype=bool)
+    left_out[prefix] = False
+    return np.concatenate([prefix, rng.permutation(np.flatnonzero(left_out))])
 
 
 def reconstruct(dec: BvnDecomposition) -> PolicyTensor:
-    """Rebuild the policy as the raw weighted sum of permutation matrices."""
-    n = dec.n
-    ranks = np.arange(n)
-    mats = np.empty((dec.m, n * n))
-    for u, user_terms in enumerate(dec.terms):
-        weights = np.array([w for w, _ in user_terms])
-        perms = np.array([p for _, p in user_terms], dtype=np.int64)
-        # bincount adds in input order: each entry sums the terms in order
-        mats[u] = np.bincount((perms * n + ranks).ravel(),
-                              weights=np.repeat(weights, n), minlength=n * n)
-    return PolicyTensor(mats.reshape(dec.m, n, n))
+    """Rebuild the policy as the raw weighted sum of the terms' marginals."""
+    return PolicyTensor(dec.mixture.dense())

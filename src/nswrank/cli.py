@@ -5,7 +5,9 @@ malformed files, 4 solver finished without reaching its gap target (policy is
 still written), 5 infeasible or degenerate program, 6 dimension mismatch,
 7 decomposition matching failure, 8 the exposure-fair solve found no optimum
 for another reason (HiGHS stopped on its master LP, or artificial mass was
-left on an exposure target), 9 a decomposition too large to build.
+left on an exposure target), 9 a policy or decomposition of n items with
+n^2 > 2^28, refused before anything is decomposed, written or sampled.
+``decompose`` keeps a mixture's own terms and peels dense matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import io as nio
 from .core import ExposureModel, ImpactFunction, RankingMixture, user_utility
-from .bvn import (MAX_ENTRIES, BvnDecomposition, bvn_decompose, reconstruct,
+from .bvn import (BvnDecomposition, bvn_decompose, check_size, reconstruct,
                   sample_ranking)
 from .errors import (
     DegenerateMarketError,
@@ -166,6 +168,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_decompose(args) -> int:
     policy = nio.load_policy(args.policy)["policy"]
+    # the reconstruction check builds n x n matrices: refuse before writing
+    check_size(policy.n)
     dec = bvn_decompose(policy, epsilon=args.epsilon)
     nio.save_decomposition(args.out, dec)
     print(f"reconstruction_error={_reconstruction_error(dec, policy):.3e}")
@@ -181,14 +185,11 @@ def _reconstruction_error(dec: BvnDecomposition, policy) -> float:
     """Largest |reconstruct(dec) - policy| entry, one block of users at a
     time; each entry is computed as on the whole (m, n, n) tensors."""
     n = dec.n
-    if n * n > MAX_ENTRIES:
-        raise SizeError(f"checking the decomposition takes {n}^2 entries per "
-                        f"user, more than {MAX_ENTRIES}")
     step = max(1, _CHECK_ENTRIES // (n * n))
     err = 0.0
     for lo in range(0, dec.m, step):
         hi = min(lo + step, dec.m)
-        part = BvnDecomposition(hi - lo, n, dec.epsilon, dec.terms[lo:hi])
+        part = BvnDecomposition(dec.mixture.users(lo, hi), dec.epsilon)
         if isinstance(policy, RankingMixture):
             want = policy.users(lo, hi).dense()
         else:

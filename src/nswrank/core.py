@@ -82,8 +82,8 @@ class ExposureModel:
             raise DimensionError("exposure weights must be a vector of length n >= 2")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if np.any(w < 0) or np.any(w > 1):
-            raise ValueError("exposure weights must lie in [0, 1]")
+        if not np.all((w >= 0) & (w <= 1)):  # also false for nan
+            raise ValueError("exposure weights must be finite and lie in [0, 1]")
         if np.any(np.diff(w) > 0):
             raise ValueError("exposure weights must be nonincreasing in rank")
         if np.any(w[min(self.cutoff, w.size):] != 0):

@@ -40,7 +40,7 @@ class SolverError(NswrankError):
 
 class SizeError(NswrankError):
     """An instance exceeds a size bound: the brute-force oracle's enumeration
-    or the rank entries a decomposition would hold."""
+    or the n x n entries per user of a decomposition's check."""
 
 
 class ParseError(NswrankError):

@@ -8,10 +8,11 @@ precision, so a load gives back the saved floats bit for bit.  Every load
 validates the target type's invariants and fails loudly.
 
 A ``RankingMixture`` is written as ``policy/v2``: per user, a list of terms
-``{"weight": w, "items_by_rank": prefix}``, the layout of
-``decomposition/v1`` with prefixes of any length 0..n in place of full
-permutations.  A ``PolicyTensor`` is written as ``policy/v1``, its m * n^2
-matrix entries.  ``load_policy`` reads both.
+``{"weight": w, "items_by_rank": prefix}`` with prefixes of any length 0..n.
+A ``PolicyTensor`` is written as ``policy/v1``, its m * n^2 matrix entries.
+``load_policy`` reads both.  A decomposition has the same ``users`` layout:
+``decomposition/v1`` when every term is a full ranking, ``decomposition/v2``
+otherwise; ``load_decomposition`` reads both.
 
 Policy and decomposition JSON hold one large array (matrix entries or
 terms).  Their writers stream that array one user at a time and produce
@@ -27,16 +28,17 @@ import sys
 
 import numpy as np
 
-from .bvn import BvnDecomposition
+from .bvn import BvnDecomposition, check_size
 from .core import (Policy, PolicyTensor, RankingMixture, RelevanceMatrix,
                    _repeats_an_item)
-from .errors import DimensionError, ParseError, SchemaError
+from .errors import DimensionError, NotDoublyStochastic, ParseError, SchemaError
 from .solvers import SolveDiagnostics
 
 POLICY_SCHEMA = "policy/v1"
 POLICY_MIXTURE_SCHEMA = "policy/v2"
 METRICS_SCHEMA = "metrics/v1"
 DECOMPOSITION_SCHEMA = "decomposition/v1"
+DECOMPOSITION_PREFIX_SCHEMA = "decomposition/v2"
 
 SWEEP_HEADER = ("policy,lambda,noise_c,k,n_items,seed,"
                 "user_utility,mean_max_envy,pct_improved_10,pct_decreased_10")
@@ -130,12 +132,7 @@ def save_policy(path, policy: Policy, policy_type: str,
     policy/v1."""
     if isinstance(policy, RankingMixture):
         schema, field = POLICY_MIXTURE_SCHEMA, "users"
-        items = policy.items.tolist()
-        starts = np.cumsum(policy.lengths) - policy.lengths
-        terms = [_term_text(w, items[a:a + k]) for w, a, k in zip(
-            policy.weights.tolist(), starts.tolist(), policy.lengths.tolist())]
-        indptr = policy.indptr.tolist()
-        texts = (_list_text(terms[a:b], 2) for a, b in zip(indptr, indptr[1:]))
+        texts = _users_texts(policy)
     else:
         if not isinstance(policy, PolicyTensor):
             # a PolicyTensor was checked when it was built and is written as
@@ -236,47 +233,61 @@ def load_metrics(path) -> dict:
 
 
 def save_decomposition(path, dec: BvnDecomposition) -> None:
+    """decomposition/v1 when every term is a full ranking, else v2."""
+    full = np.all(dec.mixture.lengths == dec.n)
     doc = {
-        "schema": DECOMPOSITION_SCHEMA,
+        "schema": DECOMPOSITION_SCHEMA if full else DECOMPOSITION_PREFIX_SCHEMA,
         "m": dec.m,
         "n": dec.n,
         "epsilon": dec.epsilon,
         "users": _SLOT,
     }
-    _dump_json_streamed(doc, path, (
-        _list_text([_term_text(w, perm.tolist()) for w, perm in user_terms], 2)
-        for user_terms in dec.terms))
+    _dump_json_streamed(doc, path, _users_texts(dec.mixture))
 
 
-def _term_text(weight, items_by_rank: list) -> str:
-    """One term of a decomposition/v1 or policy/v2 user, as json writes it."""
+def _users_texts(mix: RankingMixture):
+    """The texts of a mixture's users, one list of terms per user, as json
+    writes them in a decomposition or policy/v2 document."""
+    items = mix.items.tolist()
+    starts = (np.cumsum(mix.lengths) - mix.lengths).tolist()
+    # weights are finite (RankingMixture checks), so repr is json's spelling
+    terms = [_term_text(w, items[a:a + k]) for w, a, k in zip(
+        mix.weights.tolist(), starts, mix.lengths.tolist())]
+    indptr = mix.indptr.tolist()
+    return (_list_text(terms[a:b], 2) for a, b in zip(indptr, indptr[1:]))
+
+
+def _term_text(weight: float, items_by_rank: list) -> str:
+    """One term of a decomposition or policy/v2 user, as json writes it."""
     ranks = _list_text(list(map(int.__repr__, items_by_rank)), 4)
-    return (f'{{\n        "weight": {_float_text(float(weight))},'
+    return (f'{{\n        "weight": {float.__repr__(weight)},'
             f'\n        "items_by_rank": {ranks}\n      }}')
 
 
 def load_decomposition(path) -> BvnDecomposition:
+    """A decomposition/v1 (permutations) or v2 (prefixes of length 0..n)."""
     doc = _read_json(path)
-    _require_schema(doc, DECOMPOSITION_SCHEMA)
+    schema = _require_schema(doc, DECOMPOSITION_SCHEMA,
+                             DECOMPOSITION_PREFIX_SCHEMA)
     m, n = _int_field(doc, "m"), _int_field(doc, "n")
     if m < 1 or n < 2:
         raise DimensionError(f"need m >= 1 and n >= 2, got m={m}, n={n}")
+    # a prefix file need not list the n items its rankings hold
+    check_size(n)
     epsilon = _field(doc, "epsilon")
     if not _is_finite(epsilon):
         raise ParseError(f"epsilon must be a finite number, got {epsilon!r}")
-    counts, weights, _, items = _parse_users(doc, m, n, full=True)
-    perms = items.reshape(-1, n)
-    ends = np.cumsum(counts).tolist()
-    terms = tuple(list(zip(weights[a:b], perms[a:b]))
-                  for a, b in zip([0] + ends[:-1], ends))
+    counts, weights, lengths, items = _parse_users(
+        doc, m, n, full=schema == DECOMPOSITION_SCHEMA)
     try:
-        return BvnDecomposition(m=m, n=n, epsilon=float(epsilon), terms=terms)
-    except ValueError as exc:  # weights that do not sum to 1
+        return BvnDecomposition(mixture=RankingMixture.from_counts(
+            n, counts, weights, lengths, items), epsilon=float(epsilon))
+    except (ValueError, NotDoublyStochastic) as exc:  # sums that miss 1
         raise ParseError(str(exc)) from None
 
 
 def _parse_users(doc: dict, m: int, n: int, full: bool) -> tuple:
-    """The ``users`` of a decomposition/v1 or policy/v2 document: each user's
+    """The ``users`` of a decomposition or policy/v2 document: each user's
     term count, and over all terms in order their weights (a list of
     floats), prefix lengths and concatenated items_by_rank (int64 arrays).
 
@@ -384,11 +395,6 @@ def _list_text(texts: list, depth: int) -> str:
         return "[]"
     pad = "\n" + "  " * (depth + 1)
     return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * depth + "]"
-
-
-def _float_text(value: float) -> str:
-    # json writes finite floats as repr and the rest as NaN / Infinity
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _read_json(path) -> dict:

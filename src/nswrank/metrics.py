@@ -65,8 +65,8 @@ def weighted_envy_matrix(policy: Policy, rel: RelevanceMatrix,
                          exp: ExposureModel, vfn: ImpactFunction,
                          alpha: float) -> np.ndarray:
     """Envy grid with each column j scaled by 1 / merit_j^alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < np.inf:  # also false for NaN
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     mer = merit(rel)
     if alpha > 0 and np.any(mer <= 0):
         raise ZeroMeritError(

@@ -81,7 +81,7 @@ class TestBvnDecompose:
         assert np.array_equal(perm, [0, 1, 2])
 
     def test_half_matrix_two_terms(self):
-        dec = bvn_decompose(solve_uniform(1, 2))
+        dec = bvn_decompose(PolicyTensor(np.full((1, 2, 2), 0.5)))
         assert len(dec.terms[0]) == 2
         weights = sorted(w for w, _ in dec.terms[0])
         assert np.allclose(weights, [0.5, 0.5])
@@ -257,47 +257,31 @@ class TestPooledPeel:
         assert len(dec.terms[0]) == 3
         assert np.abs(reconstruct(dec).matrices - mats).max() <= 3e-9 + 1e-9
 
-    def test_mixture_past_the_term_bound_is_peeled_plainly(self):
-        # three prefixes of length 1 over n = 3 would be six shifts against
-        # the bound of five; that user is peeled from its dense matrix, and
-        # the mixture users next to it are expanded
+    def test_mixture_past_the_term_bound_is_its_own_terms(self, monkeypatch):
+        # user 1 has three prefixes of length 1 over n = 3, which as
+        # permutations would take six terms against the bound of five; like
+        # every mixture user it keeps its own terms, with no matching and no
+        # dense matrix built
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(_kernels, "perfect_matching",
+                            counted(_kernels.perfect_matching))
+        monkeypatch.setattr(RankingMixture, "dense", counted(RankingMixture.dense))
         mix = RankingMixture.from_counts(
             3, [1, 3, 1], [1.0, 0.5, 0.25, 0.25, 1.0], [0, 1, 1, 1, 3],
             [0, 1, 2, 2, 0, 1])
         dec = bvn_decompose(mix)
-        want = decompose_user(mix.dense()[1], DEFAULT_EPSILON)
-        assert [w for w, _ in dec.terms[1]] == [w for w, _ in want]
-        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(dec.terms[1], want))
-        assert [p.tolist() for _, p in dec.terms[0]] == [
-            [0, 1, 2], [1, 2, 0], [2, 0, 1]]
-        assert [p.tolist() for _, p in dec.terms[2]] == [[2, 0, 1]]
+        assert calls == []
+        assert [[(w, p.tolist()) for w, p in user] for user in dec.terms] == [
+            [(1.0, [])], [(0.5, [0]), (0.25, [1]), (0.25, [2])],
+            [(1.0, [2, 0, 1])]]
         assert np.abs(reconstruct(dec).matrices - mix.dense()).max() <= 3e-9 + 1e-9
-
-    def test_only_users_past_the_bound_are_densified(self, monkeypatch):
-        # users 1 and 3 have three prefixes of length 1 each, six shifts
-        # against the bound of five: each is densified alone and gets the
-        # terms that peeling its matrix of the whole tensor gives
-        mix = RankingMixture.from_counts(
-            3, [1, 3, 1, 3], [1.0, 0.5, 0.25, 0.25, 1.0, 0.25, 0.25, 0.5],
-            [3, 1, 1, 1, 0, 1, 1, 1], [0, 1, 2, 1, 2, 0, 0, 2, 1])
-        whole = mix.dense()
-        dense = RankingMixture.dense
-        sizes = []
-
-        def recorded(self):
-            sizes.append(self.m)
-            return dense(self)
-
-        monkeypatch.setattr(RankingMixture, "dense", recorded)
-        dec = bvn_decompose(mix)
-        assert sizes == [1, 1]
-        for u in (1, 3):
-            want = decompose_user(whole[u], DEFAULT_EPSILON)
-            assert [w for w, _ in dec.terms[u]] == [w for w, _ in want]
-            assert all(np.array_equal(p, q)
-                       for (_, p), (_, q) in zip(dec.terms[u], want))
-        assert [p.tolist() for _, p in dec.terms[0]] == [[0, 1, 2]]
-        assert len(dec.terms[2]) == 3
 
 
 class TestRoundTrip:
@@ -326,8 +310,9 @@ class TestRoundTrip:
 
     def test_reconstruct_keeps_the_weights_as_they_are(self):
         # weights within the 1e-9 sum check but off 1: the rebuilt rows show it
-        dec = BvnDecomposition(m=1, n=2, epsilon=DEFAULT_EPSILON, terms=(
-            [(0.5 + 4e-10, np.array([0, 1])), (0.5, np.array([1, 0]))],))
+        dec = BvnDecomposition(mixture=RankingMixture.from_counts(
+            2, [2], [0.5 + 4e-10, 0.5], [2, 2], [0, 1, 1, 0]),
+            epsilon=DEFAULT_EPSILON)
         rows = reconstruct(dec).matrices.sum(axis=2)
         assert rows == pytest.approx(np.full((1, 2), 1.0 + 4e-10),
                                      rel=0, abs=1e-15)
@@ -346,11 +331,24 @@ class TestSampleRanking:
 
     def test_two_term_frequency(self):
         dec = bvn_decompose(solve_uniform(1, 2))
-        first = dec.terms[0][0][1]
         hits = sum(
-            np.array_equal(sample_ranking(dec, 0, seed), first)
+            np.array_equal(sample_ranking(dec, 0, seed), [0, 1])
             for seed in range(10000))
         assert abs(hits / 10000 - 0.5) <= 0.02
+
+    def test_prefix_tails_match_the_marginals(self):
+        # an empty prefix and a top-2 prefix: the left-out items follow in a
+        # uniformly random order, so the frequency of each (item, rank) cell
+        # is binomial around the dense marginal
+        mix = RankingMixture.from_counts(4, [2], [0.4, 0.6], [0, 2], [3, 1])
+        dec = bvn_decompose(mix)
+        draws = 20_000
+        counts = np.zeros((4, 4))
+        for seed in range(draws):
+            counts[sample_ranking(dec, 0, seed), np.arange(4)] += 1
+        p = mix.dense()[0]
+        assert np.all(np.abs(counts - draws * p)
+                      <= 5 * np.sqrt(draws * p * (1 - p)))
 
     def test_fixed_seed_deterministic(self):
         dec = bvn_decompose(solve_uniform(2, 3))

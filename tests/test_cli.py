@@ -252,8 +252,8 @@ class TestDecomposeAndSample:
         printed = capsys.readouterr().out
         assert float(printed.split("=")[1]) <= 1e-9
         doc = json.loads(dec.read_text())
-        weights = sorted(t["weight"] for t in doc["users"][0])
-        assert np.allclose(weights, [0.5, 0.5])
+        assert doc["schema"] == "decomposition/v2"
+        assert doc["users"][0] == [{"weight": 1.0, "items_by_rank": []}]
 
     def test_deterministic_policy_single_term(self, tmp_path):
         toy = write_toy(tmp_path)
@@ -279,28 +279,53 @@ class TestDecomposeAndSample:
         line = capsys.readouterr().out.strip()
         assert line == "1,0 2,1"
 
-    def test_huge_declared_n_is_a_size_error(self, tmp_path, capsys):
-        # one user whose empty prefix would expand into 10^8 cyclic shifts
-        # of 10^8 items; the size check runs before anything that large exists
+    @staticmethod
+    def _size_error(tmp_path, capsys, command, schema, n, terms, bound):
+        """Run ``command`` on a one-user file declaring n items; it exits 9
+        within ``bound`` bytes of traced memory and writes no file."""
         import tracemalloc
 
-        pol = tmp_path / "huge.json"
-        pol.write_text(json.dumps({"schema": "policy/v2", "m": 1, "n": 10**8,
-                                   "users": [[{"weight": 1.0,
-                                               "items_by_rank": []}]]}))
+        src = tmp_path / "huge.json"
+        src.write_text(json.dumps({"schema": schema, "m": 1, "n": n,
+                                   "epsilon": 1e-9, "users": [terms]}))
         dec = tmp_path / "dec.json"
+        argv = (["decompose", "--policy", str(src), "--out", str(dec)]
+                if command == "decompose" else
+                ["sample", "--decomposition", str(src), "--user", "0",
+                 "--seed", "0"])
         tracemalloc.start()
         try:
-            rc = main(["decompose", "--policy", str(pol), "--out", str(dec)])
+            rc = main(argv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rc == 9
         assert capsys.readouterr().err == (
-            "error: decomposing this policy takes 1e+16 rank entries, more "
-            "than 268435456\n")
+            f"error: a policy over {n} items takes {n}^2 entries per user, "
+            "more than 268435456\n")
         assert not dec.exists()
-        assert peak < 2**20
+        assert peak < bound
+
+    def test_huge_declared_n_is_a_size_error(self, tmp_path, capsys):
+        # checking the decomposition of one empty prefix over 10^8 items
+        # would take 10^16 entries; the size check runs before anything that
+        # large exists
+        self._size_error(tmp_path, capsys, "decompose", "policy/v2", 10**8,
+                         [{"weight": 1.0, "items_by_rank": []}], 2**20)
+
+    def test_size_error_leaves_no_decomposition_file(self, tmp_path, capsys):
+        # one full ranking of 20,000 items decomposes cheaply, but its check
+        # would not: decompose refuses before it writes the file
+        self._size_error(tmp_path, capsys, "decompose", "policy/v2", 20_000,
+                         [{"weight": 1.0, "items_by_rank": list(range(20_000))}],
+                         2**23)
+
+    def test_sample_refuses_a_huge_declared_n(self, tmp_path, capsys):
+        # a prefix file need not list its n items, so sampling it would build
+        # and print all of them: 2^20 here, which the bound would show
+        # (8 MB) without taking much memory if the check were missing
+        self._size_error(tmp_path, capsys, "sample", "decomposition/v2", 2**20,
+                         [{"weight": 1.0, "items_by_rank": []}], 2**20)
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_reconstruction_error_by_user_blocks(self, monkeypatch, block):
@@ -467,7 +492,7 @@ GOLDEN_PREFIX_SHA256 = {
     "metrics.json":
         "9d77d3c7b5b86a20ec62c6c84dc6871a86e610aefc44fab32f2c6f6ca31ea9ec",
     "dec.json":
-        "ebb4982a8827ef68b2c30d4de2411466e993b25e2ddfa0f7c37b1632fecb91cb",
+        "a24aecb0c41c08a29fe66076fd45a38ad2372cd1d189b066c374b0a277e166d5",
 }
 
 
@@ -490,9 +515,9 @@ def test_prefix_mixture_golden_bytes(tmp_path, capsys):
     for path in (pol, met, dec):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             GOLDEN_PREFIX_SHA256[path.name]), path.name
-    # 4 + 2 + 1, 2 and 1 + 4 cyclic shifts
+    # each user's own terms
     assert [len(user) for user in json.loads(dec.read_text())["users"]] == [
-        7, 2, 5]
+        3, 1, 2]
 
 
 class TestSweep:

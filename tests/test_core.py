@@ -73,6 +73,15 @@ class TestExposureModel:
         with pytest.raises(ValueError):
             ExposureModel.custom([2.0, 1.0])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_weights_that_are_not_finite(self, weight):
+        # comparisons with NaN are false, so a check of w < 0 or w > 1 alone
+        # lets it through
+        with pytest.raises(ValueError, match="finite"):
+            ExposureModel.custom([1.0, weight, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            ExposureModel(kind="custom", cutoff=2, weights=[1.0, weight])
+
     def test_custom_weights_accepted(self):
         exp = ExposureModel.custom([1.0, 0.4, 0.0])
         assert exp.kind == "custom"

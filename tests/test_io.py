@@ -18,6 +18,7 @@ from nswrank import (
     RankingMixture,
     RelevanceMatrix,
     SchemaError,
+    SizeError,
     SolveDiagnostics,
     bvn_decompose,
     item_impact,
@@ -459,6 +460,31 @@ class TestDecompositionJson:
         assert np.allclose(reconstruct(loaded).matrices,
                            reconstruct(dec).matrices, atol=1e-12)
 
+    def test_prefix_decomposition_round_trips_as_v2(self, tmp_path):
+        mix = RankingMixture.from_counts(3, [2, 1], [0.25, 0.75, 1.0],
+                                         [1, 0, 3], [2, 1, 0, 2])
+        dec = bvn_decompose(mix)
+        path = tmp_path / "dec.json"
+        nio.save_decomposition(path, dec)
+        text = path.read_bytes()
+        doc = json.loads(text)
+        assert doc["schema"] == "decomposition/v2"
+        loaded = nio.load_decomposition(path)
+        assert same_mixture(loaded.mixture, mix)
+        nio.save_decomposition(path, loaded)
+        assert path.read_bytes() == text
+        # decomposition/v1 holds permutations only
+        doc["schema"] = "decomposition/v1"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="lists of 3 integers"):
+            nio.load_decomposition(path)
+
+    def test_rejects_a_nan_weight(self):
+        # so no decomposition file can hold one
+        with pytest.raises(NotDoublyStochastic):
+            BvnDecomposition(mixture=RankingMixture.from_counts(
+                2, [1], [float("nan")], [2], [0, 1]), epsilon=1e-9)
+
     def test_rejects_non_permutation(self, tmp_path):
         path = tmp_path / "dec.json"
         doc = {"schema": "decomposition/v1", "m": 1, "n": 2, "epsilon": 1e-9,
@@ -552,18 +578,20 @@ def test_load_metrics_fuzz_raises_only_typed_errors(tmp_path_factory, doc):
 
 @st.composite
 def _decomposition_docs(draw):
-    """A decomposition/v1 document, valid but for its sizes (down to 0)
-    and epsilon (any float), then up to three edits."""
+    """A decomposition/v1 or decomposition/v2 document, valid but for its
+    sizes (down to 0) and epsilon (any float), then up to three edits."""
     m, n = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    full = draw(st.booleans())
     users = []
     for _ in range(m):
         k = draw(st.integers(1, 3))
         users.append([{"weight": 1.0 / k,
-                       "items_by_rank": draw(st.permutations(range(n)))}
+                       "items_by_rank": draw(st.permutations(range(n)))[
+                           :n if full else draw(st.integers(0, n))]}
                       for _ in range(k)])
     epsilon = draw(st.just(1e-9) | st.floats() | st.just(10**400))
-    doc = {"schema": "decomposition/v1", "m": m, "n": n, "epsilon": epsilon,
-           "users": users}
+    doc = {"schema": "decomposition/v1" if full else "decomposition/v2",
+           "m": m, "n": n, "epsilon": epsilon, "users": users}
     return _edited(draw, doc)
 
 
@@ -575,13 +603,16 @@ def test_load_decomposition_fuzz_raises_only_typed_errors(tmp_path_factory,
     path.write_text(json.dumps(doc))
     try:
         dec = nio.load_decomposition(path)
-    except (ParseError, SchemaError, DimensionError):
+    except (ParseError, SchemaError, DimensionError, SizeError):
         return
     assert dec.m == len(dec.terms) >= 1 and dec.n >= 2
     assert np.isfinite(dec.epsilon)
     for user_terms in dec.terms:
-        for _, perm in user_terms:
-            assert sorted(perm.tolist()) == list(range(dec.n))
+        for _, prefix in user_terms:
+            items = sorted(prefix.tolist())
+            assert items == sorted(set(items)) and set(items) <= set(range(dec.n))
+            if doc["schema"] == "decomposition/v1":
+                assert items == list(range(dec.n))
 
 
 # a policy/v1 file: a PolicyTensor is written as its matrices
@@ -686,15 +717,16 @@ class TestStreamedWritersMatchJsonDump:
         elif source == "expo-fair":
             dec = bvn_decompose(solve_expo_fair(rel, exp)[0])
         else:
-            perms = [np.array([0, 1]), np.array([1, 0])]
-            # a NaN weight passes the sum check, and json spells it NaN
-            weights = [(1 / 3, 2 / 3), (0.1, 0.9), (5e-324, 1.0), (float("nan"),)]
-            dec = BvnDecomposition(m=4, n=2, epsilon=1e-9, terms=tuple(
-                list(zip(ws, perms)) for ws in weights))
+            weights = [1 / 3, 2 / 3, 0.1, 0.9, 5e-324, 1.0]
+            dec = BvnDecomposition(mixture=RankingMixture.from_counts(
+                2, [2, 2, 2], weights, [2] * 6, [0, 1, 1, 0] * 3), epsilon=1e-9)
         path = tmp_path / "dec.json"
         nio.save_decomposition(path, dec)
+        # decomposition/v1 when every term is a full ranking
+        full = all(len(p) == dec.n for user in dec.terms for _, p in user)
         expected = json_dump_text({
-            "schema": nio.DECOMPOSITION_SCHEMA,
+            "schema": (nio.DECOMPOSITION_SCHEMA if full
+                       else nio.DECOMPOSITION_PREFIX_SCHEMA),
             "m": dec.m,
             "n": dec.n,
             "epsilon": dec.epsilon,

@@ -33,3 +33,31 @@ def test_rung_past_memory_is_null_with_reason():
     assert set(doc["machine"]) == {"nproc", "python", "numpy", "scipy"}
     assert doc["rungs"] == [{"m": 10_000, "n": 1000, "k": 10, "policies": None,
                              "reason": "dense tensor 80 GB"}]
+
+
+def test_each_policy_row_aggregates_repeated_runs(monkeypatch):
+    # the children run in process here; each row is the median of REPEATS
+    # runs, with the range of every timing
+    calls = []
+
+    def in_process(m, n, k, policy):
+        calls.append(policy)
+        return ladder.run_rung(m, n, k, policy)
+
+    monkeypatch.setattr(ladder, "_run_in_child", in_process)
+    doc = ladder.ladder(rungs=[(6, 5, 2)])
+    assert sorted(calls) == sorted(ladder.POLICIES * ladder.REPEATS)
+    for row in doc["rungs"][0]["policies"].values():
+        assert row["runs"] == ladder.REPEATS
+        for key in [k for k in row if k.endswith("_s")]:
+            assert row[key + "_min"] <= row[key] <= row[key + "_max"]
+        assert isinstance(row["iterations"], int)
+
+
+def test_aggregate_takes_medians_and_timing_ranges():
+    runs = [{"solve_s": 3.0, "iterations": 7, "terms_per_user": 1.5},
+            {"solve_s": 1.0, "iterations": 7, "terms_per_user": 1.5},
+            {"solve_s": 2.0, "iterations": 7, "terms_per_user": 1.5}]
+    assert ladder.aggregate(runs) == {
+        "runs": 3, "solve_s": 2.0, "solve_s_min": 1.0, "solve_s_max": 3.0,
+        "iterations": 7, "terms_per_user": 1.5}

@@ -138,6 +138,15 @@ class TestWeightedEnvyMatrix:
         assert np.allclose(np.diagonal(wem), [0.845 / 1.3, 0.364 / 0.7], atol=1e-6)
         assert np.all(wem.max(axis=1) - np.diagonal(wem) <= 1e-6)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
+    def test_alpha_out_of_range_rejected(self, alpha):
+        # NaN would give an all-NaN grid and inf an all-zero, envy-free one
+        rng = np.random.default_rng(0)
+        rel = RelevanceMatrix(rng.uniform(0.1, 1.0, (6, 4)))
+        exp = ExposureModel.make("inverse", 4, 2)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            weighted_envy_matrix(solve_uniform(6, 4), rel, exp, RW, alpha)
+
     def test_zero_merit_rejected(self):
         rel = RelevanceMatrix([[0.5, 0.0], [0.5, 0.0]])
         exp = ExposureModel.make("inverse", 2, 1)

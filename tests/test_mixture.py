@@ -124,21 +124,29 @@ class TestDecompose:
                                               epsilon):
         mix = random_mixture(seed, m, n, zero_weights)
         dec = bvn_decompose(mix, epsilon=epsilon)
-        for user_terms in dec.terms:
-            assert len(user_terms) <= (n - 1) ** 2 + 1
-            assert all(sorted(p.tolist()) == list(range(n)) for _, p in user_terms)
+        live = mix.weights > 0
+        starts = np.cumsum(mix.lengths) - mix.lengths
+        want = [[(w, mix.items[a:a + k].tolist()) for w, a, k, keep in zip(
+            mix.weights[lo:hi], starts[lo:hi], mix.lengths[lo:hi], live[lo:hi])
+            if keep] for lo, hi in zip(mix.indptr[:-1], mix.indptr[1:])]
+        got = [[(w, p.tolist()) for w, p in user_terms]
+               for user_terms in dec.terms]
+        # the positive-weight terms, with weights divided by their user's sum
+        assert [[p for _, p in user] for user in got] == [
+            [p for _, p in user] for user in want]
+        for got_user, want_user in zip(got, want):
+            total = sum(w for w, _ in want_user)
+            assert [w for w, _ in got_user] == pytest.approx(
+                [w / total for w, _ in want_user], rel=1e-15, abs=0)
         err = np.abs(reconstruct(dec).matrices - mix.dense()).max()
         assert err <= n * epsilon + 1e-9
 
-    def test_terms_are_the_cyclic_shifts_of_each_prefix(self):
+    def test_terms_are_the_prefixes_themselves(self):
         mix = RankingMixture.from_counts(4, [3], [0.5, 0.25, 0.25], [2, 4, 0],
                                          [3, 1, 0, 1, 2, 3])
         dec = bvn_decompose(mix)
         assert [(w, p.tolist()) for w, p in dec.terms[0]] == [
-            (0.25, [3, 1, 0, 2]), (0.25, [3, 1, 2, 0]),
-            (0.25, [0, 1, 2, 3]),
-            (0.0625, [0, 1, 2, 3]), (0.0625, [1, 2, 3, 0]),
-            (0.0625, [2, 3, 0, 1]), (0.0625, [3, 0, 1, 2])]
+            (0.5, [3, 1]), (0.25, [0, 1, 2, 3]), (0.25, [])]
 
     def test_needs_no_matching(self):
         # neither the matching nor scipy is loaded for a mixture
@@ -154,7 +162,7 @@ class TestDecompose:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(100 * (50 + 45)), "False"]
+        assert proc.stdout.split() == ["200", "False"]
 
 
 class TestFiles:
