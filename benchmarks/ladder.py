@@ -9,15 +9,20 @@ For every rung (users x items x exposed ranks) and policy, a fresh
 interpreter, started REPEATS times, generates ``generate_market(m, n,
 lam=0.5, noise_c=0.05, seed=0)``, solves on the predicted relevance with
 inverse exposure, audits the policy against the ground truth
-(``fairness_report``), decomposes it (``bvn_decompose``) and draws one
+(``fairness_report``), decomposes it (``bvn_decompose``), checks the
+decomposition as ``nswrank decompose`` does (``check_s``) and draws one
 ranking for every user (``sample_ranking``).  It reports the seconds of each
 step, the solver's iterations, the BvN terms per user, the size of the
 policy JSON that ``nswrank solve`` would write and the peak RSS of its own
-process.  Each figure is the median over the REPEATS runs, and each ``*_s``
-figure also has its least and greatest value as ``*_s_min`` and
-``*_s_max``.  A rung whose dense policy tensor would not fit in memory is
-written as ``null`` with the reason.  The file also records the machine's
-core count and the python, numpy and scipy versions.
+process.  The desk rung also has a ``dense_peel`` row: the exposure-fair
+policy as a dense tensor, the form of a legacy ``policy/v1`` file, which
+``bvn_decompose`` peels by matchings; it reports that decomposition's
+seconds, its terms per user and the seconds of its check.  Each figure is
+the median over the REPEATS runs, and each ``*_s`` figure also has its
+least and greatest value as ``*_s_min`` and ``*_s_max``.  A rung whose
+dense policy tensor would not fit in memory is written as ``null`` with the
+reason.  The file also records the machine's core count and the python,
+numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -41,19 +46,38 @@ POLICIES = ("nsw", "expo-fair")
 REPEATS = 3
 # a rung whose float64 policy tensor (m x n x n) exceeds this is not run
 DENSE_LIMIT_BYTES = 4e9
+# the rung whose exposure-fair policy is also peeled as a dense tensor, and
+# the name of that run in --one
+DENSE_PEEL_RUNG = RUNGS[0]
+DENSE_PEEL = "dense-peel"
+
+
+def _market(m: int, n: int, k: int):
+    from nswrank import ExposureModel
+    from nswrank.synth import SyntheticConfig, generate_market
+
+    rel_true, rel_pred = generate_market(
+        SyntheticConfig(m=m, n=n, lam=0.5, noise_c=0.05, seed=0))
+    return rel_true, rel_pred, ExposureModel.make("inverse", n, k)
+
+
+def _timed_check(dec, pol) -> float:
+    """Seconds of the reconstruction check that ``nswrank decompose`` prints."""
+    from nswrank.cli import _reconstruction_error
+
+    clock = time.perf_counter()
+    _reconstruction_error(dec, pol)
+    return time.perf_counter() - clock
 
 
 def run_rung(m: int, n: int, k: int, policy: str) -> dict:
     """Time one policy's pipeline on the rung's market, in this process."""
-    from nswrank import (ExposureModel, bvn_decompose, fairness_report,
-                         sample_ranking, solve_expo_fair, solve_nsw)
+    from nswrank import (bvn_decompose, fairness_report, sample_ranking,
+                         solve_expo_fair, solve_nsw)
     from nswrank.io import save_policy
-    from nswrank.synth import SyntheticConfig, generate_market
 
     solve = {"nsw": solve_nsw, "expo-fair": solve_expo_fair}[policy]
-    rel_true, rel_pred = generate_market(
-        SyntheticConfig(m=m, n=n, lam=0.5, noise_c=0.05, seed=0))
-    exp = ExposureModel.make("inverse", n, k)
+    rel_true, rel_pred, exp = _market(m, n, k)
     clock = time.perf_counter()
     pol, diag = solve(rel_pred, exp)
     solved = time.perf_counter()
@@ -61,6 +85,8 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
     evaluated = time.perf_counter()
     dec = bvn_decompose(pol)
     decomposed = time.perf_counter()
+    check_s = _timed_check(dec, pol)
+    checked = time.perf_counter()
     for user in range(m):
         sample_ranking(dec, user, seed=user)
     sampled = time.perf_counter()
@@ -78,11 +104,32 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
         "solve_s": solved - clock,
         "evaluate_s": evaluated - solved,
         "decompose_s": decomposed - evaluated,
-        "sample_s": sampled - decomposed,
+        "check_s": check_s,
+        "sample_s": sampled - checked,
         "terms_per_user": sum(counts) / m,
         "terms_max": max(counts),
         "policy_bytes": policy_bytes,
         # ru_maxrss is in kB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def run_dense_peel(m: int, n: int, k: int) -> dict:
+    """Time the peel and the check of the exposure-fair policy as a dense
+    tensor, in this process."""
+    from nswrank import PolicyTensor, bvn_decompose, solve_expo_fair
+
+    _, rel_pred, exp = _market(m, n, k)
+    pol = PolicyTensor(solve_expo_fair(rel_pred, exp)[0].dense())
+    clock = time.perf_counter()
+    dec = bvn_decompose(pol)
+    decompose_s = time.perf_counter() - clock
+    counts = [len(user_terms) for user_terms in dec.terms]
+    return {
+        "decompose_s": decompose_s,
+        "check_s": _timed_check(dec, pol),
+        "terms_per_user": sum(counts) / m,
+        "terms_max": max(counts),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -133,6 +180,10 @@ def ladder(rungs=RUNGS) -> dict:
                 print(f"{m}x{n}x{k} {policy}", file=sys.stderr, flush=True)
                 rung["policies"][policy] = aggregate(
                     [_run_in_child(m, n, k, policy) for _ in range(REPEATS)])
+            if (m, n, k) == DENSE_PEEL_RUNG:
+                print(f"{m}x{n}x{k} dense peel", file=sys.stderr, flush=True)
+                rung["dense_peel"] = aggregate(
+                    [_run_in_child(m, n, k, DENSE_PEEL) for _ in range(REPEATS)])
         out["rungs"].append(rung)
     return out
 
@@ -145,7 +196,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.one:
         m, n, k, policy = args.one
-        print(json.dumps(run_rung(int(m), int(n), int(k), policy)))
+        m, n, k = int(m), int(n), int(k)
+        row = (run_dense_peel(m, n, k) if policy == DENSE_PEEL
+               else run_rung(m, n, k, policy))
+        print(json.dumps(row))
         return 0
     if not args.out:
         parser.error("--out is required")

@@ -168,7 +168,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_decompose(args) -> int:
     policy = nio.load_policy(args.policy)["policy"]
-    # the reconstruction check builds n x n matrices: refuse before writing
+    # refuse before writing: the reconstruction check builds an n x n matrix
+    # for each user of a dense policy and each mixture user whose terms the
+    # decomposition changed, and load_decomposition refuses such an n anyway
     check_size(policy.n)
     dec = bvn_decompose(policy, epsilon=args.epsilon)
     nio.save_decomposition(args.out, dec)
@@ -182,20 +184,53 @@ _CHECK_ENTRIES = 2**20
 
 
 def _reconstruction_error(dec: BvnDecomposition, policy) -> float:
-    """Largest |reconstruct(dec) - policy| entry, one block of users at a
-    time; each entry is computed as on the whole (m, n, n) tensors."""
-    n = dec.n
-    step = max(1, _CHECK_ENTRIES // (n * n))
+    """Largest |reconstruct(dec) - policy| entry, or 0 when no user needs
+    checking.
+
+    A mixture user whose decomposition terms are its own, bit for bit (the
+    same weights, lengths and items, in order), is skipped.
+    ``bvn_decompose`` keeps a user's positive terms in order and divides
+    their weights by the user's total, so this holds for a user with no
+    term of zero weight whose weights sum to exactly 1.  Its ``dense()``
+    cells are then the same shares, added by ``bincount`` in the same term
+    order whatever other users share the block, so its error is exactly 0.
+    Nor can the ``PolicyTensor`` check inside ``reconstruct`` fail for it:
+    its row and column sums are its weight sum, which ``RankingMixture``
+    already checked.
+
+    The other users, and every user of a dense policy, are compared in
+    blocks of at most ``_CHECK_ENTRIES`` entries; each entry is computed as
+    on the whole (m, n, n) tensors.
+    """
+    mixture = isinstance(policy, RankingMixture)
+    check = (np.flatnonzero(~_own_terms(dec.mixture, policy)) if mixture
+             else np.arange(dec.m))
+    step = max(1, _CHECK_ENTRIES // (dec.n * dec.n))
     err = 0.0
-    for lo in range(0, dec.m, step):
-        hi = min(lo + step, dec.m)
-        part = BvnDecomposition(dec.mixture.users(lo, hi), dec.epsilon)
-        if isinstance(policy, RankingMixture):
-            want = policy.users(lo, hi).dense()
-        else:
-            want = policy.matrices[lo:hi]
+    for lo in range(0, check.size, step):
+        users = check[lo:lo + step]
+        part = BvnDecomposition(dec.mixture.take(users), dec.epsilon)
+        want = policy.take(users).dense() if mixture else policy.matrices[users]
         err = max(err, float(np.abs(reconstruct(part).matrices - want).max()))
     return err
+
+
+def _own_terms(dec: RankingMixture, policy: RankingMixture) -> np.ndarray:
+    """Per user, whether its decomposition terms are the policy's, bit for
+    bit.  A term of zero weight, which the decomposition drops, leaves its
+    user with fewer terms there."""
+    p_users, d_users = policy.term_users(), dec.term_users()
+    same = np.diff(policy.indptr) == np.diff(dec.indptr)
+    p, d = same[p_users], same[d_users]
+    differs = ((policy.weights[p] != dec.weights[d])
+               | (policy.lengths[p] != dec.lengths[d]))
+    same[p_users[p][differs]] = False
+    # the remaining users' prefixes line up item for item
+    p, d = same[p_users], same[d_users]
+    differs = (policy.items[np.repeat(p, policy.lengths)]
+               != dec.items[np.repeat(d, dec.lengths)])
+    same[np.repeat(p_users[p], policy.lengths[p])[differs]] = False
+    return same
 
 
 def cmd_sample(args) -> int:

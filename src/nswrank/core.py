@@ -279,14 +279,26 @@ class RankingMixture:
     def m(self) -> int:
         return self.indptr.size - 1
 
-    def users(self, start: int, stop: int) -> "RankingMixture":
-        """The mixture of users start..stop-1 alone, their terms in order."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        first = int(self.lengths[:lo].sum())
-        return RankingMixture(
-            n=self.n, indptr=self.indptr[start:stop + 1] - lo,
-            weights=self.weights[lo:hi], lengths=self.lengths[lo:hi],
-            items=self.items[first:first + int(self.lengths[lo:hi].sum())])
+    def take(self, users) -> "RankingMixture":
+        """The mixture of the given users alone, in ascending order, each
+        with its terms in order.  It costs the span from the first user to
+        the last, not the whole mixture."""
+        users = np.asarray(users, dtype=np.int64)
+        if users.size == 0 or np.any(np.diff(users) <= 0):
+            raise ValueError("take needs at least one user, in ascending order")
+        first, stop = int(users[0]), int(users[-1]) + 1
+        lo, hi = self.indptr[first], self.indptr[stop]
+        kept = np.zeros(stop - first, dtype=bool)
+        kept[users - first] = True
+        counts = np.diff(self.indptr[first:stop + 1])
+        weights, lengths = self.weights[lo:hi], self.lengths[lo:hi]
+        start = int(self.lengths[:lo].sum())
+        items = self.items[start:start + int(lengths.sum())]
+        if not kept.all():
+            terms = np.repeat(kept, counts)
+            items = items[np.repeat(terms, lengths)]
+            counts, weights, lengths = counts[kept], weights[terms], lengths[terms]
+        return RankingMixture.from_counts(self.n, counts, weights, lengths, items)
 
     def term_users(self) -> np.ndarray:
         """The user of each term."""

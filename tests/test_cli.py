@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nswrank import (PolicyTensor, RankingMixture, _kernels, bvn_decompose, cli,
-                     solve_uniform, solvers)
+from nswrank import (BvnDecomposition, PolicyTensor, RankingMixture, _kernels,
+                     bvn_decompose, cli, reconstruct, solve_uniform, solvers)
 from nswrank import io as nio
 from nswrank.cli import main
 from nswrank.errors import InfeasibleError
@@ -314,8 +314,8 @@ class TestDecomposeAndSample:
                          [{"weight": 1.0, "items_by_rank": []}], 2**20)
 
     def test_size_error_leaves_no_decomposition_file(self, tmp_path, capsys):
-        # one full ranking of 20,000 items decomposes cheaply, but its check
-        # would not: decompose refuses before it writes the file
+        # one full ranking of 20,000 items decomposes cheaply, but no command
+        # would load the file: decompose refuses before it writes it
         self._size_error(tmp_path, capsys, "decompose", "policy/v2", 20_000,
                          [{"weight": 1.0, "items_by_rank": list(range(20_000))}],
                          2**23)
@@ -327,22 +327,75 @@ class TestDecomposeAndSample:
         self._size_error(tmp_path, capsys, "sample", "decomposition/v2", 2**20,
                          [{"weight": 1.0, "items_by_rank": []}], 2**20)
 
+    @staticmethod
+    def _mixture(users):
+        terms = [t for user in users for t in user]
+        return RankingMixture.from_counts(
+            4, [len(user) for user in users], [w for w, _ in terms],
+            [len(p) for _, p in terms], np.concatenate([p for _, p in terms]))
+
+    @staticmethod
+    def _count_checked(monkeypatch):
+        """Count the users that cli.reconstruct receives."""
+        seen = []
+        real = cli.reconstruct
+
+        def counting(dec):
+            seen.append(dec.m)
+            return real(dec)
+
+        monkeypatch.setattr(cli, "reconstruct", counting)
+        return seen
+
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_reconstruction_error_by_user_blocks(self, monkeypatch, block):
-        # blocks of `block` users give the entry of the whole-tensor check
+        # blocks of `block` users give the entry of the whole-tensor check;
+        # users 2 and 5 have weights that sum to 1 +- a few ulps, which
+        # bvn_decompose rescales, and user 6 has a term of weight zero, which
+        # it drops: only those three are checked for the mixture
         rng = np.random.default_rng(block)
-        users = [[(0.25, rng.permutation(4)[:2]), (0.75, rng.permutation(4))]
-                 for _ in range(5)]
-        mixture = RankingMixture.from_counts(
-            4, [2] * 5, [w for u in users for w, _ in u],
-            [len(p) for u in users for _, p in u],
-            np.concatenate([p for u in users for _, p in u]))
+        ulp = 2.0 ** -53    # of 0.75
+        heavy = {2: 0.75 + 2 * ulp, 5: 0.75 - 3 * ulp}
+        users = [[(0.25, rng.permutation(4)[:2]),
+                  (heavy.get(u, 0.75), rng.permutation(4))] for u in range(8)]
+        users[6].insert(1, (0.0, rng.permutation(4)[:1]))
+        mixture = self._mixture(users)
         monkeypatch.setattr(cli, "_CHECK_ENTRIES", block * 16)
-        for policy in (mixture, PolicyTensor(mixture.dense())):
+        seen = self._count_checked(monkeypatch)
+        for policy, checked in ((mixture, 3), (PolicyTensor(mixture.dense()), 8)):
             dec = bvn_decompose(policy)
-            whole = float(np.abs(cli.reconstruct(dec).matrices
+            whole = float(np.abs(reconstruct(dec).matrices
                                  - policy.dense()).max())
+            seen.clear()
             assert cli._reconstruction_error(dec, policy) == whole
+            assert sum(seen) == checked and max(seen) <= block
+        # the rescaled weights differ from the policy's by an ulp or so
+        assert 0.0 < whole < 1e-15
+
+    @pytest.mark.parametrize("prefix, error", [([1, 0], 0.5), ([0, 1, 2], 0.25)],
+                             ids=["items", "length"])
+    def test_changed_prefix_is_still_compared(self, prefix, error):
+        # equal weights alone do not skip a user: a decomposition whose
+        # prefix differs from the policy's is checked
+        full = np.array([2, 3, 1, 0])
+        policy = self._mixture([[(0.5, np.array([0, 1])), (0.5, full)]])
+        dec = BvnDecomposition(
+            self._mixture([[(0.5, np.array(prefix)), (0.5, full)]]), 1e-9)
+        assert cli._reconstruction_error(dec, policy) == error
+
+    def test_own_terms_build_no_block(self, tmp_path, capsys, monkeypatch):
+        # every user's decomposition is its own terms, bit for bit: nothing
+        # reaches the dense check, and the error is exactly 0
+        rng = np.random.default_rng(0)
+        users = [[(0.25, rng.permutation(4)[:2]), (0.5, rng.permutation(4)),
+                  (0.25, rng.permutation(4)[:0])] for _ in range(6)]
+        pol, dec = tmp_path / "pol.json", tmp_path / "dec.json"
+        nio.save_policy(pol, self._mixture(users), "nsw", "inverse", 2,
+                        alpha=0.0)
+        seen = self._count_checked(monkeypatch)
+        assert main(["decompose", "--policy", str(pol), "--out", str(dec)]) == 0
+        assert seen == []
+        assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"
 
     @pytest.mark.parametrize("user", ["100", "-1"])
     def test_sample_user_out_of_range(self, tmp_path, capsys, user):

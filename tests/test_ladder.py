@@ -17,7 +17,7 @@ _spec.loader.exec_module(ladder)
 def test_rung_reports_every_step(policy):
     row = ladder.run_rung(6, 5, 2, policy)
     assert set(row) == {"objective", "iterations", "user_utility", "solve_s",
-                        "evaluate_s", "decompose_s", "sample_s",
+                        "evaluate_s", "decompose_s", "check_s", "sample_s",
                         "terms_per_user", "terms_max", "policy_bytes",
                         "peak_rss_mb"}
     assert all(isinstance(v, (int, float)) and math.isfinite(v)
@@ -26,6 +26,37 @@ def test_rung_reports_every_step(policy):
     assert isinstance(row["iterations"], int) and row["iterations"] >= 1
     assert row["peak_rss_mb"] > 0
     assert row["policy_bytes"] > 0
+
+
+def test_dense_peel_reaches_the_matching(monkeypatch):
+    from nswrank import _kernels
+
+    calls = []
+    real = _kernels.perfect_matching
+
+    def counting(support):
+        calls.append(support.shape[0])
+        return real(support)
+
+    monkeypatch.setattr(_kernels, "perfect_matching", counting)
+    row = ladder.run_dense_peel(6, 5, 2)
+    assert set(row) == {"decompose_s", "check_s", "terms_per_user",
+                        "terms_max", "peak_rss_mb"}
+    assert all(isinstance(v, (int, float)) and math.isfinite(v)
+               for v in row.values())
+    assert 1.0 <= row["terms_per_user"] <= row["terms_max"] <= 4 ** 2 + 1
+    assert len(calls) >= row["terms_max"]
+
+
+def test_only_the_desk_rung_peels_densely(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ladder, "_run_in_child",
+                        lambda m, n, k, policy: calls.append(policy) or {"x": 1})
+    doc = ladder.ladder(rungs=[ladder.DENSE_PEEL_RUNG, (6, 5, 2)])
+    desk, toy = doc["rungs"]
+    assert desk["dense_peel"] == {"runs": ladder.REPEATS, "x": 1}
+    assert "dense_peel" not in toy
+    assert calls.count(ladder.DENSE_PEEL) == ladder.REPEATS
 
 
 def test_rung_past_memory_is_null_with_reason():

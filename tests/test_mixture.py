@@ -109,6 +109,18 @@ class TestMarginals:
         assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.abs(X.sum(axis=2) - 1.0).max() <= 1e-12
 
+    @settings(max_examples=50, deadline=None)
+    @given(**MIXTURES, picks=st.sets(st.integers(0, 5), min_size=1))
+    def test_take_gives_the_users_own_marginals(self, seed, m, n, picks):
+        mix = random_mixture(seed, m, n, zero_weights=True)
+        users = sorted({u % m for u in picks})
+        assert np.array_equal(mix.take(users).dense(), mix.dense()[users])
+
+    @pytest.mark.parametrize("users", [[], [1, 0], [1, 1]])
+    def test_take_needs_ascending_users(self, users):
+        with pytest.raises(ValueError, match="ascending"):
+            random_mixture(0, 3, 4).take(users)
+
     def test_policy_tensor_measures_the_same(self):
         mix = random_mixture(2, 4, 6)
         e = random_exposure(2, 6)
