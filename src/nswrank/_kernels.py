@@ -10,10 +10,9 @@ search on the items the move touches.  Plain Frank-Wolfe with exact line
 search stalls in a zig-zag well above a 1e-6 relative gap; the pairwise
 update converges linearly while using the same oracle.
 
-Each user's state is the weight left on the uniform start point plus a
-mixture of permutation vertices, looked up by their exposed top-K prefix.
-That mixture is the returned policy: the uniform start is an empty prefix
-and each vertex a full ranking.
+Each user's state is the weight left on the uniform start, an empty prefix,
+plus vertices kept as their top-K prefixes, since exposure is zero past rank
+K.  That mixture is the returned policy.
 
 Pairwise steps find the right vertices early and then creep along the face
 they span.  After any pass whose gap did not fall below half the previous
@@ -74,16 +73,16 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     inactive = ~np.asarray(active, dtype=bool)
 
     theta0 = np.ones(m)             # weight still on the uniform start
-    # full permutation and weight per vertex; slots not yet used weigh 0
+    # top-K prefix and weight per vertex; slots not yet used weigh 0
     cap = 4
-    perms = np.zeros((m, cap, n), np.int64)
+    prefixes = np.zeros((m, cap, K), np.int64)
     thetas = np.zeros((m, cap))
     nv = [0] * m
-    keys = [{} for _ in range(m)]   # top-K prefix bytes -> vertex slot
+    keys = [{} for _ in range(m)]   # prefix bytes -> vertex slot
 
     def snapshot():
-        # reads perms and thetas at call time, so it sees them after growth
-        E = _exposures(theta0, thetas, perms[:, :, :K], eK, u0, n)
+        # reads prefixes and thetas at call time, so it sees them after growth
+        E = _exposures(theta0, thetas, prefixes, eK, u0, n)
         imp = np.einsum("ui,ui->i", Va, E)
         imp[inactive] = 1.0
         return E, imp, float(wa @ np.log(imp))
@@ -99,14 +98,13 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         pass_gap = 0.0
         for u in range(m):
             cn = neg_Va[u] * ratio      # minus the gradient coefficients
-            order = cn.argsort()
-            top = order[:K]
+            top = cn.argsort()[:K]
             f_best = -float(cn[top] @ eK)
             k = nv[u]
             t0 = theta0[u]
             uni = -u0 * float(neg_Va[u] @ ratio)
             th = thetas[u, :k]
-            vals = -(cn[perms[u, :k, :K]] @ eK)
+            vals = -(cn[prefixes[u, :k]] @ eK)
             g = f_best - t0 * uni - float(th @ vals)
             pass_gap += g
             if g <= 0.0:
@@ -124,17 +122,16 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
             if a == -2 or f_best - a_val <= 0.0:
                 continue
 
-            # locate or append the oracle vertex; a prefix keeps its first
-            # full permutation
+            # locate or append the oracle vertex
             key = top.tobytes()
             s = keys[u].get(key)
             if s is None:
                 if k == cap:
-                    perms = np.concatenate([perms, np.zeros_like(perms)], axis=1)
+                    prefixes = np.concatenate([prefixes, np.zeros_like(prefixes)], axis=1)
                     thetas = np.concatenate([thetas, np.zeros_like(thetas)], axis=1)
                     cap *= 2
                 s = keys[u][key] = k
-                perms[u, s] = order
+                prefixes[u, s] = top
                 nv[u] = k + 1
             if s == a:
                 continue
@@ -144,9 +141,9 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
                 gamma_max = t0
             else:
                 d = np.zeros(n)
-                d[perms[u, a, :K]] = -eK
+                d[prefixes[u, a]] = -eK
                 gamma_max = float(thetas[u, a])
-            d[perms[u, s, :K]] += eK
+            d[prefixes[u, s]] += eK
             dimp = Va[u] * d
             supp = np.flatnonzero(dimp)
             imp_s = imp[supp]
@@ -170,7 +167,7 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         stalled = pass_gap > _STALL * last_gap
         last_gap = pass_gap
         if stalled:
-            face_step(Va, wa, eK, u0, theta0, thetas, perms[:, :, :K], imp)
+            face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp)
         if pass_gap <= bound or stalled:
             # verify on a consistent snapshot, against its own objective
             E, imp, objective = snapshot()
@@ -182,7 +179,7 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     if not done:
         E, imp, objective = snapshot()
         gap = _global_gap(Va, wa, eK, E, imp)
-    return _mixture(theta0, thetas, perms), iters, gap, objective
+    return _mixture(theta0, thetas, prefixes, n), iters, gap, objective
 
 
 def newton_step(imp, dimp, w, gamma_max):
@@ -434,15 +431,14 @@ def _global_gap(Va, wa, eK, E, imp):
     return float(np.sum(top @ eK)) - float(np.sum(c * E))
 
 
-def _mixture(theta0, thetas, perms):
+def _mixture(theta0, thetas, prefixes, n):
     """Each user's uniform weight theta0 as an empty prefix, then its vertices
-    as full rankings in slot order; terms of weight 0 are left out."""
-    m, cap, n = perms.shape
+    as top-K prefixes in slot order; terms of weight 0 are left out."""
     weights = np.concatenate([theta0[:, None], thetas], axis=1)
     kept = weights > 0.0
-    lengths = np.broadcast_to(np.where(np.arange(cap + 1) > 0, n, 0), kept.shape)
+    lengths = prefixes.shape[2] * (np.nonzero(kept)[1] > 0)
     return RankingMixture.from_counts(n, kept.sum(axis=1), weights[kept],
-                                      lengths[kept], perms[kept[:, 1:]].ravel())
+                                      lengths, prefixes[kept[:, 1:]].ravel())
 
 
 # --------------------------------------------------------------------------

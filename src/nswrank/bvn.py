@@ -3,7 +3,8 @@
 A decomposition is a ``RankingMixture`` whose users' weights sum to 1; the
 items a term's prefix leaves out follow it in a uniformly random order.  A
 ``RankingMixture`` policy is its own decomposition: its terms of positive
-weight, with no matching and no scipy import.  A dense policy is peeled
+weight, their weights kept bit for bit where they sum to 1 within 1e-9,
+with no matching and no scipy import.  A dense policy is peeled
 into permutations: repeatedly find a perfect matching on the entries above
 epsilon and subtract the smallest matched entry along it; mass still
 unassigned after the Marcus-Ree bound on the number of rounds raises
@@ -88,9 +89,9 @@ def bvn_decompose(policy: Policy, epsilon: float = DEFAULT_EPSILON) -> BvnDecomp
     does not force spurious tiny terms.  Each round then takes the smallest
     matched entry as one term's weight, and each term is one ranking.
 
-    Either way each user's weights are divided by their sum, and
-    reconstruction matches the input entrywise to within
-    ``n * epsilon + 1e-9``.
+    Each user's weights are divided by their sum, except a mixture user's
+    that sum to 1 within 1e-9, which stay bit for bit.  Reconstruction
+    matches the input entrywise to within ``n * epsilon + 1e-9``.
     """
     if not 1e-12 <= epsilon <= 1e-6:
         raise ValueError(f"epsilon must lie in [1e-12, 1e-6], got {epsilon}")
@@ -111,6 +112,9 @@ def bvn_decompose(policy: Policy, epsilon: float = DEFAULT_EPSILON) -> BvnDecomp
         items = perms[order].ravel()
     # bincount adds each user's weights in term order
     totals = np.bincount(users, weights=weights, minlength=m)
+    if isinstance(policy, RankingMixture):
+        # within the BvnDecomposition check: dividing by 1 keeps them
+        totals[np.abs(totals - 1.0) <= 1e-9] = 1.0
     mixture = RankingMixture.from_counts(
         n, np.bincount(users, minlength=m), weights / totals[users], lengths, items)
     return BvnDecomposition(mixture=mixture, epsilon=epsilon)

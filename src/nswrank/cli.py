@@ -178,8 +178,8 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-# users per block of the reconstruction check: its dense (users, n, n)
-# arrays hold about 2^20 entries each
+# entries per block of the reconstruction check: a block's users' dense
+# (n, n) cells plus the head and tail cells of their terms, about 2^20
 _CHECK_ENTRIES = 2**20
 
 
@@ -189,29 +189,41 @@ def _reconstruction_error(dec: BvnDecomposition, policy) -> float:
 
     A mixture user whose decomposition terms are its own, bit for bit (the
     same weights, lengths and items, in order), is skipped.
-    ``bvn_decompose`` keeps a user's positive terms in order and divides
-    their weights by the user's total, so this holds for a user with no
-    term of zero weight whose weights sum to exactly 1.  Its ``dense()``
-    cells are then the same shares, added by ``bincount`` in the same term
-    order whatever other users share the block, so its error is exactly 0.
+    ``bvn_decompose`` keeps a user's positive terms in order, and their
+    weights as they are when they sum to 1 within 1e-9, so this holds for
+    every such user with no term of zero weight: every solver's output.
+    Its ``dense()`` cells are then the same shares, added by ``bincount``
+    in the same term order whatever other users share the block, so its
+    error is exactly 0.
     Nor can the ``PolicyTensor`` check inside ``reconstruct`` fail for it:
     its row and column sums are its weight sum, which ``RankingMixture``
     already checked.
 
     The other users, and every user of a dense policy, are compared in
-    blocks of at most ``_CHECK_ENTRIES`` entries; each entry is computed as
-    on the whole (m, n, n) tensors.
+    blocks of consecutive users; each entry is computed as on the whole
+    (m, n, n) tensors.  ``RankingMixture.dense`` builds n^2 cells per user
+    and L + (n - L)^2 per term of prefix length L, so a block holds at most
+    ``_CHECK_ENTRIES`` of those, or one user.
     """
     mixture = isinstance(policy, RankingMixture)
     check = (np.flatnonzero(~_own_terms(dec.mixture, policy)) if mixture
              else np.arange(dec.m))
-    step = max(1, _CHECK_ENTRIES // (dec.n * dec.n))
+    n, mix = dec.n, dec.mixture
+    tail = n - mix.lengths
+    cost = (n * n + np.bincount(mix.term_users(), mix.lengths + tail * tail,
+                                minlength=dec.m))[check]
+    ends = np.cumsum(cost)
     err = 0.0
-    for lo in range(0, check.size, step):
-        users = check[lo:lo + step]
-        part = BvnDecomposition(dec.mixture.take(users), dec.epsilon)
+    lo = 0
+    while lo < check.size:
+        # the next users whose entries fit, and at least one
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - cost[lo] + _CHECK_ENTRIES, side="right")))
+        users = check[lo:hi]
+        part = BvnDecomposition(mix.take(users), dec.epsilon)
         want = policy.take(users).dense() if mixture else policy.matrices[users]
         err = max(err, float(np.abs(reconstruct(part).matrices - want).max()))
+        lo = hi
     return err
 
 

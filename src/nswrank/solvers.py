@@ -4,7 +4,10 @@ All solvers optimize over per-user doubly stochastic matrices and return the
 mixture of rankings they build, as a validated
 :class:`~nswrank.core.RankingMixture`: one full ranking per user for
 utility-max, one empty prefix for uniform, the master's top-K prefixes for
-exposure-fair and Frank-Wolfe's uniform start plus its vertices for NSW.  The
+exposure-fair and Frank-Wolfe's uniform start plus its vertices' top-K
+prefixes for NSW.  Past the cutoff K exposure is zero, so a top-K prefix
+loses nothing; utility-max keeps full rankings so that its policy stays
+deterministic, past the cutoff too.  The
 exposure-fair LP is solved by column generation over top-K prefixes, and NSW
 by pairwise Frank-Wolfe; both report a duality gap recomputed from the
 returned policy with the same sort oracle

@@ -279,6 +279,30 @@ class TestDecomposeAndSample:
         line = capsys.readouterr().out.strip()
         assert line == "1,0 2,1"
 
+    def test_nsw_sample_starts_with_a_prefix(self, tmp_path, capsys):
+        # NSW terms are top-K prefixes: a sample is a permutation whose first
+        # K items are one of the user's prefixes, and the rest is drawn
+        true, pred = tmp_path / "true.csv", tmp_path / "pred.csv"
+        pol, dec = tmp_path / "nsw.json", tmp_path / "dec.json"
+        assert main(["generate", "--users", "6", "--items", "7", "--seed", "1",
+                     "--out-true", str(true), "--out-pred", str(pred)]) == 0
+        assert main(["solve", "--policy", "nsw", "--relevance", str(pred),
+                     "--cutoff", "3", "--out", str(pol)]) == 0
+        assert main(["decompose", "--policy", str(pol), "--out", str(dec)]) == 0
+        terms = nio.load_decomposition(dec).terms
+        capsys.readouterr()
+        for user in range(6):
+            prefixes = [p.tolist() for _, p in terms[user]]
+            assert all(len(p) == 3 for p in prefixes)
+            for seed in range(4):
+                assert main(["sample", "--decomposition", str(dec), "--user",
+                             str(user), "--seed", str(seed)]) == 0
+                pairs = [f.split(",") for f in capsys.readouterr().out.split()]
+                assert [int(rank) for rank, _ in pairs] == list(range(1, 8))
+                items = [int(item) for _, item in pairs]
+                assert sorted(items) == list(range(7))
+                assert items[:3] in prefixes
+
     @staticmethod
     def _size_error(tmp_path, capsys, command, schema, n, terms, bound):
         """Run ``command`` on a one-user file declaring n items; it exits 9
@@ -349,18 +373,21 @@ class TestDecomposeAndSample:
 
     @pytest.mark.parametrize("block", [1, 2, 3])
     def test_reconstruction_error_by_user_blocks(self, monkeypatch, block):
-        # blocks of `block` users give the entry of the whole-tensor check;
-        # users 2 and 5 have weights that sum to 1 +- a few ulps, which
-        # bvn_decompose rescales, and user 6 has a term of weight zero, which
-        # it drops: only those three are checked for the mixture
+        # blocks of at most `block` users give the entry of the whole-tensor
+        # check; users 2 and 5 have weights that miss 1 by 2^-26, more than
+        # the 1e-9 within which bvn_decompose keeps them, so it rescales them,
+        # and user 6 has a term of weight zero, which it drops: only those
+        # three are checked for the mixture
         rng = np.random.default_rng(block)
-        ulp = 2.0 ** -53    # of 0.75
-        heavy = {2: 0.75 + 2 * ulp, 5: 0.75 - 3 * ulp}
+        miss = 2.0 ** -26
+        heavy = {2: 0.75 + miss, 5: 0.75 - miss}
         users = [[(0.25, rng.permutation(4)[:2]),
                   (heavy.get(u, 0.75), rng.permutation(4))] for u in range(8)]
         users[6].insert(1, (0.0, rng.permutation(4)[:1]))
         mixture = self._mixture(users)
-        monkeypatch.setattr(cli, "_CHECK_ENTRIES", block * 16)
+        # a block takes 16 entries per user and L + (4 - L)^2 per term: 26
+        # for each checked mixture user, at least 20 for a peeled user
+        monkeypatch.setattr(cli, "_CHECK_ENTRIES", block * 26)
         seen = self._count_checked(monkeypatch)
         for policy, checked in ((mixture, 3), (PolicyTensor(mixture.dense()), 8)):
             dec = bvn_decompose(policy)
@@ -369,8 +396,38 @@ class TestDecomposeAndSample:
             seen.clear()
             assert cli._reconstruction_error(dec, policy) == whole
             assert sum(seen) == checked and max(seen) <= block
-        # the rescaled weights differ from the policy's by an ulp or so
-        assert 0.0 < whole < 1e-15
+            if policy is mixture:
+                assert len(seen) == -(-checked // block)    # blocks fill up
+        # the rescaled weights differ from the policy's by 0.875 * 2^-26
+        assert 0.5 * miss < whole < miss
+
+        # weights that miss 1 by a few ulps are kept bit for bit, so those
+        # users build no block
+        ulp = 2.0 ** -53    # of 0.75
+        close = self._mixture([[(0.25, rng.permutation(4)[:2]),
+                                (0.75 + d, rng.permutation(4))]
+                               for d in (2 * ulp, -3 * ulp)])
+        dec = bvn_decompose(close)
+        assert np.array_equal(dec.mixture.weights, close.weights)
+        seen.clear()
+        assert cli._reconstruction_error(dec, close) == 0.0
+        assert seen == []
+
+    @pytest.mark.parametrize("entries, blocks", [(71, [1, 1, 1]), (72, [2, 1])],
+                             ids=["71", "72"])
+    def test_blocks_count_the_cells_of_every_term(self, monkeypatch, entries,
+                                                   blocks):
+        # each user takes 16 entries, 16 for the tail of its empty prefix and
+        # 4 for its full ranking: 36, so two users fit in 72 entries, not 71
+        miss = 2.0 ** -26   # rescaled, so every user is checked
+        users = [[(0.5 + miss, np.arange(0)), (0.5, np.arange(4))]] * 3
+        mixture = self._mixture(users)
+        monkeypatch.setattr(cli, "_CHECK_ENTRIES", entries)
+        seen = self._count_checked(monkeypatch)
+        dec = bvn_decompose(mixture)
+        whole = float(np.abs(reconstruct(dec).matrices - mixture.dense()).max())
+        assert cli._reconstruction_error(dec, mixture) == whole
+        assert seen == blocks
 
     @pytest.mark.parametrize("prefix, error", [([1, 0], 0.5), ([0, 1, 2], 0.25)],
                              ids=["items", "length"])

@@ -35,6 +35,15 @@ def test_output_is_doubly_stochastic():
     check_doubly_stochastic(X)
 
 
+@pytest.mark.parametrize("seed,k", [(0, 2), (3, 3), (7, 6)])
+def test_terms_are_empty_or_top_k_prefixes(seed, k):
+    # exposure is zero past rank k, so each vertex is kept as its top-k prefix
+    V, e, w, active = random_problem(seed, m=8, n=6, k=k)
+    policy, _, _, _ = _kernels.fw_solve(V, e, w, active, 1e-8, 5000)
+    assert set(policy.lengths.tolist()) <= {0, k}
+    assert np.any(policy.lengths == k)
+
+
 @pytest.mark.parametrize("seed,k", [(0, 2), (1, 5), (7, 3)])
 def test_gap_target_reached(seed, k):
     V, e, w, active = random_problem(seed, m=8, n=5 if k == 5 else 6, k=k)

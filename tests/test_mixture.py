@@ -109,6 +109,27 @@ class TestMarginals:
         assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.abs(X.sum(axis=2) - 1.0).max() <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(**MIXTURES, k=st.integers(1, 8))
+    def test_top_k_prefixes_expose_as_any_full_rankings(self, seed, m, n, k):
+        # e vanishes past rank k, so a prefix's tail share is exactly 0 and
+        # the items past rank k of a full ranking add exactly 0: completing
+        # each k-prefix in any order leaves every exposure bit for bit
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 5, m)
+        weights = np.concatenate([rng.dirichlet(np.ones(c)) for c in counts])
+        lengths = np.where(rng.random(weights.size) < 0.8, k, 0)
+        ranked = [rng.permutation(n)[:n if length else 0] for length in lengths]
+        prefixes = RankingMixture.from_counts(
+            n, counts, weights, lengths,
+            np.concatenate([r[:k] for r in ranked]))
+        full = RankingMixture.from_counts(
+            n, counts, weights, [r.size for r in ranked], np.concatenate(ranked))
+        e = random_exposure(seed, n)
+        e[k:] = 0.0
+        assert np.array_equal(prefixes.exposures(e), full.exposures(e))
+
     @settings(max_examples=50, deadline=None)
     @given(**MIXTURES, picks=st.sets(st.integers(0, 5), min_size=1))
     def test_take_gives_the_users_own_marginals(self, seed, m, n, picks):
@@ -143,7 +164,8 @@ class TestDecompose:
             if keep] for lo, hi in zip(mix.indptr[:-1], mix.indptr[1:])]
         got = [[(w, p.tolist()) for w, p in user_terms]
                for user_terms in dec.terms]
-        # the positive-weight terms, with weights divided by their user's sum
+        # the positive-weight terms, with weights within 1e-15 of their share
+        # of their user's sum (kept as they are when it is 1 within 1e-9)
         assert [[p for _, p in user] for user in got] == [
             [p for _, p in user] for user in want]
         for got_user, want_user in zip(got, want):

@@ -377,6 +377,8 @@ def test_nsw_duality_gap_certifies_the_policy(market, alpha):
     objective = float(np.sum(w * np.log(item_impact(policy, rel, exp))))
     assert diag.objective_value == pytest.approx(objective, rel=1e-12)
     assert -1e-12 <= diag.duality_gap <= cfg.rel_gap_tol * abs(diag.objective_value) + 1e-12
+    # the uniform start and top-K prefixes only
+    assert set(policy.lengths.tolist()) <= {0, exp.cutoff}
 
 
 @settings(max_examples=150, deadline=None)
