@@ -19,7 +19,10 @@ policy as a dense tensor, the form of a legacy ``policy/v1`` file, which
 ``bvn_decompose`` peels by matchings; it reports that decomposition's
 seconds, its terms per user and the seconds of its check.  Each figure is
 the median over the REPEATS runs, and each ``*_s`` figure also has its
-least and greatest value as ``*_s_min`` and ``*_s_max``.  A rung whose
+least and greatest value as ``*_s_min`` and ``*_s_max``.  The repeats of a
+rung are interleaved: the first run of every policy (and of the dense peel),
+then the second, and so on, so that a slow spell of a shared machine falls
+on every row of the rung rather than on one.  A rung whose
 dense policy tensor would not fit in memory is written as ``null`` with the
 reason.  The file also records the machine's core count and the python,
 numpy and scipy versions.
@@ -175,15 +178,16 @@ def ladder(rungs=RUNGS) -> dict:
         if dense > DENSE_LIMIT_BYTES:
             rung.update(policies=None, reason=f"dense tensor {dense / 1e9:.0f} GB")
         else:
-            rung["policies"] = {}
-            for policy in POLICIES:
-                print(f"{m}x{n}x{k} {policy}", file=sys.stderr, flush=True)
-                rung["policies"][policy] = aggregate(
-                    [_run_in_child(m, n, k, policy) for _ in range(REPEATS)])
-            if (m, n, k) == DENSE_PEEL_RUNG:
-                print(f"{m}x{n}x{k} dense peel", file=sys.stderr, flush=True)
-                rung["dense_peel"] = aggregate(
-                    [_run_in_child(m, n, k, DENSE_PEEL) for _ in range(REPEATS)])
+            names = POLICIES + ((DENSE_PEEL,) if (m, n, k) == DENSE_PEEL_RUNG else ())
+            runs = {name: [] for name in names}
+            for repeat in range(REPEATS):
+                for name in names:
+                    print(f"{m}x{n}x{k} {name} run {repeat + 1}", file=sys.stderr,
+                          flush=True)
+                    runs[name].append(_run_in_child(m, n, k, name))
+            rung["policies"] = {policy: aggregate(runs[policy]) for policy in POLICIES}
+            if DENSE_PEEL in runs:
+                rung["dense_peel"] = aggregate(runs[DENSE_PEEL])
         out["rungs"].append(rung)
     return out
 

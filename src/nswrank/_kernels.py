@@ -25,9 +25,19 @@ and n x n normal equations.  A projected search along that direction drops
 the terms that reach 0, several per step, and ``newton_step`` sizes each of
 its pieces, so the objective never falls.  The next passes add the vertices
 the face lacks.
+
+At the sizes of a sweep a step touches a few dozen numbers, so its cost is
+the count of interpreter-level operations, not arithmetic.  A move between
+two vertices changes at most 2K impacts; its support comes straight from
+the two prefixes and its line search runs on Python floats.  A face step
+gathers its terms once for all its Newton steps, and its projected search
+finds where a reference weight empties only for the users whose weight can
+reach 0 before the search stops.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -64,6 +74,7 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     m, n = V.shape
     K = int(np.count_nonzero(e > 0.0))
     eK = np.ascontiguousarray(e[:K], dtype=np.float64)
+    eK_list = eK.tolist()
     u0 = float(e.sum()) / n         # exposure of every item under uniform
     # Inactive items get zero impact columns and a dummy impact of 1, so
     # their coefficient w/imp and their log term are both exactly 0.
@@ -99,26 +110,22 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         for u in range(m):
             cn = neg_Va[u] * ratio      # minus the gradient coefficients
             top = cn.argsort()[:K]
-            f_best = -float(cn[top] @ eK)
+            f_best = -float(cn[top].dot(eK))
             k = nv[u]
-            t0 = theta0[u]
-            uni = -u0 * float(neg_Va[u] @ ratio)
+            t0 = float(theta0[u])
+            uni = -u0 * float(neg_Va[u].dot(ratio)) if t0 > 0.0 else 0.0
             th = thetas[u, :k]
-            vals = -(cn[prefixes[u, :k]] @ eK)
-            g = f_best - t0 * uni - float(th @ vals)
+            vals = -cn[prefixes[u, :k]].dot(eK)
+            g = f_best - t0 * uni - float(th.dot(vals))
             pass_gap += g
             if g <= 0.0:
                 continue
 
             # worst-value component of the current mixture; uniform wins ties
-            a = -2
-            a_val = np.inf
-            if t0 > 0.0:
-                a, a_val = -1, uni
-            if k:
-                j = int(np.argmin(np.where(th > 0.0, vals, np.inf)))
-                if th[j] > 0.0 and vals[j] < a_val:
-                    a, a_val = j, float(vals[j])
+            a, a_val = (-1, uni) if t0 > 0.0 else (-2, np.inf)
+            for j, (th_j, val_j) in enumerate(zip(th.tolist(), vals.tolist())):
+                if th_j > 0.0 and val_j < a_val:
+                    a, a_val = j, val_j
             if a == -2 or f_best - a_val <= 0.0:
                 continue
 
@@ -137,31 +144,45 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
                 continue
 
             if a == -1:
-                d = np.full(n, -u0)
+                # off the uniform start: every item's exposure changes
                 gamma_max = t0
-            else:
-                d = np.zeros(n)
-                d[prefixes[u, a]] = -eK
-                gamma_max = float(thetas[u, a])
-            d[prefixes[u, s]] += eK
-            dimp = Va[u] * d
-            supp = np.flatnonzero(dimp)
-            imp_s = imp[supp]
-            dimp_s = dimp[supp]
-            w_s = wa[supp]
-
-            gamma = newton_step(imp_s, dimp_s, w_s, gamma_max)
-            if gamma <= 0.0:
-                continue
-
-            thetas[u, s] += gamma
-            if a == -1:
+                d = np.full(n, -u0)
+                d[top] += eK
+                dimp = Va[u] * d
+                supp = np.flatnonzero(dimp)
+                dimp = dimp[supp]
+                gamma = newton_step(imp[supp], dimp, wa[supp], gamma_max)
+                if gamma <= 0.0:
+                    continue
                 theta0[u] = 0.0 if gamma >= gamma_max else t0 - gamma
+                new_imp = imp[supp] + gamma * dimp
+                imp[supp] = new_imp
+                ratio[supp] = wa[supp] / new_imp
             else:
+                # between two vertices: only the at most 2K items of their
+                # prefixes change, so the search runs on Python floats
+                gamma_max = float(thetas[u, a])
+                move = dict(zip(top.tolist(), eK_list))
+                for i, x in zip(prefixes[u, a].tolist(), eK_list):
+                    move[i] = move.get(i, 0.0) - x
+                row = Va[u]
+                supp, dimp = [], []
+                for i, x in move.items():
+                    x *= row.item(i)
+                    if x != 0.0:
+                        supp.append(i)
+                        dimp.append(x)
+                imp_s = [imp.item(i) for i in supp]
+                w_s = [wa.item(i) for i in supp]
+                gamma = _newton_step_floats(imp_s, dimp, w_s, gamma_max)
+                if gamma <= 0.0:
+                    continue
                 thetas[u, a] = 0.0 if gamma >= gamma_max else gamma_max - gamma
-            new_imp = imp_s + gamma * dimp_s
-            imp[supp] = new_imp
-            ratio[supp] = w_s / new_imp
+                for i, x, dx, w_i in zip(supp, imp_s, dimp, w_s):
+                    x += gamma * dx
+                    imp[i] = x
+                    ratio[i] = w_i / x
+            thetas[u, s] += gamma
         iters = t + 1
 
         stalled = pass_gap > _STALL * last_gap
@@ -188,30 +209,65 @@ def newton_step(imp, dimp, w, gamma_max):
     phi is concave, and phi'(0) > 0 for an ascent direction.  The bracket
     [lo, hi] keeps phi'(lo) > 0 >= phi'(hi) and stays below the first point
     where some impact reaches zero; a Newton step that leaves it falls back
-    to bisection.
+    to bisection.  Takes numpy arrays: each Newton iteration is five array
+    operations, whatever the length.  ``_newton_step_floats`` is the same
+    search on lists of Python floats, for moves between two vertices.
     """
     post = imp + gamma_max * dimp
     if post.min() > 0.0:
-        if float(w @ (dimp / post)) >= 0.0:
+        if w.dot(dimp / post) >= 0.0:
             return gamma_max
         hi = gamma_max
     else:
         dec = dimp < 0.0
-        hi = float(np.min(imp[dec] / -dimp[dec]))
+        hi = float((imp[dec] / -dimp[dec]).min())
+
+    def slopes(g):
+        q = dimp / (imp + g * dimp)
+        wq = w * q
+        return float(w.dot(q)), float(wq.dot(q))
+    return _bracketed_newton(slopes, hi, gamma_max)
+
+
+def _newton_step_floats(imp, dimp, w, gamma_max):
+    """``newton_step`` on lists of Python floats.  On the few entries of a
+    move between two vertices, a Python loop costs less than the fixed cost
+    of the numpy calls it replaces."""
+    if all(x + gamma_max * dx > 0.0 for x, dx in zip(imp, dimp)):
+        if sum(w_i * dx / (x + gamma_max * dx)
+               for x, dx, w_i in zip(imp, dimp, w)) >= 0.0:
+            return gamma_max
+        hi = gamma_max
+    else:
+        hi = min(x / -dx for x, dx in zip(imp, dimp) if dx < 0.0)
+    terms = list(zip(imp, dimp, w))
+
+    def slopes(g):
+        d1 = d2 = 0.0
+        for x, dx, w_i in terms:
+            q = dx / (x + g * dx)
+            wq = w_i * q
+            d1 += wq
+            d2 += wq * q
+        return d1, d2
+    return _bracketed_newton(slopes, hi, gamma_max)
+
+
+def _bracketed_newton(slopes, hi, gamma_max):
+    """Newton's method on phi' from 0, safeguarded by bisection in [0, hi];
+    ``slopes(g)`` returns (phi'(g), -phi''(g))."""
     lo = 0.0
     g = 0.0
     tol = 1e-15 * gamma_max
     for _ in range(_NEWTON_ITERS):
-        q = dimp / (imp + g * dimp)
-        wq = w * q
-        d1 = float(w @ q)           # phi'(g)
+        d1, d2 = slopes(g)
         if d1 > 0.0:
             lo = g
         elif d1 < 0.0:
             hi = g
         else:
             return g
-        step = g + d1 / float(wq @ q)
+        step = g + d1 / d2
         if lo < step < hi:
             if abs(step - g) <= tol:
                 return step
@@ -234,9 +290,13 @@ def face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp):
     and stays there.  Stops after a full step, a step of 0 or _FACE_STEPS
     steps.  Updates theta0, thetas and imp (the current item impacts, 1 on
     inactive items) in place.
+
+    The support only shrinks, so its terms are gathered once (``_Terms``)
+    and each Newton step picks the rows of its face from them.
     """
     rows = np.arange(Va.shape[0])
     W = np.concatenate([theta0[:, None], thetas], axis=1)
+    terms = _Terms(Va, eK, u0, prefixes, W)
     for _ in range(_FACE_STEPS):
         ref = W.argmax(axis=1)
         free = W > 0.0
@@ -244,7 +304,7 @@ def face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp):
         fu, fs = np.nonzero(free)
         if fu.size == 0:
             break
-        face = _Face(Va, eK, u0, prefixes, fu, fs, ref[fu])
+        face = _Face(terms, fu, fs, ref[fu])
         x, r, g = _projected_search(
             face, face.newton(wa, imp), W[fu, fs], W[rows, ref], imp, wa)
         W[fu, fs] = x
@@ -260,65 +320,99 @@ def _projected_search(face, p, x, r, imp, wa):
     it reaches 0 and every term of a user whose reference weight r reaches 0,
     up to the first maximum of the objective along that path.
 
-    The path is linear between those events, and ``newton_step`` searches
-    each piece.  Updates imp in place; returns the new (x, r) and the g
-    reached.
+    Users move apart: a term stops where it empties, or where its user's
+    reference does.  The reference weight r - sum p*min(g, stop) is concave
+    in g, so it can reach 0 in [0, 1] only if it is at most 0 at g = 1 with
+    every term stopping where it empties, and not before the chord from
+    (0, r) to that point crosses 0.  A user's zero is found only once the
+    path reaches its chord bound, which most searches never do.  Between
+    the stops the impacts move linearly, and ``newton_step`` searches each
+    piece.  Updates imp in place; returns the new (x, r) and the g reached.
     """
     fu = face.fu
     m = r.size
-    with np.errstate(divide="ignore"):
-        hit = np.where(p < 0.0, x / -p, np.inf)     # g where each term empties
-    order = np.argsort(hit, kind="stable")
-    due = hit[order]
-    stop = np.full(fu.size, np.inf)                 # g where each term stops
-    emptied = np.zeros(fu.size, dtype=bool)
-    lost = np.zeros(m, dtype=bool)                  # references that emptied
-    r = r.copy()
-    dr = -np.bincount(fu, p, minlength=m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        empty = np.where(dr < 0.0, r / -dr, np.inf)  # g where a reference empties
+    dec = p < 0.0
+    hit = np.full(fu.size, np.inf)                  # g where each term empties
+    hit[dec] = x[dec] / -p[dec]
+    stop = hit.copy()                               # g where each term stops
+    lost_at = np.full(m, np.inf)                    # g where a reference empties
+    at_end = r - np.bincount(fu, p * np.minimum(hit, 1.0), minlength=m)
+    pending = np.flatnonzero(at_end <= 0.0)
+    chord = r[pending] / (r[pending] - at_end[pending])
+    soonest = float(chord.min()) if pending.size else np.inf
+    order = stop.argsort(kind="stable")
+    ends = stop[order].tolist()
     dimp = face.apply(p)
     g, k = 0.0, 0
     while True:
-        while k < due.size and stop[order[k]] < np.inf:
-            k += 1                  # frozen with its user's reference
-        end = min(float(due[k]) if k < due.size else np.inf,
-                  float(empty.min()), 1.0)
+        end = min(ends[k], 1.0) if k < len(ends) else 1.0
+        if soonest < end:
+            # the references that may empty on this piece: find where they
+            # do (not behind the path, where rounding could put them), then
+            # reorder the stops still ahead
+            near = chord < end
+            for u in pending[near].tolist():
+                lo, hi = np.searchsorted(fu, (u, u + 1)).tolist()   # fu is sorted
+                lost_at[u] = max(_reference_zero(r[u], hit[lo:hi], p[lo:hi]), g)
+                stop[lo:hi] = np.minimum(hit[lo:hi], lost_at[u])
+            pending, chord = pending[~near], chord[~near]
+            soonest = float(chord.min()) if pending.size else np.inf
+            ahead = order[k:]
+            order[k:] = ahead[stop[ahead].argsort(kind="stable")]
+            ends = stop[order].tolist()
+            continue
         length = end - g
         step = newton_step(imp, dimp, wa, length)
         imp += step * dimp
-        r += step * dr
         if step < length:
             g += step
             break
         g = end
         if g >= 1.0:
             break
-        # freeze the terms that emptied at g, then the moving terms of the
-        # users whose reference did
-        k1 = int(np.searchsorted(due, g, side="right"))
+        k1 = bisect.bisect_right(ends, g, k)
         out = order[k:k1]
         k = k1
-        out = out[stop[out] == np.inf]
-        emptied[out] = True
-        users = np.flatnonzero(empty <= g)
-        if users.size:
-            out = np.concatenate([out, np.flatnonzero(
-                np.isin(fu, users) & (stop == np.inf) & ~emptied)])
-            lost[users] = True
-            empty[users] = np.inf
-        stop[out] = g
+        if k == len(ends):
+            break                   # every term has stopped: the rest is flat
         dimp -= face.apply(p[out], out)
-        # the references of the users that lost moving terms change slope
-        np.add.at(dr, fu[out], p[out])
-        dr[lost] = 0.0
-        changed = fu[out]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            empty[changed] = np.where(dr[changed] < 0.0,
-                                      g + r[changed] / -dr[changed], np.inf)
-    x = np.where(emptied, 0.0, np.maximum(x + p * np.minimum(g, stop), 0.0))
-    r = np.where(lost, 0.0, np.maximum(r, 0.0))
+    moved = p * np.minimum(g, stop)
+    emptied = (hit <= lost_at[fu]) & (hit <= g)
+    x = np.where(emptied, 0.0, np.maximum(x + moved, 0.0))
+    r = r - np.bincount(fu, moved, minlength=m)
+    r = np.where(lost_at <= g, 0.0, np.maximum(r, 0.0))
     return x, r, g
+
+
+def _reference_zero(r, hit, p):
+    """Where a reference weight r reaches 0 while its user's terms move at
+    slopes p, each until its hit (inf: never); inf if it stays positive."""
+    order = hit.argsort(kind="stable")
+    g, slope = 0.0, -float(p.sum())
+    for h, p_j in zip(hit[order].tolist(), p[order].tolist()):
+        if h == np.inf or r + (h - g) * slope <= 0.0:
+            break
+        r += (h - g) * slope
+        g = h
+        slope += p_j
+    return g + r / -slope if slope < 0.0 else np.inf
+
+
+class _Terms:
+    """Every term of a support as its prefix entries: the items of its top-K
+    prefix and Va[u] * eK on them (no item and 0 for the uniform start), in
+    the order of ``np.nonzero(W > 0)``; ``index`` maps a (user, slot) of W to
+    its row."""
+
+    def __init__(self, Va, eK, u0, prefixes, W):
+        support = W > 0.0
+        tu, ts = np.nonzero(support)
+        self.index = np.cumsum(support).reshape(W.shape) - 1
+        self.items = prefixes[tu, np.maximum(ts - 1, 0)]
+        self.vals = Va[tu[:, None], self.items] * eK
+        self.vals[ts == 0] = 0.0
+        self.uniform = bool(support[:, 0].any())
+        self.Va, self.u0 = Va, u0
 
 
 class _Face:
@@ -330,30 +424,28 @@ class _Face:
     free term is the uniform start and -u0 when the reference is.
     """
 
-    def __init__(self, Va, eK, u0, prefixes, fu, fs, fr):
-        m, n = Va.shape
-        # term 0 is the uniform start, whose prefix entries get value 0
-        self.items = np.concatenate([prefixes[fu, np.maximum(fs - 1, 0)],
-                                     prefixes[fu, np.maximum(fr - 1, 0)]], axis=1)
-        self.vals = np.concatenate(
-            [np.where(fs[:, None] > 0, eK, 0.0),
-             np.where(fr[:, None] > 0, -eK, 0.0)], axis=1)
-        self.vals *= Va[fu[:, None], self.items]
-        self.beta = u0 * ((fs == 0).astype(np.float64) - (fr == 0))
-        # the terms with a beta part, the users whose uniform start is in the
-        # face with their Va rows, and each such term's row in Vu
-        self.sel = np.flatnonzero(self.beta)
-        self.uni, self.at = np.unique(fu[self.sel], return_inverse=True)
-        self.Vu = Va[self.uni]
-        self.fu, self.m, self.n = fu, m, n
+    def __init__(self, terms, fu, fs, fr):
+        js, jr = terms.index[fu, fs], terms.index[fu, fr]
+        self.items = np.concatenate([terms.items[js], terms.items[jr]], axis=1)
+        self.vals = np.concatenate([terms.vals[js], -terms.vals[jr]], axis=1)
+        self.fu = fu
+        self.m, self.n = terms.Va.shape
+        self.sel = np.zeros(0, dtype=np.int64)
+        if terms.uniform:
+            self.beta = terms.u0 * ((fs == 0).astype(np.float64) - (fr == 0))
+            # the terms with a beta part, the users whose uniform start is in
+            # the face with their Va rows, and each such term's row in Vu
+            self.sel = np.flatnonzero(self.beta)
+            self.uni, self.at = np.unique(fu[self.sel], return_inverse=True)
+            self.Vu = terms.Va[self.uni]
 
     def apply(self, x, rows=slice(None)):
         """D[rows].T @ x, the impact change of moving those free weights by x."""
         items, vals = self.items[rows], self.vals[rows]
         out = np.bincount(items.ravel(), (vals * x[:, None]).ravel(),
                           minlength=self.n)
-        beta = self.beta[rows] * x
-        if beta.any():
+        if self.sel.size:
+            beta = self.beta[rows] * x
             per_user = np.bincount(self.fu[rows], beta, minlength=self.m)
             out += per_user[self.uni] @ self.Vu
         return out
@@ -362,14 +454,15 @@ class _Face:
         """Min-norm least-squares p of diag(sqrt(wa)/imp) D.T p = sqrt(wa),
         the Newton direction of sum wa*log(imp) in the free weights, through
         the smaller of the F x F and n x n normal equations with a ridge."""
-        items, vals, beta, sel, at = self.items, self.vals, self.beta, self.sel, self.at
+        items, vals, sel = self.items, self.vals, self.sel
         F, n = self.fu.size, self.n
         c = np.sqrt(wa) / imp
         if F < n:
             # F rows of n entries: smaller than the n x n system
             D = np.bincount((np.arange(F)[:, None] * n + items).ravel(), vals.ravel(),
                             minlength=F * n).reshape(F, n)
-            D[sel] += beta[sel, None] * self.Vu[at]
+            if sel.size:
+                D[sel] += self.beta[sel, None] * self.Vu[self.at]
             G = (D * (c * c)) @ D.T
             if not _ridge(G):
                 return np.zeros(F)
@@ -380,7 +473,7 @@ class _Face:
         G = np.bincount(pairs, (vals[:, :, None] * vals[:, None, :]).ravel(),
                         minlength=n * n).reshape(n, n)
         if sel.size:
-            bs = beta[sel]
+            bs, at = self.beta[sel], self.at
             Z = np.bincount((at[:, None] * n + items[sel]).ravel(),
                             (bs[:, None] * vals[sel]).ravel(),
                             minlength=self.uni.size * n).reshape(-1, n)
@@ -392,7 +485,8 @@ class _Face:
             return np.zeros(F)
         y = c * np.linalg.solve(G, np.sqrt(wa))
         p = (vals * y[items]).sum(axis=1)
-        p[sel] += beta[sel] * (self.Vu @ y)[at]
+        if sel.size:
+            p[sel] += self.beta[sel] * (self.Vu @ y)[self.at]
         return p
 
 
@@ -402,7 +496,7 @@ def _ridge(G):
     scale = float(G.diagonal().max())
     if scale <= 0.0:
         return False
-    G[np.diag_indices(G.shape[0])] += _RIDGE * scale
+    G.flat[::G.shape[0] + 1] += _RIDGE * scale
     return True
 
 
@@ -420,9 +514,31 @@ def sort_oracle(coef, K):
     Returns (prefixes, values): the (m, K) item indices of each row's K
     largest coefficients in rank order, ties broken by item index, and those
     coefficients.  Callers reduce the values against their weights.
+
+    The prefixes are those of a stable sort of each row, found by selection:
+    every item above the row's K-th largest value, then the lowest-index
+    items at that value, then a stable sort of the K picked.
     """
-    prefixes = np.argsort(-coef, axis=1, kind="stable")[:, :K]
-    return prefixes, np.take_along_axis(coef, prefixes, axis=1)
+    m, n = coef.shape
+    if not 0 < K < n:
+        prefixes = np.argsort(-coef, axis=1, kind="stable")[:, :K]
+        return prefixes, np.take_along_axis(coef, prefixes, axis=1)
+    kth = np.partition(coef, n - K, axis=1)[:, n - K, None]
+    above = coef > kth
+    pick = above | (coef == kth)
+    if np.count_nonzero(pick) > m * K:
+        # rows with more ties at the K-th value than places left keep the
+        # lowest-index ones
+        tied = pick & ~above
+        need = K - np.count_nonzero(above, axis=1)
+        crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > need)
+        t = tied[crowded]
+        pick[crowded] = above[crowded] | t & (np.cumsum(t, axis=1) <= need[crowded, None])
+    rows = np.arange(m)[:, None]
+    items = np.nonzero(pick)[1].reshape(m, K)      # increasing item index per row
+    values = coef[rows, items]
+    order = np.argsort(-values, axis=1, kind="stable")
+    return items[rows, order], values[rows, order]
 
 
 def _global_gap(Va, wa, eK, E, imp):

@@ -90,38 +90,151 @@ def ascent_direction(rng, n):
     return imp, dimp, w
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_newton_step_matches_dense_maximiser(seed):
-    rng = np.random.default_rng(seed)
-    imp, dimp, w = ascent_direction(rng, int(rng.integers(2, 12)))
-    gamma_max = float(rng.uniform(0.05, 1.0))
-    got = _kernels.newton_step(imp, dimp, w, gamma_max)
+def floats_step(imp, dimp, w, gamma_max):
+    """The line search on Python floats, which the kernel runs on the few
+    items of a move between two vertices."""
+    return _kernels._newton_step_floats(
+        *(np.asarray(x, dtype=np.float64).tolist() for x in (imp, dimp, w)),
+        gamma_max)
+
+
+# every line search the kernel runs, each held to the dense maximiser
+line_searches = pytest.mark.parametrize(
+    "search", [_kernels.newton_step, floats_step], ids=["arrays", "floats"])
+
+
+def check_search(search, imp, dimp, w, gamma_max):
+    got = search(imp, dimp, w, gamma_max)
     assert 0.0 <= got <= gamma_max
     assert np.all(imp + got * dimp > 0)
     assert got == pytest.approx(dense_maximiser(imp, dimp, w, gamma_max),
                                 abs=1e-12 * gamma_max)
+    return got
+
+
+def matches_dense_maximiser(search, seed):
+    rng = np.random.default_rng(seed)
+    imp, dimp, w = ascent_direction(rng, int(rng.integers(2, 12)))
+    check_search(search, imp, dimp, w, float(rng.uniform(0.05, 1.0)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_newton_step_matches_dense_maximiser(seed):
+    matches_dense_maximiser(_kernels.newton_step, seed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_float_line_search_matches_dense_maximiser(seed):
+    matches_dense_maximiser(floats_step, seed)
+
+
+def takes_the_full_step(search):
+    imp = np.array([1.0, 1.0])
+    dimp = np.array([0.5, -0.1])
+    assert search(imp, dimp, np.ones(2), 0.3) == 0.3
 
 
 def test_newton_step_takes_the_full_step():
-    imp = np.array([1.0, 1.0])
-    dimp = np.array([0.5, -0.1])
-    assert _kernels.newton_step(imp, dimp, np.ones(2), 0.3) == 0.3
+    takes_the_full_step(_kernels.newton_step)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
-       past=st.floats(1.0, 4.0))
-def test_newton_step_stops_before_an_impact_hits_zero(seed, n, past):
+def test_float_line_search_takes_the_full_step():
+    takes_the_full_step(floats_step)
+
+
+@line_searches
+@pytest.mark.parametrize("gamma_max", [0.1, 1.0, 50.0])
+def test_one_item_support_takes_the_full_step(search, gamma_max):
+    # a move that changes one impact is an ascent only if that impact grows
+    imp, dimp, w = np.array([0.7]), np.array([0.2]), np.array([1.5])
+    assert check_search(search, imp, dimp, w, gamma_max) == gamma_max
+
+
+@line_searches
+@pytest.mark.parametrize("seed", range(10))
+def test_newton_step_with_gamma_max_at_the_first_pole(search, seed):
+    # at gamma_max the first impact is exactly 0, so the full step is out
+    rng = np.random.default_rng(seed)
+    dimp = np.ones(1)
+    while not np.any(dimp < 0):
+        imp, dimp, w = ascent_direction(rng, int(rng.integers(2, 12)))
+    dec = dimp < 0
+    gamma_max = float(np.min(imp[dec] / -dimp[dec]))
+    assert check_search(search, imp, dimp, w, gamma_max) < gamma_max
+
+
+@line_searches
+def test_newton_step_falls_back_to_bisection(search, monkeypatch):
+    # near the pole phi' is concave, so a Newton step from the left can leave
+    # the bracket; the search then halves it
+    points = []
+    real = _kernels._bracketed_newton
+
+    def recorded(slopes, hi, gamma_max):
+        def logged(g):
+            d1, d2 = slopes(g)
+            points.append((g, d1, d2))
+            return d1, d2
+        return real(logged, hi, gamma_max)
+
+    monkeypatch.setattr(_kernels, "_bracketed_newton", recorded)
+    imp = np.array([0.34, 0.23, 0.32])
+    dimp = np.array([-0.26, 0.67, 0.01])
+    check_search(search, imp, dimp, np.ones(3), 1.0)
+    newton = [g + d1 / d2 for g, d1, d2 in points[:-1]]
+    assert any(nxt != step for nxt, step in
+               zip([g for g, _, _ in points[1:]], newton))
+
+
+def stops_before_an_impact_hits_zero(search, seed, n, past):
     rng = np.random.default_rng(seed)
     imp, dimp, w = ascent_direction(rng, n)
     dec = dimp < 0
     assume(dec.any())
     # gamma_max lies at or past the point where the first impact reaches 0
     gamma_max = float(np.min(imp[dec] / -dimp[dec])) * past
-    got = _kernels.newton_step(imp, dimp, w, gamma_max)
-    assert np.all(imp + got * dimp > 0)
-    assert got == pytest.approx(dense_maximiser(imp, dimp, w, gamma_max),
-                                abs=1e-12 * gamma_max)
+    check_search(search, imp, dimp, w, gamma_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
+       past=st.floats(1.0, 4.0))
+def test_newton_step_stops_before_an_impact_hits_zero(seed, n, past):
+    stops_before_an_impact_hits_zero(_kernels.newton_step, seed, n, past)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
+       past=st.floats(1.0, 4.0))
+def test_float_line_search_stops_before_an_impact_hits_zero(seed, n, past):
+    stops_before_an_impact_hits_zero(floats_step, seed, n, past)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
+       gamma_max=st.floats(1e-3, 10.0))
+def test_line_search_forms_agree(seed, n, gamma_max):
+    rng = np.random.default_rng(seed)
+    imp, dimp, w = ascent_direction(rng, n)
+    assume(w @ (dimp / imp) > 0)
+    assert (floats_step(imp, dimp, w, gamma_max)
+            == pytest.approx(_kernels.newton_step(imp, dimp, w, gamma_max),
+                             abs=1e-12 * gamma_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6),
+       n=st.integers(1, 12), k=st.integers(0, 12), levels=st.integers(1, 4))
+def test_sort_oracle_is_the_stable_sort(seed, m, n, k, levels):
+    # integer coefficients from a few levels: rows full of ties at the K-th
+    # value, which must go to the lowest item indices as a stable sort does
+    k = min(k, n)
+    coef = np.random.default_rng(seed).integers(-levels, levels, (m, n)) * 1.0
+    prefixes, values = _kernels.sort_oracle(coef, k)
+    expected = np.argsort(-coef, axis=1, kind="stable")[:, :k]
+    assert prefixes.dtype == expected.dtype
+    assert np.array_equal(prefixes, expected)
+    assert np.array_equal(values, np.take_along_axis(coef, expected, axis=1))
 
 
 def face_state(seed, m=4, n=6, k=2, vertices=5):
@@ -144,6 +257,103 @@ def face_objective(V, eK, w, theta0, thetas, prefixes):
     E = _kernels._exposures(theta0, thetas, prefixes, eK, eK.sum() / n, n)
     imp = np.einsum("ui,ui->i", V, E)
     return float(w @ np.log(imp)), imp
+
+
+def reference_search(face, p, x, r, imp, w):
+    """The projected search event by event, on a dense face matrix: move
+    every unfrozen weight along p until a term or a reference empties (or
+    the objective stops rising), freeze that term, or every term of that
+    reference's user, and go on.  Returns (x, r, g) and updates imp."""
+    F, m = face.fu.size, r.size
+    D = np.array([face.apply(np.ones(1), [j]) for j in range(F)])
+    fu = face.fu
+    x, r = x.copy(), r.copy()
+    moving = np.ones(F, dtype=bool)
+    lost = np.zeros(m, dtype=bool)
+    emptied = np.zeros(F, dtype=bool)
+    g = 0.0
+    while moving.any():
+        dr = -np.bincount(fu[moving], p[moving], minlength=m)
+        dec = moving & (p < 0.0)
+        hits = np.where(dec, g + x / np.where(dec, -p, 1.0), np.inf)
+        down = (dr < 0.0) & ~lost
+        zeros = np.where(down, g + r / np.where(down, -dr, 1.0), np.inf)
+        end = min(hits.min(), zeros.min(), 1.0)
+        dimp = (p * moving) @ D
+        step = _kernels.newton_step(imp, dimp, w, end - g)
+        imp += step * dimp
+        x += step * p * moving
+        r += step * dr
+        if step < end - g:
+            g += step
+            break
+        g = end
+        if g >= 1.0:
+            break
+        out = moving & (hits <= g)
+        emptied |= out
+        users = np.flatnonzero(zeros <= g)
+        lost[users] = True
+        moving &= ~out & ~lost[fu]
+    x = np.where(emptied, 0.0, np.maximum(x, 0.0))
+    r = np.where(lost, 0.0, np.maximum(r, 0.0))
+    return x, r, g
+
+
+def search_inputs(seed, m, n, k, vertices):
+    """A face of the state ``face_state`` draws, its Newton direction, and
+    the free and reference weights and impacts a face step starts from;
+    None when the face is empty or an impact is 0."""
+    V, eK, w, theta0, thetas, prefixes = face_state(seed, m, n, k, vertices)
+    with np.errstate(divide="ignore"):          # an impact may be 0
+        _, imp = face_objective(V, eK, w, theta0, thetas, prefixes)
+    W = np.concatenate([theta0[:, None], thetas], axis=1)
+    rows = np.arange(m)
+    ref = W.argmax(axis=1)
+    free = W > 0.0
+    free[rows, ref] = False
+    fu, fs = np.nonzero(free)
+    if fu.size == 0 or not np.all(imp > 0.0):
+        return None
+    terms = _kernels._Terms(V, eK, eK.sum() / n, prefixes, W)
+    face = _kernels._Face(terms, fu, fs, ref[fu])
+    return face, face.newton(w, imp), W[fu, fs], W[rows, ref], imp, w
+
+
+class TestProjectedSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3),
+           n=st.integers(3, 8), k=st.integers(1, 3),
+           vertices=st.integers(1, 3))
+    def test_matches_the_event_by_event_search(self, seed, m, n, k, vertices):
+        # the search finds a reference's zero only where the path can reach
+        # it, and moves every term to its stop at once: the same path.  On a
+        # face whose rows are dependent, weights can move along a direction
+        # that leaves every impact as it is, and rounding decides how far;
+        # so the face's rows are independent here
+        inputs = search_inputs(seed, m, n, min(k, n), vertices)
+        assume(inputs is not None)
+        face, p, x, r, imp, w = inputs
+        F = face.fu.size
+        D = np.array([face.apply(np.ones(1), [j]) for j in range(F)])
+        assume(np.linalg.matrix_rank(D) == F)
+        want_imp = imp.copy()
+        want = reference_search(face, p, x, r, want_imp, w)
+        got = _kernels._projected_search(face, p, x, r, imp, w)
+        # where the objective is nearly flat in g, so is the g it peaks at
+        assert got[2] == pytest.approx(want[2], abs=1e-9)
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(imp, want_imp, rtol=1e-12)
+
+    def test_a_reference_that_empties_stops_its_users_terms(self):
+        face, p, x, r, imp, w = search_inputs(41, 5, 4, 2, 5)
+        want = reference_search(face, p, x, r, imp.copy(), w)
+        got = _kernels._projected_search(face, p, x, r, imp, w)
+        lost = (want[1] == 0.0) & (r > 0.0)
+        assert lost.any()
+        assert np.array_equal(got[1] == 0.0, want[1] == 0.0)
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
 
 
 class TestFaceStep:

@@ -59,6 +59,17 @@ def test_only_the_desk_rung_peels_densely(monkeypatch):
     assert calls.count(ladder.DENSE_PEEL) == ladder.REPEATS
 
 
+def test_repeats_are_interleaved(monkeypatch):
+    # the first run of every policy and of the dense peel, then the second:
+    # a slow spell of the machine lands on every row, not on one
+    calls = []
+    monkeypatch.setattr(ladder, "_run_in_child",
+                        lambda m, n, k, policy: calls.append(policy) or {"x": 1})
+    ladder.ladder(rungs=[ladder.DENSE_PEEL_RUNG, (6, 5, 2)])
+    desk = list(ladder.POLICIES) + [ladder.DENSE_PEEL]
+    assert calls == desk * ladder.REPEATS + list(ladder.POLICIES) * ladder.REPEATS
+
+
 def test_rung_past_memory_is_null_with_reason():
     doc = ladder.ladder(rungs=[(10_000, 1000, 10)])
     assert set(doc["machine"]) == {"nproc", "python", "numpy", "scipy"}
