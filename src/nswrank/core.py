@@ -324,38 +324,24 @@ class RankingMixture:
                              minlength=self.m * n).reshape(self.m, n)
         return prefix + np.bincount(users, weights=share, minlength=self.m)[:, None]
 
-    def rankings(self) -> np.ndarray:
-        """(terms, n) items by rank of each term: its prefix, then the items
-        it leaves out in ascending order."""
-        terms, n, lengths = self.weights.size, self.n, self.lengths
-        left_out = np.ones((terms, n), dtype=bool)
-        left_out[np.repeat(np.arange(terms), lengths), self.items] = False
-        head = np.arange(n) < lengths[:, None]
-        out = np.empty((terms, n), dtype=np.int64)
-        out[head] = self.items
-        out[~head] = np.nonzero(left_out)[1]
-        return out
-
     def dense(self) -> np.ndarray:
         """(m, n, n) marginal rank probabilities, by one scatter-add: each
-        prefix item at its rank, and each left-out item at every rank of the
-        tail with weight / (n - L).  Entries are clipped at 1, as a
-        PolicyTensor's are: weights that sum to 1 within DS_TOL can put a
-        ranked item an ulp above it."""
+        prefix item at its rank, then, term by term, each left-out item in
+        ascending order at every rank of the tail with weight / (n - L).
+        Entries are clipped at 1, as a PolicyTensor's are: weights that sum
+        to 1 within DS_TOL can put a ranked item an ulp above it."""
         n, lengths, weights = self.n, self.lengths, self.weights
-        ranked = self.rankings()
-        terms = np.arange(lengths.size)
         tail = n - lengths
-        head_term = np.repeat(terms, lengths)
-        head_rank = _segments(np.zeros_like(lengths), lengths)
-        cell_term = np.repeat(terms, tail * tail)
-        cell = _segments(np.zeros_like(tail), tail * tail)
-        width = tail[cell_term]
-        tail_item = ranked[cell_term, lengths[cell_term] + cell // width]
-        tail_rank = lengths[cell_term] + cell % width
+        head_term = np.repeat(np.arange(lengths.size), lengths)
+        left_out = np.ones((lengths.size, n), dtype=bool)
+        left_out[head_term, self.items] = False
+        out_term, out_item = np.nonzero(left_out)
+        width = tail[out_term]
+        cell_term = np.repeat(out_term, width)
         term = np.concatenate([head_term, cell_term])
-        item = np.concatenate([self.items, tail_item])
-        rank = np.concatenate([head_rank, tail_rank])
+        item = np.concatenate([self.items, np.repeat(out_item, width)])
+        rank = np.concatenate([_segments(np.zeros_like(lengths), lengths),
+                               _segments(lengths[out_term], width)])
         share = np.concatenate([weights[head_term],
                                 (weights / np.maximum(tail, 1))[cell_term]])
         flat = (self.term_users()[term] * n + item) * n + rank

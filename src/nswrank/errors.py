@@ -22,7 +22,8 @@ class ZeroMeritError(NswrankError):
 
 
 class DegenerateMarketError(NswrankError):
-    """Every item in the market has zero merit."""
+    """Every impact is 0 under every policy: every item has zero merit, or
+    the exposure model examines no rank."""
 
 
 class MatchingFailure(NswrankError):

@@ -39,9 +39,10 @@ class FairnessReport:
 
 
 def _envy_grid(weights: np.ndarray, prof: np.ndarray) -> np.ndarray:
-    # column-wise einsum keeps the diagonal bitwise equal to item_impact
-    return np.stack([np.einsum("ui,u->i", weights, prof[:, j])
-                     for j in range(prof.shape[1])], axis=1)
+    # One einsum, not a GEMM: without optimize= it sums over users in order,
+    # so the diagonal is item_impact bit for bit and identical columns give
+    # identical entries (a uniform policy's envy is exactly 0).
+    return np.einsum("ui,uj->ij", weights, prof)
 
 
 def envy_matrix(policy: Policy, rel: RelevanceMatrix, exp: ExposureModel,
@@ -88,8 +89,9 @@ def fairness_report(policy: Policy, rel_true: RelevanceMatrix,
     n = policy.n
     prof = exposure_profile(policy, exp)
     weights = vfn.user_weights(rel_true)
-    envy = max_envy_per_item(_envy_grid(weights, prof))
-    imp = np.einsum("ui,ui->i", weights, prof)  # as item_impact computes it
+    grid = _envy_grid(weights, prof)
+    envy = max_envy_per_item(grid)
+    imp = np.diagonal(grid).copy()  # item_impact, bit for bit
     imp_unif = exp.total_exposure / n * weights.sum(axis=0)
     valid = imp_unif > 0
     ratios = np.full(n, np.nan)

@@ -401,6 +401,8 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     mer = merit(rel)
     if not np.any(mer > 0):
         raise DegenerateMarketError("every item has zero merit")
+    if not np.any(exp.weights > 0):
+        raise DegenerateMarketError("the exposure model examines no rank")
     w = np.power(mer, cfg.alpha)
     if vfn is ImpactFunction.RELEVANCE_WEIGHTED:
         active = mer > 0

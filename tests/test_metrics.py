@@ -25,6 +25,8 @@ from nswrank import (
     weighted_envy_matrix,
 )
 
+from nswrank.metrics import _envy_grid
+
 from conftest import random_policy
 
 RW = ImpactFunction.RELEVANCE_WEIGHTED
@@ -57,6 +59,25 @@ class TestEnvyMatrix:
         policy, _ = solve_expo_fair(rel, exp)
         em = envy_matrix(policy, rel, exp)
         assert np.array_equal(np.diagonal(em), item_impact(policy, rel, exp))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 30), n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+def test_envy_grid_is_the_column_loop_bit_for_bit(m, n, seed):
+    # entries spread over eight decades, so that another summation order
+    # over users would round differently
+    rng = np.random.default_rng(seed)
+    weights = rng.random((m, n)) * 10.0 ** rng.uniform(-4, 4, (m, n))
+    prof = rng.random((m, n)) * 10.0 ** rng.uniform(-4, 4, (m, n))
+    same = np.repeat(prof[:, :1], n, axis=1)   # every item's allocation equal
+    for p in (prof, same):
+        loop = np.stack([np.einsum("ui,u->i", weights, p[:, j])
+                         for j in range(n)], axis=1)
+        grid = _envy_grid(weights, p)
+        assert np.array_equal(grid, loop)
+        assert np.array_equal(np.diagonal(grid),
+                              np.einsum("ui,ui->i", weights, p))
+    assert np.all(max_envy_per_item(_envy_grid(weights, same)) == 0.0)
 
 
 class TestMeanMaxEnvy:

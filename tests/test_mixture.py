@@ -130,6 +130,25 @@ class TestMarginals:
         e[k:] = 0.0
         assert np.array_equal(prefixes.exposures(e), full.exposures(e))
 
+    @settings(max_examples=100, deadline=None)
+    @given(**MIXTURES, zero_weights=st.booleans())
+    def test_dense_adds_heads_then_tails_in_term_order(self, seed, m, n,
+                                                       zero_weights):
+        # the order of the additions sets the rounding, and the decompose
+        # check compares blocks built from different terms bit for bit
+        mix = random_mixture(seed, m, n, zero_weights)
+        want = np.zeros((m, n, n))
+        users = mix.term_users()
+        starts = np.cumsum(mix.lengths) - mix.lengths
+        for u, w, s, L in zip(users, mix.weights, starts, mix.lengths):
+            for k, i in enumerate(mix.items[s:s + L]):
+                want[u, i, k] += w
+        for u, w, s, L in zip(users, mix.weights, starts, mix.lengths):
+            for i in sorted(set(range(n)) - set(mix.items[s:s + L].tolist())):
+                for k in range(L, n):
+                    want[u, i, k] += w / (n - L)
+        assert np.array_equal(mix.dense(), np.minimum(want, 1.0))
+
     @settings(max_examples=50, deadline=None)
     @given(**MIXTURES, picks=st.sets(st.integers(0, 5), min_size=1))
     def test_take_gives_the_users_own_marginals(self, seed, m, n, picks):

@@ -3,6 +3,7 @@
 import itertools
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -515,6 +516,14 @@ class TestSolveNsw:
         exp = ExposureModel.make("inverse", 2, 1)
         with pytest.raises(DegenerateMarketError):
             solve_nsw(rel, exp)
+
+    def test_no_exposed_rank_is_degenerate(self):
+        # K = 0: every impact is 0 under every policy, as with zero merit
+        rel = RelevanceMatrix([[0.5, 0.2, 0.1], [0.3, 0.4, 0.6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateMarketError, match="examines no rank"):
+                solve_nsw(rel, ExposureModel.custom([0.0] * 3))
 
     @pytest.mark.parametrize("field, value", [
         ("alpha", -1.0), ("alpha", float("nan")), ("alpha", float("inf")),
