@@ -215,4 +215,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # this checkout's package, ahead of any other on the path
+    sys.path.insert(0, os.path.join(ROOT, "src"))
     sys.exit(main())

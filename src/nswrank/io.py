@@ -48,7 +48,12 @@ SWEEP_HEADER = ("policy,lambda,noise_c,k,n_items,seed,"
 _HEADER_RE = re.compile(r"^# m=(\d{1,18}) n=(\d{1,18})$")
 
 
-def _fmt(value: float, digits: int = 12) -> str:
+# rows of a relevance file parsed by one numpy call: the fields of a block
+# are held as strings only while it is parsed
+_BLOCK_ROWS = 256
+
+
+def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
@@ -56,21 +61,27 @@ def _fmt(value: float, digits: int = 12) -> str:
 
 
 def save_relevance(rel: RelevanceMatrix, path) -> None:
-    lines = [f"# m={rel.m} n={rel.n}"]
-    for row in rel.values:
-        lines.append(",".join(_fmt(v) for v in row))
+    # '%.12g' % v is f"{v:.12g}": both are CPython's float formatter
+    row_fmt = ",".join(["%.12g"] * rel.n) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# m={rel.m} n={rel.n}\n")
+        for row in rel.values:
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def load_relevance(path) -> RelevanceMatrix:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        lines = data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
                          line=data.count(b"\n", 0, exc.start) + 1) from None
+    # each copy of the file is dropped once the next is made: a 10^4 x 1000
+    # file is 149 MB of text
+    del data
+    lines = text.splitlines()
+    del text
     if not lines:
         raise ParseError("empty relevance file", line=1)
     match = _HEADER_RE.match(lines[0])
@@ -78,32 +89,42 @@ def load_relevance(path) -> RelevanceMatrix:
         raise ParseError(f"malformed header {lines[0]!r}, expected '# m=<M> n=<N>'",
                          line=1, column=1)
     m, n = int(match.group(1)), int(match.group(2))
-    lines_of_body = [ln for ln in lines[1:] if ln.strip()]
-    body = [ln.split(",") for ln in lines_of_body]
+    body = [ln for ln in lines[1:] if ln.strip()]
+    del lines
     if len(body) != m:
         raise DimensionError(f"header declares m={m} rows, file has {len(body)}")
     # every width is checked before the array is allocated: the header alone
     # does not bound its size
-    for r, fields in enumerate(body):
-        if len(fields) != n:
+    for r, line in enumerate(body):
+        width = line.count(",") + 1
+        if width != n:
             raise DimensionError(
-                f"header declares n={n} columns, row {r + 1} has {len(fields)}")
-    # every entry at once: numpy parses each string with float(), so the
-    # values are the same; a file that fails is parsed again entry by entry
-    # to find its first bad entry
-    text = "".join(lines_of_body)
+                f"header declares n={n} columns, row {r + 1} has {width}")
+    values = np.empty((m, n))
+    for a in range(0, m, _BLOCK_ROWS):
+        _parse_rows(body[a:a + _BLOCK_ROWS], a, values[a:a + _BLOCK_ROWS])
+    return RelevanceMatrix(values)
+
+
+def _parse_rows(rows: list, first: int, out: np.ndarray) -> None:
+    """Parse the body rows ``first``, ``first + 1``, ... into ``out``.
+
+    Every entry at once: numpy parses each string with float(), so the values
+    are the same; rows that fail are parsed again entry by entry to find
+    their first bad entry.
+    """
+    text = ",".join(rows)
     if "_" not in text and text.split() == [text]:  # no whitespace either
         try:
-            values = np.array(body, dtype=np.float64).reshape(m, n)
+            out[:] = np.array(text.split(","), dtype=np.float64).reshape(out.shape)
         except ValueError:
             pass
         else:
-            if np.all((values >= 0.0) & (values < math.inf)):  # false for nan
-                return RelevanceMatrix(values)
-    values = np.empty((m, n))
-    for r, fields in enumerate(body):
+            if np.all((out >= 0.0) & (out < math.inf)):  # false for nan
+                return
+    for r, line in enumerate(rows, first):
         col = 1
-        for c, field in enumerate(fields):
+        for c, field in enumerate(line.split(",")):
             try:
                 # float() also reads "1_0" as 10 and ignores surrounding
                 # whitespace; neither is a CSV number
@@ -116,9 +137,8 @@ def load_relevance(path) -> RelevanceMatrix:
             if not 0.0 <= value < math.inf:  # also false for nan
                 raise ParseError(f"relevance {field!r} is not a finite "
                                  "nonnegative number", line=r + 2, column=col)
-            values[r, c] = value
+            out[r - first, c] = value
             col += len(field) + 1
-    return RelevanceMatrix(values)
 
 
 # ------------------------------------------------------------------- policy

@@ -1,5 +1,6 @@
 """File format round trips and validation failures."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -185,6 +186,112 @@ def test_load_relevance_decides_as_the_entry_by_entry_parse(tmp_path_factory,
         return
     assert error is None
     assert got.tobytes() == want.tobytes()
+
+
+# mantissa x 10^e over every decade a float reaches, plus signed zeros and
+# subnormals
+_WRITTEN_VALUES = st.one_of(
+    st.builds(lambda mantissa, e: mantissa * 10.0 ** e,
+              st.floats(1.0, 10.0), st.integers(-320, 300)),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308]),
+    st.floats(0.0, 2.2250738585072014e-308))
+
+
+@st.composite
+def _written_matrices(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    return [draw(st.lists(_WRITTEN_VALUES, min_size=n, max_size=n))
+            for _ in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_written_matrices())
+def test_save_relevance_writes_each_entry_at_12_digits(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    nio.save_relevance(RelevanceMatrix(rows), path)
+    want = f"# m={len(rows)} n={len(rows[0])}\n" + "".join(
+        ",".join(format(v, ".12g") for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+# sha256 of the desk market's files, 100 x 50, seed 0, lambda 0.5, noise 0.05
+GOLDEN_GENERATE_SHA256 = {
+    "true.csv":
+        "ab2e5e5a3a877a2cdc388ecee729768821d53b46ee88e39ac4c2e1618387f5b8",
+    "pred.csv":
+        "dedb5fdbaf72006077bee2fe4d82f435fb5856f768971b4c64c465c8e859e6db",
+}
+
+
+def test_generate_golden_bytes(tmp_path):
+    from nswrank.cli import main
+
+    assert main(["generate", "--users", "100", "--items", "50", "--seed", "0",
+                 "--lambda", "0.5", "--noise", "0.05",
+                 "--out-true", str(tmp_path / "true.csv"),
+                 "--out-pred", str(tmp_path / "pred.csv")]) == 0
+    for name, digest in GOLDEN_GENERATE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == (
+            digest), name
+
+
+class TestRelevanceBlocks:
+    """Files longer than one block of rows load as the entry-by-entry parse
+    does."""
+
+    M = 2 * nio._BLOCK_ROWS + 3
+    N = 3
+
+    def rows(self) -> list:
+        rng = np.random.default_rng(0)
+        values = rng.uniform(0, 1e3, (self.M, self.N)).tolist()
+        return [[repr(v) for v in row] for row in values]
+
+    def load_as_reference(self, tmp_path, rows, blank_after=None):
+        lines = [",".join(row) for row in rows]
+        if blank_after is not None:
+            lines.insert(blank_after + 1, "")
+        data = "\n".join([f"# m={self.M} n={self.N}"] + lines).encode("utf-8")
+        path = tmp_path / "blocks.csv"
+        path.write_bytes(data)
+        want, error = reference_load_relevance(data)
+        try:
+            got = nio.load_relevance(path).values
+        except (ParseError, DimensionError) as exc:
+            assert (type(exc), getattr(exc, "line", None),
+                    getattr(exc, "column", None)) == error
+            return exc
+        assert error is None
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    def test_valid(self, tmp_path):
+        got = self.load_as_reference(tmp_path, self.rows())
+        assert got.shape == (self.M, self.N)
+
+    @pytest.mark.parametrize("field", ["oops", "-0.5", "1_0", " 2"])
+    @pytest.mark.parametrize("blank_after", [None, nio._BLOCK_ROWS - 1])
+    def test_bad_entry_in_a_later_block(self, tmp_path, field, blank_after):
+        rows = self.rows()
+        rows[nio._BLOCK_ROWS + 5][1] = field
+        exc = self.load_as_reference(tmp_path, rows, blank_after)
+        assert isinstance(exc, ParseError)
+        assert exc.line - 2 >= nio._BLOCK_ROWS  # a row of the second block
+
+    def test_blank_line_between_blocks(self, tmp_path):
+        self.load_as_reference(tmp_path, self.rows(), nio._BLOCK_ROWS - 1)
+
+    def test_short_row_in_the_last_block_allocates_nothing(self, tmp_path,
+                                                           monkeypatch):
+        rows = self.rows()
+        rows[-1].pop()
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the row widths were checked")
+
+        monkeypatch.setattr(nio.np, "empty", no_allocation)
+        exc = self.load_as_reference(tmp_path, rows)
+        assert isinstance(exc, DimensionError)
 
 
 class TestPolicyJson:

@@ -1,8 +1,11 @@
 """The scale ladder's rung function on a toy market."""
 
 import importlib.util
+import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +29,17 @@ def test_rung_reports_every_step(policy):
     assert isinstance(row["iterations"], int) and row["iterations"] >= 1
     assert row["peak_rss_mb"] > 0
     assert row["policy_bytes"] > 0
+
+
+def test_one_runs_without_pythonpath(tmp_path):
+    # the script finds this checkout's package itself: no install needed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(_PATH), "--one", "8", "6", "2", "nsw"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert row["iterations"] >= 1 and row["terms_per_user"] >= 1.0
 
 
 def test_dense_peel_reaches_the_matching(monkeypatch):
