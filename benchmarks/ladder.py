@@ -26,6 +26,16 @@ on every row of the rung rather than on one.  A rung whose
 dense policy tensor would not fit in memory is written as ``null`` with the
 reason.  The file also records the machine's core count and the python,
 numpy and scipy versions.
+
+The ``cli_startup`` section times the command line at the desk rung:
+``python -c "import numpy"``, ``python -c "import nswrank.cli"`` and each
+pipeline command (generate, solve nsw and expo-fair, evaluate, decompose,
+sample), each in a fresh interpreter as a user runs it.  Each entry has
+its wall seconds (median, least, greatest), the same for its seconds over
+the numpy start of the same repeat (``over_numpy_s``) and its median peak
+RSS, over STARTUP_REPEATS interleaved runs.  At that size every command
+does little work, so these figures are mostly interpreter start-up and
+imports.
 """
 
 from __future__ import annotations
@@ -47,6 +57,9 @@ POLICIES = ("nsw", "expo-fair")
 # runs per rung and policy: one run's timings swing more than most changes
 # move them
 REPEATS = 3
+# runs of each start-up entry: a start takes about 0.3 s and one run swings
+# by 15% on a shared machine, so the section takes more runs than a rung
+STARTUP_REPEATS = 15
 # a rung whose float64 policy tensor (m x n x n) exceeds this is not run
 DENSE_LIMIT_BYTES = 4e9
 # the rung whose exposure-fair policy is also peeled as a dense tensor, and
@@ -137,15 +150,86 @@ def run_dense_peel(m: int, n: int, k: int) -> dict:
     }
 
 
-def _run_in_child(m: int, n: int, k: int, policy: str) -> dict:
+def _child_env() -> dict:
+    """This process's environment with this checkout's package first on the
+    path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def _run_in_child(m: int, n: int, k: int, policy: str) -> dict:
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--one", str(m), str(n),
          str(k), policy],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _startup_commands() -> dict:
+    """The start-up entries: name -> arguments after ``python``."""
+    cli = ["-m", "nswrank.cli"]
+    m, n, k = DENSE_PEEL_RUNG
+    cut = ["--cutoff", str(k)]
+    return {
+        "import numpy": ["-c", "import numpy"],
+        "import nswrank.cli": ["-c", "import nswrank.cli"],
+        "generate": [*cli, "generate", "--users", str(m), "--items", str(n),
+                     "--seed", "0", "--out-true", "true.csv",
+                     "--out-pred", "pred.csv"],
+        "solve nsw": [*cli, "solve", "--policy", "nsw", "--relevance",
+                      "pred.csv", *cut, "--out", "nsw.json"],
+        "solve expo-fair": [*cli, "solve", "--policy", "expo-fair",
+                            "--relevance", "pred.csv", *cut,
+                            "--out", "expo-fair.json"],
+        "evaluate": [*cli, "evaluate", "--policy", "nsw.json", "--relevance",
+                     "true.csv", *cut, "--out-json", "metrics.json"],
+        "decompose": [*cli, "decompose", "--policy", "nsw.json",
+                      "--out", "dec.json"],
+        "sample": [*cli, "sample", "--decomposition", "dec.json",
+                   "--user", "0", "--seed", "0"],
+    }
+
+
+def _timed_command(args: list, work: str, env: dict) -> dict:
+    """Wall seconds and peak RSS of ``python ARGS`` in ``work``."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *args], cwd=work, env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall_s = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{args} exited {proc.returncode}")
+    # ru_maxrss is in kB on Linux
+    return {"wall_s": wall_s, "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
+def cli_startup() -> dict:
+    """The ``cli_startup`` section: every entry once per repeat, in order,
+    so that a slow spell of a shared machine falls on every entry."""
+    env = _child_env()
+    m, n, k = DENSE_PEEL_RUNG
+    with tempfile.TemporaryDirectory() as work:
+        commands = _startup_commands()
+        # the inputs of the later commands exist before the first timed run
+        for name in ("generate", "solve nsw", "decompose"):
+            _timed_command(commands[name], work, env)
+        runs = {name: [] for name in commands}
+        for _ in range(STARTUP_REPEATS):
+            for name, args in commands.items():
+                runs[name].append(_timed_command(args, work, env))
+    # each run less the numpy start of its repeat: a slow spell that outlasts
+    # one repeat cancels out
+    base = [row["wall_s"] for row in runs["import numpy"]]
+    for rows in runs.values():
+        for row, numpy_s in zip(rows, base):
+            row["over_numpy_s"] = row["wall_s"] - numpy_s
+    return {"m": m, "n": n, "k": k,
+            "bytecode_written": not sys.dont_write_bytecode,
+            "commands": {name: aggregate(rows) for name, rows in runs.items()}}
 
 
 def aggregate(runs: list) -> dict:
@@ -208,6 +292,7 @@ def main(argv=None) -> int:
     if not args.out:
         parser.error("--out is required")
     doc = ladder()
+    doc["cli_startup"] = cli_startup()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

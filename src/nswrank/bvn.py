@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .core import Policy, PolicyTensor, RankingMixture, renormalize_doubly_stochastic
 from .errors import MatchingFailure, SizeError
 
@@ -148,6 +147,9 @@ def _peel(work: np.ndarray, epsilon: float) -> list:
     # rounds keep their rankings in the narrowest integer type, so that
     # holding them all until the regrouping costs little next to its result
     rank_type = np.min_scalar_type(n - 1)
+    # only a dense policy reaches the matching, and with it scipy
+    from . import _kernels
+
     for _ in range(max_terms):
         live = remaining > done
         if not live.all():

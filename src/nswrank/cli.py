@@ -13,16 +13,15 @@ n^2 > 2^28, refused before anything is decomposed, written or sampled.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import importlib
 import json
 import sys
 
 import numpy as np
 
+from . import _MODULE_OF
 from . import io as nio
 from .core import ExposureModel, ImpactFunction, RankingMixture, user_utility
-from .bvn import (BvnDecomposition, bvn_decompose, check_size, reconstruct,
-                  sample_ranking)
 from .errors import (
     DegenerateMarketError,
     DimensionError,
@@ -36,16 +35,53 @@ from .errors import (
     SolverError,
     ZeroMeritError,
 )
-from .metrics import fairness_report
-from .solvers import (
-    NswConfig,
-    SolveDiagnostics,
-    solve_expo_fair,
-    solve_nsw,
-    solve_uniform,
-    solve_utility_max,
-)
-from .synth import SyntheticConfig, generate_market
+
+# The names this module binds from the modules that only some commands run,
+# each with its module (``nswrank._MODULE_OF``; ``check_size`` is not public).
+# A command imports its modules when it starts (``_load``), and the names
+# become globals of this module, which the commands call through: a command
+# loads only what it runs, and replacing ``cli.<name>`` (a test's
+# monkeypatch, a timing wrapper) still reaches every call.
+_DEFERRED = {name: _MODULE_OF[name] for name in (
+    "BvnDecomposition", "bvn_decompose", "reconstruct", "sample_ranking",
+    "fairness_report", "NswConfig", "SolveDiagnostics", "solve_expo_fair",
+    "solve_nsw", "solve_uniform", "solve_utility_max", "SyntheticConfig",
+    "generate_market")}
+_DEFERRED["check_size"] = "bvn"
+# the value ``_load`` last bound to each name: a global that no longer holds
+# it was replaced since, and ``_load`` leaves it alone
+_LOADED: dict = {}
+
+
+def _load(*modules: str) -> None:
+    """Import ``modules`` (values of ``_DEFERRED``) and bind their names
+    here from each, except a name whose global was replaced."""
+    bound = globals()
+    for module in modules:
+        mod = importlib.import_module(f".{module}", __package__)
+        for name, source in _DEFERRED.items():
+            if source == module and bound.get(name) is _LOADED.get(name):
+                bound[name] = _LOADED[name] = getattr(mod, name)
+
+
+def _load_pool() -> None:
+    """Bind ``concurrent`` as ``import concurrent.futures`` does: only a
+    parallel sweep loads it."""
+    import concurrent.futures
+
+    globals().setdefault("concurrent", concurrent)
+
+
+def __getattr__(name: str):
+    """``cli.<name>`` of a deferred name before any command has bound it."""
+    if name == "concurrent":
+        _load_pool()
+    elif name in _DEFERRED:
+        _load(_DEFERRED[name])
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
 
 _EXPOSURE_KINDS = ("inverse", "exponential", "dcg")
 
@@ -112,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    _load("synth")
     cfg = SyntheticConfig(m=args.users, n=args.items, lam=args.lam,
                           noise_c=args.noise, seed=args.seed)
     rel_true, rel_pred = generate_market(cfg)
@@ -122,6 +159,7 @@ def cmd_generate(args) -> int:
 
 def _solve_one(kind: str, rel, exp, alpha: float, tol: float, max_iters: int):
     """Returns (policy, diagnostics, converged)."""
+    _load("solvers")
     if kind == "uniform":
         policy = solve_uniform(rel.m, rel.n)
     elif kind == "max":
@@ -156,6 +194,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _load("metrics")
     doc = nio.load_policy(args.policy)
     rel = nio.load_relevance(args.relevance)
     exp = ExposureModel.make(args.exposure, rel.n, args.cutoff)
@@ -167,6 +206,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _load("bvn")
     policy = nio.load_policy(args.policy)["policy"]
     # refuse before writing: the reconstruction check builds an n x n matrix
     # for each user of a dense policy and each mixture user whose terms the
@@ -205,6 +245,7 @@ def _reconstruction_error(dec: BvnDecomposition, policy) -> float:
     and L + (n - L)^2 per term of prefix length L, so a block holds at most
     ``_CHECK_ENTRIES`` of those, or one user.
     """
+    _load("bvn")
     mixture = isinstance(policy, RankingMixture)
     check = (np.flatnonzero(~_own_terms(dec.mixture, policy)) if mixture
              else np.arange(dec.m))
@@ -246,6 +287,7 @@ def _own_terms(dec: RankingMixture, policy: RankingMixture) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
+    _load("bvn")
     dec = nio.load_decomposition(args.decomposition)
     if not 0 <= args.user < dec.m:
         raise ValueError(f"user {args.user} out of range for m={dec.m}")
@@ -349,6 +391,7 @@ def _sweep_unit(task: tuple) -> list:
     """
     (lam, noise_c, k, n_items, seed, users, exposure_kind, policies,
      tol, max_iters) = task
+    _load("synth", "solvers", "metrics")
     rows = []
     try:
         rel_true, rel_pred = generate_market(SyntheticConfig(
@@ -390,9 +433,12 @@ def cmd_sweep(args) -> int:
                                       tuple(cfg["policies"]), cfg["tol"],
                                       cfg["max_iters"]))
     # the pool starts all its workers at once, so it gets no more than there
-    # are tasks
+    # are tasks; they inherit the modules loaded here rather than each
+    # importing them
     workers = min(args.parallel, len(tasks))
+    _load("synth", "solvers", "metrics")
     if workers > 1:
+        _load_pool()
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             per_task = list(pool.map(_sweep_unit, tasks))
     else:

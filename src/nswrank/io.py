@@ -25,14 +25,17 @@ import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bvn import BvnDecomposition, check_size
 from .core import (Policy, PolicyTensor, RankingMixture, RelevanceMatrix,
                    _repeats_an_item)
 from .errors import DimensionError, NotDoublyStochastic, ParseError, SchemaError
-from .solvers import SolveDiagnostics
+
+if TYPE_CHECKING:  # imported where they are used: a command loads only what it runs
+    from .bvn import BvnDecomposition
+    from .solvers import SolveDiagnostics
 
 POLICY_SCHEMA = "policy/v1"
 POLICY_MIXTURE_SCHEMA = "policy/v2"
@@ -89,7 +92,12 @@ def load_relevance(path) -> RelevanceMatrix:
         raise ParseError(f"malformed header {lines[0]!r}, expected '# m=<M> n=<N>'",
                          line=1, column=1)
     m, n = int(match.group(1)), int(match.group(2))
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # the body's rows and the file line (1-based) of each
+    body, at = [], []
+    for number, line in enumerate(lines[1:], 2):
+        if line.strip():
+            body.append(line)
+            at.append(number)
     del lines
     if len(body) != m:
         raise DimensionError(f"header declares m={m} rows, file has {len(body)}")
@@ -102,12 +110,13 @@ def load_relevance(path) -> RelevanceMatrix:
                 f"header declares n={n} columns, row {r + 1} has {width}")
     values = np.empty((m, n))
     for a in range(0, m, _BLOCK_ROWS):
-        _parse_rows(body[a:a + _BLOCK_ROWS], a, values[a:a + _BLOCK_ROWS])
+        _parse_rows(body[a:a + _BLOCK_ROWS], at[a:a + _BLOCK_ROWS],
+                    values[a:a + _BLOCK_ROWS])
     return RelevanceMatrix(values)
 
 
-def _parse_rows(rows: list, first: int, out: np.ndarray) -> None:
-    """Parse the body rows ``first``, ``first + 1``, ... into ``out``.
+def _parse_rows(rows: list, at: list, out: np.ndarray) -> None:
+    """Parse ``rows``, which are on lines ``at`` of the file, into ``out``.
 
     Every entry at once: numpy parses each string with float(), so the values
     are the same; rows that fail are parsed again entry by entry to find
@@ -122,7 +131,7 @@ def _parse_rows(rows: list, first: int, out: np.ndarray) -> None:
         else:
             if np.all((out >= 0.0) & (out < math.inf)):  # false for nan
                 return
-    for r, line in enumerate(rows, first):
+    for r, (line, number) in enumerate(zip(rows, at)):
         col = 1
         for c, field in enumerate(line.split(",")):
             try:
@@ -133,11 +142,11 @@ def _parse_rows(rows: list, first: int, out: np.ndarray) -> None:
                 value = float(field)
             except ValueError:
                 raise ParseError(f"invalid number {field!r}",
-                                 line=r + 2, column=col) from None
+                                 line=number, column=col) from None
             if not 0.0 <= value < math.inf:  # also false for nan
                 raise ParseError(f"relevance {field!r} is not a finite "
-                                 "nonnegative number", line=r + 2, column=col)
-            out[r - first, c] = value
+                                 "nonnegative number", line=number, column=col)
+            out[r, c] = value
             col += len(field) + 1
 
 
@@ -150,6 +159,8 @@ def save_policy(path, policy: Policy, policy_type: str,
                 alpha: float | None = None) -> None:
     """Write a ``RankingMixture`` as policy/v2 and any other policy as
     policy/v1."""
+    from .solvers import SolveDiagnostics
+
     if isinstance(policy, RankingMixture):
         schema, field = POLICY_MIXTURE_SCHEMA, "users"
         texts = _users_texts(policy)
@@ -286,6 +297,8 @@ def _term_text(weight: float, items_by_rank: list) -> str:
 
 def load_decomposition(path) -> BvnDecomposition:
     """A decomposition/v1 (permutations) or v2 (prefixes of length 0..n)."""
+    from .bvn import BvnDecomposition, check_size
+
     doc = _read_json(path)
     schema = _require_schema(doc, DECOMPOSITION_SCHEMA,
                              DECOMPOSITION_PREFIX_SCHEMA)

@@ -174,21 +174,23 @@ def _highs_core():
     when it cannot be loaded.
 
     Importing it by name runs scipy.optimize's ``__init__`` first (about
-    0.7 s); loading the extension from its file takes the scipy package and
-    the extension alone (about 10 ms).  The module is registered under its
-    own name before it runs, so a later ``import scipy.optimize`` reuses it:
-    pybind11 cannot register its classes twice in one process.  An entry
-    already in ``sys.modules`` is reused, and a ``None`` entry (an import
-    blocked on purpose) means the binding is unavailable.
+    0.7 s), and even the scipy package's ``__init__`` takes about 18 ms;
+    loading the extension from its file takes about 10 ms.  scipy is located
+    with ``find_spec``, which runs none of its code.  The module is
+    registered under its own name before it runs, so a later
+    ``import scipy.optimize`` reuses it: pybind11 cannot register its
+    classes twice in one process.  An entry already in ``sys.modules`` is
+    reused, and a ``None`` entry (an import blocked on purpose) or a missing
+    scipy means the binding is unavailable.
     """
     if _HIGHS_CORE in sys.modules:
         return sys.modules[_HIGHS_CORE]
-    try:
-        import scipy
-    except ImportError:
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
         return None
-    where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
-    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, [where])
+    where = [os.path.join(path, "optimize", "_highspy")
+             for path in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_CORE, where)
     if spec is None:
         return None
     try:
@@ -206,8 +208,8 @@ class _Master:
     x >= 0, where A only ever gains columns.
 
     It lives in one HiGHS instance of scipy's bundled binding, so each solve
-    restarts from the previous basis; loading that binding takes the scipy
-    package and the extension alone (``_highs_core``), not scipy.optimize.
+    restarts from the previous basis; loading that binding takes the
+    extension alone (``_highs_core``), not scipy or scipy.optimize.
     The binding is private to scipy; when it cannot be loaded, each solve is
     a cold ``linprog`` call over every column so far, which imports
     scipy.optimize and reaches the same optimum more slowly.

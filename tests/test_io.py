@@ -62,6 +62,13 @@ class TestRelevanceCsv:
         assert err.value.line == 3
         assert err.value.column == 5
 
+    def test_bad_number_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# m=2 n=2\n\n0.8,0.3\n0.5,oops\n")
+        with pytest.raises(ParseError) as err:
+            nio.load_relevance(path)
+        assert (err.value.line, err.value.column) == (4, 5)
+
     @pytest.mark.parametrize("field", ["1_0", "0_5", " 2", "2 ", "\t2",
                                        "2\u00a0"])
     def test_python_only_spellings_rejected(self, tmp_path, field):
@@ -130,11 +137,13 @@ def reference_load_relevance(data: bytes):
         if not match:
             raise ParseError("header", line=1, column=1)
         m, n = int(match.group(1)), int(match.group(2))
-        body = [ln.split(",") for ln in lines[1:] if ln.strip()]
-        if len(body) != m or any(len(fields) != n for fields in body):
+        # each row's fields, with its line in the file
+        body = [(number, ln.split(",")) for number, ln in enumerate(lines[1:], 2)
+                if ln.strip()]
+        if len(body) != m or any(len(fields) != n for _, fields in body):
             raise DimensionError("shape")
         values = np.empty((m, n))
-        for r, fields in enumerate(body):
+        for r, (number, fields) in enumerate(body):
             col = 1
             for c, field in enumerate(fields):
                 try:
@@ -142,9 +151,9 @@ def reference_load_relevance(data: bytes):
                         raise ValueError
                     values[r, c] = float(field)
                 except ValueError:
-                    raise ParseError("number", line=r + 2, column=col) from None
+                    raise ParseError("number", line=number, column=col) from None
                 if not 0.0 <= values[r, c] < np.inf:
-                    raise ParseError("range", line=r + 2, column=col)
+                    raise ParseError("range", line=number, column=col)
                 col += len(field) + 1
         return RelevanceMatrix(values).values, None
     except UnicodeDecodeError:

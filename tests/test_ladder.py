@@ -117,3 +117,17 @@ def test_aggregate_takes_medians_and_timing_ranges():
     assert ladder.aggregate(runs) == {
         "runs": 3, "solve_s": 2.0, "solve_s_min": 1.0, "solve_s_max": 3.0,
         "iterations": 7, "terms_per_user": 1.5}
+
+
+def test_cli_startup_times_every_entry(monkeypatch):
+    monkeypatch.setattr(ladder, "STARTUP_REPEATS", 1)
+    section = ladder.cli_startup()
+    assert (section["m"], section["n"], section["k"]) == ladder.DENSE_PEEL_RUNG
+    commands = section["commands"]
+    assert list(commands) == list(ladder._startup_commands())
+    for row in commands.values():
+        assert set(row) == {"runs", "wall_s", "wall_s_min", "wall_s_max",
+                            "over_numpy_s", "over_numpy_s_min",
+                            "over_numpy_s_max", "peak_rss_mb"}
+        assert row["runs"] == 1 and row["wall_s"] > 0 and row["peak_rss_mb"] > 0
+    assert commands["import numpy"]["over_numpy_s"] == 0.0

@@ -420,6 +420,13 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_highs_core_is_unavailable_without_scipy(monkeypatch):
+    # with no scipy to find, the solve falls back to the cold master
+    monkeypatch.delitem(sys.modules, solvers._HIGHS_CORE, raising=False)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    assert solvers._highs_core() is None
+
+
 @pytest.mark.parametrize("scipy_first", [False, True],
                          ids=["highs-first", "scipy-optimize-first"])
 def test_expo_fair_loads_highs_without_scipy_optimize(tmp_path, toy_market,
