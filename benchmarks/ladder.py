@@ -14,15 +14,11 @@ decomposition as ``nswrank decompose`` does (``check_s``) and draws one
 ranking for every user (``sample_ranking``).  It reports the seconds of each
 step, the solver's iterations, the BvN terms per user, the size of the
 policy JSON that ``nswrank solve`` would write and the peak RSS of its own
-process.  The desk rung also has a ``dense_peel`` row: the exposure-fair
-policy as a dense tensor, the form of a legacy ``policy/v1`` file, which
-``bvn_decompose`` peels by matchings; it reports that decomposition's
-seconds, its terms per user and the seconds of its check.  Each figure is
-the median over the REPEATS runs, and each ``*_s`` figure also has its
-least and greatest value as ``*_s_min`` and ``*_s_max``.  The repeats of a
-rung are interleaved: the first run of every policy (and of the dense peel),
-then the second, and so on, so that a slow spell of a shared machine falls
-on every row of the rung rather than on one.  A rung whose
+process.  Each figure is the median over the REPEATS runs, and each ``*_s``
+figure also has its least and greatest value as ``*_s_min`` and
+``*_s_max``.  The repeats of a rung are interleaved: the first run of every
+policy, then the second, and so on, so that a slow spell of a shared machine
+falls on every row of the rung rather than on one.  A rung whose
 dense policy tensor would not fit in memory is written as ``null`` with the
 reason.  The file also records the machine's core count and the python,
 numpy and scipy versions.
@@ -62,10 +58,6 @@ REPEATS = 3
 STARTUP_REPEATS = 15
 # a rung whose float64 policy tensor (m x n x n) exceeds this is not run
 DENSE_LIMIT_BYTES = 4e9
-# the rung whose exposure-fair policy is also peeled as a dense tensor, and
-# the name of that run in --one
-DENSE_PEEL_RUNG = RUNGS[0]
-DENSE_PEEL = "dense-peel"
 
 
 def _market(m: int, n: int, k: int):
@@ -130,26 +122,6 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
     }
 
 
-def run_dense_peel(m: int, n: int, k: int) -> dict:
-    """Time the peel and the check of the exposure-fair policy as a dense
-    tensor, in this process."""
-    from nswrank import PolicyTensor, bvn_decompose, solve_expo_fair
-
-    _, rel_pred, exp = _market(m, n, k)
-    pol = PolicyTensor(solve_expo_fair(rel_pred, exp)[0].dense())
-    clock = time.perf_counter()
-    dec = bvn_decompose(pol)
-    decompose_s = time.perf_counter() - clock
-    counts = [len(user_terms) for user_terms in dec.terms]
-    return {
-        "decompose_s": decompose_s,
-        "check_s": _timed_check(dec, pol),
-        "terms_per_user": sum(counts) / m,
-        "terms_max": max(counts),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    }
-
-
 def _child_env() -> dict:
     """This process's environment with this checkout's package first on the
     path."""
@@ -171,7 +143,7 @@ def _run_in_child(m: int, n: int, k: int, policy: str) -> dict:
 def _startup_commands() -> dict:
     """The start-up entries: name -> arguments after ``python``."""
     cli = ["-m", "nswrank.cli"]
-    m, n, k = DENSE_PEEL_RUNG
+    m, n, k = RUNGS[0]
     cut = ["--cutoff", str(k)]
     return {
         "import numpy": ["-c", "import numpy"],
@@ -211,7 +183,7 @@ def cli_startup() -> dict:
     """The ``cli_startup`` section: every entry once per repeat, in order,
     so that a slow spell of a shared machine falls on every entry."""
     env = _child_env()
-    m, n, k = DENSE_PEEL_RUNG
+    m, n, k = RUNGS[0]
     with tempfile.TemporaryDirectory() as work:
         commands = _startup_commands()
         # the inputs of the later commands exist before the first timed run
@@ -262,16 +234,13 @@ def ladder(rungs=RUNGS) -> dict:
         if dense > DENSE_LIMIT_BYTES:
             rung.update(policies=None, reason=f"dense tensor {dense / 1e9:.0f} GB")
         else:
-            names = POLICIES + ((DENSE_PEEL,) if (m, n, k) == DENSE_PEEL_RUNG else ())
-            runs = {name: [] for name in names}
+            runs = {name: [] for name in POLICIES}
             for repeat in range(REPEATS):
-                for name in names:
+                for name in POLICIES:
                     print(f"{m}x{n}x{k} {name} run {repeat + 1}", file=sys.stderr,
                           flush=True)
                     runs[name].append(_run_in_child(m, n, k, name))
             rung["policies"] = {policy: aggregate(runs[policy]) for policy in POLICIES}
-            if DENSE_PEEL in runs:
-                rung["dense_peel"] = aggregate(runs[DENSE_PEEL])
         out["rungs"].append(rung)
     return out
 
@@ -284,10 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.one:
         m, n, k, policy = args.one
-        m, n, k = int(m), int(n), int(k)
-        row = (run_dense_peel(m, n, k) if policy == DENSE_PEEL
-               else run_rung(m, n, k, policy))
-        print(json.dumps(row))
+        print(json.dumps(run_rung(int(m), int(n), int(k), policy)))
         return 0
     if not args.out:
         parser.error("--out is required")

@@ -20,9 +20,8 @@ _SOURCES = {
              "RankingMixture", "RelevanceMatrix", "amortized_exposure",
              "exposure_profile", "item_impact", "merit", "user_utility"),
     "errors": ("DegenerateMarketError", "DimensionError", "InfeasibleError",
-               "MatchingFailure", "NotDoublyStochastic", "NswrankError",
-               "ParseError", "SchemaError", "SizeError", "SolverError",
-               "ZeroMeritError"),
+               "NotDoublyStochastic", "NswrankError", "ParseError",
+               "SchemaError", "SizeError", "SolverError", "ZeroMeritError"),
     "metrics": ("FairnessReport", "envy_matrix", "fairness_report",
                 "max_envy_per_item", "mean_max_envy", "weighted_envy_matrix"),
     "solvers": ("NswConfig", "SolveDiagnostics", "brute_force_oracle",

@@ -1,6 +1,6 @@
-"""Hot numeric kernels: the sort oracle, the pairwise Frank-Wolfe welfare
-solver and the perfect matching used by the Birkhoff-von-Neumann
-decomposition.
+"""Hot numeric kernels: the sort oracle and the pairwise Frank-Wolfe welfare
+solver, plus a batched perfect matching that no decomposition calls any
+more.
 
 The welfare solver performs per-user pairwise Frank-Wolfe steps
 (Lacoste-Julien & Jaggi, NeurIPS 2015) in Gauss-Seidel passes: weight moves
@@ -563,6 +563,7 @@ def _mixture(theta0, thetas, prefixes, n):
 # --------------------------------------------------------------------------
 
 
+# unused in the package: kept only because perfbench/tracer.py wraps it by name
 def perfect_matching(support):
     """Match every block of a (b, rows, cols) stack in one Hopcroft-Karp call.
 

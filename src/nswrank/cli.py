@@ -1,13 +1,15 @@
 """Command-line surface: generate, solve, evaluate, decompose, sample, sweep.
 
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable/unwritable or
-malformed files, 4 solver finished without reaching its gap target (policy is
-still written), 5 infeasible or degenerate program, 6 dimension mismatch,
-7 decomposition matching failure, 8 the exposure-fair solve found no optimum
-for another reason (HiGHS stopped on its master LP, or artificial mass was
-left on an exposure target), 9 a policy or decomposition of n items with
-n^2 > 2^28, refused before anything is decomposed, written or sampled.
-``decompose`` keeps a mixture's own terms and peels dense matrices.
+malformed files (``decompose`` of a policy/v1 file too, whose dense
+marginals do not say which rankings they mix), 4 solver finished without
+reaching its gap target (policy is still written), 5 infeasible or
+degenerate program, 6 dimension mismatch, 8 the exposure-fair solve found no
+optimum for another reason (HiGHS stopped on its master LP, or artificial
+mass was left on an exposure target), 9 a policy or decomposition of n items
+with n^2 > 2^28, refused before anything is decomposed, written or sampled.
+7 is retired and unassigned.
+``decompose`` keeps a policy/v2 mixture's own terms.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     DegenerateMarketError,
     DimensionError,
     InfeasibleError,
-    MatchingFailure,
     NotDoublyStochastic,
     NswrankError,
     ParseError,
@@ -129,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", help="decompose a policy into rankings")
     d.add_argument("--policy", required=True)
-    d.add_argument("--epsilon", type=float, default=1e-9)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_decompose)
 
@@ -209,10 +209,10 @@ def cmd_decompose(args) -> int:
     _load("bvn")
     policy = nio.load_policy(args.policy)["policy"]
     # refuse before writing: the reconstruction check builds an n x n matrix
-    # for each user of a dense policy and each mixture user whose terms the
-    # decomposition changed, and load_decomposition refuses such an n anyway
+    # for each user whose terms the decomposition changed, and
+    # load_decomposition refuses such an n anyway
     check_size(policy.n)
-    dec = bvn_decompose(policy, epsilon=args.epsilon)
+    dec = bvn_decompose(policy)
     nio.save_decomposition(args.out, dec)
     print(f"reconstruction_error={_reconstruction_error(dec, policy):.3e}")
     return 0
@@ -223,7 +223,8 @@ def cmd_decompose(args) -> int:
 _CHECK_ENTRIES = 2**20
 
 
-def _reconstruction_error(dec: BvnDecomposition, policy) -> float:
+def _reconstruction_error(dec: BvnDecomposition,
+                          policy: RankingMixture) -> float:
     """Largest |reconstruct(dec) - policy| entry, or 0 when no user needs
     checking.
 
@@ -239,16 +240,13 @@ def _reconstruction_error(dec: BvnDecomposition, policy) -> float:
     its row and column sums are its weight sum, which ``RankingMixture``
     already checked.
 
-    The other users, and every user of a dense policy, are compared in
-    blocks of consecutive users; each entry is computed as on the whole
-    (m, n, n) tensors.  ``RankingMixture.dense`` builds n^2 cells per user
-    and L + (n - L)^2 per term of prefix length L, so a block holds at most
-    ``_CHECK_ENTRIES`` of those, or one user.
+    The other users are compared in blocks of consecutive users; each entry
+    is computed as on the whole (m, n, n) tensors.  ``RankingMixture.dense``
+    builds n^2 cells per user and L + (n - L)^2 per term of prefix length L,
+    so a block holds at most ``_CHECK_ENTRIES`` of those, or one user.
     """
     _load("bvn")
-    mixture = isinstance(policy, RankingMixture)
-    check = (np.flatnonzero(~_own_terms(dec.mixture, policy)) if mixture
-             else np.arange(dec.m))
+    check = np.flatnonzero(~_own_terms(dec.mixture, policy))
     n, mix = dec.n, dec.mixture
     tail = n - mix.lengths
     cost = (n * n + np.bincount(mix.term_users(), mix.lengths + tail * tail,
@@ -262,7 +260,7 @@ def _reconstruction_error(dec: BvnDecomposition, policy) -> float:
             ends, ends[lo] - cost[lo] + _CHECK_ENTRIES, side="right")))
         users = check[lo:hi]
         part = BvnDecomposition(mix.take(users), dec.epsilon)
-        want = policy.take(users).dense() if mixture else policy.matrices[users]
+        want = policy.take(users).dense()
         err = max(err, float(np.abs(reconstruct(part).matrices - want).max()))
         lo = hi
     return err
@@ -480,9 +478,6 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 6
-    except MatchingFailure as exc:
-        print(f"error: {exc} (hint: lower --epsilon)", file=sys.stderr)
-        return 7
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 8

@@ -143,6 +143,7 @@ class ImpactFunction(Enum):
         return np.ones_like(rel.values)
 
 
+# unused in the package: kept only because perfbench/tracer.py wraps it by name
 def renormalize_doubly_stochastic(mats: np.ndarray, max_sweeps: int = 100,
                                   resid_tol: float = 1e-13) -> np.ndarray:
     """Alternate row/column rescaling until every sum is 1 to within resid_tol."""

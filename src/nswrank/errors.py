@@ -26,14 +26,6 @@ class DegenerateMarketError(NswrankError):
     the exposure model examines no rank."""
 
 
-class MatchingFailure(NswrankError):
-    """No perfect matching exists on the thresholded support.
-
-    Usually means entries at or below epsilon carry required mass;
-    retry with a smaller epsilon.
-    """
-
-
 class SolverError(NswrankError):
     """The LP solver stopped without an optimum for a reason other than
     infeasibility (iteration limit, numerical trouble)."""

@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (Policy, PolicyTensor, RankingMixture, RelevanceMatrix,
-                   _repeats_an_item)
+from .core import Policy, PolicyTensor, RankingMixture, RelevanceMatrix
 from .errors import DimensionError, NotDoublyStochastic, ParseError, SchemaError
 
 if TYPE_CHECKING:  # imported where they are used: a command loads only what it runs
@@ -325,9 +324,9 @@ def _parse_users(doc: dict, m: int, n: int, full: bool) -> tuple:
     floats), prefix lengths and concatenated items_by_rank (int64 arrays).
 
     Each user needs at least one term, each term a finite nonnegative weight
-    and an items_by_rank list of distinct integers in 0..n-1; ``full`` asks
-    for all n of them (a permutation), otherwise a prefix of any length
-    0..n.
+    and an items_by_rank list of integers in 0..n-1; ``full`` asks for n of
+    them, otherwise a prefix of any length 0..n.  That no prefix lists an
+    item twice is left to ``RankingMixture``, which checks it when built.
     """
     users = _field(doc, "users")
     if not isinstance(users, list):
@@ -373,8 +372,6 @@ def _parse_users(doc: dict, m: int, n: int, full: bool) -> tuple:
     del flat  # one pointer per item, as large as the array
     if items.size and (items.min() < 0 or items.max() >= n):
         raise outside
-    if _repeats_an_item(lengths, items):
-        raise ParseError("items_by_rank lists an item twice")
     return counts, [float(w) for w in weights], lengths, items
 
 

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nswrank import (BvnDecomposition, PolicyTensor, RankingMixture, _kernels,
+from nswrank import (BvnDecomposition, PolicyTensor, RankingMixture,
                      bvn_decompose, cli, reconstruct, solve_uniform, solvers)
 from nswrank import io as nio
 from nswrank.cli import main
@@ -377,7 +377,7 @@ class TestDecomposeAndSample:
         # check; users 2 and 5 have weights that miss 1 by 2^-26, more than
         # the 1e-9 within which bvn_decompose keeps them, so it rescales them,
         # and user 6 has a term of weight zero, which it drops: only those
-        # three are checked for the mixture
+        # three are checked
         rng = np.random.default_rng(block)
         miss = 2.0 ** -26
         heavy = {2: 0.75 + miss, 5: 0.75 - miss}
@@ -386,18 +386,14 @@ class TestDecomposeAndSample:
         users[6].insert(1, (0.0, rng.permutation(4)[:1]))
         mixture = self._mixture(users)
         # a block takes 16 entries per user and L + (4 - L)^2 per term: 26
-        # for each checked mixture user, at least 20 for a peeled user
+        # for each checked user
         monkeypatch.setattr(cli, "_CHECK_ENTRIES", block * 26)
         seen = self._count_checked(monkeypatch)
-        for policy, checked in ((mixture, 3), (PolicyTensor(mixture.dense()), 8)):
-            dec = bvn_decompose(policy)
-            whole = float(np.abs(reconstruct(dec).matrices
-                                 - policy.dense()).max())
-            seen.clear()
-            assert cli._reconstruction_error(dec, policy) == whole
-            assert sum(seen) == checked and max(seen) <= block
-            if policy is mixture:
-                assert len(seen) == -(-checked // block)    # blocks fill up
+        dec = bvn_decompose(mixture)
+        whole = float(np.abs(reconstruct(dec).matrices - mixture.dense()).max())
+        assert cli._reconstruction_error(dec, mixture) == whole
+        assert sum(seen) == 3 and max(seen) <= block
+        assert len(seen) == -(-3 // block)    # blocks fill up
         # the rescaled weights differ from the policy's by 0.875 * 2^-26
         assert 0.5 * miss < whole < miss
 
@@ -511,43 +507,43 @@ class TestDecomposeAndSample:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: user 0: ")
 
-    def test_matching_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        # a matching that keeps returning the identity leaves the users'
-        # off-diagonal mass unassigned
-        monkeypatch.setattr(
-            _kernels, "perfect_matching",
-            lambda support: np.broadcast_to(np.arange(support.shape[1]),
-                                            support.shape[:2]).copy())
-        pol = tmp_path / "unif.json"
-        skewed = PolicyTensor(np.tile([[0.75, 0.25], [0.25, 0.75]], (3, 1, 1)))
-        nio.save_policy(pol, skewed, "uniform", "inverse", 1)
+    def test_dense_policy_is_not_decomposed(self, tmp_path, capsys):
+        # a policy/v1 file holds marginals only: decompose refuses it and
+        # writes nothing, while evaluate still reads it
+        toy = write_toy(tmp_path)
+        pol = tmp_path / "dense.json"
+        nio.save_policy(pol, PolicyTensor(np.full((2, 2, 2), 0.5)), "uniform",
+                        "inverse", 1)
         out = tmp_path / "dec.json"
         rc = main(["decompose", "--policy", str(pol), "--out", str(out)])
-        assert rc == 7
-        assert "unassigned" in capsys.readouterr().err
+        assert rc == 3
+        assert "policy/v2" in capsys.readouterr().err
         assert not out.exists()
+        assert main(["evaluate", "--policy", str(pol), "--relevance", str(toy),
+                     "--cutoff", "1", "--out-json",
+                     str(tmp_path / "metrics.json")]) == 0
 
 
-# Three users, every entry a dyadic rational (1/2, 1/4, 1/8): validation,
-# peeling and normalization are exact, so the bytes involve no rounding.
+# Three users, every weight a dyadic rational (1/2, 1/4, 1/8): validation
+# and normalization are exact, so the bytes involve no rounding.
 GOLDEN_MIXTURES = [
     [(0.5, [0, 1, 2, 3]), (0.25, [1, 2, 3, 0]), (0.25, [3, 0, 1, 2])],
     [(1.0, [2, 0, 3, 1])],
     [(0.5, [3, 2, 1, 0]), (0.375, [0, 1, 2, 3]), (0.125, [1, 0, 3, 2])],
 ]
 GOLDEN_DECOMPOSITION_SHA256 = (
-    "b9fbeab5a62d69370d2a727ee8d47d42decd07b0b90fb501d9b9ac489dd2f4c2")
+    "f52d5599149d1fc63020f99f53e30c74f07db508c16871c23821bf4ff71c7673")
 
 
 def test_decompose_golden_bytes(tmp_path, capsys):
     # pins the decomposition/v1 bytes and the printed error line, so that a
     # change to either shows up as a failing test rather than only in a cmp
-    mats = np.zeros((3, 4, 4))
-    for u, terms in enumerate(GOLDEN_MIXTURES):
-        for weight, items_by_rank in terms:
-            mats[u, items_by_rank, np.arange(4)] += weight
+    terms = [t for user in GOLDEN_MIXTURES for t in user]
+    mixture = RankingMixture.from_counts(
+        4, [len(user) for user in GOLDEN_MIXTURES], [w for w, _ in terms],
+        [4] * len(terms), np.concatenate([p for _, p in terms]))
     pol = tmp_path / "policy.json"
-    nio.save_policy(pol, PolicyTensor(mats), "uniform", "inverse", 2)
+    nio.save_policy(pol, mixture, "uniform", "inverse", 2)
     out = tmp_path / "dec.json"
     assert main(["decompose", "--policy", str(pol), "--out", str(out)]) == 0
     assert capsys.readouterr().out == "reconstruction_error=0.000e+00\n"

@@ -12,12 +12,13 @@ import sys
 import pytest
 
 import nswrank
-from nswrank import cli
+from nswrank import PolicyTensor, cli
+from nswrank import io as nio
 
 PUBLIC = [
     "BvnDecomposition", "DS_TOL", "DegenerateMarketError", "DimensionError",
     "ExposureModel", "FairnessReport", "ImpactFunction", "InfeasibleError",
-    "MatchingFailure", "NotDoublyStochastic", "NswConfig", "NswrankError",
+    "NotDoublyStochastic", "NswConfig", "NswrankError",
     "ParseError", "PolicyTensor", "RankingMixture", "RelevanceMatrix",
     "SchemaError", "SizeError", "SolveDiagnostics", "SolverError",
     "SyntheticConfig", "ZeroMeritError", "__version__", "adversarial_market",
@@ -34,10 +35,11 @@ DEFERRED = ["nswrank.solvers", "nswrank._kernels", "nswrank.bvn",
             "nswrank.metrics", "nswrank.synth", "concurrent.futures", "scipy"]
 
 
-def loaded_after(code: str) -> list:
+def loaded_after(code: str, want_rc: int = 0) -> list:
     """The ``DEFERRED`` modules loaded once ``code`` has run in a fresh
-    interpreter; ``code`` may set ``rc``, which must be 0."""
-    probe = (f"import json, sys\nrc = 0\n{code}\nassert rc == 0, rc\n"
+    interpreter; ``code`` may set ``rc``, which must be ``want_rc``."""
+    probe = (f"import json, sys\nrc = {want_rc}\n{code}\n"
+             f"assert rc == {want_rc}, rc\n"
              f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=120)
@@ -86,12 +88,12 @@ class TestPackage:
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A small market, its NSW policy/v2 file and that policy's
-    decomposition, written in this process."""
+    """A small market, its NSW policy/v2 file, that policy's decomposition
+    and its dense marginals as a policy/v1 file, written in this process."""
     d = tmp_path_factory.mktemp("footprint")
     paths = {name: str(d / name) for name in
              ("true.csv", "pred.csv", "nsw.json", "dec.json", "metrics.json",
-              "out.json", "dec2.json")}
+              "out.json", "dec2.json", "dense.json")}
     for argv in (["generate", "--users", "6", "--items", "5", "--seed", "0",
                   "--out-true", paths["true.csv"],
                   "--out-pred", paths["pred.csv"]],
@@ -100,6 +102,9 @@ def files(tmp_path_factory):
                  ["decompose", "--policy", paths["nsw.json"],
                   "--out", paths["dec.json"]]):
         assert cli.main(argv) == 0
+    nsw = nio.load_policy(paths["nsw.json"])["policy"]
+    nio.save_policy(paths["dense.json"], PolicyTensor(nsw.dense()), "nsw",
+                    "inverse", 2)
     return paths
 
 
@@ -128,6 +133,11 @@ COMMANDS = {
                 "--seed", "3"],
                ["nswrank.solvers", "nswrank._kernels", "nswrank.metrics",
                 "concurrent.futures", "scipy"]),
+    # refused with exit code 3: no matching is tried
+    "decompose-policy-v1": (["decompose", "--policy", "{dense.json}", "--out",
+                             "{dec2.json}"],
+                            ["nswrank.solvers", "nswrank._kernels",
+                             "nswrank.metrics", "concurrent.futures", "scipy"]),
 }
 
 
@@ -140,7 +150,8 @@ def test_command_leaves_modules_unloaded(files, command):
         # the warm HiGHS master ran: its extension loads without the package
         code += ("\nassert 'scipy.optimize._highspy._core' in sys.modules"
                  "\nassert 'scipy.optimize' not in sys.modules")
-    assert set(loaded_after(code)).isdisjoint(unloaded)
+    want_rc = 3 if command == "decompose-policy-v1" else 0
+    assert set(loaded_after(code, want_rc)).isdisjoint(unloaded)
 
 
 def test_a_patch_on_the_defining_module_does_not_outlive_it(monkeypatch):

@@ -419,7 +419,8 @@ class TestMixturePolicyJson:
     @pytest.mark.parametrize("terms, error", [
         ([{"weight": 1.0}], SchemaError),
         ([{"weight": "heavy", "items_by_rank": [0]}], ParseError),
-        ([{"weight": 1.0, "items_by_rank": [0, 0]}], ParseError),
+        # RankingMixture refuses a repeated item, as it does in memory
+        ([{"weight": 1.0, "items_by_rank": [0, 0]}], NotDoublyStochastic),
         ([{"weight": 1.0, "items_by_rank": [0, 2]}], ParseError),
         ([{"weight": 1.0, "items_by_rank": [-1]}], ParseError),
         ([{"weight": 1.0, "items_by_rank": [0.0]}], ParseError),

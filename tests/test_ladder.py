@@ -42,46 +42,16 @@ def test_one_runs_without_pythonpath(tmp_path):
     assert row["iterations"] >= 1 and row["terms_per_user"] >= 1.0
 
 
-def test_dense_peel_reaches_the_matching(monkeypatch):
-    from nswrank import _kernels
-
-    calls = []
-    real = _kernels.perfect_matching
-
-    def counting(support):
-        calls.append(support.shape[0])
-        return real(support)
-
-    monkeypatch.setattr(_kernels, "perfect_matching", counting)
-    row = ladder.run_dense_peel(6, 5, 2)
-    assert set(row) == {"decompose_s", "check_s", "terms_per_user",
-                        "terms_max", "peak_rss_mb"}
-    assert all(isinstance(v, (int, float)) and math.isfinite(v)
-               for v in row.values())
-    assert 1.0 <= row["terms_per_user"] <= row["terms_max"] <= 4 ** 2 + 1
-    assert len(calls) >= row["terms_max"]
-
-
-def test_only_the_desk_rung_peels_densely(monkeypatch):
-    calls = []
-    monkeypatch.setattr(ladder, "_run_in_child",
-                        lambda m, n, k, policy: calls.append(policy) or {"x": 1})
-    doc = ladder.ladder(rungs=[ladder.DENSE_PEEL_RUNG, (6, 5, 2)])
-    desk, toy = doc["rungs"]
-    assert desk["dense_peel"] == {"runs": ladder.REPEATS, "x": 1}
-    assert "dense_peel" not in toy
-    assert calls.count(ladder.DENSE_PEEL) == ladder.REPEATS
-
-
 def test_repeats_are_interleaved(monkeypatch):
-    # the first run of every policy and of the dense peel, then the second:
-    # a slow spell of the machine lands on every row, not on one
+    # the first run of every policy, then the second: a slow spell of the
+    # machine lands on every row, not on one
     calls = []
     monkeypatch.setattr(ladder, "_run_in_child",
                         lambda m, n, k, policy: calls.append(policy) or {"x": 1})
-    ladder.ladder(rungs=[ladder.DENSE_PEEL_RUNG, (6, 5, 2)])
-    desk = list(ladder.POLICIES) + [ladder.DENSE_PEEL]
-    assert calls == desk * ladder.REPEATS + list(ladder.POLICIES) * ladder.REPEATS
+    doc = ladder.ladder(rungs=[ladder.RUNGS[0], (6, 5, 2)])
+    assert calls == list(ladder.POLICIES) * ladder.REPEATS * 2
+    for rung in doc["rungs"]:
+        assert set(rung) == {"m", "n", "k", "policies"}
 
 
 def test_rung_past_memory_is_null_with_reason():
@@ -122,7 +92,7 @@ def test_aggregate_takes_medians_and_timing_ranges():
 def test_cli_startup_times_every_entry(monkeypatch):
     monkeypatch.setattr(ladder, "STARTUP_REPEATS", 1)
     section = ladder.cli_startup()
-    assert (section["m"], section["n"], section["k"]) == ladder.DENSE_PEEL_RUNG
+    assert (section["m"], section["n"], section["k"]) == ladder.RUNGS[0]
     commands = section["commands"]
     assert list(commands) == list(ladder._startup_commands())
     for row in commands.values():
