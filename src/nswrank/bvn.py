@@ -13,6 +13,7 @@ prefix leaves out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,9 @@ class BvnDecomposition:
     starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # load_decomposition's rule: a file records a finite epsilon
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be a finite number, got {self.epsilon!r}")
         mix = self.mixture
         sums = np.bincount(mix.term_users(), weights=mix.weights, minlength=mix.m)
         err = np.abs(sums - 1.0)
@@ -89,7 +93,7 @@ def bvn_decompose(policy: RankingMixture,
     """
     if not isinstance(policy, RankingMixture):
         raise SchemaError(
-            "decompose reads a ranking mixture (policy/v2); a policy/v1 file "
+            "decompose reads a ranking mixture (policy/v2); a PolicyTensor "
             "holds only the marginals of a policy, not the rankings it mixes")
     m, n = policy.m, policy.n
     live = policy.weights > 0.0

@@ -1,8 +1,8 @@
 """Command-line surface: generate, solve, evaluate, decompose, sample, sweep.
 
 Exit codes: 0 success, 2 bad flags or config, 3 unreadable/unwritable or
-malformed files (``decompose`` of a policy/v1 file too, whose dense
-marginals do not say which rankings they mix), 4 solver finished without
+malformed files (a policy file of any schema but policy/v2 too: the dense
+policy/v1 is refused by every command), 4 solver finished without
 reaching its gap target (policy is still written), 5 infeasible or
 degenerate program, 6 dimension mismatch, 8 the exposure-fair solve found no
 optimum for another reason (HiGHS stopped on its master LP, or artificial

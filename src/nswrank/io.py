@@ -2,21 +2,22 @@
 
 All formats are platform-independent: LF line endings, UTF-8, period decimal
 separator.  Relevance CSVs serialize with 12 significant digits and sweep rows
-with 10, both well below every test tolerance; JSON numbers (policy matrices
-and weights, decomposition weights) are written at full round-trip
-precision, so a load gives back the saved floats bit for bit.  Every load
-validates the target type's invariants and fails loudly.
+with 10, both well below every test tolerance; JSON numbers (policy and
+decomposition weights) are written at full round-trip precision, so a load
+gives back the saved floats bit for bit.  Every load validates the target
+type's invariants and fails loudly.
 
-A ``RankingMixture`` is written as ``policy/v2``: per user, a list of terms
-``{"weight": w, "items_by_rank": prefix}`` with prefixes of any length 0..n.
-A ``PolicyTensor`` is written as ``policy/v1``, its m * n^2 matrix entries.
-``load_policy`` reads both.  A decomposition has the same ``users`` layout:
-``decomposition/v1`` when every term is a full ranking, ``decomposition/v2``
-otherwise; ``load_decomposition`` reads both.
+A policy file is ``policy/v2``, a ``RankingMixture``: per user, a list of
+terms ``{"weight": w, "items_by_rank": prefix}`` with prefixes of any length
+0..n.  It is the one policy format: ``save_policy`` refuses any other policy
+and ``load_policy`` any other schema, the dense ``policy/v1`` included.  A
+decomposition has the same ``users`` layout: ``decomposition/v1`` when every
+term is a full ranking, ``decomposition/v2`` otherwise;
+``load_decomposition`` reads both.
 
-Policy and decomposition JSON hold one large array (matrix entries or
-terms).  Their writers stream that array one user at a time and produce
-exactly the bytes of ``json.dump(doc, fh, indent=2)`` plus a newline.
+Policy and decomposition JSON hold one large array, their terms.  Their
+writers stream that array one user at a time and produce exactly the bytes
+of ``json.dump(doc, fh, indent=2)`` plus a newline.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Policy, PolicyTensor, RankingMixture, RelevanceMatrix
+from .core import RankingMixture, RelevanceMatrix
 from .errors import DimensionError, NotDoublyStochastic, ParseError, SchemaError
 
 if TYPE_CHECKING:  # imported where they are used: a command loads only what it runs
     from .bvn import BvnDecomposition
     from .solvers import SolveDiagnostics
 
-POLICY_SCHEMA = "policy/v1"
 POLICY_MIXTURE_SCHEMA = "policy/v2"
 METRICS_SCHEMA = "metrics/v1"
 DECOMPOSITION_SCHEMA = "decomposition/v1"
@@ -152,35 +152,26 @@ def _parse_rows(rows: list, at: list, out: np.ndarray) -> None:
 # ------------------------------------------------------------------- policy
 
 
-def save_policy(path, policy: Policy, policy_type: str,
+def save_policy(path, policy: RankingMixture, policy_type: str,
                 exposure_kind: str, cutoff: int,
                 diagnostics: SolveDiagnostics | None = None,
                 alpha: float | None = None) -> None:
-    """Write a ``RankingMixture`` as policy/v2 and any other policy as
-    policy/v1."""
+    """Write a ``RankingMixture`` as policy/v2; any other policy is a
+    ``SchemaError``, raised before the file is opened."""
+    if not isinstance(policy, RankingMixture):
+        raise SchemaError("a policy file holds a ranking mixture (policy/v2), "
+                          f"not a {type(policy).__name__}")
     from .solvers import SolveDiagnostics
 
-    if isinstance(policy, RankingMixture):
-        schema, field = POLICY_MIXTURE_SCHEMA, "users"
-        texts = _users_texts(policy)
-    else:
-        if not isinstance(policy, PolicyTensor):
-            # a PolicyTensor was checked when it was built and is written as
-            # it is; anything else that carries matrices is checked here
-            policy = PolicyTensor(policy.matrices)
-        schema, field = POLICY_SCHEMA, "matrices"
-        # entries are finite (PolicyTensor checks), so repr is json's spelling
-        texts = (_list_text(list(map(float.__repr__, mat.ravel().tolist())), 2)
-                 for mat in policy.matrices)
     diag = diagnostics or SolveDiagnostics(objective_value=0.0)
     doc = {
-        "schema": schema,
+        "schema": POLICY_MIXTURE_SCHEMA,
         "m": policy.m,
         "n": policy.n,
         "policy_type": policy_type,
         "alpha": alpha,
         "exposure": {"kind": exposure_kind, "cutoff": cutoff},
-        field: _SLOT,
+        "users": _SLOT,
         "diagnostics": {
             "objective": diag.objective_value,
             "duality_gap": diag.duality_gap,
@@ -188,43 +179,19 @@ def save_policy(path, policy: Policy, policy_type: str,
             "constraint_residual": diag.constraint_residual,
         },
     }
-    _dump_json_streamed(doc, path, texts)
+    _dump_json_streamed(doc, path, _users_texts(policy))
 
 
 def load_policy(path) -> dict:
-    """The policy document, with the policy under ``"policy"`` in place of
-    its arrays: a ``RankingMixture`` for policy/v2 (``"users"``), a
-    ``PolicyTensor`` for policy/v1 (``"matrices"``), each of the file's exact
+    """The policy/v2 document, with its ``"users"`` replaced by the
+    ``RankingMixture`` they hold, under ``"policy"``, in the file's exact
     floats."""
     doc = _read_json(path)
-    schema = _require_schema(doc, POLICY_SCHEMA, POLICY_MIXTURE_SCHEMA)
+    _require_schema(doc, POLICY_MIXTURE_SCHEMA)
     m, n = _int_field(doc, "m"), _int_field(doc, "n")
-    if schema == POLICY_MIXTURE_SCHEMA:
-        counts, weights, lengths, items = _parse_users(doc, m, n, full=False)
-        del doc["users"]
-        doc["policy"] = RankingMixture.from_counts(n, counts, weights, lengths,
-                                                   items)
-        return doc
-    matrices = _field(doc, "matrices")
-    try:
-        mats = np.asarray(matrices, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):
-        raise ParseError("matrices must be arrays of numbers") from None
-    if mats.shape != (m, n * n):
-        raise DimensionError(
-            f"expected {m} row-major arrays of {n * n} numbers, got {mats.shape}")
-    # numpy also reads JSON strings and booleans as numbers; the shape check
-    # leaves m lists of scalars, whose types one pass collects
-    kinds = set()
-    for row in matrices:
-        kinds.update(map(type, row))
-    if not kinds <= {int, float}:
-        raise ParseError("matrices must be arrays of numbers, found "
-                         + ", ".join(sorted(t.__name__ for t in kinds
-                                            - {int, float})))
-    # the parsed lists take several times the memory of the array
-    del doc["matrices"], matrices
-    doc["policy"] = PolicyTensor(mats.reshape(m, n, n))
+    counts, weights, lengths, items = _parse_users(doc, m, n, full=False)
+    del doc["users"]
+    doc["policy"] = RankingMixture.from_counts(n, counts, weights, lengths, items)
     return doc
 
 

@@ -80,6 +80,15 @@ class TestBvnDecompose:
         with pytest.raises(SchemaError, match="policy/v2"):
             bvn_decompose(PolicyTensor(np.eye(3)[None]))
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
+                                         -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_is_refused(self, epsilon):
+        # load_decomposition refuses a file that records it, so no such
+        # decomposition is built to be saved
+        with pytest.raises(ValueError, match="epsilon must be a finite number"):
+            bvn_decompose(solve_uniform(2, 3), epsilon=epsilon)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2])

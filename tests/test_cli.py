@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nswrank import (BvnDecomposition, PolicyTensor, RankingMixture,
-                     bvn_decompose, cli, reconstruct, solve_uniform, solvers)
+from nswrank import (BvnDecomposition, RankingMixture, bvn_decompose, cli,
+                     reconstruct, solve_uniform, solvers)
 from nswrank import io as nio
 from nswrank.cli import main
 from nswrank.errors import InfeasibleError
@@ -508,20 +508,24 @@ class TestDecomposeAndSample:
         assert capsys.readouterr().err.startswith("error: user 0: ")
 
     def test_dense_policy_is_not_decomposed(self, tmp_path, capsys):
-        # a policy/v1 file holds marginals only: decompose refuses it and
-        # writes nothing, while evaluate still reads it
+        # a policy/v1 file holds marginals only: no command reads it, and
+        # neither evaluate nor decompose writes anything
         toy = write_toy(tmp_path)
         pol = tmp_path / "dense.json"
-        nio.save_policy(pol, PolicyTensor(np.full((2, 2, 2), 0.5)), "uniform",
-                        "inverse", 1)
-        out = tmp_path / "dec.json"
-        rc = main(["decompose", "--policy", str(pol), "--out", str(out)])
-        assert rc == 3
-        assert "policy/v2" in capsys.readouterr().err
-        assert not out.exists()
-        assert main(["evaluate", "--policy", str(pol), "--relevance", str(toy),
-                     "--cutoff", "1", "--out-json",
-                     str(tmp_path / "metrics.json")]) == 0
+        pol.write_text(json.dumps({
+            "schema": "policy/v1", "m": 2, "n": 2, "policy_type": "uniform",
+            "alpha": None, "exposure": {"kind": "inverse", "cutoff": 1},
+            "matrices": [[0.5, 0.5, 0.5, 0.5]] * 2,
+            "diagnostics": {"objective": 0.0, "duality_gap": None,
+                            "iterations": 0, "constraint_residual": None}}))
+        out, met = tmp_path / "dec.json", tmp_path / "metrics.json"
+        for argv in (["decompose", "--policy", str(pol), "--out", str(out)],
+                     ["evaluate", "--policy", str(pol), "--relevance",
+                      str(toy), "--cutoff", "1", "--out-json", str(met)]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                "error: expected schema 'policy/v2', found 'policy/v1'\n")
+        assert not out.exists() and not met.exists()
 
 
 # Three users, every weight a dyadic rational (1/2, 1/4, 1/8): validation
@@ -585,8 +589,7 @@ def test_policy_and_metrics_golden_bytes(tmp_path, policy):
 
 # Three users of GOLDEN_MARKET whose terms have prefix lengths 0, K = 2 and
 # n = 4, with dyadic weights: exposures, impacts and the decomposition of
-# the mixture are exact.  The metrics are those of the same policy written
-# densely as policy/v1.
+# the mixture are exact.
 GOLDEN_PREFIX_MIXTURE = [
     [(0.5, []), (0.25, [1, 3]), (0.25, [2, 0, 3, 1])],
     [(1.0, [3, 1])],

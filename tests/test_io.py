@@ -314,8 +314,8 @@ class TestPolicyJson:
         assert np.allclose(imp, [0.8, 0.4], atol=1e-9)
         assert doc["policy_type"] == "nsw"
         assert doc["exposure"] == {"kind": "inverse", "cutoff": 1}
-        # the parsed arrays are dropped once the tensor is built
-        assert "matrices" not in doc
+        # the parsed terms are dropped once the mixture is built
+        assert "users" not in doc
 
     def test_load_gives_back_the_saved_floats(self, tmp_path):
         # a loaded policy is measured exactly as it was saved
@@ -339,41 +339,25 @@ class TestPolicyJson:
         with pytest.raises(SchemaError):
             nio.load_policy(path)
 
-    def test_save_rejects_non_doubly_stochastic(self, tmp_path):
-        class Shim:
-            matrices = np.array([[[0.9, 0.0], [0.0, 0.9]]])
-
-        with pytest.raises(NotDoublyStochastic):
-            nio.save_policy(tmp_path / "bad.json", Shim(), "uniform", "inverse", 1)
-
     def test_load_rejects_non_doubly_stochastic(self, tmp_path):
         path = tmp_path / "policy.json"
-        doc = {"schema": "policy/v1", "m": 1, "n": 2, "policy_type": "uniform",
+        doc = {"schema": "policy/v2", "m": 1, "n": 2, "policy_type": "uniform",
                "alpha": None, "exposure": {"kind": "inverse", "cutoff": 1},
-               "matrices": [[0.9, 0.0, 0.0, 0.9]],
+               "users": [[{"weight": 0.9, "items_by_rank": [0, 1]}]],
                "diagnostics": {"objective": 0, "duality_gap": None,
                                "iterations": 0, "constraint_residual": None}}
         path.write_text(json.dumps(doc))
         with pytest.raises(NotDoublyStochastic):
             nio.load_policy(path)
 
-    @pytest.mark.parametrize("field", ["matrices", "m", "n"])
+    @pytest.mark.parametrize("field", ["users", "m", "n"])
     def test_rejects_missing_fields(self, tmp_path, field):
         path = tmp_path / "policy.json"
-        nio.save_policy(path, UNIFORM_TENSOR, "uniform", "inverse", 1)
+        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
         doc = json.loads(path.read_text())
         del doc[field]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=field):
-            nio.load_policy(path)
-
-    def test_rejects_non_numeric_matrices(self, tmp_path):
-        path = tmp_path / "policy.json"
-        nio.save_policy(path, UNIFORM_TENSOR, "uniform", "inverse", 1)
-        doc = json.loads(path.read_text())
-        doc["matrices"] = [[0.5, 0.5, 0.5], [0.5]]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
             nio.load_policy(path)
 
     @pytest.mark.parametrize("row", [
@@ -385,36 +369,41 @@ class TestPolicyJson:
     ], ids=["string-and-booleans", "booleans", "boolean-among-numbers",
             "null", "huge-integer"])
     def test_rejects_entries_that_are_not_numbers(self, tmp_path, row):
-        # numpy reads each of these rows as a 2 x 2 matrix of floats
+        # float() reads "1.0" and the booleans as numbers; a user's weights
+        # must be JSON numbers that a float holds
         path = tmp_path / "policy.json"
-        nio.save_policy(path, UNIFORM_TENSOR, "uniform", "inverse", 1)
+        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
         doc = json.loads(path.read_text())
-        doc["matrices"] = [row]
+        doc["users"] = [[{"weight": w, "items_by_rank": [0, 1]} for w in row]]
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             nio.load_policy(path)
 
     def test_integer_entries_are_numbers(self, tmp_path):
         path = tmp_path / "policy.json"
-        nio.save_policy(path, UNIFORM_TENSOR, "uniform", "inverse", 1)
+        nio.save_policy(path, solve_uniform(1, 2), "uniform", "inverse", 1)
         doc = json.loads(path.read_text())
-        doc["matrices"] = [[1, 0, 0.0, 1.0]]
+        doc["users"] = [[{"weight": 1, "items_by_rank": [0, 1]},
+                         {"weight": 0, "items_by_rank": [1, 0]}]]
         path.write_text(json.dumps(doc))
-        assert np.array_equal(nio.load_policy(path)["policy"].matrices[0],
-                              np.eye(2))
+        policy = nio.load_policy(path)["policy"]
+        assert policy.weights.tolist() == [1.0, 0.0]
+        assert np.array_equal(policy.dense()[0], np.eye(2))
 
 
 class TestMixturePolicyJson:
-    def test_solvers_write_mixtures_and_tensors_stay_dense(self, tmp_path):
+    def test_solvers_write_mixtures_and_tensors_are_refused(self, tmp_path):
         rel, exp = small_market()
         nio.save_policy(tmp_path / "max.json", solve_utility_max(rel, exp),
                         "max", "inverse", 2)
-        nio.save_policy(tmp_path / "dense.json", UNIFORM_TENSOR, "uniform",
-                        "inverse", 1)
         assert json.loads((tmp_path / "max.json").read_text())["schema"] == (
             "policy/v2")
-        assert json.loads((tmp_path / "dense.json").read_text())["schema"] == (
-            "policy/v1")
+        # dense marginals have no file format: refused before it is opened
+        dense = tmp_path / "dense.json"
+        with pytest.raises(SchemaError, match="not a PolicyTensor"):
+            nio.save_policy(dense, PolicyTensor(np.full((1, 2, 2), 0.5)),
+                            "uniform", "inverse", 1)
+        assert not dense.exists()
 
     @pytest.mark.parametrize("terms, error", [
         ([{"weight": 1.0}], SchemaError),
@@ -497,33 +486,32 @@ def _edited(draw, doc: dict) -> dict:
 
 @st.composite
 def _policy_docs(draw):
-    """A valid policy/v1 or policy/v2 document, then up to three edits."""
+    """A valid policy/v2 document, then up to three edits, one of which may
+    name the retired dense schema."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(2, 4))
-    if draw(st.booleans()):
-        users = []
-        for _ in range(m):
-            k = draw(st.integers(1, 3))
-            users.append([{"weight": 1.0 / k,
-                           "items_by_rank": draw(st.permutations(range(n)))[
-                               :draw(st.integers(0, n))]} for _ in range(k)])
-        doc = {"schema": "policy/v2", "m": m, "n": n, "users": users}
-    else:
-        mats = [np.eye(n)[draw(st.permutations(range(n)))].ravel().tolist()
-                for _ in range(m)]
-        doc = {"schema": "policy/v1", "m": m, "n": n, "matrices": mats}
+    users = []
+    for _ in range(m):
+        k = draw(st.integers(1, 3))
+        users.append([{"weight": 1.0 / k,
+                       "items_by_rank": draw(st.permutations(range(n)))[
+                           :draw(st.integers(0, n))]} for _ in range(k)])
+    doc = {"schema": "policy/v2", "m": m, "n": n, "users": users}
+    if draw(st.integers(0, 3)) == 0:
+        doc["schema"] = "policy/v1"
     return _edited(draw, doc)
 
 
 @settings(max_examples=400, deadline=None)
 @given(doc=_policy_docs() | _JSON_VALUES)
 def test_load_policy_fuzz_raises_only_typed_errors(tmp_path_factory, doc):
-    # both policy/v1 and policy/v2 documents, malformed in any field
+    # policy/v2 documents malformed in any field, the schema included
     path = tmp_path_factory.getbasetemp() / "fuzz-policy.json"
     path.write_text(json.dumps(doc))
     try:
         policy = nio.load_policy(path)["policy"]
     except (ParseError, SchemaError, DimensionError, NotDoublyStochastic):
         return
+    assert doc["schema"] == "policy/v2"
     assert policy.m >= 1 and policy.n >= 2
     if policy.n < 100:
         X = policy.dense()
@@ -732,10 +720,6 @@ def test_load_decomposition_fuzz_raises_only_typed_errors(tmp_path_factory,
                 assert items == list(range(dec.n))
 
 
-# a policy/v1 file: a PolicyTensor is written as its matrices
-UNIFORM_TENSOR = PolicyTensor(np.full((1, 2, 2), 0.5))
-
-
 def same_mixture(a, b) -> bool:
     """Whether two mixtures hold the same arrays bit for bit."""
     return a.n == b.n and all(
@@ -773,35 +757,31 @@ def solved_policies():
             ("nsw", nsw, nsw_diag, 0.5)]
 
 
-def awkward_policy() -> PolicyTensor:
-    # one 2 x 2 user per float whose repr is easy to get wrong
-    mats = [[[a, 1.0 - a], [1.0 - a, a]] for a in (5e-324, 1e-17, 0.1, 1 / 3)]
-    return PolicyTensor(np.array(mats))
+def awkward_mixture() -> RankingMixture:
+    # one user per float whose repr is easy to get wrong: that weight on one
+    # ranking of 2 items, its complement on the other
+    weights = [w for a in (5e-324, 1e-17, 0.1, 1 / 3) for w in (a, 1.0 - a)]
+    return RankingMixture.from_counts(2, [2] * 4, weights, [2] * 8,
+                                      [0, 1, 1, 0] * 4)
 
 
 class TestStreamedWritersMatchJsonDump:
     @pytest.mark.parametrize("case", range(5))
     def test_save_policy(self, tmp_path, case):
-        cases = solved_policies() + [("uniform", awkward_policy(), None, None)]
+        cases = solved_policies() + [("uniform", awkward_mixture(), None, None)]
         name, policy, diag, alpha = cases[case]
         path = tmp_path / "policy.json"
         nio.save_policy(path, policy, name, "inverse", 2, diagnostics=diag,
                         alpha=alpha)
         diag = diag or SolveDiagnostics(objective_value=0.0)
-        if isinstance(policy, RankingMixture):
-            schema, field = nio.POLICY_MIXTURE_SCHEMA, "users"
-            body = mixture_users(policy)
-        else:
-            schema, field = nio.POLICY_SCHEMA, "matrices"
-            body = [mat.ravel().tolist() for mat in policy.matrices]
         expected = json_dump_text({
-            "schema": schema,
+            "schema": nio.POLICY_MIXTURE_SCHEMA,
             "m": policy.m,
             "n": policy.n,
             "policy_type": name,
             "alpha": alpha,
             "exposure": {"kind": "inverse", "cutoff": 2},
-            field: body,
+            "users": mixture_users(policy),
             "diagnostics": {
                 "objective": diag.objective_value,
                 "duality_gap": diag.duality_gap,
@@ -813,16 +793,18 @@ class TestStreamedWritersMatchJsonDump:
         if case == 4:
             assert "5e-324" in expected and "1e-17" in expected
 
-    def test_save_policy_writes_a_policy_tensor_as_it_is(self, tmp_path):
+    def test_save_policy_writes_mixture_weights_as_they_are(self, tmp_path):
         # an LP solution carries residue of about an ulp, so any rewrite of
-        # the entries on save would show up here
+        # the weights on save or load would show up here
         rel, exp = small_market(m=30, n=12, cutoff=5)
         mixture, diag = solve_expo_fair(rel, exp)
-        policy = PolicyTensor(mixture.dense())
         path = tmp_path / "policy.json"
-        nio.save_policy(path, policy, "expo-fair", "inverse", 5, diagnostics=diag)
-        saved = np.array(json.loads(path.read_text())["matrices"])
-        assert np.array_equal(saved, policy.matrices.reshape(rel.m, -1))
+        nio.save_policy(path, mixture, "expo-fair", "inverse", 5, diagnostics=diag)
+        saved = [term["weight"] for user in json.loads(path.read_text())["users"]
+                 for term in user]
+        assert np.array(saved).tobytes() == mixture.weights.tobytes()
+        loaded = nio.load_policy(path)["policy"]
+        assert loaded.weights.tobytes() == mixture.weights.tobytes()
 
     @pytest.mark.parametrize("source", ["uniform", "nsw", "expo-fair", "awkward"])
     def test_save_decomposition(self, tmp_path, source):

@@ -230,16 +230,3 @@ class TestFiles:
             assert np.array_equal(getattr(loaded, field), getattr(mix, field))
         nio.save_policy(path, loaded, "nsw", "inverse", 2)
         assert path.read_bytes() == text
-
-    @settings(max_examples=60, deadline=None)
-    @given(**MIXTURES)
-    def test_v1_round_trips_bit_for_bit(self, tmp_path_factory, seed, m, n):
-        policy = PolicyTensor(random_mixture(seed, m, n).dense())
-        path = tmp_path_factory.getbasetemp() / "policy.json"
-        nio.save_policy(path, policy, "nsw", "inverse", 2)
-        text = path.read_bytes()
-        loaded = nio.load_policy(path)["policy"]
-        assert isinstance(loaded, PolicyTensor)
-        assert np.array_equal(loaded.matrices, policy.matrices)
-        nio.save_policy(path, loaded, "nsw", "inverse", 2)
-        assert path.read_bytes() == text
