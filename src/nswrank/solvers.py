@@ -75,8 +75,9 @@ class SolveDiagnostics:
     """What a solve reports about the policy it returns.
 
     iterations counts Frank-Wolfe passes for NSW and pricing rounds for the
-    exposure-fair solve, whose exposure_prices are the item prices λ of its
-    duality-gap certificate (see ``expo_fair_bound``).
+    exposure-fair solve (its seed steps do not count), whose exposure_prices
+    are the item prices λ of its duality-gap certificate (see
+    ``expo_fair_bound``).
     """
 
     objective_value: float
@@ -123,16 +124,19 @@ def exposure_targets(rel: RelevanceMatrix, exp: ExposureModel) -> np.ndarray:
 def _check_targets_feasible(targets: np.ndarray, m: int, e: np.ndarray) -> None:
     # Totals of m doubly stochastic matrices can realize per-item exposures t
     # iff t/m lies in the convex hull of permutations of e, i.e. t/m is
-    # majorized by e.
+    # majorized by e.  The cumulative sums grow to m·Σe, and the last slack,
+    # 0 in exact arithmetic, carries their rounding: the tolerance scales
+    # with them.
+    tol = 1e-9 * m * float(np.sum(e))
     t_sorted = np.sort(targets)[::-1]
     e_sorted = np.sort(e)[::-1]
-    if t_sorted[0] > m * e_sorted[0] + 1e-9:
+    if t_sorted[0] > m * e_sorted[0] + tol:
         raise InfeasibleError(
             f"required exposure {t_sorted[0]:.6g} exceeds the maximum "
             f"{m * e_sorted[0]:.6g} any single item can receive")
     slack = m * np.cumsum(e_sorted) - np.cumsum(t_sorted)
-    if np.any(slack < -1e-9):
-        j = int(np.nonzero(slack < -1e-9)[0][0]) + 1
+    if np.any(slack < -tol):
+        j = int(np.nonzero(slack < -tol)[0][0]) + 1
         raise InfeasibleError(
             f"exposure targets are not majorized by the exposure weights: the "
             f"top {j} items require {np.cumsum(t_sorted)[j - 1]:.6g} but at most "
@@ -162,6 +166,12 @@ _ARTIFICIAL_TOL = 1e-9
 # A column enters when its reduced cost exceeds this share of the largest
 # convexity dual.
 _PRICING_TOL = 1e-12
+# The seed: _SEED_STEPS subgradient steps on the Lagrangian dual from λ = 0,
+# step k moving λ by _SEED_STEP/√(k+1) root-mean-square over the items; the
+# prefixes of the last _SEED_ITERATES iterates enter the first master.
+_SEED_STEPS = 30
+_SEED_STEP = 0.03
+_SEED_ITERATES = 5
 _MASTER_TOLERANCES = {"primal_feasibility_tolerance": 1e-10,
                       "dual_feasibility_tolerance": 1e-10}
 
@@ -281,10 +291,15 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     Column generation (Dantzig-Wolfe) over the LP of Singh & Joachims: the
     master mixes, per user, top-K prefixes under m convexity rows and the
     items' exposure-target rows; pricing sorts each user's relevance minus
-    the target rows' duals against e.  The policy is the master's columns of
+    the target rows' duals against e.  The first master holds each user's
+    utility-max prefix and the prefixes of the last few iterates of a short
+    subgradient descent on the Lagrangian dual (the seed), so the first duals
+    start near the optimal prices; the seed only adds columns, so it cannot
+    change the LP's optimum.  The policy is the master's columns of
     positive weight, each a top-K prefix whose other items share the ranks
     beyond the cutoff uniformly (those carry no exposure).  The diagnostics
-    carry the exposure prices and the Lagrangian duality gap of the returned policy.
+    carry the number of pricing rounds (the seed's steps do not count), the
+    exposure prices and the Lagrangian duality gap of the returned policy.
     Raises InfeasibleError when the targets cannot be met, and SolverError
     when HiGHS stops for any other reason or artificial mass is left on a
     target.
@@ -304,7 +319,8 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     # imply the sum of the target rows; the last target row is left out and
     # its item's price is 0.
     nt = n - 1
-    master = _Master(np.concatenate([np.ones(m), targets[:nt] / e_top]))
+    t = targets / e_top
+    master = _Master(np.concatenate([np.ones(m), t[:nt]]))
     # a +1 and a -1 artificial column per target row make the master
     # feasible from the first round
     master.add(np.full(2 * nt, _ARTIFICIAL_COST), np.ones(2 * nt, np.int64),
@@ -312,7 +328,14 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
 
     col_users, col_prefixes, seen = [], [], set()
 
-    def add_columns(users, prefixes):
+    def add_columns(users, prefixes) -> int:
+        """Add the columns not in the master yet; return how many."""
+        keys = list(zip(users.tolist(), map(bytes, prefixes)))
+        new = [j for j, key in enumerate(keys) if key not in seen]
+        if not new:
+            return 0
+        seen.update(keys[j] for j in new)
+        users, prefixes = users[new], prefixes[new]
         index = np.concatenate([users[:, None], m + prefixes], axis=1)
         value = np.broadcast_to(np.concatenate([[1.0], eK]), index.shape)
         kept = index < m + nt
@@ -320,10 +343,25 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
         master.add(cost, kept.sum(axis=1), index[kept], value[kept])
         col_users.append(users)
         col_prefixes.append(prefixes)
-        seen.update(zip(users.tolist(), map(bytes, prefixes)))
+        return len(new)
 
-    prefixes, _ = _kernels.sort_oracle(r, K)
-    add_columns(np.arange(m), prefixes)
+    # The seed: normalized subgradient steps on L from λ = 0, whose first
+    # prefixes are the utility-max ones.  The last item's price stays 0.
+    everyone = np.arange(m)
+    lam = np.zeros(n)
+    prefixes, exposure, _ = _lagrangian(r, eK, t, lam)
+    add_columns(everyone, prefixes)
+    for k in range(_SEED_STEPS):
+        g = t - exposure
+        g[-1] = 0.0
+        norm = float(np.linalg.norm(g))
+        if norm == 0.0:   # λ clears the market
+            break
+        lam = lam - (_SEED_STEP * np.sqrt(n / (k + 1)) / norm) * g
+        prefixes, exposure, _ = _lagrangian(r, eK, t, lam)
+        if k >= _SEED_STEPS - _SEED_ITERATES:
+            add_columns(everyone, prefixes)
+
     rounds = 0
     while True:
         res = master.solve()
@@ -337,12 +375,9 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
         tol = _PRICING_TOL * float(np.abs(mu).max())
         # a column already in the master can price above tol within HiGHS's
         # own dual tolerance; adding it again would repeat the round forever
-        users = [u for u in np.flatnonzero(reduced > tol).tolist()
-                 if (u, bytes(prefixes[u])) not in seen]
-        if not users:
+        users = np.flatnonzero(reduced > tol)
+        if not add_columns(users, prefixes[users]):
             break
-        users = np.asarray(users)
-        add_columns(users, prefixes[users])
 
     artificial = float(res.x[:2 * nt].max())
     if artificial > _ARTIFICIAL_TOL:
@@ -383,8 +418,21 @@ def expo_fair_bound(rel: RelevanceMatrix, exp: ExposureModel,
     """
     e = exp.weights
     K = int(np.count_nonzero(e > 0.0))
-    _, top = _kernels.sort_oracle(rel.values - prices, K)
-    return float(np.sum(top @ e[:K]) + prices @ exposure_targets(rel, exp))
+    return _lagrangian(rel.values, e[:K], exposure_targets(rel, exp), prices)[2]
+
+
+def _lagrangian(r: np.ndarray, eK: np.ndarray, targets: np.ndarray,
+                prices: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Lagrangian dual at item prices λ: every user's best top-K prefix
+    against ``r - λ``, the exposure those prefixes give each item, and
+    ``L(λ) = sum_u max_prefix sum_k eK_k (r_u - λ)_{prefix_k} + λ·t``.
+
+    ``targets - exposure`` is a subgradient of L at λ.
+    """
+    m, n = r.shape
+    prefixes, top = _kernels.sort_oracle(r - prices, eK.size)
+    exposure = np.bincount(prefixes.ravel(), np.tile(eK, m), n)
+    return prefixes, exposure, float(np.sum(top @ eK) + prices @ targets)
 
 
 def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,6 +171,51 @@ class TestSolveExpoFair:
         with pytest.raises(SolverError, match="Iteration limit"):
             solve_expo_fair(rel, exp)
 
+    def test_targets_met_to_rounding_at_a_million_users(self):
+        # the cumulative sums reach m·Σe, and their rounding alone made the
+        # last slack (0 in exact arithmetic) about -5e-9
+        m = 10**6
+        rng = np.random.default_rng(0)
+        for n in (1000, 2000):
+            e = ExposureModel.make("inverse", n, 10).weights
+            for _ in range(20):
+                mer = rng.uniform(0.1, 1.0, n)
+                solvers._check_targets_feasible(
+                    mer * (m * e.sum() / mer.sum()), m, e)
+
+    def test_targets_short_by_a_millionth_are_infeasible(self):
+        m, e = 10**6, ExposureModel.make("inverse", 4, 2).weights
+        targets = np.array([m * e[0] * (1 + 1e-6), 0.0, 0.0, 0.0])
+        with pytest.raises(InfeasibleError, match="exceeds the maximum"):
+            solvers._check_targets_feasible(targets, m, e)
+
+    def test_a_market_cleared_at_zero_prices_stops_the_seed(self, monkeypatch):
+        # each user's utility-max prefix is a different item of equal merit,
+        # so λ = 0 meets the targets and the subgradient is exactly 0
+        rel = RelevanceMatrix([[1.0, 0.5], [0.5, 1.0]])
+        exp = ExposureModel.make("inverse", 2, 1)
+        points = []
+        lagrangian = solvers._lagrangian
+
+        def recording(r, eK, targets, prices):
+            points.append(prices.copy())
+            return lagrangian(r, eK, targets, prices)
+
+        monkeypatch.setattr(solvers, "_lagrangian", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy, diag = solve_expo_fair(rel, exp)
+        # the seed's one point, then the certificate's
+        assert len(points) == 2 and not points[0].any()
+        assert diag.objective_value == 2.0 and diag.duality_gap == 0.0
+        assert np.array_equal(policy.dense()[:, :, 0], np.eye(2))
+
+    def test_desk_needs_few_pricing_rounds(self):
+        # without the seed the desk master takes 24 rounds
+        rel, exp = MARKETS["desk"]()
+        _, diag = solve_expo_fair(rel, exp)
+        assert diag.iterations <= 12
+
     def test_artificial_mass_left_is_an_error(self, monkeypatch):
         # free artificial columns let the master ignore the exposure targets;
         # the solve must refuse to return that policy
@@ -322,13 +368,13 @@ def test_utility_matches_the_dense_lp(name):
 
 
 @st.composite
-def _feasible_markets(draw):
+def _feasible_markets(draw, kinds=("inverse", "exponential", "dcg"),
+                      value=st.floats(0.05, 1.0)):
     m = draw(st.integers(1, 5))
     n = draw(st.integers(2, 6))
     K = draw(st.integers(1, n))
-    kind = draw(st.sampled_from(["inverse", "exponential", "dcg"]))
-    values = draw(st.lists(st.floats(0.05, 1.0), min_size=m * n,
-                           max_size=m * n))
+    kind = draw(st.sampled_from(kinds))
+    values = draw(st.lists(value, min_size=m * n, max_size=m * n))
     rel = RelevanceMatrix(np.reshape(values, (m, n)))
     exp = ExposureModel.make(kind, n, K)
     try:
@@ -351,6 +397,39 @@ def test_expo_fair_duality_gap_certifies_the_policy(market):
         expo_fair_bound(rel, exp, diag.exposure_prices) - diag.objective_value)
     assert diag.objective_value == pytest.approx(utility, rel=1e-12)
     assert -1e-12 <= diag.duality_gap <= 1e-9 * abs(utility)
+
+
+def _solve_adding_each_column_once(rel, exp):
+    """solve_expo_fair, checking that no column enters the master twice."""
+    columns = []
+    add = solvers._Master.add
+
+    def recording(master, cost, counts, index, value):
+        ends = np.cumsum(counts)
+        columns.extend((tuple(index[a:b].tolist()), tuple(value[a:b].tolist()))
+                       for a, b in zip(ends - counts, ends))
+        add(master, cost, counts, index, value)
+
+    with mock.patch.object(solvers._Master, "add", recording):
+        policy, diag = solve_expo_fair(rel, exp)
+    assert len(set(columns)) == len(columns)
+    utility = user_utility(policy, rel, exp)
+    assert -1e-12 <= diag.duality_gap <= 1e-9 * abs(utility)
+    assert diag.constraint_residual <= 1e-9
+    return utility
+
+
+@settings(max_examples=150, deadline=None)
+# a few coarse values make ties within and across users likely
+@given(market=_feasible_markets(
+    kinds=("inverse", "exponential"),
+    value=st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.05, 1.0)))
+def test_the_seed_keeps_the_optimum(market):
+    rel, exp = market
+    seeded = _solve_adding_each_column_once(rel, exp)
+    with mock.patch.object(solvers, "_SEED_STEPS", 0):
+        plain = _solve_adding_each_column_once(rel, exp)
+    assert seeded == pytest.approx(plain, rel=1e-9)
 
 
 @st.composite
