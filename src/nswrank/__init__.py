@@ -16,9 +16,9 @@ import importlib
 _SOURCES = {
     "bvn": ("BvnDecomposition", "bvn_decompose", "reconstruct",
             "sample_ranking"),
-    "core": ("DS_TOL", "ExposureModel", "ImpactFunction", "PolicyTensor",
-             "RankingMixture", "RelevanceMatrix", "amortized_exposure",
-             "exposure_profile", "item_impact", "merit", "user_utility"),
+    "core": ("DS_TOL", "ExposureModel", "ImpactFunction", "RankingMixture",
+             "RelevanceMatrix", "amortized_exposure", "exposure_profile",
+             "item_impact", "merit", "user_utility"),
     "errors": ("DegenerateMarketError", "DimensionError", "InfeasibleError",
                "NotDoublyStochastic", "NswrankError", "ParseError",
                "SchemaError", "SizeError", "SolverError", "ZeroMeritError"),

@@ -289,11 +289,14 @@ def face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp):
     terms that reach 0 on the way; a term at weight 0 is outside the face
     and stays there.  Stops after a full step, a step of 0 or _FACE_STEPS
     steps.  Updates theta0, thetas and imp (the current item impacts, 1 on
-    inactive items) in place.
+    inactive items) in place.  Leaves everything as it is when an impact is
+    0: the objective is then -inf and has no Newton direction.
 
     The support only shrinks, so its terms are gathered once (``_Terms``)
     and each Newton step picks the rows of its face from them.
     """
+    if not imp.min() > 0.0:
+        return
     rows = np.arange(Va.shape[0])
     W = np.concatenate([theta0[:, None], thetas], axis=1)
     terms = _Terms(Va, eK, u0, prefixes, W)

@@ -5,10 +5,10 @@ items a term's prefix leaves out follow it in a uniformly random order.  A
 policy is deployed by sampling the rankings it mixes, so a ``RankingMixture``
 policy, which every solver returns, is its own decomposition: its terms of
 positive weight, their weights kept bit for bit where they sum to 1 within
-1e-9, with no matching and no scipy import.  A dense ``PolicyTensor`` holds
-only marginals and is refused.  Sampling a ranking for a user is a seeded
-draw over that user's terms, then a seeded shuffle of the items the drawn
-prefix leaves out.
+1e-9, with no matching and no scipy import.  Sampling a ranking for a user
+is a seeded draw over that user's terms, then a seeded shuffle of the items
+the drawn prefix leaves out; ``reconstruct`` gives the dense marginals the
+terms add up to.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PolicyTensor, RankingMixture
+from .core import RankingMixture
 # unused: kept only because perfbench/tracer.py wraps this binding by name
 from .core import renormalize_doubly_stochastic
 from .errors import SchemaError, SizeError
@@ -87,14 +87,13 @@ def bvn_decompose(policy: RankingMixture,
     terms of positive weight, in order.
 
     Each user's weights are divided by their sum, except where they sum to
-    1 within 1e-9: those stay bit for bit.  Any other policy, a
-    ``PolicyTensor`` of dense marginals included, raises ``SchemaError``.
+    1 within 1e-9: those stay bit for bit.  Any other policy, dense
+    marginals included, raises ``SchemaError``.
     ``epsilon`` is only recorded with the decomposition.
     """
     if not isinstance(policy, RankingMixture):
-        raise SchemaError(
-            "decompose reads a ranking mixture (policy/v2); a PolicyTensor "
-            "holds only the marginals of a policy, not the rankings it mixes")
+        raise SchemaError("decompose reads a ranking mixture (policy/v2), "
+                          f"not a {type(policy).__name__}")
     m, n = policy.m, policy.n
     live = policy.weights > 0.0
     users, weights = policy.term_users()[live], policy.weights[live]
@@ -128,6 +127,8 @@ def sample_ranking(dec: BvnDecomposition, user: int, seed: int) -> np.ndarray:
     return np.concatenate([prefix, rng.permutation(np.flatnonzero(left_out))])
 
 
-def reconstruct(dec: BvnDecomposition) -> PolicyTensor:
-    """Rebuild the policy as the raw weighted sum of the terms' marginals."""
-    return PolicyTensor(dec.mixture.dense())
+def reconstruct(dec: BvnDecomposition) -> np.ndarray:
+    """Rebuild the policy's (m, n, n) marginals as the raw weighted sum of
+    the terms' marginals.  Every term's prefix ranks distinct items, so a
+    user's row and column sums are its weight sum: 1 within 1e-9."""
+    return dec.mixture.dense()

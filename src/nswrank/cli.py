@@ -228,7 +228,7 @@ def _reconstruction_error(dec: BvnDecomposition,
     """Largest |reconstruct(dec) - policy| entry, or 0 when no user needs
     checking.
 
-    A mixture user whose decomposition terms are its own, bit for bit (the
+    A user whose decomposition terms are its own, bit for bit (the
     same weights, lengths and items, in order), is skipped.
     ``bvn_decompose`` keeps a user's positive terms in order, and their
     weights as they are when they sum to 1 within 1e-9, so this holds for
@@ -236,9 +236,6 @@ def _reconstruction_error(dec: BvnDecomposition,
     Its ``dense()`` cells are then the same shares, added by ``bincount``
     in the same term order whatever other users share the block, so its
     error is exactly 0.
-    Nor can the ``PolicyTensor`` check inside ``reconstruct`` fail for it:
-    its row and column sums are its weight sum, which ``RankingMixture``
-    already checked.
 
     The other users are compared in blocks of consecutive users; each entry
     is computed as on the whole (m, n, n) tensors.  ``RankingMixture.dense``
@@ -261,7 +258,7 @@ def _reconstruction_error(dec: BvnDecomposition,
         users = check[lo:hi]
         part = BvnDecomposition(mix.take(users), dec.epsilon)
         want = policy.take(users).dense()
-        err = max(err, float(np.abs(reconstruct(part).matrices - want).max()))
+        err = max(err, float(np.abs(reconstruct(part) - want).max()))
         lo = hi
     return err
 

@@ -2,14 +2,13 @@
 
 A market has m users and n items.  A stochastic ranking policy gives each
 user an n x n doubly stochastic matrix whose (i, k) entry is the marginal
-probability that item i occupies rank k for that user.  It comes in two
-forms: a ``PolicyTensor`` holds those matrices, and a ``RankingMixture``
-holds, per user, a few weighted ranking prefixes whose left-out items share
-the remaining ranks uniformly.  Either is measured as given, never
-renormalized.  Positions are examined with probability e(k), so everything a
-policy does to utility, exposure and impact factors through the per-user
-expected exposure of each item, ``sum_k e(k) * X[u, i, k]``, which both
-forms compute (``exposures``).
+probability that item i occupies rank k for that user.  A ``RankingMixture``
+holds it as, per user, a few weighted ranking prefixes whose left-out items
+share the remaining ranks uniformly; its ``dense()`` gives the matrices.  It
+is measured as given, never renormalized.  Positions are examined with
+probability e(k), so everything a policy does to utility, exposure and
+impact factors through the per-user expected exposure of each item,
+``sum_k e(k) * X[u, i, k]`` (``RankingMixture.exposures``).
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import numpy as np
 
 from .errors import DimensionError, NotDoublyStochastic
 
-# Tolerance accepted on row/column sums of policy matrices.  A policy within
-# it is measured as given; entries are only clipped into [0, 1].
+# Tolerance accepted on the sum of each mixture user's weights.  A policy
+# within it is measured as given, never renormalized.
 DS_TOL = 1e-6
 
 _EXPOSURE_KINDS = ("inverse", "exponential", "dcg", "custom")
@@ -161,56 +160,6 @@ def renormalize_doubly_stochastic(mats: np.ndarray, max_sweeps: int = 100,
 
 
 @dataclass(frozen=True)
-class PolicyTensor:
-    """Per-user n x n marginal rank-probability matrices, entry (i, k).
-
-    Construction checks each matrix against DS_TOL and keeps a read-only
-    copy clipped into [0, 1], so every measurement sees the policy as given.
-    """
-
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        mats = np.ascontiguousarray(np.asarray(self.matrices, dtype=np.float64))
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise DimensionError(f"policy must have shape (m, n, n), got {mats.shape}")
-        m, n, _ = mats.shape
-        if m < 1 or n < 2:
-            raise DimensionError(f"need m >= 1 and n >= 2, got m={m}, n={n}")
-        if not np.all(np.isfinite(mats)):
-            raise NotDoublyStochastic("policy entries must be finite")
-        if mats.min() < -DS_TOL or mats.max() > 1.0 + DS_TOL:
-            raise NotDoublyStochastic(
-                f"policy entries outside [-{DS_TOL}, 1+{DS_TOL}]:"
-                f" min={mats.min()}, max={mats.max()}")
-        row_err = np.abs(mats.sum(axis=2) - 1.0).max()
-        col_err = np.abs(mats.sum(axis=1) - 1.0).max()
-        if max(row_err, col_err) > DS_TOL:
-            raise NotDoublyStochastic(
-                f"row/column sums deviate from 1 by {max(row_err, col_err):.3e}"
-                f" (tolerance {DS_TOL})")
-        mats = np.clip(mats, 0.0, 1.0)  # a copy: the caller's array is untouched
-        mats.flags.writeable = False
-        object.__setattr__(self, "matrices", mats)
-
-    @property
-    def m(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.matrices.shape[1]
-
-    def exposures(self, e: np.ndarray) -> np.ndarray:
-        """(m, n) expected exposure of each (user, item) under weights e."""
-        return self.matrices @ e
-
-    def dense(self) -> np.ndarray:
-        """The (m, n, n) matrices themselves."""
-        return self.matrices
-
-
-@dataclass(frozen=True)
 class RankingMixture:
     """Per-user convex combinations of ranking prefixes, stored CSR-style.
 
@@ -287,6 +236,10 @@ class RankingMixture:
         users = np.asarray(users, dtype=np.int64)
         if users.size == 0 or np.any(np.diff(users) <= 0):
             raise ValueError("take needs at least one user, in ascending order")
+        outside = (users < 0) | (users >= self.m)
+        if outside.any():
+            raise ValueError(f"take needs ascending users in 0..{self.m - 1}, "
+                             f"not user {users[outside.argmax()]}")
         first, stop = int(users[0]), int(users[-1]) + 1
         lo, hi = self.indptr[first], self.indptr[stop]
         kept = np.zeros(stop - first, dtype=bool)
@@ -329,8 +282,8 @@ class RankingMixture:
         """(m, n, n) marginal rank probabilities, by one scatter-add: each
         prefix item at its rank, then, term by term, each left-out item in
         ascending order at every rank of the tail with weight / (n - L).
-        Entries are clipped at 1, as a PolicyTensor's are: weights that sum
-        to 1 within DS_TOL can put a ranked item an ulp above it."""
+        Entries are clipped at 1: weights that sum to 1 within DS_TOL can
+        put a ranked item an ulp above it."""
         n, lengths, weights = self.n, self.lengths, self.weights
         tail = n - lengths
         head_term = np.repeat(np.arange(lengths.size), lengths)
@@ -378,10 +331,7 @@ def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
-Policy = PolicyTensor | RankingMixture
-
-
-def _check_dims(policy: Policy, exp: ExposureModel,
+def _check_dims(policy: RankingMixture, exp: ExposureModel,
                 rel: RelevanceMatrix | None = None) -> None:
     if rel is not None and (rel.m, rel.n) != (policy.m, policy.n):
         raise DimensionError(
@@ -391,20 +341,20 @@ def _check_dims(policy: Policy, exp: ExposureModel,
             f"exposure weights have length {exp.n}, policy has n={policy.n} items")
 
 
-def exposure_profile(policy: Policy, exp: ExposureModel) -> np.ndarray:
+def exposure_profile(policy: RankingMixture, exp: ExposureModel) -> np.ndarray:
     """(m, n) matrix of expected exposure per (user, item), sum_k e(k) X[u,i,k]."""
     _check_dims(policy, exp)
     return policy.exposures(exp.weights)
 
 
-def user_utility(policy: Policy, rel: RelevanceMatrix,
+def user_utility(policy: RankingMixture, rel: RelevanceMatrix,
                  exp: ExposureModel) -> float:
     """Total expected relevance examined across all users."""
     _check_dims(policy, exp, rel)
     return float(np.sum(rel.values * exposure_profile(policy, exp)))
 
 
-def item_impact(policy: Policy, rel: RelevanceMatrix, exp: ExposureModel,
+def item_impact(policy: RankingMixture, rel: RelevanceMatrix, exp: ExposureModel,
                 vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED) -> np.ndarray:
     """Impact each item receives from its own position allocation."""
     _check_dims(policy, exp, rel)
@@ -412,6 +362,6 @@ def item_impact(policy: Policy, rel: RelevanceMatrix, exp: ExposureModel,
     return np.einsum("ui,ui->i", vfn.user_weights(rel), prof)
 
 
-def amortized_exposure(policy: Policy, exp: ExposureModel) -> np.ndarray:
+def amortized_exposure(policy: RankingMixture, exp: ExposureModel) -> np.ndarray:
     """Total exposure allocated to each item, summed over users."""
     return exposure_profile(policy, exp).sum(axis=0)

@@ -10,7 +10,8 @@ class DimensionError(NswrankError):
 
 
 class NotDoublyStochastic(NswrankError):
-    """A policy matrix violates the double-stochasticity tolerance."""
+    """A ranking mixture is not a doubly stochastic policy: a prefix repeats
+    an item, or a user's weights are negative or miss 1 by more than DS_TOL."""
 
 
 class InfeasibleError(NswrankError):

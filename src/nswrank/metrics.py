@@ -17,7 +17,7 @@ import numpy as np
 from .core import (
     ExposureModel,
     ImpactFunction,
-    Policy,
+    RankingMixture,
     RelevanceMatrix,
     _check_dims,
     exposure_profile,
@@ -45,7 +45,7 @@ def _envy_grid(weights: np.ndarray, prof: np.ndarray) -> np.ndarray:
     return np.einsum("ui,uj->ij", weights, prof)
 
 
-def envy_matrix(policy: Policy, rel: RelevanceMatrix, exp: ExposureModel,
+def envy_matrix(policy: RankingMixture, rel: RelevanceMatrix, exp: ExposureModel,
                 vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED) -> np.ndarray:
     """n x n grid whose (i, j) entry is item i's impact under j's allocation."""
     _check_dims(policy, exp, rel)
@@ -62,7 +62,7 @@ def mean_max_envy(em: np.ndarray) -> float:
     return float(max_envy_per_item(em).mean())
 
 
-def weighted_envy_matrix(policy: Policy, rel: RelevanceMatrix,
+def weighted_envy_matrix(policy: RankingMixture, rel: RelevanceMatrix,
                          exp: ExposureModel, vfn: ImpactFunction,
                          alpha: float) -> np.ndarray:
     """Envy grid with each column j scaled by 1 / merit_j^alpha."""
@@ -76,7 +76,7 @@ def weighted_envy_matrix(policy: Policy, rel: RelevanceMatrix,
     return envy_matrix(policy, rel, exp, vfn) / np.power(mer, alpha)[None, :]
 
 
-def fairness_report(policy: Policy, rel_true: RelevanceMatrix,
+def fairness_report(policy: RankingMixture, rel_true: RelevanceMatrix,
                     exp: ExposureModel,
                     vfn: ImpactFunction = ImpactFunction.RELEVANCE_WEIGHTED,
                     ) -> FairnessReport:

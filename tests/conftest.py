@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nswrank import ExposureModel, RelevanceMatrix
+from nswrank import ExposureModel, RankingMixture, RelevanceMatrix
 
 
 @pytest.fixture
@@ -15,11 +15,9 @@ def toy_market():
 def random_policy(m: int, n: int, seed: int, n_terms: int = 6):
     """Exactly doubly stochastic random policy: a mixture of permutations."""
     rng = np.random.default_rng(seed)
-    mats = np.zeros((m, n, n))
-    ranks = np.arange(n)
-    for u in range(m):
-        weights = rng.dirichlet(np.ones(n_terms))
-        for w in weights:
-            perm = rng.permutation(n)
-            mats[u, perm, ranks] += w
-    return mats
+    weights, perms = [], []
+    for _ in range(m):
+        weights.append(rng.dirichlet(np.ones(n_terms)))
+        perms.extend(rng.permutation(n) for _ in range(n_terms))
+    return RankingMixture.from_counts(n, [n_terms] * m, np.concatenate(weights),
+                                      [n] * (m * n_terms), np.concatenate(perms))

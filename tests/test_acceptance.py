@@ -263,7 +263,7 @@ def test_criterion_7_bvn_suite():
         ]
         for pidx, policy in enumerate(policies):
             dec = bvn_decompose(policy, epsilon=1e-10)
-            err = float(np.abs(reconstruct(dec).matrices - policy.dense()).max())
+            err = float(np.abs(reconstruct(dec) - policy.dense()).max())
             if err > 1e-8:
                 bad.append(f"trial {trial} policy {pidx}: reconstruction {err:.2e}")
             for user_terms in dec.terms:
@@ -271,7 +271,7 @@ def test_criterion_7_bvn_suite():
                     bad.append(f"trial {trial} policy {pidx}: weight sum")
                 if len(user_terms) > (n - 1) ** 2 + 1:
                     bad.append(f"trial {trial} policy {pidx}: term count")
-            drift = abs(user_utility(reconstruct(dec), rel, exp)
+            drift = abs(np.sum(rel.values * (reconstruct(dec) @ exp.weights))
                         - user_utility(policy, rel, exp))
             if drift > 1e-6:
                 bad.append(f"trial {trial} policy {pidx}: utility drift {drift:.2e}")

@@ -6,7 +6,6 @@ import pytest
 from nswrank import (
     BvnDecomposition,
     ExposureModel,
-    PolicyTensor,
     RankingMixture,
     RelevanceMatrix,
     SchemaError,
@@ -51,7 +50,7 @@ class TestBvnDecompose:
                               [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         dec = bvn_decompose(policy)
         assert len(dec.terms[0]) == 3
-        err = np.abs(reconstruct(dec).matrices[0] - mat).max()
+        err = np.abs(reconstruct(dec)[0] - mat).max()
         assert err <= 1e-9
 
     def test_mixture_is_its_own_terms(self, monkeypatch):
@@ -73,12 +72,12 @@ class TestBvnDecompose:
         assert [[(w, p.tolist()) for w, p in user] for user in dec.terms] == [
             [(1.0, [])], [(0.5, [0]), (0.25, [1]), (0.25, [2])],
             [(1.0, [2, 0, 1])]]
-        assert np.abs(reconstruct(dec).matrices - mix.dense()).max() <= 3e-9 + 1e-9
+        assert np.abs(reconstruct(dec) - mix.dense()).max() <= 3e-9 + 1e-9
 
     def test_dense_policy_is_refused(self):
         # dense marginals do not say which rankings they mix
         with pytest.raises(SchemaError, match="policy/v2"):
-            bvn_decompose(PolicyTensor(np.eye(3)[None]))
+            bvn_decompose(np.eye(3)[None])
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
                                          -float("inf")],
@@ -110,8 +109,11 @@ class TestRoundTrip:
                 assert sum(w for w, _ in user_terms) == pytest.approx(1.0, abs=1e-9)
                 assert len(user_terms) <= (n - 1) ** 2 + 1
             rec = reconstruct(dec)
-            assert np.abs(rec.matrices - policy.dense()).max() <= n * 1e-9 + 1e-9
-            assert user_utility(rec, rel, exp) == pytest.approx(
+            # doubly stochastic within the weights' 1e-9
+            assert np.abs(rec.sum(axis=2) - 1.0).max() <= 1e-9
+            assert np.abs(rec.sum(axis=1) - 1.0).max() <= 1e-9
+            assert np.abs(rec - policy.dense()).max() <= n * 1e-9 + 1e-9
+            assert np.sum(rel.values * (rec @ exp.weights)) == pytest.approx(
                 user_utility(policy, rel, exp), abs=1e-6)
 
     def test_reconstruct_keeps_the_weights_as_they_are(self):
@@ -119,13 +121,13 @@ class TestRoundTrip:
         dec = BvnDecomposition(mixture=RankingMixture.from_counts(
             2, [2], [0.5 + 4e-10, 0.5], [2, 2], [0, 1, 1, 0]),
             epsilon=DEFAULT_EPSILON)
-        rows = reconstruct(dec).matrices.sum(axis=2)
+        rows = reconstruct(dec).sum(axis=2)
         assert rows == pytest.approx(np.full((1, 2), 1.0 + 4e-10),
                                      rel=0, abs=1e-15)
 
     def test_uniform_round_trips_to_uniform(self):
         dec = bvn_decompose(solve_uniform(3, 4))
-        assert np.allclose(reconstruct(dec).matrices, 0.25, atol=1e-12)
+        assert np.allclose(reconstruct(dec), 0.25, atol=1e-12)
 
 
 class TestSampleRanking:

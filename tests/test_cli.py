@@ -390,7 +390,7 @@ class TestDecomposeAndSample:
         monkeypatch.setattr(cli, "_CHECK_ENTRIES", block * 26)
         seen = self._count_checked(monkeypatch)
         dec = bvn_decompose(mixture)
-        whole = float(np.abs(reconstruct(dec).matrices - mixture.dense()).max())
+        whole = float(np.abs(reconstruct(dec) - mixture.dense()).max())
         assert cli._reconstruction_error(dec, mixture) == whole
         assert sum(seen) == 3 and max(seen) <= block
         assert len(seen) == -(-3 // block)    # blocks fill up
@@ -421,7 +421,7 @@ class TestDecomposeAndSample:
         monkeypatch.setattr(cli, "_CHECK_ENTRIES", entries)
         seen = self._count_checked(monkeypatch)
         dec = bvn_decompose(mixture)
-        whole = float(np.abs(reconstruct(dec).matrices - mixture.dense()).max())
+        whole = float(np.abs(reconstruct(dec) - mixture.dense()).max())
         assert cli._reconstruction_error(dec, mixture) == whole
         assert seen == blocks
 

@@ -9,8 +9,6 @@ from nswrank import (
     DimensionError,
     ExposureModel,
     ImpactFunction,
-    NotDoublyStochastic,
-    PolicyTensor,
     RelevanceMatrix,
     amortized_exposure,
     envy_matrix,
@@ -89,48 +87,6 @@ class TestExposureModel:
         assert exp.total_exposure == pytest.approx(1.4)
 
 
-class TestPolicyTensor:
-    def test_rejects_bad_row_sums(self):
-        mats = np.full((1, 2, 2), 0.5)
-        mats[0, 0, 0] = 0.6
-        with pytest.raises(NotDoublyStochastic):
-            PolicyTensor(mats)
-
-    def test_rejects_negative_entries(self):
-        mats = np.array([[[1.2, -0.2], [-0.2, 1.2]]])
-        with pytest.raises(NotDoublyStochastic):
-            PolicyTensor(mats)
-
-    @staticmethod
-    def _residue_policy():
-        # solver residue within DS_TOL: entries 1e-7 off an exact policy,
-        # and one entry of -1e-12
-        mats = np.full((2, 2, 2), 0.5)
-        mats[0] += np.array([[1e-7, -1e-7], [-1e-7, 1e-7]])
-        mats[1] = [[-1e-12, 1.0], [1.0, 1e-7]]
-        return mats
-
-    def test_keeps_entries_as_given(self):
-        mats = self._residue_policy()
-        pol = PolicyTensor(mats)
-        assert np.array_equal(pol.matrices[0], mats[0])
-        assert pol.matrices[1, 0, 0] == 0.0
-        assert np.array_equal(pol.matrices[1].ravel()[1:], mats[1].ravel()[1:])
-
-    def test_leaves_the_callers_array_alone(self):
-        mats = self._residue_policy()
-        given = mats.copy()
-        pol = PolicyTensor(mats)
-        assert np.array_equal(mats, given) and mats.flags.writeable
-        assert not np.shares_memory(pol.matrices, mats)
-        assert not pol.matrices.flags.writeable
-        assert np.array_equal(pol.matrices, np.clip(given, 0.0, 1.0))
-
-    def test_wrong_shape(self):
-        with pytest.raises(DimensionError):
-            PolicyTensor(np.ones((2, 3, 4)) / 3)
-
-
 class TestUserUtility:
     def test_toy_utility_max(self, toy_market):
         rel, exp = toy_market
@@ -202,7 +158,7 @@ def test_measurement_invariants(m, n, cutoff, seed):
     rng = np.random.default_rng(seed)
     rel = RelevanceMatrix(rng.uniform(0, 1, (m, n)))
     exp = ExposureModel.make("inverse", n, min(cutoff, n))
-    policy = PolicyTensor(random_policy(m, n, seed))
+    policy = random_policy(m, n, seed)
 
     # utility decomposes into relevance-weighted impacts
     assert user_utility(policy, rel, exp) == pytest.approx(

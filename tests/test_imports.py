@@ -18,7 +18,7 @@ PUBLIC = [
     "BvnDecomposition", "DS_TOL", "DegenerateMarketError", "DimensionError",
     "ExposureModel", "FairnessReport", "ImpactFunction", "InfeasibleError",
     "NotDoublyStochastic", "NswConfig", "NswrankError",
-    "ParseError", "PolicyTensor", "RankingMixture", "RelevanceMatrix",
+    "ParseError", "RankingMixture", "RelevanceMatrix",
     "SchemaError", "SizeError", "SolveDiagnostics", "SolverError",
     "SyntheticConfig", "ZeroMeritError", "__version__", "adversarial_market",
     "amortized_exposure", "brute_force_oracle", "bvn_decompose",

@@ -15,7 +15,6 @@ from nswrank import (
     NotDoublyStochastic,
     NswConfig,
     ParseError,
-    PolicyTensor,
     RankingMixture,
     RelevanceMatrix,
     SchemaError,
@@ -400,8 +399,8 @@ class TestMixturePolicyJson:
             "policy/v2")
         # dense marginals have no file format: refused before it is opened
         dense = tmp_path / "dense.json"
-        with pytest.raises(SchemaError, match="not a PolicyTensor"):
-            nio.save_policy(dense, PolicyTensor(np.full((1, 2, 2), 0.5)),
+        with pytest.raises(SchemaError, match="not a ndarray"):
+            nio.save_policy(dense, np.full((1, 2, 2), 0.5),
                             "uniform", "inverse", 1)
         assert not dense.exists()
 
@@ -562,8 +561,7 @@ class TestDecompositionJson:
         nio.save_decomposition(path, dec)
         loaded = nio.load_decomposition(path)
         assert loaded.m == dec.m and loaded.n == dec.n
-        assert np.allclose(reconstruct(loaded).matrices,
-                           reconstruct(dec).matrices, atol=1e-12)
+        assert np.allclose(reconstruct(loaded), reconstruct(dec), atol=1e-12)
 
     def test_prefix_decomposition_round_trips_as_v2(self, tmp_path):
         mix = RankingMixture.from_counts(3, [2, 1], [0.25, 0.75, 1.0],

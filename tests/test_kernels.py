@@ -392,6 +392,18 @@ class TestFaceStep:
         W = np.concatenate([theta0[:, None], thetas], axis=1)
         assert np.all(W[left] == 0.0)
 
+    def test_a_zero_impact_leaves_the_state_alone(self):
+        # no user ranks item 1 and none keeps its uniform start
+        V, eK, w, theta0, thetas, prefixes = face_state(3079834, m=4, n=6, k=1,
+                                                        vertices=4)
+        with np.errstate(divide="ignore"):
+            _, imp = face_objective(V, eK, w, theta0, thetas, prefixes)
+        assert imp.min() == 0.0
+        W, before = np.concatenate([theta0[:, None], thetas], axis=1), imp.copy()
+        _kernels.face_step(V, w, eK, eK.sum() / 6, theta0, thetas, prefixes, imp)
+        assert np.array_equal(np.concatenate([theta0[:, None], thetas], axis=1), W)
+        assert np.array_equal(imp, before)
+
 
 class TestMatching:
     @pytest.mark.parametrize("seed", range(5))

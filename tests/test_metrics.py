@@ -9,7 +9,6 @@ from nswrank import (
     ExposureModel,
     ImpactFunction,
     NswConfig,
-    PolicyTensor,
     RelevanceMatrix,
     ZeroMeritError,
     envy_matrix,
@@ -222,16 +221,17 @@ class TestFairnessReport:
        kind=st.sampled_from(["inverse", "exponential", "dcg"]),
        vfn=st.sampled_from([RW, XO]), zero_cols=st.integers(0, 2),
        seed=st.integers(0, 10**6))
-def test_report_matches_uniform_tensor_reference(m, n, cutoff, kind, vfn,
+def test_report_matches_uniform_policy_reference(m, n, cutoff, kind, vfn,
                                                  zero_cols, seed):
-    # the report's closed-form uniform baseline against the impact of an
-    # explicit uniform PolicyTensor, with some all-zero relevance columns
+    # the report's closed-form uniform baseline against the impact of the
+    # uniform policy that solve_uniform returns, with some all-zero
+    # relevance columns
     rng = np.random.default_rng(seed)
     values = rng.uniform(0, 1, (m, n))
     values[:, rng.permutation(n)[:min(zero_cols, n - 1)]] = 0.0
     rel = RelevanceMatrix(values)
     exp = ExposureModel.make(kind, n, min(cutoff, n))
-    policy = PolicyTensor(random_policy(m, n, seed))
+    policy = random_policy(m, n, seed)
     report = fairness_report(policy, rel, exp, vfn)
 
     imp = item_impact(policy, rel, exp, vfn)

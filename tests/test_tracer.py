@@ -23,7 +23,8 @@ import tracer
 tracer.install()
 from nswrank import bvn, cli, core
 for fn in (core.renormalize_doubly_stochastic,
-           bvn.renormalize_doubly_stochastic, cli.bvn_decompose):
+           bvn.renormalize_doubly_stochastic, cli.bvn_decompose,
+           cli.reconstruct):
     assert hasattr(fn, "__wrapped__"), fn
 """
 
