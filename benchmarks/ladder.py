@@ -80,6 +80,7 @@ def _timed_check(dec, pol) -> float:
 
 def run_rung(m: int, n: int, k: int, policy: str) -> dict:
     """Time one policy's pipeline on the rung's market, in this process."""
+    import numpy as np
     from nswrank import (bvn_decompose, fairness_report, sample_ranking,
                          solve_expo_fair, solve_nsw)
     from nswrank.io import save_policy
@@ -98,7 +99,7 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
     for user in range(m):
         sample_ranking(dec, user, seed=user)
     sampled = time.perf_counter()
-    counts = [len(user_terms) for user_terms in dec.terms]
+    counts = np.diff(dec.indptr)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "policy.json")
         save_policy(path, pol, policy, "inverse", k, diagnostics=diag,
@@ -114,8 +115,8 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
         "decompose_s": decomposed - evaluated,
         "check_s": check_s,
         "sample_s": sampled - checked,
-        "terms_per_user": sum(counts) / m,
-        "terms_max": max(counts),
+        "terms_per_user": int(counts.sum()) / m,
+        "terms_max": int(counts.max()),
         "policy_bytes": policy_bytes,
         # ru_maxrss is in kB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

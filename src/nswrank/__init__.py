@@ -5,6 +5,8 @@ problem: the Nash-social-welfare solver (optionally merit-weighted), the
 merit-proportional exposure LP baseline, utility-max and uniform references,
 Birkhoff-von-Neumann sampling of concrete rankings, and a fairness audit
 suite (envy, dominance over uniform) with a synthetic-market harness.
+Policies and their decompositions are both ``RankingMixture``s: per user, a
+few weighted ranking prefixes.
 """
 
 import importlib
@@ -14,8 +16,7 @@ import importlib
 # on first access (``__getattr__``), so a caller, the CLI included, loads
 # only the modules it uses.
 _SOURCES = {
-    "bvn": ("BvnDecomposition", "bvn_decompose", "reconstruct",
-            "sample_ranking"),
+    "bvn": ("bvn_decompose", "reconstruct", "sample_ranking"),
     "core": ("DS_TOL", "ExposureModel", "ImpactFunction", "RankingMixture",
              "RelevanceMatrix", "amortized_exposure", "exposure_profile",
              "item_impact", "merit", "user_utility"),

@@ -44,9 +44,9 @@ from .errors import (
 # loads only what it runs, and replacing ``cli.<name>`` (a test's
 # monkeypatch, a timing wrapper) still reaches every call.
 _DEFERRED = {name: _MODULE_OF[name] for name in (
-    "BvnDecomposition", "bvn_decompose", "reconstruct", "sample_ranking",
-    "fairness_report", "NswConfig", "SolveDiagnostics", "solve_expo_fair",
-    "solve_nsw", "solve_uniform", "solve_utility_max", "SyntheticConfig",
+    "bvn_decompose", "reconstruct", "sample_ranking", "fairness_report",
+    "NswConfig", "SolveDiagnostics", "solve_expo_fair", "solve_nsw",
+    "solve_uniform", "solve_utility_max", "SyntheticConfig",
     "generate_market")}
 _DEFERRED["check_size"] = "bvn"
 # the value ``_load`` last bound to each name: a global that no longer holds
@@ -85,6 +85,7 @@ def __getattr__(name: str):
 
 
 _EXPOSURE_KINDS = ("inverse", "exponential", "dcg")
+_POLICY_CHOICES = ("max", "uniform", "expo-fair", "nsw")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="compute a ranking policy")
-    s.add_argument("--policy", required=True,
-                   choices=["max", "uniform", "expo-fair", "nsw"])
+    s.add_argument("--policy", required=True, choices=_POLICY_CHOICES)
     s.add_argument("--alpha", type=float, default=0.0,
                    help="merit weight exponent for the nsw policy")
     s.add_argument("--relevance", required=True)
@@ -223,8 +223,7 @@ def cmd_decompose(args) -> int:
 _CHECK_ENTRIES = 2**20
 
 
-def _reconstruction_error(dec: BvnDecomposition,
-                          policy: RankingMixture) -> float:
+def _reconstruction_error(dec: RankingMixture, policy: RankingMixture) -> float:
     """Largest |reconstruct(dec) - policy| entry, or 0 when no user needs
     checking.
 
@@ -243,10 +242,10 @@ def _reconstruction_error(dec: BvnDecomposition,
     so a block holds at most ``_CHECK_ENTRIES`` of those, or one user.
     """
     _load("bvn")
-    check = np.flatnonzero(~_own_terms(dec.mixture, policy))
-    n, mix = dec.n, dec.mixture
-    tail = n - mix.lengths
-    cost = (n * n + np.bincount(mix.term_users(), mix.lengths + tail * tail,
+    check = np.flatnonzero(~_own_terms(dec, policy))
+    n = dec.n
+    tail = n - dec.lengths
+    cost = (n * n + np.bincount(dec.term_users(), dec.lengths + tail * tail,
                                 minlength=dec.m))[check]
     ends = np.cumsum(cost)
     err = 0.0
@@ -256,9 +255,8 @@ def _reconstruction_error(dec: BvnDecomposition,
         hi = max(lo + 1, int(np.searchsorted(
             ends, ends[lo] - cost[lo] + _CHECK_ENTRIES, side="right")))
         users = check[lo:hi]
-        part = BvnDecomposition(mix.take(users), dec.epsilon)
         want = policy.take(users).dense()
-        err = max(err, float(np.abs(reconstruct(part) - want).max()))
+        err = max(err, float(np.abs(reconstruct(dec.take(users)) - want).max()))
         lo = hi
     return err
 
@@ -292,9 +290,6 @@ def cmd_sample(args) -> int:
 
 
 # ------------------------------------------------------------------- sweep
-
-
-_POLICY_CHOICES = ("max", "uniform", "expo-fair", "nsw")
 
 
 def _parse_sweep_config(doc: dict) -> dict:

@@ -233,7 +233,11 @@ class RankingMixture:
         """The mixture of the given users alone, in ascending order, each
         with its terms in order.  It costs the span from the first user to
         the last, not the whole mixture."""
-        users = np.asarray(users, dtype=np.int64)
+        users = np.asarray(users)
+        if users.size and users.dtype.kind not in "iu":  # bools and floats
+            raise ValueError(f"take needs integer users in 0..{self.m - 1}, "
+                             f"not {users.dtype} ones")
+        users = users.astype(np.int64, copy=False)
         if users.size == 0 or np.any(np.diff(users) <= 0):
             raise ValueError("take needs at least one user, in ascending order")
         outside = (users < 0) | (users >= self.m)
@@ -253,6 +257,15 @@ class RankingMixture:
             items = items[np.repeat(terms, lengths)]
             counts, weights, lengths = counts[kept], weights[terms], lengths[terms]
         return RankingMixture.from_counts(self.n, counts, weights, lengths, items)
+
+    @property
+    def terms(self) -> tuple:
+        """Per user, its ``(weight, items_by_rank)`` pairs: ``items_by_rank[k]``
+        is the item at rank k of the term's prefix."""
+        prefixes = np.split(self.items, np.cumsum(self.lengths)[:-1])
+        pairs = list(zip(self.weights.tolist(), prefixes))
+        indptr = self.indptr.tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(indptr, indptr[1:]))
 
     def term_users(self) -> np.ndarray:
         """The user of each term."""

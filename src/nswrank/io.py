@@ -11,9 +11,11 @@ A policy file is ``policy/v2``, a ``RankingMixture``: per user, a list of
 terms ``{"weight": w, "items_by_rank": prefix}`` with prefixes of any length
 0..n.  It is the one policy format: ``save_policy`` refuses any other policy
 and ``load_policy`` any other schema, the dense ``policy/v1`` included.  A
-decomposition has the same ``users`` layout: ``decomposition/v1`` when every
-term is a full ranking, ``decomposition/v2`` otherwise;
-``load_decomposition`` reads both.
+decomposition is a ``RankingMixture`` too, in the same ``users`` layout:
+``decomposition/v1`` when every term is a full ranking,
+``decomposition/v2`` otherwise; ``load_decomposition`` reads both and
+checks that each user's weights sum to 1 within 1e-9.  Every decomposition
+file records ``"epsilon": 1e-9``, a fixed field that nothing reads.
 
 Policy and decomposition JSON hold one large array, their terms.  Their
 writers stream that array one user at a time and produce exactly the bytes
@@ -33,8 +35,7 @@ import numpy as np
 from .core import RankingMixture, RelevanceMatrix
 from .errors import DimensionError, NotDoublyStochastic, ParseError, SchemaError
 
-if TYPE_CHECKING:  # imported where they are used: a command loads only what it runs
-    from .bvn import BvnDecomposition
+if TYPE_CHECKING:  # imported where it is used: a command loads only what it runs
     from .solvers import SolveDiagnostics
 
 POLICY_MIXTURE_SCHEMA = "policy/v2"
@@ -229,17 +230,17 @@ def load_metrics(path) -> dict:
 # ------------------------------------------------------------ decomposition
 
 
-def save_decomposition(path, dec: BvnDecomposition) -> None:
+def save_decomposition(path, dec: RankingMixture) -> None:
     """decomposition/v1 when every term is a full ranking, else v2."""
-    full = np.all(dec.mixture.lengths == dec.n)
+    full = np.all(dec.lengths == dec.n)
     doc = {
         "schema": DECOMPOSITION_SCHEMA if full else DECOMPOSITION_PREFIX_SCHEMA,
         "m": dec.m,
         "n": dec.n,
-        "epsilon": dec.epsilon,
+        "epsilon": 1e-9,  # a fixed field of the format: nothing reads it
         "users": _SLOT,
     }
-    _dump_json_streamed(doc, path, _users_texts(dec.mixture))
+    _dump_json_streamed(doc, path, _users_texts(dec))
 
 
 def _users_texts(mix: RankingMixture):
@@ -261,9 +262,11 @@ def _term_text(weight: float, items_by_rank: list) -> str:
             f'\n        "items_by_rank": {ranks}\n      }}')
 
 
-def load_decomposition(path) -> BvnDecomposition:
-    """A decomposition/v1 (permutations) or v2 (prefixes of length 0..n)."""
-    from .bvn import BvnDecomposition, check_size
+def load_decomposition(path) -> RankingMixture:
+    """A decomposition/v1 (permutations) or v2 (prefixes of length 0..n),
+    whose users' weights each sum to 1 within 1e-9.  Its ``epsilon`` must be
+    a finite number and is discarded."""
+    from .bvn import check_size
 
     doc = _read_json(path)
     schema = _require_schema(doc, DECOMPOSITION_SCHEMA,
@@ -279,10 +282,14 @@ def load_decomposition(path) -> BvnDecomposition:
     counts, weights, lengths, items = _parse_users(
         doc, m, n, full=schema == DECOMPOSITION_SCHEMA)
     try:
-        return BvnDecomposition(mixture=RankingMixture.from_counts(
-            n, counts, weights, lengths, items), epsilon=float(epsilon))
-    except (ValueError, NotDoublyStochastic) as exc:  # sums that miss 1
+        mix = RankingMixture.from_counts(n, counts, weights, lengths, items)
+    except NotDoublyStochastic as exc:  # a repeated item, sums that miss 1
         raise ParseError(str(exc)) from None
+    sums = np.bincount(mix.term_users(), weights=mix.weights, minlength=m)
+    err = np.abs(sums - 1.0)
+    if err.max() > 1e-9:
+        raise ParseError(f"term weights sum to {sums[err.argmax()]}, expected 1")
+    return mix
 
 
 def _parse_users(doc: dict, m: int, n: int, full: bool) -> tuple:

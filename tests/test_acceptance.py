@@ -262,7 +262,7 @@ def test_criterion_7_bvn_suite():
             solve_expo_fair(rel, exp)[0],
         ]
         for pidx, policy in enumerate(policies):
-            dec = bvn_decompose(policy, epsilon=1e-10)
+            dec = bvn_decompose(policy)
             err = float(np.abs(reconstruct(dec) - policy.dense()).max())
             if err > 1e-8:
                 bad.append(f"trial {trial} policy {pidx}: reconstruction {err:.2e}")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nswrank import (
-    BvnDecomposition,
     ExposureModel,
     RankingMixture,
     RelevanceMatrix,
@@ -18,7 +17,6 @@ from nswrank import (
     solve_utility_max,
     user_utility,
 )
-from nswrank.bvn import DEFAULT_EPSILON
 
 
 def permutations(n: int, weights: list, perms: list) -> RankingMixture:
@@ -79,15 +77,6 @@ class TestBvnDecompose:
         with pytest.raises(SchemaError, match="policy/v2"):
             bvn_decompose(np.eye(3)[None])
 
-    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
-                                         -float("inf")],
-                             ids=["nan", "inf", "-inf"])
-    def test_non_finite_epsilon_is_refused(self, epsilon):
-        # load_decomposition refuses a file that records it, so no such
-        # decomposition is built to be saved
-        with pytest.raises(ValueError, match="epsilon must be a finite number"):
-            bvn_decompose(solve_uniform(2, 3), epsilon=epsilon)
-
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -118,9 +107,8 @@ class TestRoundTrip:
 
     def test_reconstruct_keeps_the_weights_as_they_are(self):
         # weights within the 1e-9 sum check but off 1: the rebuilt rows show it
-        dec = BvnDecomposition(mixture=RankingMixture.from_counts(
-            2, [2], [0.5 + 4e-10, 0.5], [2, 2], [0, 1, 1, 0]),
-            epsilon=DEFAULT_EPSILON)
+        dec = RankingMixture.from_counts(
+            2, [2], [0.5 + 4e-10, 0.5], [2, 2], [0, 1, 1, 0])
         rows = reconstruct(dec).sum(axis=2)
         assert rows == pytest.approx(np.full((1, 2), 1.0 + 4e-10),
                                      rel=0, abs=1e-15)
@@ -162,6 +150,22 @@ class TestSampleRanking:
         a = sample_ranking(dec, 1, seed=123)
         b = sample_ranking(dec, 1, seed=123)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_policy_is_its_own_decomposition(self, seed):
+        # sampling a solver's policy draws what sampling its decomposition
+        # draws, for every user and seed
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 11)), int(rng.integers(2, 11))
+        rel = RelevanceMatrix(rng.uniform(0.05, 1.0, (m, n)))
+        exp = ExposureModel.make("inverse", n, min(3, n))
+        for policy in (solve_uniform(m, n), solve_utility_max(rel, exp),
+                       solve_nsw(rel, exp)[0], solve_expo_fair(rel, exp)[0]):
+            dec = bvn_decompose(policy)
+            for user in range(m):
+                for draw in range(3):
+                    assert np.array_equal(sample_ranking(policy, user, draw),
+                                          sample_ranking(dec, user, draw))
 
     def test_user_out_of_range(self):
         dec = bvn_decompose(solve_uniform(1, 2))

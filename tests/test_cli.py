@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nswrank import (BvnDecomposition, RankingMixture, bvn_decompose, cli,
-                     reconstruct, solve_uniform, solvers)
+from nswrank import (RankingMixture, bvn_decompose, cli, reconstruct,
+                     solve_uniform, solvers)
 from nswrank import io as nio
 from nswrank.cli import main
 from nswrank.errors import InfeasibleError
@@ -404,7 +404,7 @@ class TestDecomposeAndSample:
                                 (0.75 + d, rng.permutation(4))]
                                for d in (2 * ulp, -3 * ulp)])
         dec = bvn_decompose(close)
-        assert np.array_equal(dec.mixture.weights, close.weights)
+        assert np.array_equal(dec.weights, close.weights)
         seen.clear()
         assert cli._reconstruction_error(dec, close) == 0.0
         assert seen == []
@@ -432,8 +432,7 @@ class TestDecomposeAndSample:
         # prefix differs from the policy's is checked
         full = np.array([2, 3, 1, 0])
         policy = self._mixture([[(0.5, np.array([0, 1])), (0.5, full)]])
-        dec = BvnDecomposition(
-            self._mixture([[(0.5, np.array(prefix)), (0.5, full)]]), 1e-9)
+        dec = self._mixture([[(0.5, np.array(prefix)), (0.5, full)]])
         assert cli._reconstruction_error(dec, policy) == error
 
     def test_own_terms_build_no_block(self, tmp_path, capsys, monkeypatch):

@@ -15,7 +15,7 @@ import nswrank
 from nswrank import cli
 
 PUBLIC = [
-    "BvnDecomposition", "DS_TOL", "DegenerateMarketError", "DimensionError",
+    "DS_TOL", "DegenerateMarketError", "DimensionError",
     "ExposureModel", "FairnessReport", "ImpactFunction", "InfeasibleError",
     "NotDoublyStochastic", "NswConfig", "NswrankError",
     "ParseError", "RankingMixture", "RelevanceMatrix",

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nswrank import (
-    BvnDecomposition,
     DimensionError,
     ExposureModel,
     NotDoublyStochastic,
@@ -573,7 +572,7 @@ class TestDecompositionJson:
         doc = json.loads(text)
         assert doc["schema"] == "decomposition/v2"
         loaded = nio.load_decomposition(path)
-        assert same_mixture(loaded.mixture, mix)
+        assert same_mixture(loaded, mix)
         nio.save_decomposition(path, loaded)
         assert path.read_bytes() == text
         # decomposition/v1 holds permutations only
@@ -585,8 +584,7 @@ class TestDecompositionJson:
     def test_rejects_a_nan_weight(self):
         # so no decomposition file can hold one
         with pytest.raises(NotDoublyStochastic):
-            BvnDecomposition(mixture=RankingMixture.from_counts(
-                2, [1], [float("nan")], [2], [0, 1]), epsilon=1e-9)
+            RankingMixture.from_counts(2, [1], [float("nan")], [2], [0, 1])
 
     def test_rejects_non_permutation(self, tmp_path):
         path = tmp_path / "dec.json"
@@ -653,6 +651,35 @@ class TestDecompositionJson:
         with pytest.raises(error):
             nio.load_decomposition(path)
 
+    @pytest.mark.parametrize("miss, error", [(5e-10, None), (1e-8, ParseError)],
+                             ids=["within-1e-9", "past-1e-9"])
+    def test_weights_sum_to_1_within_1e_9(self, tmp_path, miss, error):
+        # RankingMixture takes sums within 1e-6; a decomposition's are 1
+        # within 1e-9
+        path = tmp_path / "dec.json"
+        doc = {"schema": "decomposition/v1", "m": 1, "n": 2, "epsilon": 1e-9,
+               "users": [[{"weight": 0.5 + miss, "items_by_rank": [1, 0]},
+                          {"weight": 0.5, "items_by_rank": [0, 1]}]]}
+        path.write_text(json.dumps(doc))
+        if error is None:
+            assert nio.load_decomposition(path).weights.tolist() == [
+                0.5 + miss, 0.5]
+        else:
+            with pytest.raises(error, match="term weights sum to .*, expected 1"):
+                nio.load_decomposition(path)
+
+    def test_a_bare_value_error_propagates(self, tmp_path, monkeypatch):
+        # a mixture that is not doubly stochastic is a ParseError; any other
+        # error while building it is a bug, and stays what it is
+        def broken(*args):
+            raise ValueError("broken build")
+
+        path = tmp_path / "dec.json"
+        nio.save_decomposition(path, bvn_decompose(solve_uniform(2, 3)))
+        monkeypatch.setattr(RankingMixture, "from_counts", broken)
+        with pytest.raises(ValueError, match="^broken build$"):
+            nio.load_decomposition(path)
+
 
 @st.composite
 def _metrics_docs(draw):
@@ -709,7 +736,6 @@ def test_load_decomposition_fuzz_raises_only_typed_errors(tmp_path_factory,
     except (ParseError, SchemaError, DimensionError, SizeError):
         return
     assert dec.m == len(dec.terms) >= 1 and dec.n >= 2
-    assert np.isfinite(dec.epsilon)
     for user_terms in dec.terms:
         for _, prefix in user_terms:
             items = sorted(prefix.tolist())
@@ -815,8 +841,8 @@ class TestStreamedWritersMatchJsonDump:
             dec = bvn_decompose(solve_expo_fair(rel, exp)[0])
         else:
             weights = [1 / 3, 2 / 3, 0.1, 0.9, 5e-324, 1.0]
-            dec = BvnDecomposition(mixture=RankingMixture.from_counts(
-                2, [2, 2, 2], weights, [2] * 6, [0, 1, 1, 0] * 3), epsilon=1e-9)
+            dec = RankingMixture.from_counts(
+                2, [2, 2, 2], weights, [2] * 6, [0, 1, 1, 0] * 3)
         path = tmp_path / "dec.json"
         nio.save_decomposition(path, dec)
         # decomposition/v1 when every term is a full ranking
@@ -826,7 +852,7 @@ class TestStreamedWritersMatchJsonDump:
                        else nio.DECOMPOSITION_PREFIX_SCHEMA),
             "m": dec.m,
             "n": dec.n,
-            "epsilon": dec.epsilon,
+            "epsilon": 1e-9,
             "users": [
                 [{"weight": float(w), "items_by_rank": perm.tolist()}
                  for w, perm in user_terms]

@@ -14,6 +14,7 @@ from nswrank import (
     RankingMixture,
     bvn_decompose,
     reconstruct,
+    solve_uniform,
 )
 from nswrank import io as nio
 
@@ -159,6 +160,21 @@ class TestMarginals:
     def test_take_needs_ascending_users(self, users):
         with pytest.raises(ValueError, match="ascending"):
             random_mixture(0, 3, 4).take(users)
+
+    @pytest.mark.parametrize("users", [[0.9], [True], np.array([1.7])],
+                             ids=["float", "bool", "float-array"])
+    def test_take_needs_integer_users(self, users):
+        # each would otherwise be read as user 0 or user 1
+        with pytest.raises(ValueError, match="integer users"):
+            solve_uniform(2, 3).take(users)
+
+    @pytest.mark.parametrize("users", [[1], [0, 1], np.array([1], np.int32),
+                                       np.array([0, 1], np.uint8)],
+                             ids=["list", "pair", "int32", "uint8"])
+    def test_take_reads_integer_lists_and_arrays(self, users):
+        mix = random_mixture(1, 2, 3)
+        assert np.array_equal(mix.take(users).dense(),
+                              mix.dense()[np.asarray(users)])
 
     def test_policy_tensor_measures_the_same(self):
         mix = random_mixture(2, 4, 6)
