@@ -42,6 +42,7 @@ import bisect
 import numpy as np
 
 from .core import RankingMixture
+from .errors import SolverError
 
 _TINY = 1e-300
 _NEWTON_ITERS = 100
@@ -96,15 +97,19 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         E = _exposures(theta0, thetas, prefixes, eK, u0, n)
         imp = np.einsum("ui,ui->i", Va, E)
         imp[inactive] = 1.0
-        return E, imp, float(wa @ np.log(imp))
+        ratio = wa / imp
+        objective = float(wa @ np.log(imp))
+        if not (np.isfinite(objective) and np.isfinite(ratio).all()):
+            raise SolverError("the NSW solve left the float range: "
+                              f"objective {objective}")
+        return E, imp, ratio, objective
 
     gap = 0.0
     last_gap = np.inf
     iters = 0
     done = False
     for t in range(max_iters):
-        _, imp, objective = snapshot()
-        ratio = wa / imp
+        _, imp, ratio, objective = snapshot()
         bound = rel_gap_tol * max(abs(objective), _TINY)
         pass_gap = 0.0
         for u in range(m):
@@ -191,15 +196,15 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
             face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp)
         if pass_gap <= bound or stalled:
             # verify on a consistent snapshot, against its own objective
-            E, imp, objective = snapshot()
-            gap = _global_gap(Va, wa, eK, E, imp)
+            E, imp, ratio, objective = snapshot()
+            gap = _global_gap(Va, ratio, eK, E)
             if gap <= rel_gap_tol * max(abs(objective), _TINY):
                 done = True
                 break
         gap = pass_gap
     if not done:
-        E, imp, objective = snapshot()
-        gap = _global_gap(Va, wa, eK, E, imp)
+        E, imp, ratio, objective = snapshot()
+        gap = _global_gap(Va, ratio, eK, E)
     return _mixture(theta0, thetas, prefixes, n), iters, gap, objective
 
 
@@ -214,7 +219,7 @@ def newton_step(imp, dimp, w, gamma_max):
     search on lists of Python floats, for moves between two vertices.
     """
     post = imp + gamma_max * dimp
-    if post.min() > 0.0:
+    if (post > 0.0).all():      # true when the impact change underflowed to none
         if w.dot(dimp / post) >= 0.0:
             return gamma_max
         hi = gamma_max
@@ -267,7 +272,7 @@ def _bracketed_newton(slopes, hi, gamma_max):
             hi = g
         else:
             return g
-        step = g + d1 / d2
+        step = g + d1 / d2 if d2 > 0.0 else lo     # d2 underflowed: bisect
         if lo < step < hi:
             if abs(step - g) <= tol:
                 return step
@@ -330,8 +335,12 @@ def _projected_search(face, p, x, r, imp, wa):
     (0, r) to that point crosses 0.  A user's zero is found only once the
     path reaches its chord bound, which most searches never do.  Between
     the stops the impacts move linearly, and ``newton_step`` searches each
-    piece.  Updates imp in place; returns the new (x, r) and the g reached.
+    piece.  Updates imp in place; returns the new (x, r) and the g reached,
+    0 when p or its impact change is not finite (past the float range).
     """
+    dimp = face.apply(p)
+    if not (np.isfinite(p).all() and np.isfinite(dimp).all()):
+        return x, r, 0.0
     fu = face.fu
     m = r.size
     dec = p < 0.0
@@ -345,7 +354,6 @@ def _projected_search(face, p, x, r, imp, wa):
     soonest = float(chord.min()) if pending.size else np.inf
     order = stop.argsort(kind="stable")
     ends = stop[order].tolist()
-    dimp = face.apply(p)
     g, k = 0.0, 0
     while True:
         end = min(ends[k], 1.0) if k < len(ends) else 1.0
@@ -544,8 +552,8 @@ def sort_oracle(coef, K):
     return items[rows, order], values[rows, order]
 
 
-def _global_gap(Va, wa, eK, E, imp):
-    c = Va * (wa / imp)
+def _global_gap(Va, ratio, eK, E):
+    c = Va * ratio
     _, top = sort_oracle(c, eK.size)
     return float(np.sum(top @ eK)) - float(np.sum(c * E))
 

@@ -1,14 +1,9 @@
 """Command-line surface: generate, solve, evaluate, decompose, sample, sweep.
 
-Exit codes: 0 success, 2 bad flags or config, 3 unreadable/unwritable or
-malformed files (a policy file of any schema but policy/v2 too: the dense
-policy/v1 is refused by every command), 4 solver finished without
-reaching its gap target (policy is still written), 5 infeasible or
-degenerate program, 6 dimension mismatch, 8 the exposure-fair solve found no
-optimum for another reason (HiGHS stopped on its master LP, or artificial
-mass was left on an exposure target), 9 a policy or decomposition of n items
-with n^2 > 2^28, refused before anything is decomposed, written or sampled.
-7 is retired and unassigned.
+Exit codes: 0 success, 3 an unreadable or unwritable file, 4 solver
+finished without reaching its gap target (the policy is still written), and
+for each typed error its class's ``exit_code`` (see ``nswrank.errors``).
+Any other exception is a bug and propagates.
 ``decompose`` keeps a policy/v2 mixture's own terms.
 """
 
@@ -24,18 +19,7 @@ import numpy as np
 from . import _MODULE_OF
 from . import io as nio
 from .core import ExposureModel, ImpactFunction, RankingMixture, user_utility
-from .errors import (
-    DegenerateMarketError,
-    DimensionError,
-    InfeasibleError,
-    NotDoublyStochastic,
-    NswrankError,
-    ParseError,
-    SchemaError,
-    SizeError,
-    SolverError,
-    ZeroMeritError,
-)
+from .errors import InputError, NswrankError
 
 # The names this module binds from the modules that only some commands run,
 # each with its module (``nswrank._MODULE_OF``; ``check_size`` is not public).
@@ -173,7 +157,7 @@ def _solve_one(kind: str, rel, exp, alpha: float, tol: float, max_iters: int):
         converged = diag.duality_gap <= tol * max(abs(diag.objective_value), 1e-300)
         return policy, diag, converged
     else:
-        raise ValueError(f"unknown policy {kind!r}")
+        raise InputError(f"unknown policy {kind!r}")
     diag = SolveDiagnostics(objective_value=user_utility(policy, rel, exp))
     return policy, diag, True
 
@@ -283,7 +267,9 @@ def cmd_sample(args) -> int:
     _load("bvn")
     dec = nio.load_decomposition(args.decomposition)
     if not 0 <= args.user < dec.m:
-        raise ValueError(f"user {args.user} out of range for m={dec.m}")
+        raise InputError(f"user {args.user} out of range for m={dec.m}")
+    if args.seed < 0:
+        raise InputError(f"seed must be >= 0, got {args.seed}")
     ranking = sample_ranking(dec, args.user, args.seed)
     print(" ".join(f"{rank + 1},{item}" for rank, item in enumerate(ranking)))
     return 0
@@ -294,12 +280,12 @@ def cmd_sample(args) -> int:
 
 def _parse_sweep_config(doc: dict) -> dict:
     if not isinstance(doc, dict):
-        raise ValueError("sweep config must be a JSON object")
+        raise InputError("sweep config must be a JSON object")
     policies = []
     for entry in _config_field(doc, "policies", []):
         if isinstance(entry, str):
             if entry not in _POLICY_CHOICES:
-                raise ValueError(f"unknown policy {entry!r}")
+                raise InputError(f"unknown policy {entry!r}")
             policies.append((entry, entry, 0.0))
         elif isinstance(entry, dict) and set(entry) == {"alpha-nsw"}:
             for alpha in _config_field(entry, "alpha-nsw", []):
@@ -307,7 +293,7 @@ def _parse_sweep_config(doc: dict) -> dict:
                 name = "nsw" if alpha == 0.0 else f"nsw-a{alpha:g}"
                 policies.append((name, "nsw", alpha))
         else:
-            raise ValueError(f"bad policy entry {entry!r}")
+            raise InputError(f"bad policy entry {entry!r}")
     grid_doc = _config_field(doc, "grid", {}, dict)
     grid = {
         key: [_config_number(v, key, kind)
@@ -317,10 +303,10 @@ def _parse_sweep_config(doc: dict) -> dict:
                                    ("k", int, 5), ("n_items", int, 50))
     }
     if not policies or not all(grid.values()):
-        raise ValueError("sweep config needs a nonempty policy list and grid")
+        raise InputError("sweep config needs a nonempty policy list and grid")
     exposure = doc.get("exposure", "inverse")
     if exposure not in _EXPOSURE_KINDS:
-        raise ValueError(f"unknown exposure kind {exposure!r}")
+        raise InputError(f"unknown exposure kind {exposure!r}")
     return {
         "policies": policies,
         "grid": grid,
@@ -336,7 +322,7 @@ def _parse_sweep_config(doc: dict) -> dict:
 def _config_field(doc: dict, key: str, default, kind=list):
     value = doc.get(key, default)
     if not isinstance(value, kind):
-        raise ValueError(f"bad config: {key} must be a JSON "
+        raise InputError(f"bad config: {key} must be a JSON "
                          f"{'array' if kind is list else 'object'}, got {value!r}")
     return value
 
@@ -363,12 +349,12 @@ def _config_number(value, key: str, kind):
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind is int and isinstance(value, float)
             and not value.is_integer()):
-        raise ValueError(f"bad config: {key} must be a JSON "
+        raise InputError(f"bad config: {key} must be a JSON "
                          f"{'integer' if kind is int else 'number'}, "
                          f"got {json.dumps(value)}")
     in_range, allowed = _CONFIG_RANGES[key]
     if not in_range(value):  # also false for NaN
-        raise ValueError(f"bad config: {key} must be {allowed}, "
+        raise InputError(f"bad config: {key} must be {allowed}, "
                          f"got {json.dumps(value)}")
     return kind(value)
 
@@ -376,8 +362,8 @@ def _config_number(value, key: str, kind):
 def _sweep_unit(task: tuple) -> list:
     """Solve every policy for one (grid point, seed); returns finished rows.
 
-    A typed nswrank error or a ValueError marks a row "error"; any other
-    exception is a bug and propagates.
+    A typed nswrank error marks a row "error"; any other exception is a bug
+    and propagates.
     """
     (lam, noise_c, k, n_items, seed, users, exposure_kind, policies,
      tol, max_iters) = task
@@ -387,7 +373,7 @@ def _sweep_unit(task: tuple) -> list:
         rel_true, rel_pred = generate_market(SyntheticConfig(
             m=users, n=n_items, lam=lam, noise_c=noise_c, seed=seed))
         exp = ExposureModel.make(exposure_kind, n_items, k)
-    except (NswrankError, ValueError):
+    except NswrankError:
         for name, _, _ in policies:
             rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
                                              seed, "error"))
@@ -400,7 +386,7 @@ def _sweep_unit(task: tuple) -> list:
                       report.pct_improved_10, report.pct_decreased_10)
             rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
                                              seed, values))
-        except (NswrankError, ValueError):
+        except NswrankError:
             rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
                                              seed, "error"))
     return rows
@@ -408,9 +394,13 @@ def _sweep_unit(task: tuple) -> list:
 
 def cmd_sweep(args) -> int:
     if args.parallel < 1:
-        raise ValueError(f"--parallel must be at least 1, got {args.parallel}")
+        raise InputError(f"--parallel must be at least 1, got {args.parallel}")
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = _parse_sweep_config(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InputError(f"bad config: {exc}") from None
+    cfg = _parse_sweep_config(doc)
     grid = cfg["grid"]
     tasks = []
     for lam in sorted(grid["lambda"]):
@@ -458,24 +448,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except NswrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ParseError, SchemaError, NotDoublyStochastic) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InfeasibleError, ZeroMeritError, DegenerateMarketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 8
-    except SizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 9
 
 
 def entry() -> None:  # console-script wrapper

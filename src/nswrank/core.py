@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, NotDoublyStochastic
+from .errors import DimensionError, InputError, NotDoublyStochastic
 
 # Tolerance accepted on the sum of each mixture user's weights.  A policy
 # within it is measured as given, never renormalized.
@@ -41,9 +41,9 @@ class RelevanceMatrix:
         if m < 1 or n < 2:
             raise DimensionError(f"need m >= 1 users and n >= 2 items, got {m} x {n}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("relevance entries must be finite")
+            raise InputError("relevance entries must be finite")
         if np.any(vals < 0):
-            raise ValueError("relevance entries must be nonnegative")
+            raise InputError("relevance entries must be nonnegative")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -75,18 +75,18 @@ class ExposureModel:
 
     def __post_init__(self):
         if self.kind not in _EXPOSURE_KINDS:
-            raise ValueError(f"unknown exposure kind {self.kind!r}")
+            raise InputError(f"unknown exposure kind {self.kind!r}")
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if w.ndim != 1 or w.size < 2:
             raise DimensionError("exposure weights must be a vector of length n >= 2")
         if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+            raise InputError("cutoff must be >= 1")
         if not np.all((w >= 0) & (w <= 1)):  # also false for nan
-            raise ValueError("exposure weights must be finite and lie in [0, 1]")
+            raise InputError("exposure weights must be finite and lie in [0, 1]")
         if np.any(np.diff(w) > 0):
-            raise ValueError("exposure weights must be nonincreasing in rank")
+            raise InputError("exposure weights must be nonincreasing in rank")
         if np.any(w[min(self.cutoff, w.size):] != 0):
-            raise ValueError("exposure weights beyond the cutoff must be zero")
+            raise InputError("exposure weights beyond the cutoff must be zero")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -94,7 +94,7 @@ class ExposureModel:
     def make(cls, kind: str, n: int, cutoff: int) -> "ExposureModel":
         """Build one of the named examination functions over n positions."""
         if kind == "custom":
-            raise ValueError("use ExposureModel.custom for explicit weights")
+            raise InputError("use ExposureModel.custom for explicit weights")
         k = np.arange(1, n + 1, dtype=np.float64)
         if kind == "inverse":
             w = 1.0 / k
@@ -103,7 +103,7 @@ class ExposureModel:
         elif kind == "dcg":
             w = 1.0 / np.log2(k + 1.0)
         else:
-            raise ValueError(f"unknown exposure kind {kind!r}")
+            raise InputError(f"unknown exposure kind {kind!r}")
         w[cutoff:] = 0.0
         return cls(kind=kind, cutoff=cutoff, weights=w)
 
@@ -235,14 +235,14 @@ class RankingMixture:
         the last, not the whole mixture."""
         users = np.asarray(users)
         if users.size and users.dtype.kind not in "iu":  # bools and floats
-            raise ValueError(f"take needs integer users in 0..{self.m - 1}, "
+            raise InputError(f"take needs integer users in 0..{self.m - 1}, "
                              f"not {users.dtype} ones")
         users = users.astype(np.int64, copy=False)
         if users.size == 0 or np.any(np.diff(users) <= 0):
-            raise ValueError("take needs at least one user, in ascending order")
+            raise InputError("take needs at least one user, in ascending order")
         outside = (users < 0) | (users >= self.m)
         if outside.any():
-            raise ValueError(f"take needs ascending users in 0..{self.m - 1}, "
+            raise InputError(f"take needs ascending users in 0..{self.m - 1}, "
                              f"not user {users[outside.argmax()]}")
         first, stop = int(users[0]), int(users[-1]) + 1
         lo, hi = self.indptr[first], self.indptr[stop]

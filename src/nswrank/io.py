@@ -73,16 +73,9 @@ def save_relevance(rel: RelevanceMatrix, path) -> None:
 
 
 def load_relevance(path) -> RelevanceMatrix:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
     # each copy of the file is dropped once the next is made: a 10^4 x 1000
     # file is 149 MB of text
-    del data
+    text = _read_text(path)
     lines = text.splitlines()
     del text
     if not lines:
@@ -401,12 +394,22 @@ def _list_text(texts: list, depth: int) -> str:
     return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * depth + "]"
 
 
+def _read_text(path) -> str:
+    """A file's text; a byte that is not UTF-8 is a ``ParseError``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), line=exc.lineno, column=exc.colno) from None
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(exc), line=exc.lineno, column=exc.colno) from None
 
 
 def _require_schema(doc, *expected: str) -> str:

@@ -23,7 +23,7 @@ from .core import (
     exposure_profile,
     merit,
 )
-from .errors import ZeroMeritError
+from .errors import InputError, ZeroMeritError
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def weighted_envy_matrix(policy: RankingMixture, rel: RelevanceMatrix,
                          alpha: float) -> np.ndarray:
     """Envy grid with each column j scaled by 1 / merit_j^alpha."""
     if not 0.0 <= alpha < np.inf:  # also false for NaN
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+        raise InputError(f"alpha must be finite and >= 0, got {alpha}")
     mer = merit(rel)
     if alpha > 0 and np.any(mer <= 0):
         raise ZeroMeritError(

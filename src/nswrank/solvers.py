@@ -43,6 +43,7 @@ from .errors import (
     DegenerateMarketError,
     DimensionError,
     InfeasibleError,
+    InputError,
     SizeError,
     SolverError,
     ZeroMeritError,
@@ -62,12 +63,12 @@ class NswConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < np.inf:  # also false for NaN
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+            raise InputError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 < self.rel_gap_tol < np.inf:
-            raise ValueError("rel_gap_tol must be finite and > 0, "
+            raise InputError("rel_gap_tol must be finite and > 0, "
                              f"got {self.rel_gap_tol}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+            raise InputError("max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,10 @@ def exposure_targets(rel: RelevanceMatrix, exp: ExposureModel) -> np.ndarray:
         raise ZeroMeritError(
             "merit-proportional exposure needs positive merit for every item; "
             f"zero-merit items: {np.nonzero(mer <= 0)[0].tolist()}")
-    return mer * (rel.m * exp.total_exposure / mer.sum())
+    total = mer.sum()
+    if total == np.inf:
+        raise SolverError("the items' merits sum past the float range")
+    return mer * (rel.m * exp.total_exposure / total)
 
 
 def _check_targets_feasible(targets: np.ndarray, m: int, e: np.ndarray) -> None:
@@ -301,8 +305,8 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     carry the number of pricing rounds (the seed's steps do not count), the
     exposure prices and the Lagrangian duality gap of the returned policy.
     Raises InfeasibleError when the targets cannot be met, and SolverError
-    when HiGHS stops for any other reason or artificial mass is left on a
-    target.
+    when HiGHS stops for any other reason, artificial mass is left on a
+    target or the objective or gap leaves the float range.
     """
     _check_market(rel, exp)
     m, n = rel.m, rel.n
@@ -398,9 +402,13 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     prof = exposure_profile(policy, exp)
     objective = float(np.sum(rel.values * prof))
     ratios = prof.sum(axis=0) / merit(rel)
+    gap = expo_fair_bound(rel, exp, prices) - objective
+    if not np.isfinite([objective, gap]).all():
+        raise SolverError("the exposure-fair certificate left the float "
+                          f"range: objective {objective}, gap {gap}")
     diag = SolveDiagnostics(
         objective_value=objective,
-        duality_gap=expo_fair_bound(rel, exp, prices) - objective,
+        duality_gap=gap,
         iterations=rounds,
         constraint_residual=float(ratios.max() - ratios.min()),
         exposure_prices=prices,
@@ -445,7 +453,8 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     linear oracle is a sort of items against exposure weights; the step size
     comes from a safeguarded Newton search on the 1-D concave restriction.
     Hitting max_iters is not an error: the policy is returned with its final
-    duality gap in the diagnostics.
+    duality gap in the diagnostics.  A pass whose objective or gradient
+    leaves the float range raises SolverError.
     """
     _check_market(rel, exp)
     mer = merit(rel)
@@ -515,7 +524,7 @@ def brute_force_oracle(rel: RelevanceMatrix, exp: ExposureModel,
     """
     _check_market(rel, exp)
     if objective not in ("nsw", "utility", "expo_fair"):
-        raise ValueError(f"unknown oracle objective {objective!r}")
+        raise InputError(f"unknown oracle objective {objective!r}")
     m, n = rel.m, rel.n
     K = int(np.count_nonzero(exp.weights > 0.0))
     if m > 3 or n > 3:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RelevanceMatrix
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -31,11 +32,13 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-        if self.noise_c < 0:
-            raise ValueError("noise_c must be >= 0")
+            raise InputError("lam must lie in [0, 1]")
+        if not 0.0 <= self.noise_c < np.inf:  # also false for NaN
+            raise InputError(f"noise_c must be finite and >= 0, got {self.noise_c}")
         if self.m < 1 or self.n < 2:
-            raise ValueError(f"need m >= 1 and n >= 2, got m={self.m}, n={self.n}")
+            raise InputError(f"need m >= 1 and n >= 2, got m={self.m}, n={self.n}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_market(cfg: SyntheticConfig) -> tuple[RelevanceMatrix, RelevanceMatrix]:
@@ -62,6 +65,6 @@ def generate_market(cfg: SyntheticConfig) -> tuple[RelevanceMatrix, RelevanceMat
 def adversarial_market(n: int) -> RelevanceMatrix:
     """Square market with r(u, i) = (n-u+1)(n-i+1) / n^2 (1-based indices)."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise InputError(f"need n >= 2, got {n}")
     idx = np.arange(1, n + 1, dtype=np.float64)
     return RelevanceMatrix(np.outer(n - idx + 1.0, n - idx + 1.0) / n**2)

@@ -1,19 +1,22 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import hashlib
+import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nswrank import (RankingMixture, bvn_decompose, cli, reconstruct,
+from nswrank import (RankingMixture, bvn_decompose, cli, errors, reconstruct,
                      solve_uniform, solvers)
 from nswrank import io as nio
 from nswrank.cli import main
-from nswrank.errors import InfeasibleError
+from nswrank.errors import InfeasibleError, NswrankError
 
 TOY = "# m=2 n=2\n0.8,0.3\n0.5,0.4\n"
 
@@ -50,6 +53,19 @@ class TestGenerate:
                      "--out-pred", str(tmp_path / "bp.csv")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "ap.csv").read_bytes() == (tmp_path / "bp.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--noise", "nan", "noise_c must be finite and >= 0, got nan"),
+        ("--noise", "inf", "noise_c must be finite and >= 0, got inf"),
+    ], ids=["seed-negative", "noise-nan", "noise-inf"])
+    def test_out_of_range_exit_code(self, tmp_path, capsys, flag, value,
+                                    message):
+        out = tmp_path / "t.csv"
+        assert main(["generate", flag, value, "--out-true", str(out),
+                     "--out-pred", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestSolve:
@@ -131,6 +147,31 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["150", "200", "1e308"])
+    def test_nsw_past_the_float_range_exit_code(self, tmp_path, capsys,
+                                                alpha):
+        # merit^alpha or the impacts leave the float range on the desk market
+        true, pred = tmp_path / "t.csv", tmp_path / "p.csv"
+        assert main(["generate", "--out-true", str(true),
+                     "--out-pred", str(pred)]) == 0
+        out = tmp_path / "nsw.json"
+        with np.errstate(all="ignore"):
+            rc = main(["solve", "--policy", "nsw", "--alpha", alpha,
+                       "--relevance", str(pred), "--out", str(out)])
+        assert rc == 8
+        assert capsys.readouterr().err.startswith(
+            "error: the NSW solve left the float range")
+        assert not out.exists()
+
+    def test_bare_value_error_is_a_bug(self, tmp_path, monkeypatch):
+        def bug(rel, exp):
+            raise ValueError("a bug, not a bad flag")
+
+        monkeypatch.setattr(cli, "solve_utility_max", bug)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["solve", "--policy", "max", "--relevance",
+                  str(write_toy(tmp_path)), "--out", str(tmp_path / "o.json")])
 
     def test_link_is_not_a_flag(self, tmp_path):
         toy = write_toy(tmp_path)
@@ -459,6 +500,30 @@ class TestDecomposeAndSample:
         assert capsys.readouterr().err == (
             f"error: user {user} out of range for m=100\n")
 
+    def test_sample_negative_seed(self, tmp_path, capsys):
+        dec = tmp_path / "dec.json"
+        nio.save_decomposition(dec, bvn_decompose(solve_uniform(2, 2)))
+        rc = main(["sample", "--decomposition", str(dec), "--user", "0",
+                   "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--policy", "{file}", "--relevance", "{toy}",
+         "--out-json", "{out}"],
+        ["decompose", "--policy", "{file}", "--out", "{out}"],
+        ["sample", "--decomposition", "{file}", "--user", "0", "--seed", "3"],
+    ], ids=["evaluate", "decompose", "sample"])
+    def test_json_file_not_utf8_exit_code(self, tmp_path, capsys, command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"schema":\n "policy/v2\xff"}')
+        out = tmp_path / "out.json"
+        names = {"file": path, "toy": write_toy(tmp_path), "out": out}
+        assert main([arg.format(**names) for arg in command]) == 3
+        assert capsys.readouterr().err == (
+            "error: byte 0xff is not UTF-8 (line 2)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("term", [
         {"weight": 1.0},
         {"weight": "heavy", "items_by_rank": [0, 1]},
@@ -736,6 +801,38 @@ class TestSweep:
         with pytest.raises(TypeError):
             cli._sweep_unit(task)
 
+        def bare_value_error(rel, exp):
+            raise ValueError("a bug too")
+
+        monkeypatch.setattr(cli, "solve_utility_max", bare_value_error)
+        with pytest.raises(ValueError):
+            cli._sweep_unit(task)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bare_value_error_ends_the_run(self, tmp_path, monkeypatch,
+                                           workers):
+        # the pool's workers are forked, so they see the replaced solver
+        def bug(rel, exp):
+            raise ValueError("a bug, not a data error")
+
+        monkeypatch.setattr(cli, "solve_utility_max", bug)
+        cfg = self._config(tmp_path, policies=["max"])
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="a bug"):
+            main(["sweep", "--config", str(cfg), "--out", str(out),
+                  "--parallel", workers])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [b"{bad", b"\xff\xfe"],
+                             ids=["not-json", "not-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config: ")
+        assert not out.exists()
+
     def test_lp_failure_gives_error_rows(self, tmp_path, monkeypatch):
         failed = SimpleNamespace(success=False,
                                  message="Numerical difficulties encountered.")
@@ -813,6 +910,21 @@ class TestSweep:
         cfg = self._config(tmp_path, exposure="bogus")
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def test_exit_codes_match_the_readme_table():
+    # every typed error and its exit code, as the README's table lists them
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = {name: int(code) for name, code in
+             re.findall(r"^\| `(\w+)` \| (\d+) \|", readme, re.MULTILINE)}
+    classes = {name: cls.exit_code for name, cls in
+               inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, NswrankError) and cls is not NswrankError}
+    assert classes == table == {
+        "InputError": 2, "ParseError": 3, "SchemaError": 3,
+        "NotDoublyStochastic": 3, "InfeasibleError": 5, "ZeroMeritError": 5,
+        "DegenerateMarketError": 5, "DimensionError": 6, "SolverError": 8,
+        "SizeError": 9}
 
 
 def test_console_script_entry():

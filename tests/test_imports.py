@@ -17,7 +17,7 @@ from nswrank import cli
 PUBLIC = [
     "DS_TOL", "DegenerateMarketError", "DimensionError",
     "ExposureModel", "FairnessReport", "ImpactFunction", "InfeasibleError",
-    "NotDoublyStochastic", "NswConfig", "NswrankError",
+    "InputError", "NotDoublyStochastic", "NswConfig", "NswrankError",
     "ParseError", "RankingMixture", "RelevanceMatrix",
     "SchemaError", "SizeError", "SolveDiagnostics", "SolverError",
     "SyntheticConfig", "ZeroMeritError", "__version__", "adversarial_market",

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nswrank import _kernels
+from nswrank import (ExposureModel, NswConfig, RelevanceMatrix, SolverError,
+                     _kernels, solve_nsw)
 
 
 def random_problem(seed, m=6, n=5, k=2):
@@ -184,6 +185,50 @@ def test_newton_step_falls_back_to_bisection(search, monkeypatch):
     newton = [g + d1 / d2 for g, d1, d2 in points[:-1]]
     assert any(nxt != step for nxt, step in
                zip([g for g, _, _ in points[1:]], newton))
+
+
+def test_zero_curvature_bisects():
+    # a curvature that underflows to 0 gives no Newton step: the search
+    # halves its bracket instead of dividing by 0
+    root = _kernels._bracketed_newton(lambda g: (0.25 - g, 0.0), 1.0, 1.0)
+    assert root == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_extreme_relevance_scales(scale):
+    # c*c in the face step's normal equations overflows at these scales;
+    # the face step then ends, and the passes go on to the same gap
+    exp = ExposureModel.make("inverse", 4, 2)
+    for seed in range(20):
+        rel = RelevanceMatrix(np.random.default_rng(seed).random((4, 4)) * scale)
+        with np.errstate(all="ignore"):
+            _, diag = solve_nsw(rel, exp)
+        assert diag.duality_gap <= 1e-6 * abs(diag.objective_value)
+
+
+def test_tiny_merit_weights_never_divide_by_zero():
+    # at alpha = 1 merits near 1e-300 make the line search's curvature
+    # underflow to 0; the solve ends with a finite objective and gap or
+    # with a typed error (few of these solves reach the gap target)
+    exp = ExposureModel.make("inverse", 4, 2)
+    for seed in range(20):
+        rel = RelevanceMatrix(np.random.default_rng(seed).random((4, 4)) * 1e-300)
+        with np.errstate(all="ignore"):
+            try:
+                _, diag = solve_nsw(rel, exp, NswConfig(alpha=1.0,
+                                                        max_iters=100))
+            except SolverError:
+                continue
+        assert np.isfinite([diag.objective_value, diag.duality_gap]).all()
+
+
+def test_nsw_past_the_float_range_is_a_solver_error():
+    # merit^200 is inf: the first pass's objective is not finite
+    rel = RelevanceMatrix(np.full((2, 3), 100.0))
+    with np.errstate(all="ignore"), pytest.raises(SolverError,
+                                                  match="float range"):
+        solve_nsw(rel, ExposureModel.make("inverse", 3, 2),
+                  NswConfig(alpha=200.0))
 
 
 def stops_before_an_impact_hits_zero(search, seed, n, past):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nswrank import SyntheticConfig, adversarial_market, generate_market, merit
+from nswrank import (InputError, SyntheticConfig, adversarial_market,
+                     generate_market, merit)
 
 
 class TestGenerateMarket:
@@ -42,6 +43,15 @@ class TestGenerateMarket:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
             SyntheticConfig(lam=1.5)
+
+    @pytest.mark.parametrize("field", [{"noise_c": float("nan")},
+                                       {"noise_c": float("inf")},
+                                       {"noise_c": -0.1}, {"seed": -1}],
+                             ids=["noise-nan", "noise-inf", "noise-negative",
+                                  "seed-negative"])
+    def test_out_of_range_is_an_input_error(self, field):
+        with pytest.raises(InputError):
+            SyntheticConfig(**field)
 
 
 class TestAdversarialMarket:
