@@ -18,10 +18,11 @@ process.  Each figure is the median over the REPEATS runs, and each ``*_s``
 figure also has its least and greatest value as ``*_s_min`` and
 ``*_s_max``.  The repeats of a rung are interleaved: the first run of every
 policy, then the second, and so on, so that a slow spell of a shared machine
-falls on every row of the rung rather than on one.  A rung whose
-dense policy tensor would not fit in memory is written as ``null`` with the
-reason.  The file also records the machine's core count and the python,
-numpy and scipy versions.
+falls on every row of the rung rather than on one.  A run that takes more
+than CHILD_BUDGET_S is stopped: its policy's row is written as ``null``,
+its later repeats are skipped, and the rung's ``over_budget`` map gives the
+reason and the seconds spent.  The file also records the machine's core
+count and the python, numpy and scipy versions.
 
 The ``cli_startup`` section times the command line at the desk rung:
 ``python -c "import numpy"``, ``python -c "import nswrank.cli"`` and each
@@ -56,8 +57,9 @@ REPEATS = 3
 # runs of each start-up entry: a start takes about 0.3 s and one run swings
 # by 15% on a shared machine, so the section takes more runs than a rung
 STARTUP_REPEATS = 15
-# a rung whose float64 policy tensor (m x n x n) exceeds this is not run
-DENSE_LIMIT_BYTES = 4e9
+# seconds one run may take before it is stopped: a rung-3 NSW run takes
+# about a minute, and rung-3 exposure-fair does not finish
+CHILD_BUDGET_S = 600
 
 
 def _market(m: int, n: int, k: int):
@@ -137,7 +139,8 @@ def _run_in_child(m: int, n: int, k: int, policy: str) -> dict:
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--one", str(m), str(n),
          str(k), policy],
-        env=env, capture_output=True, text=True, check=True)
+        env=env, capture_output=True, text=True, check=True,
+        timeout=CHILD_BUDGET_S)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -231,17 +234,24 @@ def ladder(rungs=RUNGS) -> dict:
     }
     for m, n, k in rungs:
         rung = {"m": m, "n": n, "k": k}
-        dense = 8.0 * m * n * n
-        if dense > DENSE_LIMIT_BYTES:
-            rung.update(policies=None, reason=f"dense tensor {dense / 1e9:.0f} GB")
-        else:
-            runs = {name: [] for name in POLICIES}
-            for repeat in range(REPEATS):
-                for name in POLICIES:
-                    print(f"{m}x{n}x{k} {name} run {repeat + 1}", file=sys.stderr,
-                          flush=True)
+        runs = {name: [] for name in POLICIES}
+        over = {}
+        for repeat in range(REPEATS):
+            for name in POLICIES:
+                if name in over:
+                    continue
+                print(f"{m}x{n}x{k} {name} run {repeat + 1}", file=sys.stderr,
+                      flush=True)
+                start = time.perf_counter()
+                try:
                     runs[name].append(_run_in_child(m, n, k, name))
-            rung["policies"] = {policy: aggregate(runs[policy]) for policy in POLICIES}
+                except subprocess.TimeoutExpired:
+                    over[name] = {"reason": f"a run took over {CHILD_BUDGET_S} s",
+                                  "seconds": time.perf_counter() - start}
+        rung["policies"] = {policy: None if policy in over
+                            else aggregate(runs[policy]) for policy in POLICIES}
+        if over:
+            rung["over_budget"] = over
         out["rungs"].append(rung)
     return out
 

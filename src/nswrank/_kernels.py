@@ -38,6 +38,7 @@ reach 0 before the search stops.
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 
@@ -80,6 +81,11 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     # Inactive items get zero impact columns and a dummy impact of 1, so
     # their coefficient w/imp and their log term are both exactly 0.
     wa = np.where(active, w, 0.0)
+    # scaled by an even power of two that brings the largest weight near 1,
+    # so the line search's curvature cannot underflow on tiny weights; the
+    # scaling is exact, and the objective and gap are scaled back on return
+    scale = -2 * int(np.frexp(wa.max())[1] // 2)
+    wa = np.ldexp(wa, scale)
     Va = V * active
     neg_Va = -Va
     inactive = ~np.asarray(active, dtype=bool)
@@ -205,7 +211,8 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     if not done:
         E, imp, ratio, objective = snapshot()
         gap = _global_gap(Va, ratio, eK, E)
-    return _mixture(theta0, thetas, prefixes, n), iters, gap, objective
+    return (_mixture(theta0, thetas, prefixes, n), iters,
+            math.ldexp(gap, -scale), math.ldexp(objective, -scale))
 
 
 def newton_step(imp, dimp, w, gamma_max):
@@ -464,16 +471,25 @@ class _Face:
     def newton(self, wa, imp):
         """Min-norm least-squares p of diag(sqrt(wa)/imp) D.T p = sqrt(wa),
         the Newton direction of sum wa*log(imp) in the free weights, through
-        the smaller of the F x F and n x n normal equations with a ridge."""
-        items, vals, sel = self.items, self.vals, self.sel
+        the smaller of the F x F and n x n normal equations with a ridge.
+
+        D is taken times 2^s and c = sqrt(wa)/imp over 2^s, with 2^s near
+        c's largest: every product of the two is the same, exactly, and
+        c*c and the normal equations stay in the float range whatever the
+        impacts' scale."""
         F, n = self.fu.size, self.n
         c = np.sqrt(wa) / imp
+        s = int(np.frexp(c.max())[1])
+        c = np.ldexp(c, -s)
+        items, vals, sel = self.items, np.ldexp(self.vals, s), self.sel
+        if sel.size:
+            Vu = np.ldexp(self.Vu, s)
         if F < n:
             # F rows of n entries: smaller than the n x n system
             D = np.bincount((np.arange(F)[:, None] * n + items).ravel(), vals.ravel(),
                             minlength=F * n).reshape(F, n)
             if sel.size:
-                D[sel] += self.beta[sel, None] * self.Vu[self.at]
+                D[sel] += self.beta[sel, None] * Vu[self.at]
             G = (D * (c * c)) @ D.T
             if not _ridge(G):
                 return np.zeros(F)
@@ -488,8 +504,8 @@ class _Face:
             Z = np.bincount((at[:, None] * n + items[sel]).ravel(),
                             (bs[:, None] * vals[sel]).ravel(),
                             minlength=self.uni.size * n).reshape(-1, n)
-            Z += 0.5 * np.bincount(at, bs * bs, minlength=self.uni.size)[:, None] * self.Vu
-            X = self.Vu.T @ Z
+            Z += 0.5 * np.bincount(at, bs * bs, minlength=self.uni.size)[:, None] * Vu
+            X = Vu.T @ Z
             G += X + X.T
         G *= c[:, None] * c[None, :]
         if not _ridge(G):
@@ -497,7 +513,7 @@ class _Face:
         y = c * np.linalg.solve(G, np.sqrt(wa))
         p = (vals * y[items]).sum(axis=1)
         if sel.size:
-            p[sel] += self.beta[sel] * (self.Vu @ y)[self.at]
+            p[sel] += self.beta[sel] * (Vu @ y)[self.at]
         return p
 
 

@@ -21,51 +21,20 @@ from . import io as nio
 from .core import ExposureModel, ImpactFunction, RankingMixture, user_utility
 from .errors import InputError, NswrankError
 
-# The names this module binds from the modules that only some commands run,
-# each with its module (``nswrank._MODULE_OF``; ``check_size`` is not public).
-# A command imports its modules when it starts (``_load``), and the names
-# become globals of this module, which the commands call through: a command
-# loads only what it runs, and replacing ``cli.<name>`` (a test's
-# monkeypatch, a timing wrapper) still reaches every call.
-_DEFERRED = {name: _MODULE_OF[name] for name in (
-    "bvn_decompose", "reconstruct", "sample_ranking", "fairness_report",
-    "NswConfig", "SolveDiagnostics", "solve_expo_fair", "solve_nsw",
-    "solve_uniform", "solve_utility_max", "SyntheticConfig",
-    "generate_market")}
-_DEFERRED["check_size"] = "bvn"
-# the value ``_load`` last bound to each name: a global that no longer holds
-# it was replaced since, and ``_load`` leaves it alone
-_LOADED: dict = {}
-
-
-def _load(*modules: str) -> None:
-    """Import ``modules`` (values of ``_DEFERRED``) and bind their names
-    here from each, except a name whose global was replaced."""
-    bound = globals()
-    for module in modules:
-        mod = importlib.import_module(f".{module}", __package__)
-        for name, source in _DEFERRED.items():
-            if source == module and bound.get(name) is _LOADED.get(name):
-                bound[name] = _LOADED[name] = getattr(mod, name)
-
-
-def _load_pool() -> None:
-    """Bind ``concurrent`` as ``import concurrent.futures`` does: only a
-    parallel sweep loads it."""
-    import concurrent.futures
-
-    globals().setdefault("concurrent", concurrent)
+# ``cli.<name>`` of a name that only some commands run (``check_size`` is
+# not public) is looked up in its defining module on every access, and
+# every command calls through it as ``_cli.<name>``: a command imports only
+# the modules it runs, a replacement set on ``cli`` (a test's monkeypatch, a
+# timing wrapper) is a real global and wins, and one set on the defining
+# module is reached otherwise.
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """``cli.<name>`` of a deferred name before any command has bound it."""
-    if name == "concurrent":
-        _load_pool()
-    elif name in _DEFERRED:
-        _load(_DEFERRED[name])
-    else:
+    module = "bvn" if name == "check_size" else _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals()[name]
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 _EXPOSURE_KINDS = ("inverse", "exponential", "dcg")
@@ -132,10 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    _load("synth")
-    cfg = SyntheticConfig(m=args.users, n=args.items, lam=args.lam,
-                          noise_c=args.noise, seed=args.seed)
-    rel_true, rel_pred = generate_market(cfg)
+    cfg = _cli.SyntheticConfig(m=args.users, n=args.items, lam=args.lam,
+                               noise_c=args.noise, seed=args.seed)
+    rel_true, rel_pred = _cli.generate_market(cfg)
     nio.save_relevance(rel_true, args.out_true)
     nio.save_relevance(rel_pred, args.out_pred)
     return 0
@@ -143,22 +111,21 @@ def cmd_generate(args) -> int:
 
 def _solve_one(kind: str, rel, exp, alpha: float, tol: float, max_iters: int):
     """Returns (policy, diagnostics, converged)."""
-    _load("solvers")
     if kind == "uniform":
-        policy = solve_uniform(rel.m, rel.n)
+        policy = _cli.solve_uniform(rel.m, rel.n)
     elif kind == "max":
-        policy = solve_utility_max(rel, exp)
+        policy = _cli.solve_utility_max(rel, exp)
     elif kind == "expo-fair":
-        policy, diag = solve_expo_fair(rel, exp)
+        policy, diag = _cli.solve_expo_fair(rel, exp)
         return policy, diag, True
     elif kind == "nsw":
-        cfg = NswConfig(alpha=alpha, max_iters=max_iters, rel_gap_tol=tol)
-        policy, diag = solve_nsw(rel, exp, cfg)
+        cfg = _cli.NswConfig(alpha=alpha, max_iters=max_iters, rel_gap_tol=tol)
+        policy, diag = _cli.solve_nsw(rel, exp, cfg)
         converged = diag.duality_gap <= tol * max(abs(diag.objective_value), 1e-300)
         return policy, diag, converged
     else:
         raise InputError(f"unknown policy {kind!r}")
-    diag = SolveDiagnostics(objective_value=user_utility(policy, rel, exp))
+    diag = _cli.SolveDiagnostics(objective_value=user_utility(policy, rel, exp))
     return policy, diag, True
 
 
@@ -178,25 +145,23 @@ def cmd_solve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _load("metrics")
     doc = nio.load_policy(args.policy)
     rel = nio.load_relevance(args.relevance)
     exp = ExposureModel.make(args.exposure, rel.n, args.cutoff)
     vfn = (ImpactFunction.RELEVANCE_WEIGHTED if args.impact == "relevance"
            else ImpactFunction.EXPOSURE_ONLY)
-    report = fairness_report(doc["policy"], rel, exp, vfn)
+    report = _cli.fairness_report(doc["policy"], rel, exp, vfn)
     nio.save_metrics(args.out_json, report)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    _load("bvn")
     policy = nio.load_policy(args.policy)["policy"]
     # refuse before writing: the reconstruction check builds an n x n matrix
     # for each user whose terms the decomposition changed, and
     # load_decomposition refuses such an n anyway
-    check_size(policy.n)
-    dec = bvn_decompose(policy)
+    _cli.check_size(policy.n)
+    dec = _cli.bvn_decompose(policy)
     nio.save_decomposition(args.out, dec)
     print(f"reconstruction_error={_reconstruction_error(dec, policy):.3e}")
     return 0
@@ -225,7 +190,6 @@ def _reconstruction_error(dec: RankingMixture, policy: RankingMixture) -> float:
     builds n^2 cells per user and L + (n - L)^2 per term of prefix length L,
     so a block holds at most ``_CHECK_ENTRIES`` of those, or one user.
     """
-    _load("bvn")
     check = np.flatnonzero(~_own_terms(dec, policy))
     n = dec.n
     tail = n - dec.lengths
@@ -240,7 +204,8 @@ def _reconstruction_error(dec: RankingMixture, policy: RankingMixture) -> float:
             ends, ends[lo] - cost[lo] + _CHECK_ENTRIES, side="right")))
         users = check[lo:hi]
         want = policy.take(users).dense()
-        err = max(err, float(np.abs(reconstruct(dec.take(users)) - want).max()))
+        got = _cli.reconstruct(dec.take(users))
+        err = max(err, float(np.abs(got - want).max()))
         lo = hi
     return err
 
@@ -264,13 +229,12 @@ def _own_terms(dec: RankingMixture, policy: RankingMixture) -> np.ndarray:
 
 
 def cmd_sample(args) -> int:
-    _load("bvn")
     dec = nio.load_decomposition(args.decomposition)
     if not 0 <= args.user < dec.m:
         raise InputError(f"user {args.user} out of range for m={dec.m}")
     if args.seed < 0:
         raise InputError(f"seed must be >= 0, got {args.seed}")
-    ranking = sample_ranking(dec, args.user, args.seed)
+    ranking = _cli.sample_ranking(dec, args.user, args.seed)
     print(" ".join(f"{rank + 1},{item}" for rank, item in enumerate(ranking)))
     return 0
 
@@ -367,10 +331,9 @@ def _sweep_unit(task: tuple) -> list:
     """
     (lam, noise_c, k, n_items, seed, users, exposure_kind, policies,
      tol, max_iters) = task
-    _load("synth", "solvers", "metrics")
     rows = []
     try:
-        rel_true, rel_pred = generate_market(SyntheticConfig(
+        rel_true, rel_pred = _cli.generate_market(_cli.SyntheticConfig(
             m=users, n=n_items, lam=lam, noise_c=noise_c, seed=seed))
         exp = ExposureModel.make(exposure_kind, n_items, k)
     except NswrankError:
@@ -381,7 +344,7 @@ def _sweep_unit(task: tuple) -> list:
     for name, kind, alpha in policies:
         try:
             policy, _, _ = _solve_one(kind, rel_pred, exp, alpha, tol, max_iters)
-            report = fairness_report(policy, rel_true, exp)
+            report = _cli.fairness_report(policy, rel_true, exp)
             values = (report.user_utility, report.mean_max_envy,
                       report.pct_improved_10, report.pct_decreased_10)
             rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
@@ -398,7 +361,7 @@ def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:   # not UTF-8, not JSON, an over-long integer
             raise InputError(f"bad config: {exc}") from None
     cfg = _parse_sweep_config(doc)
     grid = cfg["grid"]
@@ -416,9 +379,10 @@ def cmd_sweep(args) -> int:
     # are tasks; they inherit the modules loaded here rather than each
     # importing them
     workers = min(args.parallel, len(tasks))
-    _load("synth", "solvers", "metrics")
+    from . import metrics, solvers, synth  # noqa: F401
     if workers > 1:
-        _load_pool()
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             per_task = list(pool.map(_sweep_unit, tasks))
     else:

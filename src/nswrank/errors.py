@@ -46,8 +46,9 @@ class SolverError(NswrankError):
 
 
 class SizeError(NswrankError):
-    """An instance exceeds a size bound: the brute-force oracle's enumeration
-    or the n x n entries per user of a decomposition's check."""
+    """An instance exceeds a size bound: the brute-force oracle's enumeration,
+    the n x n entries per user of a decomposition's check or the m x n
+    entries of a synthetic market."""
     exit_code = 9
 
 

@@ -406,10 +406,13 @@ def _read_text(path) -> str:
 
 
 def _read_json(path) -> dict:
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno, column=exc.colno) from None
+    except ValueError as exc:   # an integer past int()'s digit limit
+        raise ParseError(str(exc)) from None
 
 
 def _require_schema(doc, *expected: str) -> str:

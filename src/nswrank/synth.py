@@ -18,7 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RelevanceMatrix
-from .errors import InputError
+from .errors import InputError, SizeError
+
+# the most relevance entries (m x n) a generated market may have: each of
+# its matrices then takes at most 2 GiB
+MAX_CELLS = 2**28
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,9 @@ class SyntheticConfig:
             raise InputError(f"noise_c must be finite and >= 0, got {self.noise_c}")
         if self.m < 1 or self.n < 2:
             raise InputError(f"need m >= 1 and n >= 2, got m={self.m}, n={self.n}")
+        if self.m * self.n > MAX_CELLS:
+            raise SizeError(f"a {self.m} x {self.n} market has more than "
+                            f"{MAX_CELLS} entries")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 

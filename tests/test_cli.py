@@ -1,11 +1,13 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import concurrent.futures
 import hashlib
 import inspect
 import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -67,6 +69,22 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("users", ["1000000000000",
+                                       "100000000000000000000"])
+    def test_market_too_large_exit_code(self, tmp_path, monkeypatch, capsys,
+                                        users):
+        # refused before any allocation: drawing the market would fail here
+        def no_draw(seed):
+            raise AssertionError("the market was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "t.csv"
+        assert main(["generate", "--users", users, "--items", "5",
+                     "--out-true", str(out),
+                     "--out-pred", str(tmp_path / "p.csv")]) == 9
+        assert capsys.readouterr().err.startswith(f"error: a {users} x 5 market")
+        assert not out.exists()
 
 class TestSolve:
     def test_nsw_on_toy(self, tmp_path):
@@ -148,10 +166,24 @@ class TestSolve:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("alpha", ["150", "200", "1e308"])
+    def test_nsw_at_alpha_150_reaches_the_gap_target(self, tmp_path):
+        # merit^150 is finite on the desk market, if near 1e276: the solver's
+        # power-of-two scalings keep every step in the float range
+        true, pred = tmp_path / "t.csv", tmp_path / "p.csv"
+        assert main(["generate", "--out-true", str(true),
+                     "--out-pred", str(pred)]) == 0
+        out = tmp_path / "nsw.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--policy", "nsw", "--alpha", "150",
+                         "--relevance", str(pred), "--out", str(out)]) == 0
+        diag = nio.load_policy(out)["diagnostics"]
+        assert diag["duality_gap"] <= 1e-6 * abs(diag["objective"])
+
+    @pytest.mark.parametrize("alpha", ["200", "1e308"])
     def test_nsw_past_the_float_range_exit_code(self, tmp_path, capsys,
                                                 alpha):
-        # merit^alpha or the impacts leave the float range on the desk market
+        # merit^alpha leaves the float range on the desk market
         true, pred = tmp_path / "t.csv", tmp_path / "p.csv"
         assert main(["generate", "--out-true", str(true),
                      "--out-pred", str(pred)]) == 0
@@ -524,6 +556,22 @@ class TestDecomposeAndSample:
             "error: byte 0xff is not UTF-8 (line 2)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--policy", "{file}", "--relevance", "{toy}",
+         "--out-json", "{out}"],
+        ["sample", "--decomposition", "{file}", "--user", "0", "--seed", "3"],
+    ], ids=["evaluate", "sample"])
+    def test_json_integer_past_the_digit_limit_exit_code(self, tmp_path,
+                                                         capsys, command):
+        path = tmp_path / "huge.json"
+        path.write_text('{"schema": "decomposition/v1", "m": 1, "n": '
+                        + "9" * 5000 + "}")
+        out = tmp_path / "out.json"
+        names = {"file": path, "toy": write_toy(tmp_path), "out": out}
+        assert main([arg.format(**names) for arg in command]) == 3
+        assert "4300 digits" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("term", [
         {"weight": 1.0},
         {"weight": "heavy", "items_by_rank": [0, 1]},
@@ -750,7 +798,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
         cfg = self._config(tmp_path)
         serial = tmp_path / "serial.csv"
@@ -768,7 +816,7 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("no pool may start")
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             no_pool)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(self._config(tmp_path)),
@@ -823,8 +871,9 @@ class TestSweep:
                   "--parallel", workers])
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", [b"{bad", b"\xff\xfe"],
-                             ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize("text", [b"{bad", b"\xff\xfe",
+                                      b'{"seeds": ' + b"9" * 5000 + b"}"],
+                             ids=["not-json", "not-utf8", "huge-integer"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_bytes(text)

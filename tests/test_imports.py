@@ -160,13 +160,34 @@ def test_a_patch_on_the_defining_module_does_not_outlive_it(monkeypatch):
         raise AssertionError("not called")
 
     real = solvers.solve_nsw
+    # ``cli.solve_nsw`` is looked up in ``solvers`` on every access unless
+    # ``cli`` has a global of that name.  Undoing a monkeypatch on
+    # ``cli.solve_nsw`` restores the original with setattr, which leaves such
+    # a global behind and shadows later patches on ``solvers``; drop any an
+    # earlier test left.
+    monkeypatch.delitem(vars(cli), "solve_nsw", raising=False)
     with monkeypatch.context() as patch:
         patch.setattr(solvers, "solve_nsw", fake)
-        cli._load("solvers")
         assert cli.solve_nsw is fake
-    cli._load("solvers")
     assert cli.solve_nsw is real
     # a name replaced on ``cli`` itself keeps its replacement
     monkeypatch.setattr(cli, "solve_nsw", fake)
-    cli._load("solvers")
     assert cli.solve_nsw is fake
+
+
+def test_a_wrapper_on_the_defining_module_reaches_the_command(files,
+                                                              monkeypatch):
+    from nswrank import bvn
+
+    calls = []
+    real = bvn.bvn_decompose
+
+    def counting(policy):
+        calls.append(policy.m)
+        return real(policy)
+
+    monkeypatch.delitem(vars(cli), "bvn_decompose", raising=False)
+    monkeypatch.setattr(bvn, "bvn_decompose", counting)
+    assert cli.main(["decompose", "--policy", files["nsw.json"],
+                     "--out", files["dec2.json"]]) == 0
+    assert calls == [6]

@@ -744,6 +744,19 @@ def test_load_decomposition_fuzz_raises_only_typed_errors(tmp_path_factory,
                 assert items == list(range(dec.n))
 
 
+@pytest.mark.parametrize("load, schema", [
+    (nio.load_policy, "policy/v2"),
+    (nio.load_decomposition, "decomposition/v1"),
+    (nio.load_metrics, "metrics/v1"),
+], ids=["policy", "decomposition", "metrics"])
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, load, schema):
+    # json's int() refuses more than 4,300 digits with a bare ValueError
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"schema": "{schema}", "m": 1, "n": {"9" * 5000}}}')
+    with pytest.raises(ParseError, match="4300 digits"):
+        load(path)
+
+
 def same_mixture(a, b) -> bool:
     """Whether two mixtures hold the same arrays bit for bit."""
     return a.n == b.n and all(

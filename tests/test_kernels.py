@@ -1,5 +1,7 @@
 """The numpy Frank-Wolfe kernel, its Newton line search and the matching."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -196,30 +198,29 @@ def test_zero_curvature_bisects():
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
 def test_extreme_relevance_scales(scale):
-    # c*c in the face step's normal equations overflows at these scales;
-    # the face step then ends, and the passes go on to the same gap
+    # c*c in the face step's normal equations would leave the float range at
+    # these scales; the face step scales its rows so that it does not, and
+    # no solve warns
     exp = ExposureModel.make("inverse", 4, 2)
     for seed in range(20):
         rel = RelevanceMatrix(np.random.default_rng(seed).random((4, 4)) * scale)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             _, diag = solve_nsw(rel, exp)
         assert diag.duality_gap <= 1e-6 * abs(diag.objective_value)
 
 
 def test_tiny_merit_weights_never_divide_by_zero():
-    # at alpha = 1 merits near 1e-300 make the line search's curvature
-    # underflow to 0; the solve ends with a finite objective and gap or
-    # with a typed error (few of these solves reach the gap target)
+    # at alpha = 1 merits near 1e-300 give weights near 1e-300, on which the
+    # line search's curvature would underflow; fw_solve scales the weights
+    # by a power of two, and every solve reaches the gap target
     exp = ExposureModel.make("inverse", 4, 2)
     for seed in range(20):
         rel = RelevanceMatrix(np.random.default_rng(seed).random((4, 4)) * 1e-300)
-        with np.errstate(all="ignore"):
-            try:
-                _, diag = solve_nsw(rel, exp, NswConfig(alpha=1.0,
-                                                        max_iters=100))
-            except SolverError:
-                continue
-        assert np.isfinite([diag.objective_value, diag.duality_gap]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, diag = solve_nsw(rel, exp, NswConfig(alpha=1.0))
+        assert diag.duality_gap <= 1e-6 * abs(diag.objective_value)
 
 
 def test_nsw_past_the_float_range_is_a_solver_error():

@@ -54,11 +54,30 @@ def test_repeats_are_interleaved(monkeypatch):
         assert set(rung) == {"m", "n", "k", "policies"}
 
 
-def test_rung_past_memory_is_null_with_reason():
+def test_run_over_budget_is_null_with_reason(monkeypatch):
+    # no child starts: the expo-fair child is stopped at its budget, the
+    # nsw child returns a row
+    calls = []
+
+    def run(args, timeout, **kwargs):
+        calls.append(args[-1])
+        assert timeout == ladder.CHILD_BUDGET_S
+        if args[-1] == "expo-fair":
+            raise subprocess.TimeoutExpired(args, timeout)
+        return subprocess.CompletedProcess(args, 0, stdout='{"solve_s": 1.0}\n')
+
+    monkeypatch.setattr(ladder.subprocess, "run", run)
     doc = ladder.ladder(rungs=[(10_000, 1000, 10)])
     assert set(doc["machine"]) == {"nproc", "python", "numpy", "scipy"}
-    assert doc["rungs"] == [{"m": 10_000, "n": 1000, "k": 10, "policies": None,
-                             "reason": "dense tensor 80 GB"}]
+    # a stopped policy's later repeats are skipped
+    assert sorted(calls) == ["expo-fair"] + ["nsw"] * ladder.REPEATS
+    [rung] = doc["rungs"]
+    assert rung["policies"]["expo-fair"] is None
+    assert rung["policies"]["nsw"]["runs"] == ladder.REPEATS
+    [(policy, over)] = rung["over_budget"].items()
+    assert policy == "expo-fair"
+    assert over["reason"] == f"a run took over {ladder.CHILD_BUDGET_S} s"
+    assert over["seconds"] >= 0.0
 
 
 def test_each_policy_row_aggregates_repeated_runs(monkeypatch):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from nswrank import (InputError, SyntheticConfig, adversarial_market,
-                     generate_market, merit)
+from nswrank import (InputError, SizeError, SyntheticConfig,
+                     adversarial_market, generate_market, merit)
+from nswrank.synth import MAX_CELLS
 
 
 class TestGenerateMarket:
@@ -52,6 +53,13 @@ class TestGenerateMarket:
     def test_out_of_range_is_an_input_error(self, field):
         with pytest.raises(InputError):
             SyntheticConfig(**field)
+
+
+    def test_size_bound_is_checked_before_any_allocation(self):
+        # only the config is built: a market this large is never generated
+        SyntheticConfig(m=MAX_CELLS // 4, n=4)
+        with pytest.raises(SizeError):
+            SyntheticConfig(m=MAX_CELLS // 4 + 1, n=4)
 
 
 class TestAdversarialMarket:
