@@ -103,8 +103,10 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         E = _exposures(theta0, thetas, prefixes, eK, u0, n)
         imp = np.einsum("ui,ui->i", Va, E)
         imp[inactive] = 1.0
-        ratio = wa / imp
-        objective = float(wa @ np.log(imp))
+        # an impact of 0 or past the float range is caught just below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = wa / imp
+            objective = float(wa @ np.log(imp))
         if not (np.isfinite(objective) and np.isfinite(ratio).all()):
             raise SolverError("the NSW solve left the float range: "
                               f"objective {objective}")

@@ -18,18 +18,7 @@ import numpy as np
 from .core import RankingMixture
 # unused: kept only because perfbench/tracer.py wraps this binding by name
 from .core import renormalize_doubly_stochastic
-from .errors import SchemaError, SizeError
-
-# the most entries of one user's n x n matrix that checking a reconstruction
-# may build, or that a decomposition file's rankings may span: 2 GiB
-MAX_ENTRIES = 2**28
-
-
-def check_size(n: int) -> None:
-    """Raise SizeError when n items pass MAX_ENTRIES entries per user."""
-    if n * n > MAX_ENTRIES:
-        raise SizeError(f"a policy over {n} items takes {n}^2 entries per "
-                        f"user, more than {MAX_ENTRIES}")
+from .errors import InputError, SchemaError
 
 
 def bvn_decompose(policy: RankingMixture) -> RankingMixture:
@@ -59,9 +48,12 @@ def bvn_decompose(policy: RankingMixture) -> RankingMixture:
 def sample_ranking(mix: RankingMixture, user: int, seed: int) -> np.ndarray:
     """Draw one concrete ranking (items by rank) for a user, seeded: a term
     by weight, then a uniformly random order of the items its prefix leaves
-    out (none for a full ranking)."""
+    out (none for a full ranking).  A user outside 0..m-1 or a negative
+    seed is an ``InputError``."""
     if not 0 <= user < mix.m:
-        raise IndexError(f"user {user} out of range for m={mix.m}")
+        raise InputError(f"user {user} out of range for m={mix.m}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     lo, hi = mix.indptr[user:user + 2]
     weights = mix.weights[lo:hi]
     rng = np.random.default_rng(seed)

@@ -18,26 +18,26 @@ import numpy as np
 
 from . import _MODULE_OF
 from . import io as nio
-from .core import ExposureModel, ImpactFunction, RankingMixture, user_utility
-from .errors import InputError, NswrankError
+from .core import (EXPOSURE_KINDS, ExposureModel, ImpactFunction,
+                   RankingMixture, check_size, user_utility)
+from .errors import InputError, NswrankError, ParseError
 
-# ``cli.<name>`` of a name that only some commands run (``check_size`` is
-# not public) is looked up in its defining module on every access, and
-# every command calls through it as ``_cli.<name>``: a command imports only
-# the modules it runs, a replacement set on ``cli`` (a test's monkeypatch, a
-# timing wrapper) is a real global and wins, and one set on the defining
-# module is reached otherwise.
+# ``cli.<name>`` of a public name that only some commands run is looked up
+# in its defining module on every access, and every command calls through
+# it as ``_cli.<name>``: a command imports only the modules it runs, a
+# replacement set on ``cli`` (a test's monkeypatch, a timing wrapper) is a
+# real global and wins, and one set on the defining module is reached
+# otherwise.
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    module = "bvn" if name == "check_size" else _MODULE_OF.get(name)
+    module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
-_EXPOSURE_KINDS = ("inverse", "exponential", "dcg")
 _POLICY_CHOICES = ("max", "uniform", "expo-fair", "nsw")
 
 
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha", type=float, default=0.0,
                    help="merit weight exponent for the nsw policy")
     s.add_argument("--relevance", required=True)
-    s.add_argument("--exposure", choices=_EXPOSURE_KINDS, default="inverse")
+    s.add_argument("--exposure", choices=EXPOSURE_KINDS, default="inverse")
     s.add_argument("--cutoff", type=int, default=5)
     s.add_argument("--tol", type=float, default=1e-6)
     s.add_argument("--max-iters", type=int, default=10000)
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="audit a policy against ground truth")
     e.add_argument("--policy", required=True, help="policy JSON path")
     e.add_argument("--relevance", required=True, help="ground-truth relevance CSV")
-    e.add_argument("--exposure", choices=_EXPOSURE_KINDS, default="inverse")
+    e.add_argument("--exposure", choices=EXPOSURE_KINDS, default="inverse")
     e.add_argument("--cutoff", type=int, default=5)
     e.add_argument("--impact", choices=["relevance", "exposure"],
                    default="relevance")
@@ -160,7 +160,7 @@ def cmd_decompose(args) -> int:
     # refuse before writing: the reconstruction check builds an n x n matrix
     # for each user whose terms the decomposition changed, and
     # load_decomposition refuses such an n anyway
-    _cli.check_size(policy.n)
+    check_size(policy.n)
     dec = _cli.bvn_decompose(policy)
     nio.save_decomposition(args.out, dec)
     print(f"reconstruction_error={_reconstruction_error(dec, policy):.3e}")
@@ -230,10 +230,6 @@ def _own_terms(dec: RankingMixture, policy: RankingMixture) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     dec = nio.load_decomposition(args.decomposition)
-    if not 0 <= args.user < dec.m:
-        raise InputError(f"user {args.user} out of range for m={dec.m}")
-    if args.seed < 0:
-        raise InputError(f"seed must be >= 0, got {args.seed}")
     ranking = _cli.sample_ranking(dec, args.user, args.seed)
     print(" ".join(f"{rank + 1},{item}" for rank, item in enumerate(ranking)))
     return 0
@@ -269,7 +265,7 @@ def _parse_sweep_config(doc: dict) -> dict:
     if not policies or not all(grid.values()):
         raise InputError("sweep config needs a nonempty policy list and grid")
     exposure = doc.get("exposure", "inverse")
-    if exposure not in _EXPOSURE_KINDS:
+    if not isinstance(exposure, str) or exposure not in EXPOSURE_KINDS:
         raise InputError(f"unknown exposure kind {exposure!r}")
     return {
         "policies": policies,
@@ -358,11 +354,10 @@ def _sweep_unit(task: tuple) -> list:
 def cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise InputError(f"--parallel must be at least 1, got {args.parallel}")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:   # not UTF-8, not JSON, an over-long integer
-            raise InputError(f"bad config: {exc}") from None
+    try:
+        doc = nio.read_json(args.config)
+    except ParseError as exc:
+        raise InputError(f"bad config: {exc}") from None
     cfg = _parse_sweep_config(doc)
     grid = cfg["grid"]
     tasks = []

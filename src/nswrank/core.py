@@ -18,13 +18,22 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, InputError, NotDoublyStochastic
+from .errors import DimensionError, InputError, NotDoublyStochastic, SizeError
 
 # Tolerance accepted on the sum of each mixture user's weights.  A policy
 # within it is measured as given, never renormalized.
 DS_TOL = 1e-6
 
-_EXPOSURE_KINDS = ("inverse", "exponential", "dcg", "custom")
+# The named examination functions: e(k) of the 1-based rank k.
+EXPOSURE_KINDS = {
+    "inverse": lambda k: 1.0 / k,
+    "exponential": lambda k: np.exp(-(k - 1.0)),
+    "dcg": lambda k: 1.0 / np.log2(k + 1.0),
+}
+
+# The most entries of one user's n x n matrix that ``RankingMixture.dense``
+# may build, and of one m x n synthetic relevance matrix: 2 GiB of floats.
+MAX_ENTRIES = 2**28
 
 
 @dataclass(frozen=True)
@@ -63,61 +72,46 @@ def merit(rel: RelevanceMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExposureModel:
-    """Position -> examination-probability map with cutoff K.
+    """Examination probability e(k) of each rank k.
 
-    Weights are nonincreasing, lie in [0, 1] and vanish beyond the cutoff,
-    which is what lets utility maximization reduce to a per-user sort.
+    Weights lie in [0, 1] and are nonincreasing, so the positive ones are a
+    prefix, the top K ranks, and only those carry exposure: this is what
+    lets utility maximization reduce to a per-user sort.
     """
 
-    kind: str
-    cutoff: int
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in _EXPOSURE_KINDS:
-            raise InputError(f"unknown exposure kind {self.kind!r}")
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if w.ndim != 1 or w.size < 2:
             raise DimensionError("exposure weights must be a vector of length n >= 2")
-        if self.cutoff < 1:
-            raise InputError("cutoff must be >= 1")
         if not np.all((w >= 0) & (w <= 1)):  # also false for nan
             raise InputError("exposure weights must be finite and lie in [0, 1]")
         if np.any(np.diff(w) > 0):
             raise InputError("exposure weights must be nonincreasing in rank")
-        if np.any(w[min(self.cutoff, w.size):] != 0):
-            raise InputError("exposure weights beyond the cutoff must be zero")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def make(cls, kind: str, n: int, cutoff: int) -> "ExposureModel":
-        """Build one of the named examination functions over n positions."""
-        if kind == "custom":
-            raise InputError("use ExposureModel.custom for explicit weights")
-        k = np.arange(1, n + 1, dtype=np.float64)
-        if kind == "inverse":
-            w = 1.0 / k
-        elif kind == "exponential":
-            w = np.exp(-(k - 1.0))
-        elif kind == "dcg":
-            w = 1.0 / np.log2(k + 1.0)
-        else:
+        """One of the named examination functions over n ranks, zero past
+        rank ``cutoff``."""
+        if not isinstance(kind, str) or kind not in EXPOSURE_KINDS:
             raise InputError(f"unknown exposure kind {kind!r}")
+        if cutoff < 1:
+            raise InputError("cutoff must be >= 1")
+        w = EXPOSURE_KINDS[kind](np.arange(1, n + 1, dtype=np.float64))
         w[cutoff:] = 0.0
-        return cls(kind=kind, cutoff=cutoff, weights=w)
-
-    @classmethod
-    def custom(cls, weights, cutoff: int | None = None) -> "ExposureModel":
-        w = np.asarray(weights, dtype=np.float64)
-        if cutoff is None:
-            nz = np.nonzero(w)[0]
-            cutoff = int(nz[-1]) + 1 if nz.size else 1
-        return cls(kind="custom", cutoff=cutoff, weights=w)
+        return cls(w)
 
     @property
     def n(self) -> int:
         return self.weights.size
+
+    @property
+    def K(self) -> int:
+        """The number of exposed ranks, those of positive weight."""
+        return int(np.count_nonzero(self.weights > 0.0))
 
     @property
     def total_exposure(self) -> float:
@@ -314,6 +308,14 @@ class RankingMixture:
         flat = (self.term_users()[term] * n + item) * n + rank
         dense = np.bincount(flat, weights=share, minlength=self.m * n * n)
         return np.minimum(dense, 1.0, out=dense).reshape(self.m, n, n)
+
+
+def check_size(n: int) -> None:
+    """Raise SizeError when a policy over n items passes MAX_ENTRIES entries
+    per user."""
+    if n * n > MAX_ENTRIES:
+        raise SizeError(f"a policy over {n} items takes {n}^2 entries per "
+                        f"user, more than {MAX_ENTRIES}")
 
 
 def _index_array(values, name: str) -> np.ndarray:

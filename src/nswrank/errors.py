@@ -47,8 +47,8 @@ class SolverError(NswrankError):
 
 class SizeError(NswrankError):
     """An instance exceeds a size bound: the brute-force oracle's enumeration,
-    the n x n entries per user of a decomposition's check or the m x n
-    entries of a synthetic market."""
+    or ``core.MAX_ENTRIES``, which bounds the n x n entries per user of a
+    policy's dense marginals and the m x n entries of a synthetic market."""
     exit_code = 9
 
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import RankingMixture, RelevanceMatrix
+from .core import RankingMixture, RelevanceMatrix, check_size
 from .errors import DimensionError, NotDoublyStochastic, ParseError, SchemaError
 
 if TYPE_CHECKING:  # imported where it is used: a command loads only what it runs
@@ -180,7 +180,7 @@ def load_policy(path) -> dict:
     """The policy/v2 document, with its ``"users"`` replaced by the
     ``RankingMixture`` they hold, under ``"policy"``, in the file's exact
     floats."""
-    doc = _read_json(path)
+    doc = read_json(path)
     _require_schema(doc, POLICY_MIXTURE_SCHEMA)
     m, n = _int_field(doc, "m"), _int_field(doc, "n")
     counts, weights, lengths, items = _parse_users(doc, m, n, full=False)
@@ -209,7 +209,7 @@ def save_metrics(path, report) -> None:
 
 
 def load_metrics(path) -> dict:
-    doc = _read_json(path)
+    doc = read_json(path)
     _require_schema(doc, METRICS_SCHEMA)
     impacts = _field(doc, "per_item_impact")
     ratios = _field(doc, "per_item_ratio_vs_uniform")
@@ -259,9 +259,7 @@ def load_decomposition(path) -> RankingMixture:
     """A decomposition/v1 (permutations) or v2 (prefixes of length 0..n),
     whose users' weights each sum to 1 within 1e-9.  Its ``epsilon`` must be
     a finite number and is discarded."""
-    from .bvn import check_size
-
-    doc = _read_json(path)
+    doc = read_json(path)
     schema = _require_schema(doc, DECOMPOSITION_SCHEMA,
                              DECOMPOSITION_PREFIX_SCHEMA)
     m, n = _int_field(doc, "m"), _int_field(doc, "n")
@@ -405,13 +403,16 @@ def _read_text(path) -> str:
                          line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def _read_json(path) -> dict:
+def read_json(path):
+    """A JSON file's value; a file that is not UTF-8 JSON is a ``ParseError``."""
     text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno, column=exc.colno) from None
-    except ValueError as exc:   # an integer past int()'s digit limit
+    # an integer past int()'s digit limit, arrays nested past the
+    # interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(str(exc)) from None
 
 

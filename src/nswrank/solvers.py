@@ -313,7 +313,7 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     e = exp.weights
     targets = exposure_targets(rel, exp)
     _check_targets_feasible(targets, m, e)
-    K = int(np.count_nonzero(e > 0.0))
+    K = exp.K
 
     scale = float(rel.values.max())   # positive: every merit is
     r = rel.values / scale
@@ -424,9 +424,8 @@ def expo_fair_bound(rel: RelevanceMatrix, exp: ExposureModel,
     Every λ gives a bound; the solver's prices give the optimum up to its
     tolerances.
     """
-    e = exp.weights
-    K = int(np.count_nonzero(e > 0.0))
-    return _lagrangian(rel.values, e[:K], exposure_targets(rel, exp), prices)[2]
+    return _lagrangian(rel.values, exp.weights[:exp.K],
+                       exposure_targets(rel, exp), prices)[2]
 
 
 def _lagrangian(r: np.ndarray, eK: np.ndarray, targets: np.ndarray,
@@ -460,7 +459,8 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     mer = merit(rel)
     if not np.any(mer > 0):
         raise DegenerateMarketError("every item has zero merit")
-    if not np.any(exp.weights > 0):
+    K = exp.K
+    if K == 0:
         raise DegenerateMarketError("the exposure model examines no rank")
     w = np.power(mer, cfg.alpha)
     if vfn is ImpactFunction.RELEVANCE_WEIGHTED:
@@ -483,7 +483,6 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     objective = float(np.sum(w[active] * np.log(imp[active])))
     coef = np.zeros_like(V)
     coef[:, active] = V[:, active] * (w[active] / imp[active])
-    K = int(np.count_nonzero(exp.weights > 0.0))
     _, top = _kernels.sort_oracle(coef, K)
     oracle_value = float(np.sum(top * exp.weights[:K]))
     gap = oracle_value - float(np.sum(w[active]))
@@ -526,7 +525,7 @@ def brute_force_oracle(rel: RelevanceMatrix, exp: ExposureModel,
     if objective not in ("nsw", "utility", "expo_fair"):
         raise InputError(f"unknown oracle objective {objective!r}")
     m, n = rel.m, rel.n
-    K = int(np.count_nonzero(exp.weights > 0.0))
+    K = exp.K
     if m > 3 or n > 3:
         raise SizeError(f"oracle handles m <= 3 and n <= 3, got {m} x {n}")
     if K != 1:

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RelevanceMatrix
+from .core import MAX_ENTRIES, RelevanceMatrix
 from .errors import InputError, SizeError
 
-# the most relevance entries (m x n) a generated market may have: each of
-# its matrices then takes at most 2 GiB
-MAX_CELLS = 2**28
+# the share of the items, rounded, in the popular subset
+POPULAR_FRACTION = 0.7
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class SyntheticConfig:
     n: int = 50
     lam: float = 0.5
     noise_c: float = 0.05
-    popular_fraction: float = 0.7
     seed: int = 0
 
     def __post_init__(self):
@@ -41,9 +39,9 @@ class SyntheticConfig:
             raise InputError(f"noise_c must be finite and >= 0, got {self.noise_c}")
         if self.m < 1 or self.n < 2:
             raise InputError(f"need m >= 1 and n >= 2, got m={self.m}, n={self.n}")
-        if self.m * self.n > MAX_CELLS:
+        if self.m * self.n > MAX_ENTRIES:
             raise SizeError(f"a {self.m} x {self.n} market has more than "
-                            f"{MAX_CELLS} entries")
+                            f"{MAX_ENTRIES} entries")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
@@ -53,7 +51,7 @@ def generate_market(cfg: SyntheticConfig) -> tuple[RelevanceMatrix, RelevanceMat
     m, n = cfg.m, cfg.n
     rng = np.random.default_rng(cfg.seed)
     r_unif = rng.random((m, n))
-    popular = rng.permutation(n)[: int(round(cfg.popular_fraction * n))]
+    popular = rng.permutation(n)[: int(round(POPULAR_FRACTION * n))]
 
     # 1-based position indices as used in the popularity formulas
     item = np.arange(1, n + 1, dtype=np.float64)[None, :]

@@ -1,10 +1,13 @@
 """Decomposition of ranking mixtures, reconstruction, and sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
 from nswrank import (
     ExposureModel,
+    InputError,
     RankingMixture,
     RelevanceMatrix,
     SchemaError,
@@ -169,5 +172,16 @@ class TestSampleRanking:
 
     def test_user_out_of_range(self):
         dec = bvn_decompose(solve_uniform(1, 2))
-        with pytest.raises(IndexError):
+        with pytest.raises(InputError, match="user 3 out of range for m=1"):
             sample_ranking(dec, 3, seed=0)
+
+    @pytest.mark.parametrize("user, seed, message", [
+        (4, 0, "user 4 out of range for m=4"),
+        (-1, 0, "user -1 out of range for m=4"),
+        (0, -1, "seed must be >= 0, got -1"),
+    ])
+    def test_arguments_outside_their_range_are_input_errors(self, user, seed,
+                                                           message):
+        dec = bvn_decompose(solve_uniform(4, 3))
+        with pytest.raises(InputError, match=re.escape(message)):
+            sample_ranking(dec, user, seed)

@@ -180,6 +180,22 @@ class TestSolve:
         diag = nio.load_policy(out)["diagnostics"]
         assert diag["duality_gap"] <= 1e-6 * abs(diag["objective"])
 
+    def test_nsw_at_alpha_145_fails_with_the_error_line_alone(self, tmp_path):
+        # an item's impact reaches 0 on the desk market, so its log is -inf:
+        # the solve stops with SolverError and numpy warns of nothing
+        true, pred = tmp_path / "t.csv", tmp_path / "p.csv"
+        assert main(["generate", "--out-true", str(true),
+                     "--out-pred", str(pred)]) == 0
+        out = tmp_path / "nsw.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nswrank.cli", "solve", "--policy", "nsw",
+             "--alpha", "145", "--relevance", str(pred), "--out", str(out)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 8
+        assert proc.stderr == ("error: the NSW solve left the float range: "
+                               "objective -inf\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["200", "1e308"])
     def test_nsw_past_the_float_range_exit_code(self, tmp_path, capsys,
                                                 alpha):
@@ -572,6 +588,27 @@ class TestDecomposeAndSample:
         assert "4300 digits" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, code", [
+        (["evaluate", "--policy", "{file}", "--relevance", "{toy}",
+          "--out-json", "{out}"], 3),
+        (["decompose", "--policy", "{file}", "--out", "{out}"], 3),
+        (["sample", "--decomposition", "{file}", "--user", "0", "--seed", "3"],
+         3),
+        (["sweep", "--config", "{file}", "--out", "{out}"], 2),
+    ], ids=["evaluate", "decompose", "sample", "sweep"])
+    def test_json_nested_past_the_recursion_limit_exit_code(
+            self, tmp_path, capsys, command, code):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        out = tmp_path / "out.json"
+        names = {"file": path, "toy": write_toy(tmp_path), "out": out}
+        assert main([arg.format(**names) for arg in command]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: " if code == 2 else "error: ")
+        assert "maximum recursion depth exceeded" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("term", [
         {"weight": 1.0},
         {"weight": "heavy", "items_by_rank": [0, 1]},
@@ -955,10 +992,14 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: bad config: ")
         assert not out.exists()
 
-    def test_bad_exposure_kind_rejected_at_parse(self, tmp_path):
-        cfg = self._config(tmp_path, exposure="bogus")
-        assert main(["sweep", "--config", str(cfg),
-                     "--out", str(tmp_path / "o.csv")]) == 2
+    def test_bad_exposure_kind_rejected_at_parse(self, tmp_path, capsys):
+        # an array is not a kind, and it cannot be looked up in the table
+        for kind in ("bogus", ["inverse"]):
+            cfg = self._config(tmp_path, exposure=kind)
+            assert main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.csv")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: unknown exposure kind {kind!r}\n")
 
 
 def test_exit_codes_match_the_readme_table():

@@ -1,5 +1,7 @@
 """Domain types and the measurement primitives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from nswrank import (
     DimensionError,
     ExposureModel,
     ImpactFunction,
+    InputError,
     RelevanceMatrix,
+    SizeError,
     amortized_exposure,
     envy_matrix,
     item_impact,
@@ -20,6 +24,7 @@ from nswrank import (
     solve_utility_max,
     user_utility,
 )
+from nswrank.core import MAX_ENTRIES, check_size
 
 from conftest import random_policy
 
@@ -61,30 +66,49 @@ class TestExposureModel:
 
     def test_rejects_increasing_custom_weights(self):
         with pytest.raises(ValueError):
-            ExposureModel.custom([0.5, 1.0, 0.0])
-
-    def test_rejects_mass_beyond_cutoff(self):
-        with pytest.raises(ValueError):
-            ExposureModel(kind="custom", cutoff=1, weights=[1.0, 0.5])
+            ExposureModel([0.5, 1.0, 0.0])
 
     def test_rejects_weights_above_one(self):
         with pytest.raises(ValueError):
-            ExposureModel.custom([2.0, 1.0])
+            ExposureModel([2.0, 1.0])
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_weights_that_are_not_finite(self, weight):
         # comparisons with NaN are false, so a check of w < 0 or w > 1 alone
         # lets it through
         with pytest.raises(ValueError, match="finite"):
-            ExposureModel.custom([1.0, weight, 0.0])
-        with pytest.raises(ValueError, match="finite"):
-            ExposureModel(kind="custom", cutoff=2, weights=[1.0, weight])
+            ExposureModel([1.0, weight, 0.0])
 
     def test_custom_weights_accepted(self):
-        exp = ExposureModel.custom([1.0, 0.4, 0.0])
-        assert exp.kind == "custom"
-        assert exp.cutoff == 2
+        exp = ExposureModel([1.0, 0.4, 0.0])
+        assert [f.name for f in dataclasses.fields(exp)] == ["weights"]
+        assert exp.K == 2
         assert exp.total_exposure == pytest.approx(1.4)
+
+    def test_exposed_ranks_are_the_positive_weights(self):
+        assert ExposureModel.make("inverse", 6, 4).K == 4
+        assert ExposureModel.make("dcg", 6, 10).K == 6
+        assert ExposureModel([0.0, 0.0]).K == 0
+        # e(k) = exp(-(k - 1)) underflows to 0 past rank 746, whatever the cutoff
+        exp = ExposureModel.make("exponential", 800, 800)
+        assert exp.K < 800
+        assert exp.K == np.count_nonzero(exp.weights)
+
+    @pytest.mark.parametrize("kind", ["custom", "Inverse", ["inverse"], None])
+    def test_make_rejects_an_unknown_kind(self, kind):
+        with pytest.raises(InputError, match="unknown exposure kind"):
+            ExposureModel.make(kind, 4, 2)
+
+    def test_make_rejects_a_cutoff_below_one(self):
+        with pytest.raises(InputError, match="cutoff must be >= 1"):
+            ExposureModel.make("inverse", 4, 0)
+
+
+class TestCheckSize:
+    def test_bound_is_two_to_the_28_entries_per_user(self):
+        check_size(2**14)
+        with pytest.raises(SizeError, match=str(MAX_ENTRIES)):
+            check_size(2**14 + 1)
 
 
 class TestUserUtility:

@@ -138,7 +138,7 @@ class TestSolveExpoFair:
 
     def test_no_exposed_rank_gives_the_uniform_policy(self):
         rel = RelevanceMatrix([[0.5, 0.2, 0.1], [0.3, 0.4, 0.6]])
-        policy, diag = solve_expo_fair(rel, ExposureModel.custom([0.0] * 3))
+        policy, diag = solve_expo_fair(rel, ExposureModel([0.0] * 3))
         assert np.all(policy.dense() == 1.0 / 3)
         assert diag.objective_value == diag.duality_gap == 0.0
 
@@ -458,7 +458,7 @@ def test_nsw_duality_gap_certifies_the_policy(market, alpha):
     assert diag.objective_value == pytest.approx(objective, rel=1e-12)
     assert -1e-12 <= diag.duality_gap <= cfg.rel_gap_tol * abs(diag.objective_value) + 1e-12
     # the uniform start and top-K prefixes only
-    assert set(policy.lengths.tolist()) <= {0, exp.cutoff}
+    assert set(policy.lengths.tolist()) <= {0, exp.K}
 
 
 @settings(max_examples=150, deadline=None)
@@ -609,7 +609,7 @@ class TestSolveNsw:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateMarketError, match="examines no rank"):
-                solve_nsw(rel, ExposureModel.custom([0.0] * 3))
+                solve_nsw(rel, ExposureModel([0.0] * 3))
 
     @pytest.mark.parametrize("field, value", [
         ("alpha", -1.0), ("alpha", float("nan")), ("alpha", float("inf")),

@@ -5,7 +5,7 @@ import pytest
 
 from nswrank import (InputError, SizeError, SyntheticConfig,
                      adversarial_market, generate_market, merit)
-from nswrank.synth import MAX_CELLS
+from nswrank.core import MAX_ENTRIES
 
 
 class TestGenerateMarket:
@@ -57,9 +57,9 @@ class TestGenerateMarket:
 
     def test_size_bound_is_checked_before_any_allocation(self):
         # only the config is built: a market this large is never generated
-        SyntheticConfig(m=MAX_CELLS // 4, n=4)
+        SyntheticConfig(m=MAX_ENTRIES // 4, n=4)
         with pytest.raises(SizeError):
-            SyntheticConfig(m=MAX_CELLS // 4 + 1, n=4)
+            SyntheticConfig(m=MAX_ENTRIES // 4 + 1, n=4)
 
 
 class TestAdversarialMarket:
