@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import json
 import sys
 
@@ -239,6 +240,9 @@ def cmd_sample(args) -> int:
 
 
 def _parse_sweep_config(doc: dict) -> dict:
+    # Before any unit runs, each value is checked by what a unit builds from
+    # it: a typed error from its market's config, its audit's n x n size
+    # bound, its exposure model or a policy's NswConfig is a bad config.
     if not isinstance(doc, dict):
         raise InputError("sweep config must be a JSON object")
     policies = []
@@ -255,28 +259,38 @@ def _parse_sweep_config(doc: dict) -> dict:
         else:
             raise InputError(f"bad policy entry {entry!r}")
     grid_doc = _config_field(doc, "grid", {}, dict)
-    grid = {
-        key: [_config_number(v, key, kind)
-              for v in _config_field(grid_doc, key, [default])]
-        for key, kind, default in (("lambda", float, 0.5),
-                                   ("noise_c", float, 0.05),
-                                   ("k", int, 5), ("n_items", int, 50))
-    }
-    if not policies or not all(grid.values()):
+    grid = [sorted(_config_number(v, key, kind)
+                   for v in _config_field(grid_doc, key, [default]))
+            for key, kind, default in (("lambda", float, 0.5),
+                                       ("noise_c", float, 0.05),
+                                       ("k", int, 5), ("n_items", int, 50))]
+    if not policies or not all(grid):
         raise InputError("sweep config needs a nonempty policy list and grid")
-    exposure = doc.get("exposure", "inverse")
-    if not isinstance(exposure, str) or exposure not in EXPOSURE_KINDS:
-        raise InputError(f"unknown exposure kind {exposure!r}")
-    return {
-        "policies": policies,
-        "grid": grid,
+    cfg = {
+        "policies": tuple(policies),
+        # (lambda, noise_c, k, n_items), each ascending, the last innermost
+        "points": list(itertools.product(*grid)),
         "seeds": _config_number(doc.get("seeds", 10), "seeds", int),
         "users": _config_number(doc.get("users", 100), "users", int),
-        "exposure": exposure,
+        "exposure": doc.get("exposure", "inverse"),
         "tol": _config_number(doc.get("tol", 1e-6), "tol", float),
         "max_iters": _config_number(doc.get("max_iters", 10000), "max_iters",
                                     int),
     }
+    if cfg["seeds"] < 1:
+        raise InputError(f"bad config: seeds must be >= 1, got {cfg['seeds']}")
+    try:
+        for lam, noise_c, k, n_items in dict.fromkeys(cfg["points"]):
+            _cli.SyntheticConfig(m=cfg["users"], n=n_items, lam=lam,
+                                 noise_c=noise_c)
+            check_size(n_items)
+            ExposureModel.make(cfg["exposure"], n_items, k)
+        for alpha in dict.fromkeys(alpha for _, _, alpha in policies):
+            _cli.NswConfig(alpha=alpha, max_iters=cfg["max_iters"],
+                           rel_gap_tol=cfg["tol"])
+    except NswrankError as exc:
+        raise InputError(f"bad config: {exc}") from None
+    return cfg
 
 
 def _config_field(doc: dict, key: str, default, kind=list):
@@ -287,67 +301,44 @@ def _config_field(doc: dict, key: str, default, kind=list):
     return value
 
 
-# The values each numeric config field accepts, checked before any unit
-# runs; the constructors the units call would reject the rest row by row.
-_CONFIG_RANGES = {
-    "alpha-nsw": (lambda v: 0.0 <= v < np.inf, "finite and >= 0"),
-    "lambda": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "noise_c": (lambda v: 0.0 <= v < np.inf, "finite and >= 0"),
-    "k": (lambda v: v >= 1, ">= 1"),
-    "n_items": (lambda v: v >= 2, ">= 2"),
-    "seeds": (lambda v: v >= 1, ">= 1"),
-    "users": (lambda v: v >= 1, ">= 1"),
-    "tol": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
-    "max_iters": (lambda v: v >= 1, ">= 1"),
-}
-
-
 def _config_number(value, key: str, kind):
-    """A JSON number as ``kind``, within the field's range: null, booleans,
-    strings and containers are rejected, and so is a count (``kind`` int)
-    that is not a whole number."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or kind is int and isinstance(value, float)
-            and not value.is_integer()):
+    """A JSON number as ``kind``: null, booleans, strings and containers are
+    rejected, and so are a count (``kind`` int) that is not a whole number
+    and an integer past the float range for a ``kind`` float."""
+    try:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or kind is int and isinstance(value, float)
+                and not value.is_integer()):
+            raise TypeError
+        return kind(value)
+    except (TypeError, OverflowError):
         raise InputError(f"bad config: {key} must be a JSON "
                          f"{'integer' if kind is int else 'number'}, "
-                         f"got {json.dumps(value)}")
-    in_range, allowed = _CONFIG_RANGES[key]
-    if not in_range(value):  # also false for NaN
-        raise InputError(f"bad config: {key} must be {allowed}, "
-                         f"got {json.dumps(value)}")
-    return kind(value)
+                         f"got {json.dumps(value)}") from None
 
 
 def _sweep_unit(task: tuple) -> list:
     """Solve every policy for one (grid point, seed); returns finished rows.
 
-    A typed nswrank error marks a row "error"; any other exception is a bug
-    and propagates.
+    A typed nswrank error from a solve or an audit marks that row "error";
+    any other exception is a bug and propagates.
     """
     (lam, noise_c, k, n_items, seed, users, exposure_kind, policies,
      tol, max_iters) = task
+    rel_true, rel_pred = _cli.generate_market(_cli.SyntheticConfig(
+        m=users, n=n_items, lam=lam, noise_c=noise_c, seed=seed))
+    exp = ExposureModel.make(exposure_kind, n_items, k)
     rows = []
-    try:
-        rel_true, rel_pred = _cli.generate_market(_cli.SyntheticConfig(
-            m=users, n=n_items, lam=lam, noise_c=noise_c, seed=seed))
-        exp = ExposureModel.make(exposure_kind, n_items, k)
-    except NswrankError:
-        for name, _, _ in policies:
-            rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
-                                             seed, "error"))
-        return rows
     for name, kind, alpha in policies:
         try:
             policy, _, _ = _solve_one(kind, rel_pred, exp, alpha, tol, max_iters)
             report = _cli.fairness_report(policy, rel_true, exp)
             values = (report.user_utility, report.mean_max_envy,
                       report.pct_improved_10, report.pct_decreased_10)
-            rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
-                                             seed, values))
         except NswrankError:
-            rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
-                                             seed, "error"))
+            values = "error"
+        rows.append(nio.format_sweep_row(name, lam, noise_c, k, n_items,
+                                         seed, values))
     return rows
 
 
@@ -359,17 +350,9 @@ def cmd_sweep(args) -> int:
     except ParseError as exc:
         raise InputError(f"bad config: {exc}") from None
     cfg = _parse_sweep_config(doc)
-    grid = cfg["grid"]
-    tasks = []
-    for lam in sorted(grid["lambda"]):
-        for noise_c in sorted(grid["noise_c"]):
-            for k in sorted(grid["k"]):
-                for n_items in sorted(grid["n_items"]):
-                    for seed in range(cfg["seeds"]):
-                        tasks.append((lam, noise_c, k, n_items, seed,
-                                      cfg["users"], cfg["exposure"],
-                                      tuple(cfg["policies"]), cfg["tol"],
-                                      cfg["max_iters"]))
+    tasks = [(*point, seed, cfg["users"], cfg["exposure"], cfg["policies"],
+              cfg["tol"], cfg["max_iters"])
+             for point in cfg["points"] for seed in range(cfg["seeds"])]
     # the pool starts all its workers at once, so it gets no more than there
     # are tasks; they inherit the modules loaded here rather than each
     # importing them

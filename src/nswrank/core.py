@@ -32,8 +32,14 @@ EXPOSURE_KINDS = {
 }
 
 # The most entries of one user's n x n matrix that ``RankingMixture.dense``
-# may build, and of one m x n synthetic relevance matrix: 2 GiB of floats.
+# may build, of an audit's n x n envy grid, and of one m x n synthetic
+# relevance matrix: 2 GiB of floats.
 MAX_ENTRIES = 2**28
+
+# The most that a market's relevance entries may sum to.  Every utility,
+# impact, merit and envy entry is a sum of entries times weights of at most
+# 1 + DS_TOL, so each stays finite in any summation order.
+HALF_FLOAT_MAX = np.finfo(np.float64).max / 2
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,10 @@ class RelevanceMatrix:
             raise InputError("relevance entries must be finite")
         if np.any(vals < 0):
             raise InputError("relevance entries must be nonnegative")
+        with np.errstate(over="ignore"):
+            if vals.sum() > HALF_FLOAT_MAX:
+                raise InputError("relevance entries must sum to at most "
+                                 f"{HALF_FLOAT_MAX:.3g}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -48,7 +48,8 @@ class SolverError(NswrankError):
 class SizeError(NswrankError):
     """An instance exceeds a size bound: the brute-force oracle's enumeration,
     or ``core.MAX_ENTRIES``, which bounds the n x n entries per user of a
-    policy's dense marginals and the m x n entries of a synthetic market."""
+    policy's dense marginals, those of an audit's envy grid and the m x n
+    entries of a synthetic market."""
     exit_code = 9
 
 

@@ -20,6 +20,7 @@ from .core import (
     RankingMixture,
     RelevanceMatrix,
     _check_dims,
+    check_size,
     exposure_profile,
     merit,
 )
@@ -42,6 +43,7 @@ def _envy_grid(weights: np.ndarray, prof: np.ndarray) -> np.ndarray:
     # One einsum, not a GEMM: without optimize= it sums over users in order,
     # so the diagonal is item_impact bit for bit and identical columns give
     # identical entries (a uniform policy's envy is exactly 0).
+    check_size(prof.shape[1])
     return np.einsum("ui,uj->ij", weights, prof)
 
 

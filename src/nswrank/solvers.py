@@ -119,10 +119,7 @@ def exposure_targets(rel: RelevanceMatrix, exp: ExposureModel) -> np.ndarray:
         raise ZeroMeritError(
             "merit-proportional exposure needs positive merit for every item; "
             f"zero-merit items: {np.nonzero(mer <= 0)[0].tolist()}")
-    total = mer.sum()
-    if total == np.inf:
-        raise SolverError("the items' merits sum past the float range")
-    return mer * (rel.m * exp.total_exposure / total)
+    return mer * (rel.m * exp.total_exposure / mer.sum())
 
 
 def _check_targets_feasible(targets: np.ndarray, m: int, e: np.ndarray) -> None:

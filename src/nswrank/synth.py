@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_ENTRIES, RelevanceMatrix
+from .core import HALF_FLOAT_MAX, MAX_ENTRIES, RelevanceMatrix
 from .errors import InputError, SizeError
 
 # the share of the items, rounded, in the popular subset
@@ -37,6 +37,9 @@ class SyntheticConfig:
             raise InputError("lam must lie in [0, 1]")
         if not 0.0 <= self.noise_c < np.inf:  # also false for NaN
             raise InputError(f"noise_c must be finite and >= 0, got {self.noise_c}")
+        if self.noise_c > HALF_FLOAT_MAX:  # the draw's range 2c is finite
+            raise InputError(f"noise_c must be at most {HALF_FLOAT_MAX:.3g}, "
+                             f"got {self.noise_c}")
         if self.m < 1 or self.n < 2:
             raise InputError(f"need m >= 1 and n >= 2, got m={self.m}, n={self.n}")
         if self.m * self.n > MAX_ENTRIES:

@@ -1,18 +1,23 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import concurrent.futures
+import contextlib
 import hashlib
 import inspect
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nswrank import (RankingMixture, bvn_decompose, cli, errors, reconstruct,
                      solve_uniform, solvers)
@@ -69,6 +74,17 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+
+    def test_noise_whose_draw_overflows_exit_code(self, tmp_path, capsys):
+        # the draw's range 2c must be finite: 8.9e307 is drawn, 9e307 refused
+        args = ["generate", "--users", "3", "--items", "4",
+                "--out-true", str(tmp_path / "t.csv"),
+                "--out-pred", str(tmp_path / "p.csv")]
+        assert main(args + ["--noise", "9e307"]) == 2
+        assert capsys.readouterr().err == (
+            "error: noise_c must be at most 8.99e+307, got 9e+307\n")
+        assert list(tmp_path.iterdir()) == []
+        assert main(args + ["--noise", "8.9e307"]) == 0
 
     @pytest.mark.parametrize("users", ["1000000000000",
                                        "100000000000000000000"])
@@ -132,6 +148,26 @@ class TestSolve:
                    "--cutoff", "1", "--out", str(tmp_path / "o.json")])
         assert rc == 3
         assert "(line 3, column 5)" in capsys.readouterr().err
+
+    def test_relevance_summing_past_half_the_float_range(self, tmp_path,
+                                                         capsys):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("# m=2 n=3\n" + "1e308,1e308,1e308\n" * 2)
+        small = tmp_path / "small.csv"
+        small.write_text("# m=2 n=3\n" + "0.5,0.5,0.5\n" * 2)
+        message = "error: relevance entries must sum to at most 8.99e+307\n"
+        out = tmp_path / "o.json"
+        assert main(["solve", "--policy", "max", "--relevance", str(huge),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        assert main(["solve", "--policy", "max", "--relevance", str(small),
+                     "--out", str(out)]) == 0
+        metrics = tmp_path / "m.json"
+        assert main(["evaluate", "--policy", str(out), "--relevance",
+                     str(huge), "--out-json", str(metrics)]) == 2
+        assert capsys.readouterr().err == message
+        assert not metrics.exists()
 
     def test_huge_relevance_header_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -316,6 +352,22 @@ class TestEvaluate:
                      "--cutoff", "1", "--out-json", str(out)]) == 3
         assert capsys.readouterr().err == (
             "error: items_by_rank must hold integers only\n")
+        assert not out.exists()
+
+    def test_envy_grid_past_the_size_bound_exit_code(self, tmp_path, capsys):
+        # a 100,000 x 100,000 envy grid would take 74.5 GiB
+        rel, pol = tmp_path / "t.csv", tmp_path / "max.json"
+        assert main(["generate", "--users", "1", "--items", "100000",
+                     "--out-true", str(rel),
+                     "--out-pred", str(tmp_path / "p.csv")]) == 0
+        assert main(["solve", "--policy", "max", "--relevance", str(rel),
+                     "--out", str(pol)]) == 0
+        out = tmp_path / "m.json"
+        assert main(["evaluate", "--policy", str(pol), "--relevance", str(rel),
+                     "--out-json", str(out)]) == 9
+        assert capsys.readouterr().err == (
+            "error: a policy over 100000 items takes 100000^2 entries per "
+            "user, more than 268435456\n")
         assert not out.exists()
 
     def test_exposure_only_impact(self, tmp_path):
@@ -992,6 +1044,26 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: bad config: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"grid": {"noise_c": [1e308]}},
+        {"grid": {"noise_c": [10**400]}},
+        {"users": 1000000000},
+        {"grid": {"n_items": [1000000]}, "users": 1},
+    ], ids=["noise-drawn-past-the-float-range", "noise-integer-past-a-float",
+            "market-too-large", "envy-grid-too-large"])
+    def test_config_a_unit_would_refuse(self, tmp_path, capsys, monkeypatch,
+                                        overrides):
+        def no_unit(task):
+            raise AssertionError("no unit may run")
+
+        monkeypatch.setattr(cli, "_sweep_unit", no_unit)
+        cfg = self._config(tmp_path, **overrides)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_exposure_kind_rejected_at_parse(self, tmp_path, capsys):
         # an array is not a kind, and it cannot be looked up in the table
         for kind in ("bogus", ["inverse"]):
@@ -999,7 +1071,57 @@ class TestSweep:
             assert main(["sweep", "--config", str(cfg),
                          "--out", str(tmp_path / "o.csv")]) == 2
             assert capsys.readouterr().err == (
-                f"error: unknown exposure kind {kind!r}\n")
+                f"error: bad config: unknown exposure kind {kind!r}\n")
+
+
+# any JSON number: the whole float line with NaN and the infinities, and
+# integers past the float range
+_NUMBERS = st.one_of(st.floats(), st.integers(),
+                     st.integers(-10**400, 10**400))
+
+
+def _config_values(valid):
+    """Mostly values a sweep accepts, one in eight any JSON number."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else _NUMBERS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=st.fixed_dictionaries({
+           key: st.lists(_config_values(valid), min_size=1, max_size=2)
+           for key, valid in (("lambda", st.floats(0.0, 1.0)),
+                              ("noise_c", st.floats(0.0, 1.0)),
+                              ("k", st.integers(1, 6)),
+                              ("n_items", st.integers(2, 6)))}),
+       alphas=st.lists(_config_values(st.floats(0.0, 4.0)), max_size=2),
+       seeds=st.integers(-1, 2),
+       users=_config_values(st.integers(1, 6)),
+       tol=_config_values(st.floats(1e-9, 1.0)),
+       max_iters=_config_values(st.integers(1, 100)))
+def test_sweep_config_runs_or_is_refused_before_any_unit(
+        grid, alphas, seeds, users, tol, max_iters):
+    policies = ["max", {"alpha-nsw": alphas}]
+    calls = []
+
+    def unit(task):
+        calls.append(task)
+        return [f"row{p}" for p in range(len(task[7]))]
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "_sweep_unit", unit)
+        cfg, out = Path(tmp) / "config.json", Path(tmp) / "o.csv"
+        cfg.write_text(json.dumps({
+            "policies": policies, "grid": grid, "seeds": seeds,
+            "users": users, "tol": tol, "max_iters": max_iters}))
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        if rc == 0:
+            rows = out.read_text().splitlines()[1:]
+            assert calls and len(rows) == len(calls) * (1 + len(alphas))
+        else:
+            assert rc == 2 and not calls and not out.exists()
+            assert err.getvalue().startswith("error: bad config: ")
+            assert err.getvalue().count("\n") == 1
 
 
 def test_exit_codes_match_the_readme_table():

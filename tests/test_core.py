@@ -49,6 +49,15 @@ class TestRelevanceMatrix:
         rel = RelevanceMatrix(np.zeros((3, 4)))
         assert np.array_equal(merit(rel), np.zeros(4))
 
+    def test_entries_sum_to_at_most_half_the_float_range(self):
+        # every utility, impact, merit and envy entry stays finite
+        half = np.finfo(np.float64).max / 2
+        RelevanceMatrix([[half / 2, half / 2]])
+        with pytest.raises(InputError, match="sum to at most 8.99e"):
+            RelevanceMatrix([[half / 2, half / 2 * 1.001]])
+        with pytest.raises(InputError, match="sum to at most 8.99e"):
+            RelevanceMatrix(np.full((2, 3), 1e308))  # their sum overflows
+
 
 class TestExposureModel:
     def test_inverse_weights(self):

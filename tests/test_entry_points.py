@@ -5,7 +5,7 @@ exception."""
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nswrank import (
@@ -55,6 +55,7 @@ def _typed(call):
 
 @settings(max_examples=100, deadline=None)
 @given(market=_markets())
+@example(market=(np.full((2, 3), 1e308), "inverse", 3, 0.0))
 def test_entry_points_succeed_finitely_or_raise_typed_errors(market):
     values, kind, cutoff, alpha = market
     m, n = values.shape
@@ -74,10 +75,14 @@ def test_entry_points_succeed_finitely_or_raise_typed_errors(market):
                 assert np.isfinite(diag.duality_gap)
                 policies.append(policy)
         for policy in policies:
-            # the audit's sums may pass the largest float: inf, never NaN
+            # relevance sums to at most half the largest float, so every
+            # sum the audit takes is finite
             report = _typed(lambda: fairness_report(policy, rel, exp))
             if report is not None:
-                assert report.user_utility >= 0.0
+                assert 0.0 <= report.user_utility < np.inf
+                assert np.isfinite(report.mean_max_envy)
+                assert np.all(np.isfinite(report.per_item_impact))
+                assert np.all(np.isfinite(report.max_envy_per_item))
                 assert 0.0 <= report.pct_improved_10 <= 100.0
                 assert 0.0 <= report.pct_decreased_10 <= 100.0
             dec = _typed(lambda: bvn_decompose(policy))

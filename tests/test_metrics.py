@@ -10,6 +10,7 @@ from nswrank import (
     ImpactFunction,
     NswConfig,
     RelevanceMatrix,
+    SizeError,
     ZeroMeritError,
     envy_matrix,
     fairness_report,
@@ -24,6 +25,7 @@ from nswrank import (
     weighted_envy_matrix,
 )
 
+from nswrank import core
 from nswrank.metrics import _envy_grid
 
 from conftest import random_policy
@@ -58,6 +60,18 @@ class TestEnvyMatrix:
         policy, _ = solve_expo_fair(rel, exp)
         em = envy_matrix(policy, rel, exp)
         assert np.array_equal(np.diagonal(em), item_impact(policy, rel, exp))
+
+    def test_grid_past_the_size_bound_is_a_size_error(self, toy_market,
+                                                      monkeypatch):
+        # refused before the n x n einsum allocates
+        rel, exp = toy_market
+        policy = solve_uniform(rel.m, rel.n)
+        monkeypatch.setattr(core, "MAX_ENTRIES", rel.n ** 2 - 1)
+        for audit in (envy_matrix, fairness_report):
+            with pytest.raises(SizeError, match=f"over {rel.n} items"):
+                audit(policy, rel, exp)
+        monkeypatch.setattr(core, "MAX_ENTRIES", rel.n ** 2)
+        fairness_report(policy, rel, exp)
 
 
 @settings(max_examples=100, deadline=None)

@@ -55,6 +55,12 @@ class TestGenerateMarket:
             SyntheticConfig(**field)
 
 
+    def test_noise_whose_draw_overflows_is_an_input_error(self):
+        # uniform(-c, c) needs 2c to be finite
+        generate_market(SyntheticConfig(m=2, n=3, noise_c=8.9e307))
+        with pytest.raises(InputError, match="at most 8.99e"):
+            SyntheticConfig(noise_c=9e307)
+
     def test_size_bound_is_checked_before_any_allocation(self):
         # only the config is built: a market this large is never generated
         SyntheticConfig(m=MAX_ENTRIES // 4, n=4)
