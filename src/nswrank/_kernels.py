@@ -38,7 +38,6 @@ reach 0 before the search stops.
 from __future__ import annotations
 
 import bisect
-import math
 
 import numpy as np
 
@@ -65,12 +64,14 @@ _RIDGE = 1e-12          # ridge of the normal equations, relative to their diago
 
 
 def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
-    """Pairwise Frank-Wolfe; returns (policy, passes, final FW gap,
-    objective), the policy as a ``RankingMixture``.
+    """Pairwise Frank-Wolfe; returns (policy, passes, gap, objective), the
+    policy as a ``RankingMixture`` and the gap and objective its certificate.
 
     One iteration is a pass over all users; each user transfers mass from
     its worst-value mixture component onto the oracle vertex.  A pass that
     stalls is followed by ``face_step``; passes are counted, face steps not.
+    The solve stops when the returned mixture's certificate meets the
+    target, or after max_iters (at least 1) passes.
     """
     V = np.asarray(V, dtype=np.float64)
     m, n = V.shape
@@ -83,7 +84,7 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     wa = np.where(active, w, 0.0)
     # scaled by an even power of two that brings the largest weight near 1,
     # so the line search's curvature cannot underflow on tiny weights; the
-    # scaling is exact, and the objective and gap are scaled back on return
+    # scaling is exact, and the certificates use the weights as given
     scale = -2 * int(np.frexp(wa.max())[1] // 2)
     wa = np.ldexp(wa, scale)
     Va = V * active
@@ -110,15 +111,14 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         if not (np.isfinite(objective) and np.isfinite(ratio).all()):
             raise SolverError("the NSW solve left the float range: "
                               f"objective {objective}")
-        return E, imp, ratio, objective
+        return imp, ratio, objective
 
-    gap = 0.0
+    def meets_target(objective, gap):
+        return gap <= rel_gap_tol * max(abs(objective), _TINY)
+
     last_gap = np.inf
-    iters = 0
-    done = False
     for t in range(max_iters):
-        _, imp, ratio, objective = snapshot()
-        bound = rel_gap_tol * max(abs(objective), _TINY)
+        imp, ratio, objective = snapshot()
         pass_gap = 0.0
         for u in range(m):
             cn = neg_Va[u] * ratio      # minus the gradient coefficients
@@ -196,25 +196,21 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
                     imp[i] = x
                     ratio[i] = w_i / x
             thetas[u, s] += gamma
-        iters = t + 1
 
         stalled = pass_gap > _STALL * last_gap
         last_gap = pass_gap
         if stalled:
             face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp)
-        if pass_gap <= bound or stalled:
-            # verify on a consistent snapshot, against its own objective
-            E, imp, ratio, objective = snapshot()
-            gap = _global_gap(Va, ratio, eK, E)
-            if gap <= rel_gap_tol * max(abs(objective), _TINY):
-                done = True
-                break
-        gap = pass_gap
-    if not done:
-        E, imp, ratio, objective = snapshot()
-        gap = _global_gap(Va, ratio, eK, E)
-    return (_mixture(theta0, thetas, prefixes, n), iters,
-            math.ldexp(gap, -scale), math.ldexp(objective, -scale))
+        final = t + 1 == max_iters
+        if not final and not (stalled or meets_target(objective, pass_gap)):
+            continue
+        # the state's own certificate first: building the mixture costs more
+        if final or meets_target(*certificate(
+                V, _exposures(theta0, thetas, prefixes, eK, u0, n), eK, w, active)):
+            policy = _mixture(theta0, thetas, prefixes, n)
+            objective, gap = certificate(V, policy.exposures(e), eK, w, active)
+            if final or meets_target(objective, gap):
+                return policy, t + 1, gap, objective
 
 
 def newton_step(imp, dimp, w, gamma_max):
@@ -570,10 +566,23 @@ def sort_oracle(coef, K):
     return items[rows, order], values[rows, order]
 
 
-def _global_gap(Va, ratio, eK, E):
-    c = Va * ratio
-    _, top = sort_oracle(c, eK.size)
-    return float(np.sum(top @ eK)) - float(np.sum(c * E))
+def certificate(V, E, eK, w, active):
+    """(objective, gap) of the per-user exposures E: sum w*log(impact) over
+    the active items, impact the einsum of V and E, and the Frank-Wolfe gap,
+    the sort oracle's value on the coefficients V*w/impact (0 off the active
+    items) minus E's own, sum w.  Raises SolverError when the objective or
+    the coefficients leave the float range, as they do when an impact is 0.
+    """
+    imp = np.einsum("ui,ui->i", V, E)
+    coef = np.zeros_like(V)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        objective = float(np.sum(w[active] * np.log(imp[active])))
+        coef[:, active] = V[:, active] * (w[active] / imp[active])
+    if not (np.isfinite(objective) and np.isfinite(coef).all()):
+        raise SolverError("the NSW solve left the float range: "
+                          f"objective {objective}")
+    _, top = sort_oracle(coef, eK.size)
+    return objective, float(np.sum(top * eK)) - float(np.sum(w[active]))
 
 
 def _mixture(theta0, thetas, prefixes, n):

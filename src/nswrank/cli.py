@@ -13,6 +13,7 @@ import argparse
 import importlib
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -238,11 +239,17 @@ def cmd_sample(args) -> int:
 
 # ------------------------------------------------------------------- sweep
 
+# rows (grid points x policies x seeds) a sweep may write at most; its task
+# list is built before any unit runs, so a larger one is refused first
+_MAX_SWEEP_ROWS = 2**20
+
 
 def _parse_sweep_config(doc: dict) -> dict:
     # Before any unit runs, each value is checked by what a unit builds from
     # it: a typed error from its market's config, its audit's n x n size
     # bound, its exposure model or a policy's NswConfig is a bad config.
+    # The sweep's own rules are that its policy names differ, that seeds is
+    # at least 1 and that its rows stay within _MAX_SWEEP_ROWS.
     if not isinstance(doc, dict):
         raise InputError("sweep config must be a JSON object")
     policies = []
@@ -258,6 +265,11 @@ def _parse_sweep_config(doc: dict) -> dict:
                 policies.append((name, "nsw", alpha))
         else:
             raise InputError(f"bad policy entry {entry!r}")
+    names = set()
+    for name, _, _ in policies:
+        if name in names:
+            raise InputError(f"bad config: two policies are named {name!r}")
+        names.add(name)
     grid_doc = _config_field(doc, "grid", {}, dict)
     grid = [sorted(_config_number(v, key, kind)
                    for v in _config_field(grid_doc, key, [default]))
@@ -266,19 +278,24 @@ def _parse_sweep_config(doc: dict) -> dict:
                                        ("k", int, 5), ("n_items", int, 50))]
     if not policies or not all(grid):
         raise InputError("sweep config needs a nonempty policy list and grid")
+    seeds = _config_number(doc.get("seeds", 10), "seeds", int)
+    if seeds < 1:
+        raise InputError(f"bad config: seeds must be >= 1, got {seeds}")
+    rows = math.prod(map(len, grid)) * len(policies) * seeds
+    if rows > _MAX_SWEEP_ROWS:
+        raise InputError(f"bad config: the sweep has {rows} rows (grid points "
+                         f"x policies x seeds), more than {_MAX_SWEEP_ROWS}")
     cfg = {
         "policies": tuple(policies),
         # (lambda, noise_c, k, n_items), each ascending, the last innermost
         "points": list(itertools.product(*grid)),
-        "seeds": _config_number(doc.get("seeds", 10), "seeds", int),
+        "seeds": seeds,
         "users": _config_number(doc.get("users", 100), "users", int),
         "exposure": doc.get("exposure", "inverse"),
         "tol": _config_number(doc.get("tol", 1e-6), "tol", float),
         "max_iters": _config_number(doc.get("max_iters", 10000), "max_iters",
                                     int),
     }
-    if cfg["seeds"] < 1:
-        raise InputError(f"bad config: seeds must be >= 1, got {cfg['seeds']}")
     try:
         for lam, noise_c, k, n_items in dict.fromkeys(cfg["points"]):
             _cli.SyntheticConfig(m=cfg["users"], n=n_items, lam=lam,

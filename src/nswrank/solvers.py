@@ -9,7 +9,7 @@ prefixes for NSW.  Past the cutoff K exposure is zero, so a top-K prefix
 loses nothing; utility-max keeps full rankings so that its policy stays
 deterministic, past the cutoff too.  The
 exposure-fair LP is solved by column generation over top-K prefixes, and NSW
-by pairwise Frank-Wolfe; both report a duality gap recomputed from the
+by pairwise Frank-Wolfe; both report a duality gap computed from the
 returned policy with the same sort oracle
 (:func:`nswrank._kernels.sort_oracle`).  A
 grid-enumeration oracle for tiny instances is included so every solver can
@@ -36,7 +36,6 @@ from .core import (
     RankingMixture,
     RelevanceMatrix,
     exposure_profile,
-    item_impact,
     merit,
 )
 from .errors import (
@@ -456,8 +455,7 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     mer = merit(rel)
     if not np.any(mer > 0):
         raise DegenerateMarketError("every item has zero merit")
-    K = exp.K
-    if K == 0:
+    if exp.K == 0:
         raise DegenerateMarketError("the exposure model examines no rank")
     w = np.power(mer, cfg.alpha)
     if vfn is ImpactFunction.RELEVANCE_WEIGHTED:
@@ -470,19 +468,10 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
             f"items {excluded.tolist()} have zero merit and are excluded from "
             "the welfare objective", RuntimeWarning, stacklevel=2)
 
-    V = vfn.user_weights(rel)
-    policy, iters, _, _ = _kernels.fw_solve(
-        V, exp.weights, w, active, cfg.rel_gap_tol, cfg.max_iters)
-
-    # Recompute objective and FW gap from the returned policy so the
-    # diagnostics certify the object actually returned.
-    imp = item_impact(policy, rel, exp, vfn)
-    objective = float(np.sum(w[active] * np.log(imp[active])))
-    coef = np.zeros_like(V)
-    coef[:, active] = V[:, active] * (w[active] / imp[active])
-    _, top = _kernels.sort_oracle(coef, K)
-    oracle_value = float(np.sum(top * exp.weights[:K]))
-    gap = oracle_value - float(np.sum(w[active]))
+    # the gap and objective are the certificate of the returned policy
+    policy, iters, gap, objective = _kernels.fw_solve(
+        vfn.user_weights(rel), exp.weights, w, active, cfg.rel_gap_tol,
+        cfg.max_iters)
     diag = SolveDiagnostics(objective_value=objective, duality_gap=gap,
                             iterations=iters)
     return policy, diag

@@ -6,7 +6,9 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -286,6 +288,20 @@ class TestSolve:
                    "--out", str(out)])
         assert rc == 4
         assert nio.load_policy(out)["diagnostics"]["iterations"] == 2
+
+    def test_tight_target_runs_every_pass(self, tmp_path, capsys):
+        # the solver's state can meet 1e-16 while the policy built from it
+        # does not: the solve stops only on the returned policy's gap
+        true, pred = tmp_path / "t.csv", tmp_path / "p.csv"
+        assert main(["generate", "--users", "6", "--items", "4", "--seed", "0",
+                     "--out-true", str(true), "--out-pred", str(pred)]) == 0
+        out = tmp_path / "o.json"
+        capsys.readouterr()
+        assert main(["solve", "--policy", "nsw", "--relevance", str(pred),
+                     "--tol", "1e-16", "--max-iters", "50",
+                     "--out", str(out)]) == 4
+        assert "gap target not met after 50 iterations" in capsys.readouterr().err
+        assert nio.load_policy(out)["diagnostics"]["iterations"] == 50
 
 
 class TestEvaluate:
@@ -1062,6 +1078,51 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad config: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policies", [
+        ["nsw", {"alpha-nsw": [0]}],
+        ["max", "max"],
+        [{"alpha-nsw": [1, 1.0]}],
+        [{"alpha-nsw": [1.0000001, 1.0000002]}],
+    ], ids=["nsw-and-alpha-zero", "max-twice", "equal-alphas",
+            "alphas-printed-alike"])
+    def test_repeated_policy_name_is_refused(self, tmp_path, capsys,
+                                             monkeypatch, policies):
+        # a name is the CSV's only key to a row's policy
+        def no_unit(task):
+            raise AssertionError("no unit may run")
+
+        monkeypatch.setattr(cli, "_sweep_unit", no_unit)
+        cfg = self._config(tmp_path, policies=policies)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: two policies are named ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_rows_past_the_limit_are_refused_before_any_task(self, tmp_path):
+        # a billion seeds would be a billion tasks, built before any unit
+        # runs; under an address-space limit the run must end with the
+        # config's error line, not a MemoryError
+        cfg = self._config(tmp_path, seeds=10**9)
+        out = tmp_path / "o.csv"
+        limit = 1536 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "nswrank.cli", "sweep", "--config", str(cfg),
+             "--out", str(out)], capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_memory,
+            # each BLAS thread's buffers count against the limit
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: bad config: the sweep has {2 * 3 * 10**9} rows (grid points "
+            f"x policies x seeds), more than {cli._MAX_SWEEP_ROWS}\n")
         assert not out.exists()
 
     def test_bad_exposure_kind_rejected_at_parse(self, tmp_path, capsys):

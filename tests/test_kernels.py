@@ -61,6 +61,17 @@ def test_gap_target_reached(seed, k):
     assert oracle - float(np.sum(c * E)) == pytest.approx(gap, abs=1e-10)
 
 
+def test_certificate_of_a_zero_impact_is_a_solver_error():
+    # no user ranks item 2, so its impact and log term leave the float range
+    V = np.ones((2, 3))
+    E = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="objective -inf"):
+            _kernels.certificate(V, E, np.array([1.0, 0.5]), np.ones(3),
+                                 np.ones(3, dtype=bool))
+
+
 def dense_maximiser(imp, dimp, w, gamma_max, grid=2001):
     """Argmax of sum w*log(imp + g*dimp) on [0, gamma_max], by a dense grid
     refined with derivative-sign bisection, in extended precision."""

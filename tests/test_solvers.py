@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nswrank import solvers
+from nswrank import _kernels, solvers
 from nswrank.solvers import expo_fair_bound
 from nswrank import (
     DegenerateMarketError,
@@ -459,6 +459,33 @@ def test_nsw_duality_gap_certifies_the_policy(market, alpha):
     assert -1e-12 <= diag.duality_gap <= cfg.rel_gap_tol * abs(diag.objective_value) + 1e-12
     # the uniform start and top-K prefixes only
     assert set(policy.lengths.tolist()) <= {0, exp.K}
+
+
+@settings(max_examples=150, deadline=None)
+@given(market=_nsw_markets(), alpha=st.sampled_from([0.0, 1.0]),
+       tol=st.floats(1e-16, 1e-6), max_iters=st.integers(1, 60))
+def test_nsw_stops_early_only_on_its_reported_certificate(
+        market, alpha, tol, max_iters):
+    rel, exp = market
+    policy, diag = solve_nsw(rel, exp, NswConfig(alpha=alpha, rel_gap_tol=tol,
+                                                 max_iters=max_iters))
+    if diag.iterations < max_iters:
+        assert diag.duality_gap <= tol * max(abs(diag.objective_value), 1e-300)
+    # the reported pair is the returned policy's certificate, bit for bit
+    w = np.power(merit(rel), alpha)
+    assert (diag.objective_value, diag.duality_gap) == _kernels.certificate(
+        rel.values, policy.exposures(exp.weights), exp.weights[:exp.K], w,
+        merit(rel) > 0)
+
+
+def test_nsw_tight_target_runs_every_pass_or_is_met():
+    # the solver's state can meet 1e-16 while the mixture built from it does
+    # not: the solve stops only on the returned mixture's certificate
+    _, pred = generate_market(SyntheticConfig(m=8, n=6, seed=0))
+    cfg = NswConfig(rel_gap_tol=1e-16, max_iters=60)
+    _, diag = solve_nsw(pred, ExposureModel.make("inverse", 6, 2), cfg)
+    assert (diag.iterations == cfg.max_iters
+            or diag.duality_gap <= cfg.rel_gap_tol * abs(diag.objective_value))
 
 
 @settings(max_examples=150, deadline=None)
