@@ -10,9 +10,10 @@ search on the items the move touches.  Plain Frank-Wolfe with exact line
 search stalls in a zig-zag well above a 1e-6 relative gap; the pairwise
 update converges linearly while using the same oracle.
 
-Each user's state is the weight left on the uniform start, an empty prefix,
-plus vertices kept as their top-K prefixes, since exposure is zero past rank
-K.  That mixture is the returned policy.
+The state is one weight array W, a row per user: slot 0 is the weight left
+on the uniform start, an empty prefix, and slot s >= 1 the weight of the
+vertex kept as its top-K prefix prefixes[u, s], since exposure is zero past
+rank K.  That mixture is the returned policy.
 
 Pairwise steps find the right vertices early and then creep along the face
 they span.  After any pass whose gap did not fall below half the previous
@@ -88,20 +89,18 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     scale = -2 * int(np.frexp(wa.max())[1] // 2)
     wa = np.ldexp(wa, scale)
     Va = V * active
-    neg_Va = -Va
     inactive = ~np.asarray(active, dtype=bool)
 
-    theta0 = np.ones(m)             # weight still on the uniform start
-    # top-K prefix and weight per vertex; slots not yet used weigh 0
-    cap = 4
-    prefixes = np.zeros((m, cap, K), np.int64)
-    thetas = np.zeros((m, cap))
-    nv = [0] * m
+    # one weight per slot: slot 0 is the uniform start, slot s >= 1 the
+    # vertex with top-K prefix prefixes[u, s]; unused slots weigh 0
+    W = np.zeros((m, 5))
+    W[:, 0] = 1.0
+    prefixes = np.zeros((m, 5, K), np.int64)
     keys = [{} for _ in range(m)]   # prefix bytes -> vertex slot
 
     def snapshot():
-        # reads prefixes and thetas at call time, so it sees them after growth
-        E = _exposures(theta0, thetas, prefixes, eK, u0, n)
+        # reads W and prefixes at call time, so it sees them after growth
+        E = _exposures(W, prefixes, eK, u0, n)
         imp = np.einsum("ui,ui->i", Va, E)
         imp[inactive] = 1.0
         # an impact of 0 or past the float range is caught just below
@@ -121,64 +120,61 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         imp, ratio, objective = snapshot()
         pass_gap = 0.0
         for u in range(m):
-            cn = neg_Va[u] * ratio      # minus the gradient coefficients
-            top = cn.argsort()[:K]
-            f_best = -float(cn[top].dot(eK))
-            k = nv[u]
-            t0 = float(theta0[u])
-            uni = -u0 * float(neg_Va[u].dot(ratio)) if t0 > 0.0 else 0.0
-            th = thetas[u, :k]
-            vals = -cn[prefixes[u, :k]].dot(eK)
-            g = f_best - t0 * uni - float(th.dot(vals))
+            row = Va[u]
+            c = row * ratio             # the gradient coefficients
+            top = (-c).argsort()[:K]
+            f_best = float(c[top].dot(eK))
+            k = 1 + len(keys[u])        # slots in use, the uniform start's too
+            t0 = float(W[u, 0])
+            uni = u0 * float(row.dot(ratio)) if t0 > 0.0 else 0.0
+            vals = c[prefixes[u, 1:k]].dot(eK)
+            g = f_best - t0 * uni - float(W[u, 1:k].dot(vals))
             pass_gap += g
             if g <= 0.0:
                 continue
 
-            # worst-value component of the current mixture; uniform wins ties
-            a, a_val = (-1, uni) if t0 > 0.0 else (-2, np.inf)
-            for j, (th_j, val_j) in enumerate(zip(th.tolist(), vals.tolist())):
-                if th_j > 0.0 and val_j < a_val:
+            # worst-value term of the current mixture; the uniform start
+            # comes first, so it wins ties
+            a, a_val = 0, np.inf
+            for j, (w_j, val_j) in enumerate(zip(W[u, :k].tolist(),
+                                                 [uni] + vals.tolist())):
+                if w_j > 0.0 and val_j < a_val:
                     a, a_val = j, val_j
-            if a == -2 or f_best - a_val <= 0.0:
+            if f_best - a_val <= 0.0:
                 continue
 
             # locate or append the oracle vertex
             key = top.tobytes()
             s = keys[u].get(key)
             if s is None:
-                if k == cap:
+                if k == W.shape[1]:
+                    W = np.concatenate([W, np.zeros_like(W)], axis=1)
                     prefixes = np.concatenate([prefixes, np.zeros_like(prefixes)], axis=1)
-                    thetas = np.concatenate([thetas, np.zeros_like(thetas)], axis=1)
-                    cap *= 2
                 s = keys[u][key] = k
                 prefixes[u, s] = top
-                nv[u] = k + 1
             if s == a:
                 continue
 
-            if a == -1:
+            gamma_max = float(W[u, a])
+            if a == 0:
                 # off the uniform start: every item's exposure changes
-                gamma_max = t0
                 d = np.full(n, -u0)
                 d[top] += eK
-                dimp = Va[u] * d
+                dimp = row * d
                 supp = np.flatnonzero(dimp)
                 dimp = dimp[supp]
                 gamma = newton_step(imp[supp], dimp, wa[supp], gamma_max)
                 if gamma <= 0.0:
                     continue
-                theta0[u] = 0.0 if gamma >= gamma_max else t0 - gamma
                 new_imp = imp[supp] + gamma * dimp
                 imp[supp] = new_imp
                 ratio[supp] = wa[supp] / new_imp
             else:
                 # between two vertices: only the at most 2K items of their
                 # prefixes change, so the search runs on Python floats
-                gamma_max = float(thetas[u, a])
                 move = dict(zip(top.tolist(), eK_list))
                 for i, x in zip(prefixes[u, a].tolist(), eK_list):
                     move[i] = move.get(i, 0.0) - x
-                row = Va[u]
                 supp, dimp = [], []
                 for i, x in move.items():
                     x *= row.item(i)
@@ -190,24 +186,24 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
                 gamma = _newton_step_floats(imp_s, dimp, w_s, gamma_max)
                 if gamma <= 0.0:
                     continue
-                thetas[u, a] = 0.0 if gamma >= gamma_max else gamma_max - gamma
                 for i, x, dx, w_i in zip(supp, imp_s, dimp, w_s):
                     x += gamma * dx
                     imp[i] = x
                     ratio[i] = w_i / x
-            thetas[u, s] += gamma
+            W[u, a] = 0.0 if gamma >= gamma_max else gamma_max - gamma
+            W[u, s] += gamma
 
         stalled = pass_gap > _STALL * last_gap
         last_gap = pass_gap
         if stalled:
-            face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp)
+            face_step(Va, wa, eK, u0, W, prefixes, imp)
         final = t + 1 == max_iters
         if not final and not (stalled or meets_target(objective, pass_gap)):
             continue
         # the state's own certificate first: building the mixture costs more
         if final or meets_target(*certificate(
-                V, _exposures(theta0, thetas, prefixes, eK, u0, n), eK, w, active)):
-            policy = _mixture(theta0, thetas, prefixes, n)
+                V, _exposures(W, prefixes, eK, u0, n), eK, w, active)):
+            policy = _mixture(W, prefixes, n)
             objective, gap = certificate(V, policy.exposures(e), eK, w, active)
             if final or meets_target(objective, gap):
                 return policy, t + 1, gap, objective
@@ -289,7 +285,7 @@ def _bracketed_newton(slopes, hi, gamma_max):
     return g
 
 
-def face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp):
+def face_step(Va, wa, eK, u0, W, prefixes, imp):
     """Newton's method on the face that the users' current supports span.
 
     Each user's support is its uniform weight and its vertices of positive
@@ -298,8 +294,8 @@ def face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp):
     Newton direction is followed by ``_projected_search``, which drops the
     terms that reach 0 on the way; a term at weight 0 is outside the face
     and stays there.  Stops after a full step, a step of 0 or _FACE_STEPS
-    steps.  Updates theta0, thetas and imp (the current item impacts, 1 on
-    inactive items) in place.  Leaves everything as it is when an impact is
+    steps.  Updates W and imp (the current item impacts, 1 on inactive
+    items) in place.  Leaves everything as it is when an impact is
     0: the objective is then -inf and has no Newton direction.
 
     The support only shrinks, so its terms are gathered once (``_Terms``)
@@ -308,7 +304,6 @@ def face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp):
     if not imp.min() > 0.0:
         return
     rows = np.arange(Va.shape[0])
-    W = np.concatenate([theta0[:, None], thetas], axis=1)
     terms = _Terms(Va, eK, u0, prefixes, W)
     for _ in range(_FACE_STEPS):
         ref = W.argmax(axis=1)
@@ -324,8 +319,6 @@ def face_step(Va, wa, eK, u0, theta0, thetas, prefixes, imp):
         W[rows, ref] = r
         if g <= 0.0 or g >= 1.0:
             break
-    theta0[:] = W[:, 0]
-    thetas[:] = W[:, 1:]
 
 
 def _projected_search(face, p, x, r, imp, wa):
@@ -424,7 +417,7 @@ class _Terms:
         support = W > 0.0
         tu, ts = np.nonzero(support)
         self.index = np.cumsum(support).reshape(W.shape) - 1
-        self.items = prefixes[tu, np.maximum(ts - 1, 0)]
+        self.items = prefixes[tu, ts]
         self.vals = Va[tu[:, None], self.items] * eK
         self.vals[ts == 0] = 0.0
         self.uniform = bool(support[:, 0].any())
@@ -525,12 +518,12 @@ def _ridge(G):
     return True
 
 
-def _exposures(theta0, thetas, prefixes, eK, u0, n):
-    """Per-user exposure E (m, n) of the mixtures, by one scatter-add."""
-    m = prefixes.shape[0]
-    flat = (np.arange(m)[:, None, None] * n + prefixes).ravel()
-    return np.bincount(flat, weights=(thetas[:, :, None] * eK).ravel(),
-                       minlength=m * n).reshape(m, n) + (theta0 * u0)[:, None]
+def _exposures(W, prefixes, eK, u0, n):
+    """Per-user exposure E (m, n) of the mixtures W, by one scatter-add."""
+    m = W.shape[0]
+    flat = (np.arange(m)[:, None, None] * n + prefixes[:, 1:]).ravel()
+    return np.bincount(flat, weights=(W[:, 1:, None] * eK).ravel(),
+                       minlength=m * n).reshape(m, n) + (W[:, 0] * u0)[:, None]
 
 
 def sort_oracle(coef, K):
@@ -585,14 +578,14 @@ def certificate(V, E, eK, w, active):
     return objective, float(np.sum(top * eK)) - float(np.sum(w[active]))
 
 
-def _mixture(theta0, thetas, prefixes, n):
-    """Each user's uniform weight theta0 as an empty prefix, then its vertices
-    as top-K prefixes in slot order; terms of weight 0 are left out."""
-    weights = np.concatenate([theta0[:, None], thetas], axis=1)
-    kept = weights > 0.0
+def _mixture(W, prefixes, n):
+    """Each user's uniform weight W[u, 0] as an empty prefix, then its
+    vertices as top-K prefixes in slot order; terms of weight 0 are left
+    out."""
+    kept = W > 0.0
     lengths = prefixes.shape[2] * (np.nonzero(kept)[1] > 0)
-    return RankingMixture.from_counts(n, kept.sum(axis=1), weights[kept],
-                                      lengths, prefixes[kept[:, 1:]].ravel())
+    return RankingMixture.from_counts(n, kept.sum(axis=1), W[kept], lengths,
+                                      prefixes[:, 1:][kept[:, 1:]].ravel())
 
 
 # --------------------------------------------------------------------------

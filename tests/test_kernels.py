@@ -295,23 +295,26 @@ def test_sort_oracle_is_the_stable_sort(seed, m, n, k, levels):
 
 
 def face_state(seed, m=4, n=6, k=2, vertices=5):
-    """A random mixture per user: weight on the uniform start and on
-    `vertices` random top-k prefixes, some of them at weight 0.  A prefix may
-    repeat within a user, which makes rows of the face matrix 0."""
+    """A random mixture per user as the kernel keeps it: W[u, 0] on the
+    uniform start and W[u, s] on the top-k prefix prefixes[u, s] for the
+    `vertices` slots s >= 1, some of them at weight 0 (prefixes[u, 0] is
+    unused).  A prefix may repeat within a user, which makes rows of the
+    face matrix 0."""
     rng = np.random.default_rng(seed)
     V, e, w, active = random_problem(seed, m=m, n=n, k=k)
     weights = rng.dirichlet(np.ones(vertices + 1), size=m)
     weights[rng.random((m, vertices + 1)) < 0.2] = 0.0
     weights[:, 1] += weights.sum(axis=1) == 0.0     # no user left empty
     weights /= weights.sum(axis=1, keepdims=True)
-    prefixes = np.array([[rng.permutation(n)[:k] for _ in range(vertices)]
+    prefixes = np.array([[np.zeros(k, np.int64)]
+                         + [rng.permutation(n)[:k] for _ in range(vertices)]
                          for _ in range(m)])
-    return V, e[:k], w, weights[:, 0].copy(), weights[:, 1:].copy(), prefixes
+    return V, e[:k], w, weights, prefixes
 
 
-def face_objective(V, eK, w, theta0, thetas, prefixes):
+def face_objective(V, eK, w, W, prefixes):
     n = V.shape[1]
-    E = _kernels._exposures(theta0, thetas, prefixes, eK, eK.sum() / n, n)
+    E = _kernels._exposures(W, prefixes, eK, eK.sum() / n, n)
     imp = np.einsum("ui,ui->i", V, E)
     return float(w @ np.log(imp)), imp
 
@@ -361,10 +364,9 @@ def search_inputs(seed, m, n, k, vertices):
     """A face of the state ``face_state`` draws, its Newton direction, and
     the free and reference weights and impacts a face step starts from;
     None when the face is empty or an impact is 0."""
-    V, eK, w, theta0, thetas, prefixes = face_state(seed, m, n, k, vertices)
+    V, eK, w, W, prefixes = face_state(seed, m, n, k, vertices)
     with np.errstate(divide="ignore"):          # an impact may be 0
-        _, imp = face_objective(V, eK, w, theta0, thetas, prefixes)
-    W = np.concatenate([theta0[:, None], thetas], axis=1)
+        _, imp = face_objective(V, eK, w, W, prefixes)
     rows = np.arange(m)
     ref = W.argmax(axis=1)
     free = W > 0.0
@@ -420,12 +422,11 @@ class TestFaceStep:
     def test_objective_rises_and_weights_stay_on_the_simplex(self, seed, n, k,
                                                               vertices):
         k = min(k, n)
-        V, eK, w, theta0, thetas, prefixes = face_state(seed, 4, n, k, vertices)
-        before, imp = face_objective(V, eK, w, theta0, thetas, prefixes)
-        was_zero = np.concatenate([theta0[:, None], thetas], axis=1) == 0.0
-        _kernels.face_step(V, w, eK, eK.sum() / n, theta0, thetas, prefixes, imp)
-        after, fresh = face_objective(V, eK, w, theta0, thetas, prefixes)
-        W = np.concatenate([theta0[:, None], thetas], axis=1)
+        V, eK, w, W, prefixes = face_state(seed, 4, n, k, vertices)
+        before, imp = face_objective(V, eK, w, W, prefixes)
+        was_zero = W == 0.0
+        _kernels.face_step(V, w, eK, eK.sum() / n, W, prefixes, imp)
+        after, fresh = face_objective(V, eK, w, W, prefixes)
         assert after >= before - 1e-12 * abs(before)
         assert W.min() >= 0.0
         assert np.abs(W.sum(axis=1) - 1.0).max() <= 1e-12
@@ -435,31 +436,52 @@ class TestFaceStep:
 
     def test_a_term_that_reaches_zero_leaves_the_support(self):
         # more terms than items: the face cannot hold them all at its optimum
-        V, eK, w, theta0, thetas, prefixes = face_state(5, m=3, n=4, k=2,
-                                                        vertices=6)
-        positive = np.concatenate([theta0[:, None], thetas], axis=1) > 0.0
-        _, imp = face_objective(V, eK, w, theta0, thetas, prefixes)
-        _kernels.face_step(V, w, eK, eK.sum() / 4, theta0, thetas, prefixes, imp)
-        W = np.concatenate([theta0[:, None], thetas], axis=1)
+        V, eK, w, W, prefixes = face_state(5, m=3, n=4, k=2, vertices=6)
+        positive = W > 0.0
+        _, imp = face_objective(V, eK, w, W, prefixes)
+        _kernels.face_step(V, w, eK, eK.sum() / 4, W, prefixes, imp)
         left = positive & (W == 0.0)
         assert left.any()
         assert not np.any((W > 0.0) & (W < 1e-12))     # 0 exactly, no residue
         # a second face step works on the smaller support and leaves those out
-        _kernels.face_step(V, w, eK, eK.sum() / 4, theta0, thetas, prefixes, imp)
-        W = np.concatenate([theta0[:, None], thetas], axis=1)
+        _kernels.face_step(V, w, eK, eK.sum() / 4, W, prefixes, imp)
         assert np.all(W[left] == 0.0)
 
     def test_a_zero_impact_leaves_the_state_alone(self):
         # no user ranks item 1 and none keeps its uniform start
-        V, eK, w, theta0, thetas, prefixes = face_state(3079834, m=4, n=6, k=1,
-                                                        vertices=4)
+        V, eK, w, W, prefixes = face_state(3079834, m=4, n=6, k=1, vertices=4)
         with np.errstate(divide="ignore"):
-            _, imp = face_objective(V, eK, w, theta0, thetas, prefixes)
+            _, imp = face_objective(V, eK, w, W, prefixes)
         assert imp.min() == 0.0
-        W, before = np.concatenate([theta0[:, None], thetas], axis=1), imp.copy()
-        _kernels.face_step(V, w, eK, eK.sum() / 6, theta0, thetas, prefixes, imp)
-        assert np.array_equal(np.concatenate([theta0[:, None], thetas], axis=1), W)
+        W_before, before = W.copy(), imp.copy()
+        _kernels.face_step(V, w, eK, eK.sum() / 6, W, prefixes, imp)
+        assert np.array_equal(W, W_before)
         assert np.array_equal(imp, before)
+
+
+class TestStateExposures:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5),
+           n=st.integers(2, 8), k=st.integers(1, 3),
+           vertices=st.integers(1, 6), grown=st.integers(0, 2))
+    def test_the_state_and_its_mixture_give_the_same_exposures(
+            self, seed, m, n, k, vertices, grown):
+        # fw_solve's cheap certificate reads the state's exposures and its
+        # final one the returned mixture's: they must agree
+        k = min(k, n)
+        V, eK, w, W, prefixes = face_state(seed, m, n, k, vertices)
+        rng = np.random.default_rng(seed)
+        W[rng.random(m) < 0.5, 0] = 0.0             # no uniform weight left
+        W[:, 1] += W.sum(axis=1) == 0.0
+        W /= W.sum(axis=1, keepdims=True)
+        for _ in range(grown):                      # slots grown, still unused
+            W = np.concatenate([W, np.zeros_like(W)], axis=1)
+            prefixes = np.concatenate([prefixes, np.zeros_like(prefixes)], axis=1)
+        e = np.zeros(n)
+        e[:k] = eK
+        state = _kernels._exposures(W, prefixes, eK, e.sum() / n, n)
+        mixture = _kernels._mixture(W, prefixes, n).exposures(e)
+        assert np.abs(state - mixture).max() <= 1e-14 * np.abs(mixture).max()
 
 
 class TestMatching:
