@@ -122,7 +122,8 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         for u in range(m):
             row = Va[u]
             c = row * ratio             # the gradient coefficients
-            top = (-c).argsort()[:K]
+            # the oracle vertex, ties by item index as in sort_oracle
+            top = (-c).argsort(kind="stable")[:K]
             f_best = float(c[top].dot(eK))
             k = 1 + len(keys[u])        # slots in use, the uniform start's too
             t0 = float(W[u, 0])

@@ -294,6 +294,30 @@ def test_sort_oracle_is_the_stable_sort(seed, m, n, k, levels):
     assert np.array_equal(values, np.take_along_axis(coef, expected, axis=1))
 
 
+def test_nsw_prefixes_break_ties_by_item_index():
+    # a user's zero-relevance items tie at coefficient 0, and the pass loop
+    # must rank them as sort_oracle does, by item index, whichever sort
+    # kernel numpy picks for the CPU (its default sort is not stable)
+    exp = ExposureModel.make("inverse", 10, 5)
+    unstable = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        r = rng.random((6, 10))
+        r[rng.random((6, 10)) < 0.6] = 0.0
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "items .* have zero merit",
+                                    RuntimeWarning)
+            policy, _ = solve_nsw(RelevanceMatrix(r), exp)
+        starts = np.cumsum(policy.lengths) - policy.lengths
+        for u, start, length in zip(policy.term_users(), starts, policy.lengths):
+            prefix = policy.items[start:start + length]
+            zero = prefix[r[u, prefix] == 0.0]
+            if not np.array_equal(zero, np.flatnonzero(r[u] == 0.0)[:zero.size]):
+                unstable.append(seed)
+                break
+    assert unstable == []
+
+
 def face_state(seed, m=4, n=6, k=2, vertices=5):
     """A random mixture per user as the kernel keeps it: W[u, 0] on the
     uniform start and W[u, s] on the top-k prefix prefixes[u, s] for the
