@@ -112,9 +112,6 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
                               f"objective {objective}")
         return imp, ratio, objective
 
-    def meets_target(objective, gap):
-        return gap <= rel_gap_tol * max(abs(objective), _TINY)
-
     last_gap = np.inf
     for t in range(max_iters):
         imp, ratio, objective = snapshot()
@@ -199,14 +196,14 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         if stalled:
             face_step(Va, wa, eK, u0, W, prefixes, imp)
         final = t + 1 == max_iters
-        if not final and not (stalled or meets_target(objective, pass_gap)):
+        if not (final or stalled or meets_target(objective, pass_gap, rel_gap_tol)):
             continue
         # the state's own certificate first: building the mixture costs more
         if final or meets_target(*certificate(
-                V, _exposures(W, prefixes, eK, u0, n), eK, w, active)):
+                V, _exposures(W, prefixes, eK, u0, n), eK, w, active), rel_gap_tol):
             policy = _mixture(W, prefixes, n)
             objective, gap = certificate(V, policy.exposures(e), eK, w, active)
-            if final or meets_target(objective, gap):
+            if final or meets_target(objective, gap, rel_gap_tol):
                 return policy, t + 1, gap, objective
 
 
@@ -558,6 +555,12 @@ def sort_oracle(coef, K):
     values = coef[rows, items]
     order = np.argsort(-values, axis=1, kind="stable")
     return items[rows, order], values[rows, order]
+
+
+def meets_target(objective, gap, rel_gap_tol):
+    """Whether an NSW certificate meets the stop rule: the gap is at most
+    rel_gap_tol times |objective| (times _TINY when the objective is 0)."""
+    return gap <= rel_gap_tol * max(abs(objective), _TINY)
 
 
 def certificate(V, E, eK, w, active):

@@ -112,34 +112,31 @@ def cmd_generate(args) -> int:
 
 
 def _solve_one(kind: str, rel, exp, alpha: float, tol: float, max_iters: int):
-    """Returns (policy, diagnostics, converged)."""
+    """Returns (policy, diagnostics)."""
     if kind == "uniform":
         policy = _cli.solve_uniform(rel.m, rel.n)
     elif kind == "max":
         policy = _cli.solve_utility_max(rel, exp)
     elif kind == "expo-fair":
-        policy, diag = _cli.solve_expo_fair(rel, exp)
-        return policy, diag, True
+        return _cli.solve_expo_fair(rel, exp)
     elif kind == "nsw":
         cfg = _cli.NswConfig(alpha=alpha, max_iters=max_iters, rel_gap_tol=tol)
-        policy, diag = _cli.solve_nsw(rel, exp, cfg)
-        converged = diag.duality_gap <= tol * max(abs(diag.objective_value), 1e-300)
-        return policy, diag, converged
+        return _cli.solve_nsw(rel, exp, cfg)
     else:
         raise InputError(f"unknown policy {kind!r}")
     diag = _cli.SolveDiagnostics(objective_value=user_utility(policy, rel, exp))
-    return policy, diag, True
+    return policy, diag
 
 
 def cmd_solve(args) -> int:
     rel = nio.load_relevance(args.relevance)
     exp = ExposureModel.make(args.exposure, rel.n, args.cutoff)
-    policy, diag, converged = _solve_one(
+    policy, diag = _solve_one(
         args.policy, rel, exp, args.alpha, args.tol, args.max_iters)
     alpha = args.alpha if args.policy == "nsw" else None
     nio.save_policy(args.out, policy, args.policy, args.exposure, args.cutoff,
                     diagnostics=diag, alpha=alpha)
-    if not converged:
+    if not diag.converged:
         print(f"gap target not met after {diag.iterations} iterations "
               f"(gap {diag.duality_gap:.3e})", file=sys.stderr)
         return 4
@@ -348,7 +345,7 @@ def _sweep_unit(task: tuple) -> list:
     rows = []
     for name, kind, alpha in policies:
         try:
-            policy, _, _ = _solve_one(kind, rel_pred, exp, alpha, tol, max_iters)
+            policy, _ = _solve_one(kind, rel_pred, exp, alpha, tol, max_iters)
             report = _cli.fairness_report(policy, rel_true, exp)
             values = (report.user_utility, report.mean_max_envy,
                       report.pct_improved_10, report.pct_decreased_10)

@@ -77,7 +77,8 @@ class SolveDiagnostics:
     iterations counts Frank-Wolfe passes for NSW and pricing rounds for the
     exposure-fair solve (its seed steps do not count), whose exposure_prices
     are the item prices λ of its duality-gap certificate (see
-    ``expo_fair_bound``).
+    ``expo_fair_bound``).  converged is False only for an NSW solve whose
+    gap misses ``rel_gap_tol`` after max_iters passes.
     """
 
     objective_value: float
@@ -85,6 +86,7 @@ class SolveDiagnostics:
     iterations: int = 0
     constraint_residual: float | None = None
     exposure_prices: np.ndarray | None = None
+    converged: bool = True
 
 
 def _check_market(rel: RelevanceMatrix, exp: ExposureModel) -> None:
@@ -472,8 +474,9 @@ def solve_nsw(rel: RelevanceMatrix, exp: ExposureModel,
     policy, iters, gap, objective = _kernels.fw_solve(
         vfn.user_weights(rel), exp.weights, w, active, cfg.rel_gap_tol,
         cfg.max_iters)
-    diag = SolveDiagnostics(objective_value=objective, duality_gap=gap,
-                            iterations=iters)
+    diag = SolveDiagnostics(
+        objective_value=objective, duality_gap=gap, iterations=iters,
+        converged=_kernels.meets_target(objective, gap, cfg.rel_gap_tol))
     return policy, diag
 
 

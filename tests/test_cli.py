@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nswrank import (RankingMixture, bvn_decompose, cli, errors, reconstruct,
-                     solve_uniform, solvers)
+from nswrank import (ExposureModel, NswConfig, RankingMixture, bvn_decompose,
+                     cli, errors, reconstruct, solve_nsw, solve_uniform, solvers)
 from nswrank import io as nio
 from nswrank.cli import main
 from nswrank.errors import InfeasibleError, NswrankError
@@ -302,6 +302,18 @@ class TestSolve:
                      "--out", str(out)]) == 4
         assert "gap target not met after 50 iterations" in capsys.readouterr().err
         assert nio.load_policy(out)["diagnostics"]["iterations"] == 50
+
+    def test_unconverged_desk_solve_reports_it_and_exits_4(self, tmp_path):
+        # solve_nsw decides convergence; the command only reads its verdict
+        true, pred = tmp_path / "t.csv", tmp_path / "p.csv"
+        assert main(["generate", "--out-true", str(true),
+                     "--out-pred", str(pred)]) == 0
+        rel = nio.load_relevance(pred)
+        exp = ExposureModel.make("inverse", rel.n, 5)
+        _, diag = solve_nsw(rel, exp, NswConfig(max_iters=1))
+        assert diag.converged is False
+        assert main(["solve", "--policy", "nsw", "--relevance", str(pred),
+                     "--max-iters", "1", "--out", str(tmp_path / "o.json")]) == 4
 
 
 class TestEvaluate:
