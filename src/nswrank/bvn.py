@@ -1,12 +1,12 @@
 """Birkhoff-von-Neumann decomposition of ranking mixtures, and sampling.
 
 A decomposition is a ``RankingMixture`` whose users' weights each sum to 1
-within 1e-9; the items a term's prefix leaves out follow it in a uniformly
+within ``DECOMPOSITION_TOL``; the items a term's prefix leaves out follow it in a uniformly
 random order.  A policy is deployed by sampling the rankings it mixes, so a
 ``RankingMixture`` policy, which every solver returns, is its own
 decomposition: ``bvn_decompose`` keeps its terms of positive weight, their
-weights bit for bit where they sum to 1 within 1e-9, with no matching and
-no scipy import.  Sampling a ranking for a user is a seeded draw over that
+weights bit for bit where they sum to 1 within that tolerance, with no
+matching and no scipy import.  Sampling a ranking for a user is a seeded draw over that
 user's terms, then a seeded shuffle of the items the drawn prefix leaves
 out; ``reconstruct`` gives the dense marginals the terms add up to.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RankingMixture
+from .core import DECOMPOSITION_TOL, RankingMixture
 # unused: kept only because perfbench/tracer.py wraps this binding by name
 from .core import renormalize_doubly_stochastic
 from .errors import InputError, SchemaError
@@ -26,7 +26,7 @@ def bvn_decompose(policy: RankingMixture) -> RankingMixture:
     terms of positive weight, in order.
 
     Each user's weights are divided by their sum, except where they sum to
-    1 within 1e-9: those stay bit for bit.  Any other policy, dense
+    1 within ``DECOMPOSITION_TOL``: those stay bit for bit.  Any other policy, dense
     marginals included, raises ``SchemaError``.
     """
     if not isinstance(policy, RankingMixture):
@@ -39,8 +39,8 @@ def bvn_decompose(policy: RankingMixture) -> RankingMixture:
     items = policy.items[np.repeat(live, policy.lengths)]
     # bincount adds each user's weights in term order
     totals = np.bincount(users, weights=weights, minlength=m)
-    # within 1e-9 of 1: dividing by 1 keeps them
-    totals[np.abs(totals - 1.0) <= 1e-9] = 1.0
+    # within DECOMPOSITION_TOL of 1: dividing by 1 keeps them
+    totals[np.abs(totals - 1.0) <= DECOMPOSITION_TOL] = 1.0
     return RankingMixture.from_counts(
         n, np.bincount(users, minlength=m), weights / totals[users], lengths, items)
 
@@ -70,5 +70,6 @@ def sample_ranking(mix: RankingMixture, user: int, seed: int) -> np.ndarray:
 def reconstruct(mix: RankingMixture) -> np.ndarray:
     """Rebuild the (m, n, n) marginals as the raw weighted sum of the terms'
     marginals.  Every term's prefix ranks distinct items, so a user's row
-    and column sums are its weight sum: 1 within 1e-9 for a decomposition."""
+    and column sums are its weight sum: 1 within ``DECOMPOSITION_TOL`` for a
+    decomposition."""
     return mix.dense()

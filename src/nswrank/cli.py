@@ -178,8 +178,9 @@ def _reconstruction_error(dec: RankingMixture, policy: RankingMixture) -> float:
     A user whose decomposition terms are its own, bit for bit (the
     same weights, lengths and items, in order), is skipped.
     ``bvn_decompose`` keeps a user's positive terms in order, and their
-    weights as they are when they sum to 1 within 1e-9, so this holds for
-    every such user with no term of zero weight: every solver's output.
+    weights as they are when they sum to 1 within ``core.DECOMPOSITION_TOL``,
+    so this holds for every such user with no term of zero weight: every
+    solver's output.
     Its ``dense()`` cells are then the same shares, added by ``bincount``
     in the same term order whatever other users share the block, so its
     error is exactly 0.

@@ -24,6 +24,11 @@ from .errors import DimensionError, InputError, NotDoublyStochastic, SizeError
 # within it is measured as given, never renormalized.
 DS_TOL = 1e-6
 
+# Tolerance on the sum of each decomposition user's weights: a decomposition
+# is a mixture whose users' weights sum to 1 within it, and
+# ``bvn_decompose`` keeps weights that do bit for bit.
+DECOMPOSITION_TOL = 1e-9
+
 # The named examination functions: e(k) of the 1-based rank k.
 EXPOSURE_KINDS = {
     "inverse": lambda k: 1.0 / k,

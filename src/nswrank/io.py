@@ -14,8 +14,9 @@ and ``load_policy`` any other schema, the dense ``policy/v1`` included.  A
 decomposition is a ``RankingMixture`` too, in the same ``users`` layout:
 ``decomposition/v1`` when every term is a full ranking,
 ``decomposition/v2`` otherwise; ``load_decomposition`` reads both and
-checks that each user's weights sum to 1 within 1e-9.  Every decomposition
-file records ``"epsilon": 1e-9``, a fixed field that nothing reads.
+checks that each user's weights sum to 1 within ``core.DECOMPOSITION_TOL``
+(1e-9).  Every decomposition file records that tolerance as
+``"epsilon": 1e-09``, a fixed field that nothing reads.
 
 Policy and decomposition JSON hold one large array, their terms.  Their
 writers stream that array one user at a time and produce exactly the bytes
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import RankingMixture, RelevanceMatrix, check_size
+from .core import DECOMPOSITION_TOL, RankingMixture, RelevanceMatrix, check_size
 from .errors import DimensionError, NotDoublyStochastic, ParseError, SchemaError
 
 if TYPE_CHECKING:  # imported where it is used: a command loads only what it runs
@@ -230,7 +231,7 @@ def save_decomposition(path, dec: RankingMixture) -> None:
         "schema": DECOMPOSITION_SCHEMA if full else DECOMPOSITION_PREFIX_SCHEMA,
         "m": dec.m,
         "n": dec.n,
-        "epsilon": 1e-9,  # a fixed field of the format: nothing reads it
+        "epsilon": DECOMPOSITION_TOL,  # a fixed field: nothing reads it
         "users": _SLOT,
     }
     _dump_json_streamed(doc, path, _users_texts(dec))
@@ -257,8 +258,8 @@ def _term_text(weight: float, items_by_rank: list) -> str:
 
 def load_decomposition(path) -> RankingMixture:
     """A decomposition/v1 (permutations) or v2 (prefixes of length 0..n),
-    whose users' weights each sum to 1 within 1e-9.  Its ``epsilon`` must be
-    a finite number and is discarded."""
+    whose users' weights each sum to 1 within ``DECOMPOSITION_TOL``.  Its
+    ``epsilon`` must be a finite number and is discarded."""
     doc = read_json(path)
     schema = _require_schema(doc, DECOMPOSITION_SCHEMA,
                              DECOMPOSITION_PREFIX_SCHEMA)
@@ -278,7 +279,7 @@ def load_decomposition(path) -> RankingMixture:
         raise ParseError(str(exc)) from None
     sums = np.bincount(mix.term_users(), weights=mix.weights, minlength=m)
     err = np.abs(sums - 1.0)
-    if err.max() > 1e-9:
+    if err.max() > DECOMPOSITION_TOL:
         raise ParseError(f"term weights sum to {sums[err.argmax()]}, expected 1")
     return mix
 
