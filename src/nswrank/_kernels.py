@@ -92,7 +92,8 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     inactive = ~np.asarray(active, dtype=bool)
 
     # one weight per slot: slot 0 is the uniform start, slot s >= 1 the
-    # vertex with top-K prefix prefixes[u, s]; unused slots weigh 0
+    # vertex with top-K prefix prefixes[u, s]; unused slots weigh 0, and
+    # both arrays double when a user's slots are full
     W = np.zeros((m, 5))
     W[:, 0] = 1.0
     prefixes = np.zeros((m, 5, K), np.int64)
@@ -293,8 +294,8 @@ def face_step(Va, wa, eK, u0, W, prefixes, imp):
     terms that reach 0 on the way; a term at weight 0 is outside the face
     and stays there.  Stops after a full step, a step of 0 or _FACE_STEPS
     steps.  Updates W and imp (the current item impacts, 1 on inactive
-    items) in place.  Leaves everything as it is when an impact is
-    0: the objective is then -inf and has no Newton direction.
+    items) in place.  Leaves everything as it is when an impact is 0: the
+    objective is then -inf and has no Newton direction.
 
     The support only shrinks, so its terms are gathered once (``_Terms``)
     and each Newton step picks the rows of its face from them.

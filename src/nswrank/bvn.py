@@ -1,14 +1,15 @@
 """Birkhoff-von-Neumann decomposition of ranking mixtures, and sampling.
 
 A decomposition is a ``RankingMixture`` whose users' weights each sum to 1
-within ``DECOMPOSITION_TOL``; the items a term's prefix leaves out follow it in a uniformly
-random order.  A policy is deployed by sampling the rankings it mixes, so a
-``RankingMixture`` policy, which every solver returns, is its own
-decomposition: ``bvn_decompose`` keeps its terms of positive weight, their
-weights bit for bit where they sum to 1 within that tolerance, with no
-matching and no scipy import.  Sampling a ranking for a user is a seeded draw over that
-user's terms, then a seeded shuffle of the items the drawn prefix leaves
-out; ``reconstruct`` gives the dense marginals the terms add up to.
+within ``DECOMPOSITION_TOL``; the items a term's prefix leaves out follow it
+in a uniformly random order.  A policy is deployed by sampling the rankings
+it mixes, so a ``RankingMixture`` policy, which every solver returns, is its
+own decomposition: ``bvn_decompose`` keeps its terms of positive weight,
+their weights bit for bit where they sum to 1 within that tolerance, with no
+matching and no scipy import.  Sampling a ranking for a user is a seeded
+draw over that user's terms, then a seeded shuffle of the items the drawn
+prefix leaves out; ``reconstruct`` gives the dense marginals the terms add
+up to.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ def bvn_decompose(policy: RankingMixture) -> RankingMixture:
     terms of positive weight, in order.
 
     Each user's weights are divided by their sum, except where they sum to
-    1 within ``DECOMPOSITION_TOL``: those stay bit for bit.  Any other policy, dense
-    marginals included, raises ``SchemaError``.
+    1 within ``DECOMPOSITION_TOL``: those stay bit for bit.  Any other
+    policy, dense marginals included, raises ``SchemaError``.
     """
     if not isinstance(policy, RankingMixture):
         raise SchemaError("decompose reads a ranking mixture (policy/v2), "
