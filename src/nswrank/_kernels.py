@@ -88,7 +88,8 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
     # scaling is exact, and the certificates use the weights as given
     scale = -2 * int(np.frexp(wa.max())[1] // 2)
     wa = np.ldexp(wa, scale)
-    Va = V * active
+    # multiplying by True is exact, so V itself serves when all items are
+    Va = V if np.all(active) else V * active
     inactive = ~np.asarray(active, dtype=bool)
 
     # one weight per slot: slot 0 is the uniform start, slot s >= 1 the
@@ -521,8 +522,10 @@ def _exposures(W, prefixes, eK, u0, n):
     """Per-user exposure E (m, n) of the mixtures W, by one scatter-add."""
     m = W.shape[0]
     flat = (np.arange(m)[:, None, None] * n + prefixes[:, 1:]).ravel()
-    return np.bincount(flat, weights=(W[:, 1:, None] * eK).ravel(),
-                       minlength=m * n).reshape(m, n) + (W[:, 0] * u0)[:, None]
+    E = np.bincount(flat, weights=(W[:, 1:, None] * eK).ravel(),
+                    minlength=m * n).reshape(m, n)
+    E += (W[:, 0] * u0)[:, None]
+    return E
 
 
 def sort_oracle(coef, K):
@@ -572,10 +575,9 @@ def certificate(V, E, eK, w, active):
     the coefficients leave the float range, as they do when an impact is 0.
     """
     imp = np.einsum("ui,ui->i", V, E)
-    coef = np.zeros_like(V)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         objective = float(np.sum(w[active] * np.log(imp[active])))
-        coef[:, active] = V[:, active] * (w[active] / imp[active])
+        coef = V * np.where(active, w / imp, 0.0)
     if not (np.isfinite(objective) and np.isfinite(coef).all()):
         raise SolverError("the NSW solve left the float range: "
                           f"objective {objective}")

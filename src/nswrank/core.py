@@ -295,10 +295,13 @@ class RankingMixture:
         users = self.term_users()
         term = np.repeat(np.arange(lengths.size), lengths)
         rank = _segments(np.zeros_like(lengths), lengths)
-        prefix = np.bincount(users[term] * n + self.items,
-                             weights=self.weights[term] * e[rank] - share[term],
-                             minlength=self.m * n).reshape(self.m, n)
-        return prefix + np.bincount(users, weights=share, minlength=self.m)[:, None]
+        # bincount of no items is int64: the uniform policy has no prefix
+        E = np.bincount(users[term] * n + self.items,
+                        weights=self.weights[term] * e[rank] - share[term],
+                        minlength=self.m * n).astype(np.float64, copy=False)
+        E = E.reshape(self.m, n)
+        E += np.bincount(users, weights=share, minlength=self.m)[:, None]
+        return E
 
     def dense(self) -> np.ndarray:
         """(m, n, n) marginal rank probabilities, by one scatter-add: each

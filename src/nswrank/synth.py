@@ -56,17 +56,29 @@ def generate_market(cfg: SyntheticConfig) -> tuple[RelevanceMatrix, RelevanceMat
     r_unif = rng.random((m, n))
     popular = rng.permutation(n)[: int(round(POPULAR_FRACTION * n))]
 
-    # 1-based position indices as used in the popularity formulas
+    # 1-based position indices as used in the popularity formulas.  Each
+    # (m, n) step runs in place, in the order of the formulas, so a seed
+    # keeps its bits while at most three such arrays are alive at once.
     item = np.arange(1, n + 1, dtype=np.float64)[None, :]
     user = np.arange(1, m + 1, dtype=np.float64)[:, None]
-    r_pop = (n - item + 1.0) / n * user / m
+    share = (n - item + 1.0) / n
+    r_pop = share * user
+    r_pop /= m
     pop_mask = np.zeros(n, dtype=bool)
     pop_mask[popular] = True
-    r_pop[:, pop_mask] = ((n - item + 1.0) / n * (m - user + 1.0) / m)[:, pop_mask]
+    top = share[:, pop_mask] * (m - user + 1.0)
+    top /= m
+    r_pop[:, pop_mask] = top
+    del top
 
-    r_true = (1.0 - cfg.lam) * r_unif + cfg.lam * r_pop
-    noise = rng.uniform(-cfg.noise_c, cfg.noise_c, size=(m, n))
-    r_pred = np.clip(r_true + noise, 0.0, 1.0)
+    r_true = r_unif
+    r_true *= 1.0 - cfg.lam
+    r_pop *= cfg.lam
+    r_true += r_pop
+    del r_pop
+    r_pred = rng.uniform(-cfg.noise_c, cfg.noise_c, size=(m, n))
+    r_pred += r_true
+    np.clip(r_pred, 0.0, 1.0, out=r_pred)
     return RelevanceMatrix(r_true), RelevanceMatrix(r_pred)
 
 

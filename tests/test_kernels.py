@@ -1,5 +1,6 @@
 """The numpy Frank-Wolfe kernel, its Newton line search and the matching."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,6 +71,50 @@ def test_certificate_of_a_zero_impact_is_a_solver_error():
         with pytest.raises(SolverError, match="objective -inf"):
             _kernels.certificate(V, E, np.array([1.0, 0.5]), np.ones(3),
                                  np.ones(3, dtype=bool))
+
+
+def kernel_state(m, n, k, cap, seed=0):
+    """A full-size state as fw_solve keeps it: every item active, each user
+    on the uniform start and cap - 1 top-k prefixes of random weights."""
+    rng = np.random.default_rng(seed)
+    V = rng.uniform(0.05, 1.0, (m, n))
+    eK = 1.0 / np.arange(1, k + 1)
+    W = rng.dirichlet(np.ones(cap), size=m)
+    prefixes = (rng.integers(0, n, (m, cap, 1)) + np.arange(k)) % n
+    return V, eK, W, prefixes
+
+
+def peak_arrays(fn, *args):
+    """fn(*args) and its traced peak in (m, n) float arrays, the shape of
+    args[0]."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / (8 * args[0].size)
+
+
+def test_exposures_peak_is_its_output_and_index_arrays():
+    # the uniform share is added in place, not into a second (m, n) array
+    V, eK, W, prefixes = kernel_state(2000, 500, 10, 9)
+    n = V.shape[1]
+    E, peak = peak_arrays(
+        lambda V: _kernels._exposures(W, prefixes, eK, eK.sum() / n, n), V)
+    assert E.shape == V.shape and peak <= 1.5
+
+
+def test_certificate_peak_is_below_three_arrays():
+    # the coefficients are one product: no zeroed array, no column copy of V
+    V, eK, W, prefixes = kernel_state(2000, 500, 10, 9)
+    n = V.shape[1]
+    E = _kernels._exposures(W, prefixes, eK, eK.sum() / n, n)
+    w, active = np.ones(n), np.ones(n, dtype=bool)
+    (objective, gap), peak = peak_arrays(
+        lambda V: _kernels.certificate(V, E, eK, w, active), V)
+    assert np.isfinite(objective) and gap >= 0.0
+    assert peak <= 2.5
 
 
 def dense_maximiser(imp, dimp, w, gamma_max, grid=2001):

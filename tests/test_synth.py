@@ -1,11 +1,43 @@
 """Synthetic market generators."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nswrank import (InputError, SizeError, SyntheticConfig,
                      adversarial_market, generate_market, merit)
 from nswrank.core import MAX_ENTRIES
+
+# the first 16 hex digits of the sha256 of (true, predicted) relevance bytes,
+# little-endian float64 in row-major order, keyed by (m, n, lam, seed) at
+# the default noise
+DIGESTS = {
+    (100, 50, 0.0, 0): ("4e2ce6b3d6f5e23d", "a5bf705a19577e04"),
+    (100, 50, 0.5, 0): ("99dad424b6b1e6fe", "f9b10035a4558b90"),
+    (100, 50, 1.0, 0): ("59ddc7f845c0bb29", "9b54439b025a0303"),
+    (100, 50, 0.0, 1): ("af5baca7bdbbf7f2", "fc4ea6172da61604"),
+    (100, 50, 0.5, 1): ("b3bdc6e928b4a279", "15370ea65aa868be"),
+    (100, 50, 1.0, 1): ("f123f3aa61296c8a", "3c08054c0fd5ccd1"),
+    (500, 100, 0.0, 0): ("2a48a3fc71abe2ac", "e9ac1e57e18e37d8"),
+    (500, 100, 0.5, 0): ("36006aa2799be3bc", "0dc7064db84aaf3f"),
+    (500, 100, 1.0, 0): ("3b3025218328947b", "37c81d72a85a13c0"),
+    (500, 100, 0.0, 1): ("555427432e7be085", "5699825ae4774a45"),
+    (500, 100, 0.5, 1): ("0cd012d80d8c4fe7", "13e3dc84ec7d39be"),
+    (500, 100, 1.0, 1): ("2a39c514592d860b", "ea9bf92f6831df14"),
+    (40, 20, 0.0, 0): ("db3b13ce8ea38350", "32515e1e196f4844"),
+    (40, 20, 0.5, 0): ("34e05f617c795cd9", "7b9e54413a68c0bf"),
+    (40, 20, 1.0, 0): ("9e0065c1e4440c81", "73360a582f85d93a"),
+    (40, 20, 0.0, 1): ("caceab4be824cdac", "a7300195f6735744"),
+    (40, 20, 0.5, 1): ("808a6be61adeb859", "9cb65457820fabc9"),
+    (40, 20, 1.0, 1): ("211ca5a8e5fdddb1", "b106536059fc9a94"),
+}
+
+
+def digest(values):
+    data = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 class TestGenerateMarket:
@@ -33,6 +65,26 @@ class TestGenerateMarket:
         b_true, b_pred = generate_market(cfg)
         assert np.array_equal(a_true.values, b_true.values)
         assert np.array_equal(a_pred.values, b_pred.values)
+
+    @pytest.mark.parametrize("key", sorted(DIGESTS), ids=str)
+    def test_bits_are_pinned(self, key):
+        # any change to the draws or to the order of the arithmetic moves them
+        m, n, lam, seed = key
+        rel_true, rel_pred = generate_market(
+            SyntheticConfig(m=m, n=n, lam=lam, seed=seed))
+        assert (digest(rel_true.values), digest(rel_pred.values)) == DIGESTS[key]
+
+    def test_peak_memory_is_three_relevance_arrays(self):
+        # the formulas run in place: the true and predicted matrices plus
+        # one array of scratch at most
+        m, n = 2000, 500
+        tracemalloc.start()
+        try:
+            generate_market(SyntheticConfig(m=m, n=n, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * m * n
 
     def test_values_in_unit_interval(self):
         for seed in range(3):
