@@ -14,7 +14,9 @@ decomposition as ``nswrank decompose`` does (``check_s``) and draws one
 ranking for every user (``sample_ranking``).  It reports the seconds of each
 step, the solver's iterations, the BvN terms per user, the size of the
 policy JSON that ``nswrank solve`` would write and the peak RSS of its own
-process.  Each figure is the median over the REPEATS runs, and each ``*_s``
+process, both right after the market is generated (``market_peak_rss_mb``)
+and at the end (``peak_rss_mb``), so that a row tells the generator's peak
+from the solve's.  Each figure is the median over the REPEATS runs, and each ``*_s``
 figure also has its least and greatest value as ``*_s_min`` and
 ``*_s_max``.  The repeats of a rung are interleaved: the first run of every
 policy, then the second, and so on, so that a slow spell of a shared machine
@@ -89,6 +91,7 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
 
     solve = {"nsw": solve_nsw, "expo-fair": solve_expo_fair}[policy]
     rel_true, rel_pred, exp = _market(m, n, k)
+    market_rss_mb = _peak_rss_mb()
     clock = time.perf_counter()
     pol, diag = solve(rel_pred, exp)
     solved = time.perf_counter()
@@ -120,9 +123,14 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
         "terms_per_user": int(counts.sum()) / m,
         "terms_max": int(counts.max()),
         "policy_bytes": policy_bytes,
-        # ru_maxrss is in kB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "market_peak_rss_mb": market_rss_mb,
+        "peak_rss_mb": _peak_rss_mb(),
     }
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak RSS so far; ru_maxrss is in kB on Linux."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _child_env() -> dict:

@@ -22,12 +22,12 @@ def test_rung_reports_every_step(policy):
     assert set(row) == {"objective", "iterations", "user_utility", "solve_s",
                         "evaluate_s", "decompose_s", "check_s", "sample_s",
                         "terms_per_user", "terms_max", "policy_bytes",
-                        "peak_rss_mb"}
+                        "market_peak_rss_mb", "peak_rss_mb"}
     assert all(isinstance(v, (int, float)) and math.isfinite(v)
                for v in row.values())
     assert 1.0 <= row["terms_per_user"] <= row["terms_max"] <= 4 ** 2 + 1
     assert isinstance(row["iterations"], int) and row["iterations"] >= 1
-    assert row["peak_rss_mb"] > 0
+    assert 0 < row["market_peak_rss_mb"] <= row["peak_rss_mb"]
     assert row["policy_bytes"] > 0
 
 
