@@ -10,10 +10,12 @@ Any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -413,8 +415,28 @@ def main(argv=None) -> int:
         return 3
 
 
-def entry() -> None:  # console-script wrapper
-    sys.exit(main())
+def entry() -> None:
+    """The console script and ``python -m nswrank.cli``: ``main()``, then
+    the end of the process with its exit code.
+
+    Once ``main()`` has returned, the process skips the interpreter's
+    teardown (about 20 ms with numpy loaded, a seventh of a desk-scale
+    command): it runs the ``atexit`` handlers and flushes the standard
+    streams, as the teardown does in that order, and ends with
+    ``os._exit``.  An exception out of ``main()`` takes the normal exit.
+    So does a failed flush (a pipe with no reader, a full disk): the text
+    stays buffered, and the teardown flushes it again and reports the
+    error as it always has.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # its descriptor was closed at start-up
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1217,3 +1217,142 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "sweep" in proc.stdout
+
+
+# ------------------------------------------------ python -m nswrank.cli
+
+def cli_process(args, **kwargs):
+    """``python -m nswrank.cli args`` in a fresh interpreter."""
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, "-m", "nswrank.cli", *args],
+                          text=True, timeout=120, **kwargs)
+
+
+def python_process(code, **kwargs):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+@pytest.fixture
+def desk_files(tmp_path):
+    """A small market's relevance, its nsw policy and the policy's
+    decomposition, written in process."""
+    true, pred = tmp_path / "t.csv", tmp_path / "p.csv"
+    policy, dec = tmp_path / "nsw.json", tmp_path / "dec.json"
+    assert main(["generate", "--users", "12", "--items", "6",
+                 "--out-true", str(true), "--out-pred", str(pred)]) == 0
+    assert main(["solve", "--policy", "nsw", "--relevance", str(pred),
+                 "--cutoff", "3", "--out", str(policy)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["decompose", "--policy", str(policy),
+                     "--out", str(dec)]) == 0
+    return SimpleNamespace(true=true, pred=pred, policy=policy, dec=dec)
+
+
+@pytest.mark.parametrize("command", [
+    "sample", "decompose", "missing file", "max-iters 1", "help", "usage"])
+def test_process_writes_and_exits_as_main_does(tmp_path, desk_files, capsys,
+                                               monkeypatch, command):
+    # the same streams, exit code and files as main() in process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    args = {
+        "sample": ["sample", "--decomposition", str(desk_files.dec),
+                   "--user", "3", "--seed", "5"],
+        "decompose": ["decompose", "--policy", str(desk_files.policy),
+                      "--out", str(tmp_path / "dec2.json")],
+        "missing file": ["evaluate", "--policy", str(tmp_path / "none.json"),
+                         "--relevance", str(desk_files.true),
+                         "--out-json", str(tmp_path / "m.json")],
+        "max-iters 1": ["solve", "--policy", "nsw", "--max-iters", "1",
+                        "--relevance", str(desk_files.pred),
+                        "--out", str(tmp_path / "one.json")],
+        "help": ["--help"],
+        "usage": ["solve", "--policy", "nsw"],
+    }[command]
+    code = main(args)
+    out, err = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert code == {"sample": 0, "decompose": 0, "missing file": 3,
+                    "max-iters 1": 4, "help": 0, "usage": 2}[command]
+    assert (out != "") == (command in ("sample", "decompose", "help"))
+    assert (err != "") == (command in ("missing file", "max-iters 1", "usage"))
+    proc = cli_process(args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+def test_process_with_stdout_closed_succeeds(tmp_path, desk_files):
+    # sys.stdout is None when descriptor 1 is closed: print() writes nothing
+    out = tmp_path / "dec2.json"
+    proc = cli_process(["decompose", "--policy", str(desk_files.policy),
+                        "--out", str(out)],
+                       capture_output=False, stderr=subprocess.PIPE,
+                       preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert out.read_bytes() == desk_files.dec.read_bytes()
+
+
+def test_process_writing_to_a_closed_pipe_reports_it_at_exit():
+    # buffered stdout is flushed at exit, into a pipe with no reader: the
+    # interpreter reports the error in one line and exits with 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = cli_process(["--help"], capture_output=False, stdout=write,
+                           stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("Exception ignored in: <_io.TextIOWrapper "
+                                  "name='<stdout>'")
+    assert proc.stderr.endswith("\nBrokenPipeError: [Errno 32] Broken pipe\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_exception_out_of_main_is_a_traceback_and_exit_1():
+    proc = python_process(
+        "import nswrank.cli as cli\n"
+        "def main():\n"
+        "    raise RuntimeError('injected')\n"
+        "cli.main = main\n"
+        "cli.entry()\n")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("Traceback")
+    assert proc.stderr.endswith("RuntimeError: injected\n")
+
+
+def test_entry_runs_atexit_handlers_and_skips_teardown():
+    # a handler main() registers runs, and its output is flushed; the
+    # interpreter's teardown, which would finalize the global, does not run
+    proc = python_process(
+        "import atexit, sys\n"
+        "import nswrank.cli as cli\n"
+        "class Finalized:\n"
+        "    def __del__(self):\n"
+        "        sys.stderr.write('teardown\\n')\n"
+        "probe = Finalized()\n"
+        "def main():\n"
+        "    atexit.register(print, 'handler')\n"
+        "    print('main')\n"
+        "    return 7\n"
+        "cli.main = main\n"
+        "cli.entry()\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (7, "main\nhandler\n", "")
+
+
+def test_parallel_sweep_process_leaves_no_child(tmp_path):
+    cfg = TestSweep()._config(tmp_path)
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "nswrank.cli", "sweep", "--config", str(cfg),
+             "--out", str(parallel), "--parallel", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True) as proc:
+        assert proc.communicate(timeout=120) == (b"", b"")
+    assert proc.returncode == 0
+    # the command led its own process group; no member of it is left
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert parallel.read_bytes() == serial.read_bytes()
