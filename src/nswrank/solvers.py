@@ -406,7 +406,9 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
                           f"range: objective {objective}, gap {gap}")
     diag = SolveDiagnostics(
         objective_value=objective,
-        duality_gap=gap,
+        # a duality gap is nonnegative; the difference can round below 0
+        # when the bound is tight, as the NSW certificate's does
+        duality_gap=max(gap, 0.0),
         iterations=rounds,
         constraint_residual=float(ratios.max() - ratios.min()),
         exposure_prices=prices,

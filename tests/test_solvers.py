@@ -393,10 +393,22 @@ def test_expo_fair_duality_gap_certifies_the_policy(market):
     utility = user_utility(policy, rel, exp)
     # the certificate is the bound at the stored prices minus the utility
     # of the policy actually returned
-    assert diag.duality_gap == (
-        expo_fair_bound(rel, exp, diag.exposure_prices) - diag.objective_value)
+    assert diag.duality_gap == max(
+        expo_fair_bound(rel, exp, diag.exposure_prices) - diag.objective_value,
+        0.0)
     assert diag.objective_value == pytest.approx(utility, rel=1e-12)
-    assert -1e-12 <= diag.duality_gap <= 1e-9 * abs(utility)
+    assert 0.0 <= diag.duality_gap <= 1e-9 * abs(utility)
+
+
+def test_expo_fair_gap_that_rounds_below_zero_is_reported_as_zero():
+    # on this market the bound at the optimal prices is the utility but
+    # for rounding: their difference is -1.42e-14
+    _, pred = generate_market(SyntheticConfig(m=40, n=20, lam=0.0, seed=0))
+    exp = ExposureModel.make("inverse", 20, 5)
+    _, diag = solve_expo_fair(pred, exp)
+    assert (expo_fair_bound(pred, exp, diag.exposure_prices)
+            < diag.objective_value)
+    assert diag.duality_gap == 0.0
 
 
 def _solve_adding_each_column_once(rel, exp):
