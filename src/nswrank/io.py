@@ -239,14 +239,21 @@ def save_decomposition(path, dec: RankingMixture) -> None:
 
 def _users_texts(mix: RankingMixture):
     """The texts of a mixture's users, one list of terms per user, as json
-    writes them in a decomposition or policy/v2 document."""
-    items = mix.items.tolist()
-    starts = (np.cumsum(mix.lengths) - mix.lengths).tolist()
-    # weights are finite (RankingMixture checks), so repr is json's spelling
-    terms = [_term_text(w, items[a:a + k]) for w, a, k in zip(
-        mix.weights.tolist(), starts, mix.lengths.tolist())]
+    writes them in a decomposition or policy/v2 document.  They are made one
+    user at a time, as the writer asks for them: only that user's items and
+    weights are held as Python objects."""
     indptr = mix.indptr.tolist()
-    return (_list_text(terms[a:b], 2) for a, b in zip(indptr, indptr[1:]))
+    # where each user's items start and end in mix.items
+    bounds = np.concatenate([[0], np.cumsum(mix.lengths)])[mix.indptr].tolist()
+    for u in range(mix.m):
+        a, b = indptr[u], indptr[u + 1]
+        items = mix.items[bounds[u]:bounds[u + 1]].tolist()
+        terms, at = [], 0
+        # weights are finite (RankingMixture checks), so repr is json's spelling
+        for w, k in zip(mix.weights[a:b].tolist(), mix.lengths[a:b].tolist()):
+            terms.append(_term_text(w, items[at:at + k]))
+            at += k
+        yield _list_text(terms, 2)
 
 
 def _term_text(weight: float, items_by_rank: list) -> str:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -873,6 +874,24 @@ class TestStreamedWritersMatchJsonDump:
             ],
         })
         assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("save", ["policy", "decomposition"])
+    def test_writers_hold_one_user_at_a_time(self, tmp_path, save):
+        # each user's text is made as the writer reaches it, so the traced
+        # peak is a small share of the items array, not every term's text
+        rel = RelevanceMatrix(np.random.default_rng(0).uniform(size=(2000, 500)))
+        mixture = solve_utility_max(rel, ExposureModel.make("inverse", 500, 500))
+        path = tmp_path / f"{save}.json"
+        tracemalloc.start()
+        try:
+            if save == "policy":
+                nio.save_policy(path, mixture, "max", "inverse", 500)
+            else:
+                nio.save_decomposition(path, mixture)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * mixture.items.nbytes
 
 
 class TestSweepCsv:
