@@ -39,9 +39,9 @@ class DegenerateMarketError(NswrankError):
 
 
 class SolverError(NswrankError):
-    """A solve stopped without an optimum: the LP solver for a reason other
-    than infeasibility (iteration limit, numerical trouble), or a solve whose
-    numbers left the float range."""
+    """A solve stopped without an optimum: the LP solver is missing or stopped
+    for a reason other than infeasibility (iteration limit, numerical
+    trouble), or a solve's numbers left the float range."""
     exit_code = 8
 
 

@@ -145,14 +145,9 @@ def _check_targets_feasible(targets: np.ndarray, m: int, e: np.ndarray) -> None:
             f"{m * np.cumsum(e_sorted)[j - 1]:.6g} is available")
 
 
+# unused in the package: kept only because perfbench/tracer.py wraps it by name
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use.
-
-    Loading scipy.optimize takes longer than every other import of the CLI
-    together (about 0.7 s), so only the cold fallback of the exposure-fair
-    solve pays for it: the solve calls this only when scipy's HiGHS binding
-    cannot be loaded (see ``_highs_core``).
-    """
+    """``scipy.optimize.linprog``, imported on first use."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
@@ -221,19 +216,15 @@ class _Master:
 
     It lives in one HiGHS instance of scipy's bundled binding, so each solve
     restarts from the previous basis; loading that binding takes the
-    extension alone (``_highs_core``), not scipy or scipy.optimize.
-    The binding is private to scipy; when it cannot be loaded, each solve is
-    a cold ``linprog`` call over every column so far, which imports
-    scipy.optimize and reaches the same optimum more slowly.
+    extension alone (``_highs_core``), not scipy or scipy.optimize.  The
+    binding is private to scipy: without it the master raises SolverError.
     """
 
     def __init__(self, rhs: np.ndarray):
-        self.rhs = rhs
-        self.columns = []   # the CSC pieces, kept for the cold solves only
         core = _highs_core()
         if core is None:
-            self.highs = None
-            return
+            raise SolverError(f"the exposure-fair solve needs scipy's HiGHS "
+                              f"binding {_HIGHS_CORE}, which cannot be loaded")
         self.optimal = core.HighsModelStatus.kOptimal
         self.highs = core._Highs()
         self.highs.setOptionValue("output_flag", False)
@@ -248,9 +239,6 @@ class _Master:
 
     def add(self, cost, counts, index, value) -> None:
         """Append columns given in CSC pieces: column j has counts[j] entries."""
-        if self.highs is None:
-            self.columns.append((cost, counts, index, value))
-            return
         k = cost.size
         starts = np.concatenate([[0], np.cumsum(counts[:-1])])
         self.highs.addCols(k, cost, np.zeros(k), np.full(k, np.inf),
@@ -260,30 +248,15 @@ class _Master:
     def solve(self):
         """One solve: ``success`` and ``message``, and on success the
         primal ``x`` and the row ``duals`` (d objective / d rhs)."""
-        if self.highs is not None:
-            self.highs.run()
-            status = self.highs.getModelStatus()
-            if status != self.optimal:
-                return SimpleNamespace(
-                    success=False,
-                    message=self.highs.modelStatusToString(status))
-            sol = self.highs.getSolution()
-            return SimpleNamespace(success=True, message="",
-                                   x=np.asarray(sol.col_value),
-                                   duals=np.asarray(sol.row_dual))
-        import scipy.sparse as sp
-
-        cost, counts, index, value = map(np.concatenate, zip(*self.columns))
-        a_eq = sp.csc_matrix(
-            (value, index, np.concatenate([[0], np.cumsum(counts)])),
-            shape=(self.rhs.size, counts.size))
-        res = linprog(cost, A_eq=a_eq, b_eq=self.rhs,
-                      bounds=(0.0, None), method="highs-ds",
-                      options=_MASTER_TOLERANCES)
-        if not res.success:
-            return SimpleNamespace(success=False, message=res.message)
-        return SimpleNamespace(success=True, message=res.message, x=res.x,
-                               duals=res.eqlin.marginals)
+        self.highs.run()
+        status = self.highs.getModelStatus()
+        if status != self.optimal:
+            return SimpleNamespace(
+                success=False, message=self.highs.modelStatusToString(status))
+        sol = self.highs.getSolution()
+        return SimpleNamespace(success=True, message="",
+                               x=np.asarray(sol.col_value),
+                               duals=np.asarray(sol.row_dual))
 
 
 def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
@@ -303,8 +276,9 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
     carry the number of pricing rounds (the seed's steps do not count), the
     exposure prices and the Lagrangian duality gap of the returned policy.
     Raises InfeasibleError when the targets cannot be met, and SolverError
-    when HiGHS stops for any other reason, artificial mass is left on a
-    target or the objective or gap leaves the float range.
+    when scipy's HiGHS binding cannot be loaded, HiGHS stops for any other
+    reason, artificial mass is left on a target or the objective or gap
+    leaves the float range.
     """
     _check_market(rel, exp)
     m, n = rel.m, rel.n

@@ -148,22 +148,6 @@ class TestSolveExpoFair:
         with pytest.raises(ZeroMeritError):
             solve_expo_fair(rel, exp)
 
-    def test_calls_the_module_level_linprog(self, toy_market, monkeypatch):
-        # without scipy's private HiGHS binding every master solve is a cold
-        # solvers.linprog call, looked up there on every round
-        force_cold_master(monkeypatch)
-        calls = []
-        lp = solvers.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return lp(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "linprog", counting)
-        rel, exp = toy_market
-        _, diag = solve_expo_fair(rel, exp)
-        assert len(calls) == diag.iterations >= 1
-
     def test_solver_failure_is_typed(self, toy_market, monkeypatch):
         failed = SimpleNamespace(success=False, message="Iteration limit reached.")
         monkeypatch.setattr(solvers._Master, "solve", lambda self: failed)
@@ -244,23 +228,6 @@ class TestSolveExpoFair:
         monkeypatch.setattr(solvers._Master, "solve", bounded)
         policy, diag = solve_expo_fair(rel, exp)
         assert diag.duality_gap <= 1e-9 * user_utility(policy, rel, exp)
-
-    def test_warm_and_cold_masters_agree(self, monkeypatch):
-        rel, exp = MARKETS["desk"]()
-        warm, _ = solve_expo_fair(rel, exp)
-        force_cold_master(monkeypatch)
-        cold, cold_diag = solve_expo_fair(rel, exp)
-        warm_util = user_utility(warm, rel, exp)
-        assert user_utility(cold, rel, exp) == pytest.approx(warm_util, rel=1e-9)
-        assert cold_diag.constraint_residual <= 1e-9
-        assert cold_diag.duality_gap <= 1e-9 * warm_util
-
-
-def force_cold_master(monkeypatch):
-    """Make the import of scipy's private HiGHS binding fail."""
-    import scipy.optimize  # noqa: F401  (the public solver stays importable)
-
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
 
 
 def loop_constraints(m, n, nc, e_top, targets):
@@ -549,10 +516,30 @@ def test_importing_the_cli_leaves_scipy_unloaded():
 
 
 def test_highs_core_is_unavailable_without_scipy(monkeypatch):
-    # with no scipy to find, the solve falls back to the cold master
+    # with no scipy to find, the binding is unavailable
     monkeypatch.delitem(sys.modules, solvers._HIGHS_CORE, raising=False)
     monkeypatch.setitem(sys.modules, "scipy", None)
     assert solvers._highs_core() is None
+
+
+def test_expo_fair_without_the_highs_binding_is_a_solver_error(
+        tmp_path, toy_market, monkeypatch, capsys):
+    # the master has no other LP path: a blocked binding fails the solve and
+    # the command (exit 8) before any file is written
+    from nswrank import io as nio
+    from nswrank.cli import main
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    rel, exp = toy_market
+    with pytest.raises(SolverError, match=r"scipy\.optimize\._highspy\._core"):
+        solve_expo_fair(rel, exp)
+    csv, out = tmp_path / "rel.csv", tmp_path / "policy.json"
+    nio.save_relevance(rel, str(csv))
+    rc = main(["solve", "--policy", "expo-fair", "--relevance", str(csv),
+               "--exposure", "inverse", "--cutoff", "1", "--out", str(out)])
+    assert rc == 8
+    assert "scipy.optimize._highspy._core" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scipy_first", [False, True],
