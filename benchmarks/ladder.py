@@ -26,6 +26,10 @@ its later repeats are skipped, and the rung's ``over_budget`` map gives the
 reason and the seconds spent.  The file also records the machine's core
 count and the python, numpy and scipy versions.
 
+``--one M N K POLICY`` runs one rung in this process and prints its row;
+it also takes the ``max`` and ``uniform`` policies, which the ladder leaves
+out.
+
 The ``cli_startup`` section times the command line at the desk rung:
 ``python -c "import numpy"``, ``python -c "import nswrank.cli"`` and each
 pipeline command (generate, solve nsw and expo-fair, evaluate, decompose,
@@ -85,15 +89,17 @@ def _timed_check(dec, pol) -> float:
 def run_rung(m: int, n: int, k: int, policy: str) -> dict:
     """Time one policy's pipeline on the rung's market, in this process."""
     import numpy as np
-    from nswrank import (bvn_decompose, fairness_report, sample_ranking,
-                         solve_expo_fair, solve_nsw)
+    from nswrank import (NswConfig, bvn_decompose, fairness_report,
+                         sample_ranking)
+    from nswrank.cli import _solve_one
     from nswrank.io import save_policy
 
-    solve = {"nsw": solve_nsw, "expo-fair": solve_expo_fair}[policy]
+    cfg = NswConfig()
     rel_true, rel_pred, exp = _market(m, n, k)
     market_rss_mb = _peak_rss_mb()
     clock = time.perf_counter()
-    pol, diag = solve(rel_pred, exp)
+    pol, diag = _solve_one(policy, rel_pred, exp, cfg.alpha, cfg.rel_gap_tol,
+                           cfg.max_iters)
     solved = time.perf_counter()
     report = fairness_report(pol, rel_true, exp)
     evaluated = time.perf_counter()
@@ -112,7 +118,8 @@ def run_rung(m: int, n: int, k: int, policy: str) -> dict:
         policy_bytes = os.path.getsize(path)
     return {
         "objective": diag.objective_value,
-        # Frank-Wolfe passes for nsw, pricing rounds for expo-fair
+        # Frank-Wolfe passes for nsw, pricing rounds for expo-fair, 0 for
+        # max and uniform
         "iterations": diag.iterations,
         "user_utility": report.user_utility,
         "solve_s": solved - clock,

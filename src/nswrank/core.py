@@ -180,8 +180,11 @@ class RankingMixture:
 
     Construction checks the mixture: integer index arrays of consistent
     sizes, prefixes of distinct items in 0..n-1, weights finite and
-    nonnegative and each user's weights summing to 1 within DS_TOL.  It keeps
-    read-only copies as given and never renormalizes.
+    nonnegative and each user's weights summing to 1 within DS_TOL.  It never
+    renormalizes.  Like ``RelevanceMatrix`` and ``ExposureModel``, it keeps
+    the int64 index arrays and float64 weights it is given, marked
+    read-only, with no copy; a list, or an array of another dtype, is
+    converted once.
     """
 
     n: int
@@ -197,7 +200,7 @@ class RankingMixture:
         indptr = _index_array(self.indptr, "indptr")
         lengths = _index_array(self.lengths, "lengths")
         items = _index_array(self.items, "items")
-        weights = np.array(self.weights, dtype=np.float64)
+        weights = np.asarray(self.weights, dtype=np.float64)
         terms = weights.size
         if indptr.size < 2:
             raise DimensionError("need m >= 1 users")
@@ -222,10 +225,11 @@ class RankingMixture:
         if err > DS_TOL:
             raise NotDoublyStochastic(
                 f"a user's weights sum to 1 +- {err:.3e} (tolerance {DS_TOL})")
-        weights.flags.writeable = False
-        for name, value in (("n", int(n)), ("indptr", indptr), ("weights", weights),
+        for name, value in (("indptr", indptr), ("weights", weights),
                             ("lengths", lengths), ("items", items)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", int(n))
 
     @classmethod
     def from_counts(cls, n: int, counts, weights, lengths, items) -> "RankingMixture":
@@ -241,7 +245,8 @@ class RankingMixture:
     def take(self, users) -> "RankingMixture":
         """The mixture of the given users alone, in ascending order, each
         with its terms in order.  It costs the span from the first user to
-        the last, not the whole mixture."""
+        the last, not the whole mixture: for consecutive users it keeps
+        read-only views of this mixture's weights, lengths and items."""
         users = np.asarray(users)
         if users.size and users.dtype.kind not in "iu":  # bools and floats
             raise InputError(f"take needs integer users in 0..{self.m - 1}, "
@@ -337,13 +342,12 @@ def check_size(n: int) -> None:
 
 
 def _index_array(values, name: str) -> np.ndarray:
-    """A read-only int64 copy of a 1-D array of integers."""
+    """A 1-D array of integers as int64: an int64 array itself, anything
+    else converted."""
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
         raise DimensionError(f"{name} must be a 1-D array of integers")
-    arr = arr.astype(np.int64)
-    arr.flags.writeable = False
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def _repeats_an_item(lengths: np.ndarray, items: np.ndarray) -> bool:

@@ -116,6 +116,11 @@ COMMANDS = {
     "solve-nsw": (["solve", "--policy", "nsw", "--relevance", "{pred.csv}",
                    "--cutoff", "2", "--out", "{out.json}"],
                   ["concurrent.futures", "scipy"]),
+    # the solve the wide_max benchmark workload runs: a sort, with no LP
+    "solve-max": (["solve", "--policy", "max", "--relevance", "{pred.csv}",
+                   "--cutoff", "2", "--out", "{out.json}"],
+                  ["nswrank.bvn", "nswrank.metrics", "nswrank.synth",
+                   "concurrent.futures", "scipy"]),
     "solve-expo-fair": (["solve", "--policy", "expo-fair", "--relevance",
                          "{pred.csv}", "--cutoff", "2", "--out", "{out.json}"],
                         ["concurrent.futures", "scipy"]),

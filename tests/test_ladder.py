@@ -31,6 +31,19 @@ def test_rung_reports_every_step(policy):
     assert row["policy_bytes"] > 0
 
 
+@pytest.mark.parametrize("policy", ["max", "uniform"])
+def test_one_runs_a_policy_the_ladder_leaves_out(policy, capsys):
+    # the ladder's rows keep their schema: only --one takes these policies
+    assert policy not in ladder.POLICIES
+    assert ladder.main(["--one", "6", "5", "2", policy]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert all(isinstance(v, (int, float)) and math.isfinite(v)
+               for v in row.values())
+    # one ranking or one empty prefix per user, and no iterations
+    assert row["iterations"] == 0 and row["terms_max"] == 1
+    assert row["terms_per_user"] == 1.0 and row["policy_bytes"] > 0
+
+
 def test_one_runs_without_pythonpath(tmp_path):
     # the script finds this checkout's package itself: no install needed
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

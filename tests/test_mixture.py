@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,13 +53,54 @@ MIXTURES = dict(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6),
 
 class TestChecks:
     def test_keeps_the_arrays_as_given(self):
-        weights = np.array([0.5, 0.5 + 4e-7])
-        mix = RankingMixture.from_counts(3, [2], weights, [0, 3], [2, 0, 1])
-        assert np.array_equal(mix.weights, weights)
-        assert not mix.weights.flags.writeable
-        assert not mix.items.flags.writeable
-        weights[0] = 0.0
-        assert mix.weights[0] == 0.5
+        # int64 index arrays and float64 weights are kept, not copied, and
+        # marked read-only: a write through the caller's reference fails
+        given = dict(indptr=np.array([0, 2], np.int64),
+                     weights=np.array([0.5, 0.5 + 4e-7]),
+                     lengths=np.array([0, 3], np.int64),
+                     items=np.array([2, 0, 1], np.int64))
+        mix = RankingMixture(3, **given)
+        for name, arr in given.items():
+            kept = getattr(mix, name)
+            assert np.shares_memory(kept, arr), name
+            assert not kept.flags.writeable and not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            given["weights"][0] = 0.0
+        with pytest.raises(ValueError):
+            given["items"][0] = 1
+        assert mix.weights[0] == 0.5 and mix.items[0] == 2
+
+    @pytest.mark.parametrize("weights, items", [
+        ([0.25, 0.75], [2, 0, 1]),
+        (np.array([0.25, 0.75], np.float32), np.array([2, 0, 1], np.int32)),
+    ], ids=["lists", "float32-int32"])
+    def test_converts_other_inputs_to_its_own_arrays(self, weights, items):
+        mix = RankingMixture.from_counts(3, [2], weights, [0, 3], items)
+        assert mix.weights.dtype == np.float64 and mix.items.dtype == np.int64
+        assert not (mix.weights.flags.writeable or mix.items.flags.writeable)
+        if isinstance(items, np.ndarray):
+            # the caller's arrays stay writeable, and writes leave the mixture
+            assert weights.flags.writeable and items.flags.writeable
+            weights[0], items[0] = 0.0, 1
+        assert mix.weights[0] == 0.25 and mix.items[0] == 2
+
+    def test_building_allocates_only_the_checks_temporaries(self):
+        # a 2000 x 500 full-ranking mixture from int64 and float64 arrays:
+        # the checks' one temporary the size of the items is the repeat
+        # check's sorted copy, with its 1-byte comparison mask per item; the
+        # rest are a few arrays of one 8-byte entry per user or term
+        m, n = 2000, 500
+        items = np.argsort(np.random.default_rng(0).random((m, n)),
+                           axis=1).ravel().astype(np.int64, copy=False)
+        weights, counts = np.ones(m), np.ones(m, np.int64)
+        lengths = np.full(m, n, np.int64)
+        tracemalloc.start()
+        try:
+            RankingMixture.from_counts(n, counts, weights, lengths, items)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= items.nbytes + items.size + 16 * 8 * m, peak
 
     @pytest.mark.parametrize("counts, weights, lengths, items, error", [
         ([1], [1.0], [2], [0, 0], NotDoublyStochastic),
@@ -155,6 +197,14 @@ class TestMarginals:
         mix = random_mixture(seed, m, n, zero_weights=True)
         users = sorted({u % m for u in picks})
         assert np.array_equal(mix.take(users).dense(), mix.dense()[users])
+
+    def test_take_of_consecutive_users_keeps_views(self):
+        mix = RankingMixture.from_counts(3, [1, 2, 1], [1.0, 0.5, 0.5, 1.0],
+                                         np.full(4, 3), np.tile([2, 0, 1], 4))
+        part = mix.take([1, 2])
+        for name in ("weights", "lengths", "items"):
+            assert np.shares_memory(getattr(part, name), getattr(mix, name))
+        assert np.array_equal(part.dense(), mix.dense()[1:])
 
     @pytest.mark.parametrize("users", [[], [1, 0], [1, 1], [3], [-1], [0, 3]])
     def test_take_needs_ascending_users(self, users):
