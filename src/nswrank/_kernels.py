@@ -1,6 +1,5 @@
 """Hot numeric kernels: the sort oracle and the pairwise Frank-Wolfe welfare
-solver, plus a batched perfect matching that no decomposition calls any
-more.
+solver.
 
 The welfare solver performs per-user pairwise Frank-Wolfe steps
 (Lacoste-Julien & Jaggi, NeurIPS 2015) in Gauss-Seidel passes: weight moves
@@ -200,13 +199,10 @@ def fw_solve(V, e, w, active, rel_gap_tol, max_iters):
         final = t + 1 == max_iters
         if not (final or stalled or meets_target(objective, pass_gap, rel_gap_tol)):
             continue
-        # the state's own certificate first: building the mixture costs more
-        if final or meets_target(*certificate(
-                V, _exposures(W, prefixes, eK, u0, n), eK, w, active), rel_gap_tol):
-            policy = _mixture(W, prefixes, n)
-            objective, gap = certificate(V, policy.exposures(e), eK, w, active)
-            if final or meets_target(objective, gap, rel_gap_tol):
-                return policy, t + 1, gap, objective
+        policy = _mixture(W, prefixes, n)
+        objective, gap = certificate(V, policy.exposures(e), eK, w, active)
+        if final or meets_target(objective, gap, rel_gap_tol):
+            return policy, t + 1, gap, objective
 
 
 def newton_step(imp, dimp, w, gamma_max):
@@ -598,36 +594,5 @@ def _mixture(W, prefixes, n):
                                       prefixes[:, 1:][kept[:, 1:]].ravel())
 
 
-# --------------------------------------------------------------------------
-# Maximum matchings on a stack of boolean item x rank support matrices.
-# Returns rank_of_item, shape (b, rows), -1 where an item stays unmatched.
-# --------------------------------------------------------------------------
-
-
-# unused in the package: kept only because perfbench/tracer.py wraps it by name
-def perfect_matching(support):
-    """Match every block of a (b, rows, cols) stack in one Hopcroft-Karp call.
-
-    The blocks are the diagonal blocks of one bipartite graph.  Hopcroft-Karp
-    recomputes its shortest-path layers from scratch in every phase, and a
-    block takes part in a phase only when its own shortest augmenting path is
-    the shortest of the phase; it then augments exactly as it would alone.  So
-    each block gets the matching that a call on that block alone gives.
-    """
-    # imported here so that commands which never decompose skip loading csgraph
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    # CSR arrays straight from the nonzeros: the same structure, in the same
-    # order, as converting the dense block-diagonal matrix.  Entry (j, r, c)
-    # is graph row j * rows + r, graph column j * cols + c.
-    b, rows, cols = support.shape
-    flat = np.flatnonzero(support)
-    indptr = np.searchsorted(flat, np.arange(0, b * rows * cols + 1, cols))
-    indices = flat // (rows * cols) * cols + flat % cols
-    graph = sp.csr_matrix(
-        (np.ones(flat.size, dtype=np.int8), indices.astype(np.int32),
-         indptr.astype(np.int32)), shape=(b * rows, b * cols))
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    match = match.astype(np.int64).reshape(b, rows)
-    return np.where(match >= 0, match - np.arange(b)[:, None] * cols, -1)
+# perfbench/tracer.py wraps this name and nothing calls it
+perfect_matching = None

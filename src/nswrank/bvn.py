@@ -5,11 +5,10 @@ within ``DECOMPOSITION_TOL``; the items a term's prefix leaves out follow it
 in a uniformly random order.  A policy is deployed by sampling the rankings
 it mixes, so a ``RankingMixture`` policy, which every solver returns, is its
 own decomposition: ``bvn_decompose`` keeps its terms of positive weight,
-their weights bit for bit where they sum to 1 within that tolerance, with no
-matching and no scipy import.  Sampling a ranking for a user is a seeded
-draw over that user's terms, then a seeded shuffle of the items the drawn
-prefix leaves out; ``reconstruct`` gives the dense marginals the terms add
-up to.
+their weights bit for bit where they sum to 1 within that tolerance.
+Sampling a ranking for a user is a seeded draw over that user's terms, then
+a seeded shuffle of the items the drawn prefix leaves out; ``reconstruct``
+gives the dense marginals the terms add up to.
 """
 
 from __future__ import annotations
@@ -17,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DECOMPOSITION_TOL, RankingMixture
-# unused: kept only because perfbench/tracer.py wraps this binding by name
-from .core import renormalize_doubly_stochastic
 from .errors import InputError, SchemaError
+
+# perfbench/tracer.py wraps this name and nothing calls it
+renormalize_doubly_stochastic = None
 
 
 def bvn_decompose(policy: RankingMixture) -> RankingMixture:

@@ -251,12 +251,12 @@ def _parse_sweep_config(doc: dict) -> dict:
     # The sweep's own rules are that its policy names differ, that seeds is
     # at least 1 and that its rows stay within _MAX_SWEEP_ROWS.
     if not isinstance(doc, dict):
-        raise InputError("sweep config must be a JSON object")
+        raise InputError("bad config: the sweep config must be a JSON object")
     policies = []
     for entry in _config_field(doc, "policies", []):
         if isinstance(entry, str):
             if entry not in _POLICY_CHOICES:
-                raise InputError(f"unknown policy {entry!r}")
+                raise InputError(f"bad config: unknown policy {entry!r}")
             policies.append((entry, entry, 0.0))
         elif isinstance(entry, dict) and set(entry) == {"alpha-nsw"}:
             for alpha in _config_field(entry, "alpha-nsw", []):
@@ -264,7 +264,7 @@ def _parse_sweep_config(doc: dict) -> dict:
                 name = "nsw" if alpha == 0.0 else f"nsw-a{alpha:g}"
                 policies.append((name, "nsw", alpha))
         else:
-            raise InputError(f"bad policy entry {entry!r}")
+            raise InputError(f"bad config: bad policy entry {entry!r}")
     names = set()
     for name, _, _ in policies:
         if name in names:
@@ -277,7 +277,8 @@ def _parse_sweep_config(doc: dict) -> dict:
                                        ("noise_c", float, 0.05),
                                        ("k", int, 5), ("n_items", int, 50))]
     if not policies or not all(grid):
-        raise InputError("sweep config needs a nonempty policy list and grid")
+        raise InputError("bad config: the sweep needs a nonempty policy list "
+                         "and grid")
     seeds = _config_number(doc.get("seeds", 10), "seeds", int)
     if seeds < 1:
         raise InputError(f"bad config: seeds must be >= 1, got {seeds}")

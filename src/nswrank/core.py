@@ -151,21 +151,8 @@ class ImpactFunction(Enum):
         return np.ones_like(rel.values)
 
 
-# unused in the package: kept only because perfbench/tracer.py wraps it by name
-def renormalize_doubly_stochastic(mats: np.ndarray, max_sweeps: int = 100,
-                                  resid_tol: float = 1e-13) -> np.ndarray:
-    """Alternate row/column rescaling until every sum is 1 to within resid_tol."""
-    out = np.clip(np.asarray(mats, dtype=np.float64), 0.0, None).copy()
-    for _ in range(max_sweeps):
-        out /= out.sum(axis=2, keepdims=True)
-        out /= out.sum(axis=1, keepdims=True)
-        resid = max(
-            np.abs(out.sum(axis=2) - 1.0).max(),
-            np.abs(out.sum(axis=1) - 1.0).max(),
-        )
-        if resid <= resid_tol:
-            break
-    return np.clip(out, 0.0, 1.0)
+# perfbench/tracer.py wraps this name and nothing calls it
+renormalize_doubly_stochastic = None
 
 
 @dataclass(frozen=True)

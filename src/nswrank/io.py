@@ -16,7 +16,9 @@ decomposition is a ``RankingMixture`` too, in the same ``users`` layout:
 ``decomposition/v2`` otherwise; ``load_decomposition`` reads both and
 checks that each user's weights sum to 1 within ``core.DECOMPOSITION_TOL``
 (1e-9).  Every decomposition file records that tolerance as
-``"epsilon": 1e-09``, a fixed field that nothing reads.
+``"epsilon": 1e-09``, a fixed field: ``load_decomposition`` requires a
+finite number there and then discards it, checking the sums against
+``DECOMPOSITION_TOL`` whatever the file says.
 
 Policy and decomposition JSON hold one large array, their terms.  Their
 writers stream that array one user at a time and produce exactly the bytes
@@ -231,7 +233,7 @@ def save_decomposition(path, dec: RankingMixture) -> None:
         "schema": DECOMPOSITION_SCHEMA if full else DECOMPOSITION_PREFIX_SCHEMA,
         "m": dec.m,
         "n": dec.n,
-        "epsilon": DECOMPOSITION_TOL,  # a fixed field: nothing reads it
+        "epsilon": DECOMPOSITION_TOL,  # fixed: a load checks it and discards it
         "users": _SLOT,
     }
     _dump_json_streamed(doc, path, _users_texts(dec))

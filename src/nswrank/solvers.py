@@ -25,7 +25,6 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -145,12 +144,8 @@ def _check_targets_feasible(targets: np.ndarray, m: int, e: np.ndarray) -> None:
             f"{m * np.cumsum(e_sorted)[j - 1]:.6g} is available")
 
 
-# unused in the package: kept only because perfbench/tracer.py wraps it by name
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
+# perfbench/tracer.py wraps this name and nothing calls it
+linprog = None
 
 
 # The master works on relevance divided by its maximum and exposure divided
@@ -246,17 +241,15 @@ class _Master:
                            index.astype(np.int32), value)
 
     def solve(self):
-        """One solve: ``success`` and ``message``, and on success the
-        primal ``x`` and the row ``duals`` (d objective / d rhs)."""
+        """One solve: the primal ``x`` and the row ``duals`` (d objective /
+        d rhs).  Raises SolverError when HiGHS stops short of an optimum."""
         self.highs.run()
         status = self.highs.getModelStatus()
         if status != self.optimal:
-            return SimpleNamespace(
-                success=False, message=self.highs.modelStatusToString(status))
+            raise SolverError("LP solver failed: "
+                              + self.highs.modelStatusToString(status))
         sol = self.highs.getSolution()
-        return SimpleNamespace(success=True, message="",
-                               x=np.asarray(sol.col_value),
-                               duals=np.asarray(sol.row_dual))
+        return np.asarray(sol.col_value), np.asarray(sol.row_dual)
 
 
 def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
@@ -340,12 +333,10 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
 
     rounds = 0
     while True:
-        res = master.solve()
+        x, duals = master.solve()
         rounds += 1
-        if not res.success:
-            raise SolverError(f"LP solver failed: {res.message}")
-        mu = -res.duals[:m]
-        prices = np.append(-res.duals[m:], 0.0)
+        mu = -duals[:m]
+        prices = np.append(-duals[m:], 0.0)
         prefixes, top = _kernels.sort_oracle(r - prices, K)
         reduced = top @ eK - mu
         tol = _PRICING_TOL * float(np.abs(mu).max())
@@ -355,13 +346,13 @@ def solve_expo_fair(rel: RelevanceMatrix, exp: ExposureModel,
         if not add_columns(users, prefixes[users]):
             break
 
-    artificial = float(res.x[:2 * nt].max())
+    artificial = float(x[:2 * nt].max())
     if artificial > _ARTIFICIAL_TOL:
         raise SolverError(
             f"column generation ended with artificial mass {artificial:.3g} "
             "on an exposure target")
 
-    theta = res.x[2 * nt:]
+    theta = x[2 * nt:]
     used = theta > 0.0
     users = np.concatenate(col_users)[used]
     # each user's columns in the order they entered the master

@@ -265,15 +265,14 @@ class TestSolve:
                      "--link", "identity", "--out", str(tmp_path / "o.json")]) == 2
 
     def test_lp_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        failed = SimpleNamespace(success=False,
-                                 message="Numerical difficulties encountered.")
-        monkeypatch.setattr(solvers._Master, "solve", lambda self: failed)
+        monkeypatch.setitem(solvers._MASTER_TOLERANCES,
+                            "simplex_iteration_limit", 0)
         toy = write_toy(tmp_path)
         out = tmp_path / "fair.json"
         rc = main(["solve", "--policy", "expo-fair", "--relevance", str(toy),
                    "--cutoff", "1", "--out", str(out)])
         assert rc == 8
-        assert "Numerical difficulties" in capsys.readouterr().err
+        assert "LP solver failed: Iteration limit reached" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gap_target_unmet_still_writes_policy(self, tmp_path):
@@ -1000,9 +999,8 @@ class TestSweep:
         assert not out.exists()
 
     def test_lp_failure_gives_error_rows(self, tmp_path, monkeypatch):
-        failed = SimpleNamespace(success=False,
-                                 message="Numerical difficulties encountered.")
-        monkeypatch.setattr(solvers._Master, "solve", lambda self: failed)
+        monkeypatch.setitem(solvers._MASTER_TOLERANCES,
+                            "simplex_iteration_limit", 0)
         cfg = self._config(tmp_path, policies=["expo-fair", "max"])
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -1011,11 +1009,12 @@ class TestSweep:
         for row in rows:
             assert (row[6:] == ["error"] * 4) == (row[0] == "expo-fair")
 
-    def test_bad_config(self, tmp_path):
+    def test_bad_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"policies": [], "grid": {}}))
         assert main(["sweep", "--config", str(path),
                      "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad config: ")
 
     @pytest.mark.parametrize("overrides", [
         {"policies": "nsw"},
@@ -1033,12 +1032,22 @@ class TestSweep:
         {"tol": None},
         {"tol": "1e-6"},
         {"max_iters": None},
+        {"policies": ["bogus"]},
+        {"policies": [3]},
+        {"policies": [{"alpha-nsw": [1], "x": 1}]},
+        None,
     ], ids=["policies-string", "alpha-nsw-number", "grid-list",
             "grid-value-number", "lambda-null", "k-boolean", "n-items-fraction",
             "alpha-nsw-null", "seeds-null", "seeds-infinite", "users-null",
-            "users-boolean", "tol-null", "tol-string", "max-iters-null"])
+            "users-boolean", "tol-null", "tol-string", "max-iters-null",
+            "unknown-policy", "policy-number", "alpha-nsw-extra-key",
+            "config-list"])
     def test_config_of_the_wrong_type(self, tmp_path, capsys, overrides):
-        cfg = self._config(tmp_path, **overrides)
+        if overrides is None:       # the whole config is [], not an object
+            cfg = tmp_path / "config.json"
+            cfg.write_text("[]")
+        else:
+            cfg = self._config(tmp_path, **overrides)
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: bad config: ")

@@ -12,10 +12,13 @@ from nswrank import (
     ExposureModel,
     ImpactFunction,
     InputError,
+    NswrankError,
     RelevanceMatrix,
     SizeError,
+    adversarial_market,
     amortized_exposure,
     envy_matrix,
+    exposure_profile,
     item_impact,
     merit,
     solve_expo_fair,
@@ -118,6 +121,25 @@ class TestCheckSize:
         check_size(2**14)
         with pytest.raises(SizeError, match=str(MAX_ENTRIES)):
             check_size(2**14 + 1)
+
+
+@pytest.mark.parametrize("refused, error, exit_code", [
+    (lambda: RelevanceMatrix([0.5, 0.2]), DimensionError, 6),
+    (lambda: ExposureModel([[1.0, 0.5]]), DimensionError, 6),
+    (lambda: exposure_profile(solve_uniform(2, 3),
+                              ExposureModel([1.0, 0.5, 0.0, 0.0])),
+     DimensionError, 6),
+    (lambda: solve_utility_max(RelevanceMatrix([[0.5, 0.2, 0.1]]),
+                               ExposureModel([1.0, 0.5])), DimensionError, 6),
+    (lambda: solve_uniform(0, 3), DimensionError, 6),
+    (lambda: adversarial_market(1), InputError, 2),
+], ids=["relevance-not-2d", "exposure-not-a-vector", "policy-exposure-length",
+        "market-exposure-length", "uniform-no-users", "adversarial-one-item"])
+def test_a_refusal_is_typed(refused, error, exit_code):
+    with pytest.raises(NswrankError) as info:
+        refused()
+    assert type(info.value) is error
+    assert info.value.exit_code == exit_code
 
 
 class TestUserUtility:

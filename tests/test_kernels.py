@@ -1,11 +1,11 @@
-"""The numpy Frank-Wolfe kernel, its Newton line search and the matching."""
+"""The numpy Frank-Wolfe kernel and its Newton line search."""
 
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nswrank import (ExposureModel, NswConfig, RelevanceMatrix, SolverError,
@@ -488,11 +488,17 @@ class TestFaceStep:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
            k=st.integers(1, 3), vertices=st.integers(1, 6))
+    # every user puts all its weight on one top-1 prefix, and no prefix
+    # ranks item 2: its impact is 0, so the objective starts at -inf
+    @example(seed=6090, n=3, k=1, vertices=1)
     def test_objective_rises_and_weights_stay_on_the_simplex(self, seed, n, k,
                                                               vertices):
         k = min(k, n)
         V, eK, w, W, prefixes = face_state(seed, 4, n, k, vertices)
-        before, imp = face_objective(V, eK, w, W, prefixes)
+        with np.errstate(divide="ignore"):
+            before, imp = face_objective(V, eK, w, W, prefixes)
+        # a zero impact is test_a_zero_impact_leaves_the_state_alone's case
+        assume(np.isfinite(before))
         was_zero = W == 0.0
         _kernels.face_step(V, w, eK, eK.sum() / n, W, prefixes, imp)
         after, fresh = face_objective(V, eK, w, W, prefixes)
@@ -535,8 +541,8 @@ class TestStateExposures:
            vertices=st.integers(1, 6), grown=st.integers(0, 2))
     def test_the_state_and_its_mixture_give_the_same_exposures(
             self, seed, m, n, k, vertices, grown):
-        # fw_solve's cheap certificate reads the state's exposures and its
-        # final one the returned mixture's: they must agree
+        # each pass's snapshot reads the state's exposures and the stop
+        # certificate the returned mixture's: they must agree
         k = min(k, n)
         V, eK, w, W, prefixes = face_state(seed, m, n, k, vertices)
         rng = np.random.default_rng(seed)
@@ -552,50 +558,3 @@ class TestStateExposures:
         mixture = _kernels._mixture(W, prefixes, n).exposures(e)
         assert np.abs(state - mixture).max() <= 1e-14 * np.abs(mixture).max()
 
-
-class TestMatching:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_finds_valid_matching(self, seed):
-        b, n = 3, 8
-        rng = np.random.default_rng(seed)
-        # union of a few permutations always admits a perfect matching
-        support = np.zeros((b, n, n), dtype=bool)
-        for j in range(b):
-            for _ in range(3):
-                support[j, rng.permutation(n), np.arange(n)] = True
-        match = _kernels.perfect_matching(support)
-        assert match.shape == (b, n)
-        for j in range(b):
-            assert sorted(match[j].tolist()) == list(range(n))
-            assert all(support[j, i, match[j, i]] for i in range(n))
-
-    def test_reports_absence(self):
-        # only the middle block lacks a perfect matching
-        support = np.array([np.eye(2, dtype=bool),
-                            [[True, False], [True, False]],
-                            np.eye(2, dtype=bool)])
-        match = _kernels.perfect_matching(support)
-        assert (match[1] < 0).any()
-        assert np.array_equal(match[[0, 2]], [[0, 1], [0, 1]])
-
-    @settings(max_examples=300, deadline=None)
-    @given(blocks=st.integers(1, 5), rows=st.integers(1, 7),
-           cols=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
-    def test_matches_the_dense_csr_matching(self, blocks, rows, cols, seed):
-        # every block of the stack gets the matching that the dense mask of
-        # that block alone gives, so every BvN term stays the same (-1
-        # entries included); densities differ between blocks, so blocks
-        # finish their augmenting phases at different times
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import maximum_bipartite_matching
-
-        rng = np.random.default_rng(seed)
-        density = rng.random((blocks, 1, 1))
-        support = rng.random((blocks, rows, cols)) < density
-        got = _kernels.perfect_matching(support)
-        assert got.dtype == np.int64
-        assert got.shape == (blocks, rows)
-        for j in range(blocks):
-            alone = maximum_bipartite_matching(
-                sp.csr_matrix(support[j].astype(np.int8)), perm_type="column")
-            assert np.array_equal(got[j], alone)

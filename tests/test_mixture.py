@@ -264,7 +264,7 @@ class TestDecompose:
             (0.5, [3, 1]), (0.25, [0, 1, 2, 3]), (0.25, [])]
 
     def test_needs_no_matching(self):
-        # neither the matching nor scipy is loaded for a mixture
+        # decomposing a mixture does not load scipy
         code = (
             "import sys\n"
             "import numpy as np\n"

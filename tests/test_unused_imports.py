@@ -15,8 +15,6 @@ SOURCES = sorted((Path(__file__).parents[1] / "src" / "nswrank").glob("*.py"))
 # (module, name) bindings that are kept on purpose although the module never
 # reads them
 ALLOWED = {
-    # perfbench/tracer.py wraps this binding of bvn by name
-    ("bvn", "renormalize_doubly_stochastic"),
     # cmd_sweep loads these before the pool forks, so its workers inherit them
     ("cli", "metrics"), ("cli", "solvers"), ("cli", "synth"),
 }
