@@ -168,47 +168,21 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-# entries per block of the reconstruction check: a block's users' dense
-# (n, n) cells plus the head and tail cells of their terms, about 2^20
-_CHECK_ENTRIES = 2**20
-
-
 def _reconstruction_error(dec: RankingMixture, policy: RankingMixture) -> float:
     """Largest |reconstruct(dec) - policy| entry, or 0 when no user needs
     checking.
 
-    A user whose decomposition terms are its own, bit for bit (the
-    same weights, lengths and items, in order), is skipped.
-    ``bvn_decompose`` keeps a user's positive terms in order, and their
-    weights as they are when they sum to 1 within ``core.DECOMPOSITION_TOL``,
-    so this holds for every such user with no term of zero weight: every
-    solver's output.
-    Its ``dense()`` cells are then the same shares, added by ``bincount``
-    in the same term order whatever other users share the block, so its
-    error is exactly 0.
-
-    The other users are compared in blocks of consecutive users; each entry
-    is computed as on the whole (m, n, n) tensors.  ``RankingMixture.dense``
-    builds n^2 cells per user and L + (n - L)^2 per term of prefix length L,
-    so a block holds at most ``_CHECK_ENTRIES`` of those, or one user.
+    A user whose decomposition terms are its own, bit for bit, has an error
+    of exactly 0 and is skipped: ``bvn_decompose`` keeps a user's positive
+    terms in order, and their weights as they are when they sum to 1 within
+    ``core.DECOMPOSITION_TOL``, so this holds for every solver's output.
+    Each other user is compared alone, one (n, n) matrix at a time; its
+    entries are those of the whole (m, n, n) tensors.
     """
-    check = np.flatnonzero(~_own_terms(dec, policy))
-    n = dec.n
-    tail = n - dec.lengths
-    cost = (n * n + np.bincount(dec.term_users(), dec.lengths + tail * tail,
-                                minlength=dec.m))[check]
-    ends = np.cumsum(cost)
     err = 0.0
-    lo = 0
-    while lo < check.size:
-        # the next users whose entries fit, and at least one
-        hi = max(lo + 1, int(np.searchsorted(
-            ends, ends[lo] - cost[lo] + _CHECK_ENTRIES, side="right")))
-        users = check[lo:hi]
-        want = policy.take(users).dense()
-        got = _cli.reconstruct(dec.take(users))
-        err = max(err, float(np.abs(got - want).max()))
-        lo = hi
+    for user in np.flatnonzero(~_own_terms(dec, policy)):
+        got = _cli.reconstruct(dec.take(user))
+        err = max(err, float(np.abs(got - policy.take(user).dense()).max()))
     return err
 
 
@@ -248,8 +222,9 @@ def _parse_sweep_config(doc: dict) -> dict:
     # Before any unit runs, each value is checked by what a unit builds from
     # it: a typed error from its market's config, its audit's n x n size
     # bound, its exposure model or a policy's NswConfig is a bad config.
-    # The sweep's own rules are that its policy names differ, that seeds is
-    # at least 1 and that its rows stay within _MAX_SWEEP_ROWS.
+    # The sweep's own rules are that its policy names differ, that its grid
+    # values print apart, that seeds is at least 1 and that its rows stay
+    # within _MAX_SWEEP_ROWS.
     if not isinstance(doc, dict):
         raise InputError("bad config: the sweep config must be a JSON object")
     policies = []
@@ -286,10 +261,20 @@ def _parse_sweep_config(doc: dict) -> dict:
     if rows > _MAX_SWEEP_ROWS:
         raise InputError(f"bad config: the sweep has {rows} rows (grid points "
                          f"x policies x seeds), more than {_MAX_SWEEP_ROWS}")
+    points = list(itertools.product(*grid))
+    # a row's printed grid columns are the CSV's only key to its grid point
+    printed = set()
+    for point in points:
+        columns = ",".join(
+            nio.format_sweep_row("", *point, 0, "error").split(",")[1:5])
+        if columns in printed:
+            raise InputError("bad config: two grid points print as "
+                             f"lambda,noise_c,k,n_items={columns}")
+        printed.add(columns)
     cfg = {
         "policies": tuple(policies),
         # (lambda, noise_c, k, n_items), each ascending, the last innermost
-        "points": list(itertools.product(*grid)),
+        "points": points,
         "seeds": seeds,
         "users": _config_number(doc.get("users", 100), "users", int),
         "exposure": doc.get("exposure", "inverse"),
@@ -372,9 +357,9 @@ def cmd_sweep(args) -> int:
               cfg["tol"], cfg["max_iters"])
              for point in cfg["points"] for seed in range(cfg["seeds"])]
     # the pool starts all its workers at once, so it gets no more than there
-    # are tasks; they inherit the modules loaded here rather than each
-    # importing them
-    workers = min(args.parallel, len(tasks))
+    # are tasks or CPUs; they inherit the modules loaded here rather than
+    # each importing them
+    workers = min(args.parallel, len(tasks), os.cpu_count() or 1)
     from . import metrics, solvers, synth  # noqa: F401
     if workers > 1:
         import concurrent.futures

@@ -229,35 +229,19 @@ class RankingMixture:
     def m(self) -> int:
         return self.indptr.size - 1
 
-    def take(self, users) -> "RankingMixture":
-        """The mixture of the given users alone, in ascending order, each
-        with its terms in order.  It costs the span from the first user to
-        the last, not the whole mixture: for consecutive users it keeps
-        read-only views of this mixture's weights, lengths and items."""
-        users = np.asarray(users)
-        if users.size and users.dtype.kind not in "iu":  # bools and floats
-            raise InputError(f"take needs integer users in 0..{self.m - 1}, "
-                             f"not {users.dtype} ones")
-        users = users.astype(np.int64, copy=False)
-        if users.size == 0 or np.any(np.diff(users) <= 0):
-            raise InputError("take needs at least one user, in ascending order")
-        outside = (users < 0) | (users >= self.m)
-        if outside.any():
-            raise InputError(f"take needs ascending users in 0..{self.m - 1}, "
-                             f"not user {users[outside.argmax()]}")
-        first, stop = int(users[0]), int(users[-1]) + 1
-        lo, hi = self.indptr[first], self.indptr[stop]
-        kept = np.zeros(stop - first, dtype=bool)
-        kept[users - first] = True
-        counts = np.diff(self.indptr[first:stop + 1])
-        weights, lengths = self.weights[lo:hi], self.lengths[lo:hi]
+    def take(self, user: int) -> "RankingMixture":
+        """User ``user``'s terms alone, in order, as a one-user mixture that
+        keeps read-only views of this mixture's weights, lengths and items.
+        A user outside 0..m-1 is an ``InputError``."""
+        if not 0 <= user < self.m:
+            raise InputError(f"take needs a user in 0..{self.m - 1}, "
+                             f"not user {user}")
+        lo, hi = self.indptr[user:user + 2]
+        lengths = self.lengths[lo:hi]
         start = int(self.lengths[:lo].sum())
-        items = self.items[start:start + int(lengths.sum())]
-        if not kept.all():
-            terms = np.repeat(kept, counts)
-            items = items[np.repeat(terms, lengths)]
-            counts, weights, lengths = counts[kept], weights[terms], lengths[terms]
-        return RankingMixture.from_counts(self.n, counts, weights, lengths, items)
+        return RankingMixture.from_counts(
+            self.n, [hi - lo], self.weights[lo:hi], lengths,
+            self.items[start:start + int(lengths.sum())])
 
     @property
     def terms(self) -> tuple:

@@ -520,10 +520,10 @@ class TestDecomposeAndSample:
                          [{"weight": 1.0, "items_by_rank": []}], 2**20)
 
     @staticmethod
-    def _mixture(users):
+    def _mixture(users, n=4):
         terms = [t for user in users for t in user]
         return RankingMixture.from_counts(
-            4, [len(user) for user in users], [w for w, _ in terms],
+            n, [len(user) for user in users], [w for w, _ in terms],
             [len(p) for _, p in terms], np.concatenate([p for _, p in terms]))
 
     @staticmethod
@@ -539,34 +539,29 @@ class TestDecomposeAndSample:
         monkeypatch.setattr(cli, "reconstruct", counting)
         return seen
 
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_reconstruction_error_by_user_blocks(self, monkeypatch, block):
-        # blocks of at most `block` users give the entry of the whole-tensor
-        # check; users 2 and 5 have weights that miss 1 by 2^-26, more than
-        # the 1e-9 within which bvn_decompose keeps them, so it rescales them,
+    def test_reconstruction_error_user_by_user(self, monkeypatch):
+        # users 2 and 5 have weights that miss 1 by 2^-26, more than the
+        # 1e-9 within which bvn_decompose keeps them, so it rescales them,
         # and user 6 has a term of weight zero, which it drops: only those
-        # three are checked
-        rng = np.random.default_rng(block)
+        # three are checked, one at a time, and the error is the entry of
+        # the whole-tensor check
+        rng = np.random.default_rng(1)
         miss = 2.0 ** -26
         heavy = {2: 0.75 + miss, 5: 0.75 - miss}
         users = [[(0.25, rng.permutation(4)[:2]),
                   (heavy.get(u, 0.75), rng.permutation(4))] for u in range(8)]
         users[6].insert(1, (0.0, rng.permutation(4)[:1]))
         mixture = self._mixture(users)
-        # a block takes 16 entries per user and L + (4 - L)^2 per term: 26
-        # for each checked user
-        monkeypatch.setattr(cli, "_CHECK_ENTRIES", block * 26)
         seen = self._count_checked(monkeypatch)
         dec = bvn_decompose(mixture)
         whole = float(np.abs(reconstruct(dec) - mixture.dense()).max())
         assert cli._reconstruction_error(dec, mixture) == whole
-        assert sum(seen) == 3 and max(seen) <= block
-        assert len(seen) == -(-3 // block)    # blocks fill up
+        assert seen == [1, 1, 1]
         # the rescaled weights differ from the policy's by 0.875 * 2^-26
         assert 0.5 * miss < whole < miss
 
         # weights that miss 1 by a few ulps are kept bit for bit, so those
-        # users build no block
+        # users are not checked
         ulp = 2.0 ** -53    # of 0.75
         close = self._mixture([[(0.25, rng.permutation(4)[:2]),
                                 (0.75 + d, rng.permutation(4))]
@@ -577,21 +572,34 @@ class TestDecomposeAndSample:
         assert cli._reconstruction_error(dec, close) == 0.0
         assert seen == []
 
-    @pytest.mark.parametrize("entries, blocks", [(71, [1, 1, 1]), (72, [2, 1])],
-                             ids=["71", "72"])
-    def test_blocks_count_the_cells_of_every_term(self, monkeypatch, entries,
-                                                   blocks):
-        # each user takes 16 entries, 16 for the tail of its empty prefix and
-        # 4 for its full ranking: 36, so two users fit in 72 entries, not 71
-        miss = 2.0 ** -26   # rescaled, so every user is checked
-        users = [[(0.5 + miss, np.arange(0)), (0.5, np.arange(4))]] * 3
-        mixture = self._mixture(users)
-        monkeypatch.setattr(cli, "_CHECK_ENTRIES", entries)
-        seen = self._count_checked(monkeypatch)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5),
+           n=st.integers(2, 5),
+           drift=st.sampled_from([0.0, 3e-8, -3e-8, 2.0 ** -26, 5e-7]),
+           zero_weights=st.booleans(), one_ranking=st.booleans())
+    def test_reconstruction_error_is_the_whole_tensor_entry(
+            self, seed, m, n, drift, zero_weights, one_ranking):
+        # users whose weight sums miss 1 by `drift` (which bvn_decompose
+        # rescales when it passes 1e-9), terms of weight zero (which it
+        # drops) and, with `one_ranking`, users whose terms all share one
+        # full ranking, so that a weight sum past 1 is clipped at 1 in the
+        # policy's dense marginals but not in the decomposition's
+        rng = np.random.default_rng(seed)
+        users = []
+        for _ in range(m):
+            weights = rng.dirichlet(np.ones(rng.integers(1, 4)))
+            if zero_weights:
+                weights[rng.random(weights.size) < 0.3] = 0.0
+                weights[0] = 1.0 - weights[1:].sum()
+            weights[weights.argmax()] += drift * rng.integers(0, 2)
+            ranking = rng.permutation(n)
+            users.append([(w, ranking if one_ranking
+                           else rng.permutation(n)[:rng.integers(0, n + 1)])
+                          for w in weights])
+        mixture = self._mixture(users, n)
         dec = bvn_decompose(mixture)
         whole = float(np.abs(reconstruct(dec) - mixture.dense()).max())
         assert cli._reconstruction_error(dec, mixture) == whole
-        assert seen == blocks
 
     @pytest.mark.parametrize("prefix, error", [([1, 0], 0.5), ([0, 1, 2], 0.25)],
                              ids=["items", "length"])
@@ -604,7 +612,7 @@ class TestDecomposeAndSample:
         assert cli._reconstruction_error(dec, policy) == error
 
     def test_own_terms_build_no_block(self, tmp_path, capsys, monkeypatch):
-        # every user's decomposition is its own terms, bit for bit: nothing
+        # every user's decomposition is its own terms, bit for bit: no user
         # reaches the dense check, and the error is exactly 0
         rng = np.random.default_rng(0)
         users = [[(0.25, rng.permutation(4)[:2]), (0.5, rng.permutation(4)),
@@ -896,9 +904,10 @@ class TestSweep:
                      "--parallel", "2"]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
-    def test_pool_is_capped_at_the_task_count(self, tmp_path, monkeypatch):
-        # records the pool size and runs the units in process, so no test
-        # starts a worker
+    @staticmethod
+    def _record_pools(monkeypatch, cpus):
+        """Record each pool's size and run its units in process, so no test
+        starts a worker, on a machine that reports ``cpus`` CPUs."""
         sizes = []
 
         class RecordingPool:
@@ -916,6 +925,11 @@ class TestSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return sizes
+
+    def test_pool_is_capped_at_the_task_count(self, tmp_path, monkeypatch):
+        sizes = self._record_pools(monkeypatch, cpus=64)
         cfg = self._config(tmp_path)
         serial = tmp_path / "serial.csv"
         capped = tmp_path / "capped.csv"
@@ -925,6 +939,23 @@ class TestSweep:
                      "--parallel", "1000"]) == 0
         assert sizes == [2 * 2]  # grid points x seeds
         assert capped.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("cpus, sizes", [(3, [3]), (2, [2]), (1, []),
+                                             (None, [])],
+                             ids=["3", "2", "1", "unknown"])
+    def test_pool_is_capped_at_the_cpu_count(self, tmp_path, monkeypatch,
+                                             cpus, sizes):
+        # 2 x 4 grid points x 2 seeds are 16 tasks; with one CPU, or a CPU
+        # count the machine does not report, the units run in process
+        recorded = self._record_pools(monkeypatch, cpus)
+        cfg = self._config(tmp_path, grid={"lambda": [0.0, 1.0],
+                                           "noise_c": [0.01, 0.02, 0.03, 0.04],
+                                           "k": [2], "n_items": [5]},
+                           policies=["max"])
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--parallel", "100000"]) == 0
+        assert recorded == sizes
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_parallel_below_one_is_rejected(self, tmp_path, monkeypatch,
@@ -1121,6 +1152,29 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: bad config: two policies are named ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, printed", [
+        ({"lambda": [0.5, 0.5, 0.30000000001, 0.30000000002]}, "0.3,0.05,2,5"),
+        ({"noise_c": [0.05, 0.05]}, "1,0.05,2,5"),
+        ({"k": [2, 3, 2.0]}, "1,0.05,2,5"),
+        ({"n_items": [5, 6, 5]}, "1,0.05,2,5"),
+    ], ids=["lambdas-printed-alike", "noise-twice", "k-int-and-float",
+            "n-items-twice"])
+    def test_repeated_grid_value_is_refused(self, tmp_path, capsys,
+                                            monkeypatch, grid, printed):
+        # a row's grid columns are the CSV's only key to its grid point
+        def no_unit(task):
+            raise AssertionError("no unit may run")
+
+        monkeypatch.setattr(cli, "_sweep_unit", no_unit)
+        base = {"lambda": [1.0], "noise_c": [0.05], "k": [2], "n_items": [5]}
+        cfg = self._config(tmp_path, grid={**base, **grid})
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad config: two grid points print as "
+            f"lambda,noise_c,k,n_items={printed}\n")
         assert not out.exists()
 
     def test_rows_past_the_limit_are_refused_before_any_task(self, tmp_path):

@@ -733,6 +733,31 @@ class TestSolverInvariants:
             assert user_utility(policy, rel, exp) >= brute_force_oracle(
                 rel, exp, "expo_fair", grid_step=grid) - 2 * grid
 
+    @pytest.mark.parametrize("m,n,grid", [(2, 2, 1e-3), (3, 2, 1e-2),
+                                          (2, 3, 2e-2)])
+    def test_alpha_nsw_bounds_the_oracle(self, m, n, grid):
+        # every grid point is a feasible policy, so the oracle is at most the
+        # alpha-NSW optimum, and a Frank-Wolfe iterate's objective plus its
+        # gap is at least the optimum of the concave objective
+        rng = np.random.default_rng(10 * m + n)
+        exp = ExposureModel.make("inverse", n, 1)
+        for _ in range(3):
+            rel = RelevanceMatrix(rng.uniform(0.1, 1.0, (m, n)))
+            for alpha in (1.0, 2.0):
+                policy, diag = solve_nsw(rel, exp, NswConfig(alpha=alpha))
+                oracle = brute_force_oracle(rel, exp, "nsw", grid_step=grid,
+                                            alpha=alpha)
+                # both sides sum n terms w * log(impact), an impact being m
+                # products: a relative error of (m + 1) eps in an impact, eps
+                # in its log and n eps in the sum bound each side's rounding,
+                # with the gap's two sums of about sum(w) on the solver's
+                w = merit(rel) ** alpha
+                impact = item_impact(policy, rel, exp)
+                rounding = 4 * (m + n + 2) * np.finfo(float).eps * float(
+                    np.sum(w * (np.abs(np.log(impact)) + 1.0)))
+                assert (diag.objective_value + diag.duality_gap
+                        >= oracle - rounding)
+
     def test_expo_fair_exposure_only_equity(self, toy_market):
         # merit-proportional exposure makes exposure / merit a constant, the
         # zero point of merit-weighted envy under the exposure-only impact
