@@ -169,20 +169,19 @@ def cmd_decompose(args) -> int:
 
 
 def _reconstruction_error(dec: RankingMixture, policy: RankingMixture) -> float:
-    """Largest |reconstruct(dec) - policy| entry, or 0 when no user needs
+    """Largest |dec.dense() - policy.dense()| entry, or 0 when no user needs
     checking.
 
     A user whose decomposition terms are its own, bit for bit, has an error
     of exactly 0 and is skipped: ``bvn_decompose`` keeps a user's positive
     terms in order, and their weights as they are when they sum to 1 within
     ``core.DECOMPOSITION_TOL``, so this holds for every solver's output.
-    Each other user is compared alone, one (n, n) matrix at a time; its
-    entries are those of the whole (m, n, n) tensors.
+    Each other user is compared alone, by ``dense(user)`` of both: one
+    (n, n) matrix at a time, whose entries are those of the whole tensors.
     """
     err = 0.0
     for user in np.flatnonzero(~_own_terms(dec, policy)):
-        got = _cli.reconstruct(dec.take(user))
-        err = max(err, float(np.abs(got - policy.take(user).dense()).max()))
+        err = max(err, float(np.abs(dec.dense(user) - policy.dense(user)).max()))
     return err
 
 
@@ -222,11 +221,13 @@ def _parse_sweep_config(doc: dict) -> dict:
     # Before any unit runs, each value is checked by what a unit builds from
     # it: a typed error from its market's config, its audit's n x n size
     # bound, its exposure model or a policy's NswConfig is a bad config.
-    # The sweep's own rules are that its policy names differ, that its grid
-    # values print apart, that seeds is at least 1 and that its rows stay
-    # within _MAX_SWEEP_ROWS.
+    # The sweep's own rules are that it names no unknown key, that its
+    # policy names differ, that its grid values print apart, that seeds is
+    # at least 1 and that its rows stay within _MAX_SWEEP_ROWS.
     if not isinstance(doc, dict):
         raise InputError("bad config: the sweep config must be a JSON object")
+    _known_keys(doc, "the sweep config", ("policies", "grid", "seeds", "users",
+                                          "exposure", "tol", "max_iters"))
     policies = []
     for entry in _config_field(doc, "policies", []):
         if isinstance(entry, str):
@@ -246,6 +247,7 @@ def _parse_sweep_config(doc: dict) -> dict:
             raise InputError(f"bad config: two policies are named {name!r}")
         names.add(name)
     grid_doc = _config_field(doc, "grid", {}, dict)
+    _known_keys(grid_doc, "the grid", ("lambda", "noise_c", "k", "n_items"))
     grid = [sorted(_config_number(v, key, kind)
                    for v in _config_field(grid_doc, key, [default]))
             for key, kind, default in (("lambda", float, 0.5),
@@ -294,6 +296,13 @@ def _parse_sweep_config(doc: dict) -> dict:
     except NswrankError as exc:
         raise InputError(f"bad config: {exc}") from None
     return cfg
+
+
+def _known_keys(doc: dict, where: str, known: tuple) -> None:
+    for key in doc:
+        if key not in known:
+            raise InputError(f"bad config: {where} has an unknown key "
+                             f"{key!r} (known: {', '.join(known)})")
 
 
 def _config_field(doc: dict, key: str, default, kind=list):

@@ -229,20 +229,6 @@ class RankingMixture:
     def m(self) -> int:
         return self.indptr.size - 1
 
-    def take(self, user: int) -> "RankingMixture":
-        """User ``user``'s terms alone, in order, as a one-user mixture that
-        keeps read-only views of this mixture's weights, lengths and items.
-        A user outside 0..m-1 is an ``InputError``."""
-        if not 0 <= user < self.m:
-            raise InputError(f"take needs a user in 0..{self.m - 1}, "
-                             f"not user {user}")
-        lo, hi = self.indptr[user:user + 2]
-        lengths = self.lengths[lo:hi]
-        start = int(self.lengths[:lo].sum())
-        return RankingMixture.from_counts(
-            self.n, [hi - lo], self.weights[lo:hi], lengths,
-            self.items[start:start + int(lengths.sum())])
-
     @property
     def terms(self) -> tuple:
         """Per user, its ``(weight, items_by_rank)`` pairs: ``items_by_rank[k]``
@@ -270,7 +256,7 @@ class RankingMixture:
         share = self.weights * suffix[lengths] / np.maximum(n - lengths, 1)
         users = self.term_users()
         term = np.repeat(np.arange(lengths.size), lengths)
-        rank = _segments(np.zeros_like(lengths), lengths)
+        rank = np.arange(term.size) - (np.cumsum(lengths) - lengths)[term]
         # bincount of no items is int64: the uniform policy has no prefix
         E = np.bincount(users[term] * n + self.items,
                         weights=self.weights[term] * e[rank] - share[term],
@@ -279,29 +265,39 @@ class RankingMixture:
         E += np.bincount(users, weights=share, minlength=self.m)[:, None]
         return E
 
-    def dense(self) -> np.ndarray:
-        """(m, n, n) marginal rank probabilities, by one scatter-add: each
-        prefix item at its rank, then, term by term, each left-out item in
-        ascending order at every rank of the tail with weight / (n - L).
-        Entries are clipped at 1: weights that sum to 1 within DS_TOL can
-        put a ranked item an ulp above it."""
-        n, lengths, weights = self.n, self.lengths, self.weights
-        tail = n - lengths
-        head_term = np.repeat(np.arange(lengths.size), lengths)
-        left_out = np.ones((lengths.size, n), dtype=bool)
-        left_out[head_term, self.items] = False
-        out_term, out_item = np.nonzero(left_out)
-        width = tail[out_term]
-        cell_term = np.repeat(out_term, width)
-        term = np.concatenate([head_term, cell_term])
-        item = np.concatenate([self.items, np.repeat(out_item, width)])
-        rank = np.concatenate([_segments(np.zeros_like(lengths), lengths),
-                               _segments(lengths[out_term], width)])
-        share = np.concatenate([weights[head_term],
-                                (weights / np.maximum(tail, 1))[cell_term]])
-        flat = (self.term_users()[term] * n + item) * n + rank
-        dense = np.bincount(flat, weights=share, minlength=self.m * n * n)
-        return np.minimum(dense, 1.0, out=dense).reshape(self.m, n, n)
+    def dense(self, user: int | None = None) -> np.ndarray:
+        """(m, n, n) marginal rank probabilities, or user ``user``'s (n, n),
+        as the sum of the terms in term order: each prefix item at its rank
+        by one scatter-add, then, term by term, the items the prefix leaves
+        out at every rank of the tail with weight / (n - L).  Entries are
+        clipped at 1: weights that sum to 1 within DS_TOL can put a ranked
+        item an ulp above it.  A user outside 0..m-1 is an ``InputError``."""
+        n, bounds = self.n, self.indptr
+        if user is not None:
+            if not 0 <= user < self.m:
+                raise InputError(f"dense needs a user in 0..{self.m - 1}, "
+                                 f"not user {user}")
+            bounds = bounds[user:user + 2]
+        lo, hi, m = bounds[0], bounds[-1], bounds.size - 1
+        users = np.repeat(np.arange(m), np.diff(bounds))
+        lengths, weights = self.lengths[lo:hi], self.weights[lo:hi]
+        ends = np.cumsum(lengths)
+        start = int(self.lengths[:lo].sum())
+        items = self.items[start:start + int(ends[-1])]
+        head = np.repeat(np.arange(lengths.size), lengths)
+        rank = np.arange(head.size) - (ends - lengths)[head]
+        # bincount adds in term order; of no items it is int64
+        dense = np.bincount((users[head] * n + items) * n + rank,
+                            weights=weights[head], minlength=m * n * n)
+        dense = dense.astype(np.float64, copy=False).reshape(m, n, n)
+        for u, L, end, s in zip(users.tolist(), lengths.tolist(), ends.tolist(),
+                                (weights / np.maximum(n - lengths, 1)).tolist()):
+            if L < n:
+                left_out = np.ones(n, dtype=bool)
+                left_out[items[end - L:end]] = False
+                dense[u, left_out, L:] += s
+        np.minimum(dense, 1.0, out=dense)
+        return dense if user is None else dense[0]
 
 
 def check_size(n: int) -> None:
@@ -330,13 +326,6 @@ def _repeats_an_item(lengths: np.ndarray, items: np.ndarray) -> bool:
     term = np.repeat(np.arange(lengths.size), lengths)
     order = np.lexsort((items, term))
     return bool(np.any((np.diff(items[order]) == 0) & (np.diff(term[order]) == 0)))
-
-
-def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + c)`` for each start s and count c."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if ends.size else 0
-    return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
 def _check_dims(policy: RankingMixture, exp: ExposureModel,

@@ -528,15 +528,16 @@ class TestDecomposeAndSample:
 
     @staticmethod
     def _count_checked(monkeypatch):
-        """Count the users that cli.reconstruct receives."""
+        """Record the user of each per-user ``dense`` call."""
         seen = []
-        real = cli.reconstruct
+        real = RankingMixture.dense
 
-        def counting(dec):
-            seen.append(dec.m)
-            return real(dec)
+        def counting(mix, user=None):
+            if user is not None:
+                seen.append(int(user))
+            return real(mix, user)
 
-        monkeypatch.setattr(cli, "reconstruct", counting)
+        monkeypatch.setattr(RankingMixture, "dense", counting)
         return seen
 
     def test_reconstruction_error_user_by_user(self, monkeypatch):
@@ -556,7 +557,8 @@ class TestDecomposeAndSample:
         dec = bvn_decompose(mixture)
         whole = float(np.abs(reconstruct(dec) - mixture.dense()).max())
         assert cli._reconstruction_error(dec, mixture) == whole
-        assert seen == [1, 1, 1]
+        # each checked user is read once from each mixture
+        assert seen == [2, 2, 5, 5, 6, 6]
         # the rescaled weights differ from the policy's by 0.875 * 2^-26
         assert 0.5 * miss < whole < miss
 
@@ -1175,6 +1177,28 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "error: bad config: two grid points print as "
             f"lambda,noise_c,k,n_items={printed}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, where, key", [
+        ({"seed": 1}, "the sweep config", "seed"),
+        ({"user": 5}, "the sweep config", "user"),
+        ({"grid": {"lambda": [0.5], "n_item": [3]}}, "the grid", "n_item"),
+        ({"grid": {"Lambda": [0.5]}}, "the grid", "Lambda"),
+    ], ids=["seed", "user", "n-item", "capital-lambda"])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, monkeypatch,
+                                    overrides, where, key):
+        # a misspelt key would otherwise leave its field at the default
+        def no_unit(task):
+            raise AssertionError("no unit may run")
+
+        monkeypatch.setattr(cli, "_sweep_unit", no_unit)
+        cfg = self._config(tmp_path, **overrides)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad config: {where} has an unknown "
+                              f"key {key!r} ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_rows_past_the_limit_are_refused_before_any_task(self, tmp_path):

@@ -119,14 +119,15 @@ def test_certificate_peak_is_below_three_arrays():
 
 def dense_maximiser(imp, dimp, w, gamma_max, grid=2001):
     """Argmax of sum w*log(imp + g*dimp) on [0, gamma_max], by a dense grid
-    refined with derivative-sign bisection, in extended precision."""
+    refined with derivative-sign bisection, in extended precision.  The
+    grid keeps the points where every impact is positive: a gamma_max at
+    the pole, rounded to a float, can put an impact at exactly 0."""
     imp, dimp, w = (np.asarray(x, dtype=np.longdouble) for x in (imp, dimp, w))
     dec = dimp < 0
     pole = np.min(imp[dec] / -dimp[dec]) if dec.any() else np.inf
     hi = min(np.longdouble(gamma_max), pole)
     gs = np.linspace(0, hi, grid, dtype=np.longdouble)
-    if hi == pole:
-        gs = gs[:-1]
+    gs = gs[np.all(imp + gs[:, None] * dimp > 0, axis=1)]
     phi = (w * np.log(imp + gs[:, None] * dimp)).sum(axis=1)
     j = int(np.argmax(phi))
     lo = gs[max(j - 1, 0)]
@@ -301,6 +302,7 @@ def stops_before_an_impact_hits_zero(search, seed, n, past):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
        past=st.floats(1.0, 4.0))
+@example(seed=1011, n=10, past=1.0)
 def test_newton_step_stops_before_an_impact_hits_zero(seed, n, past):
     stops_before_an_impact_hits_zero(_kernels.newton_step, seed, n, past)
 
@@ -308,6 +310,7 @@ def test_newton_step_stops_before_an_impact_hits_zero(seed, n, past):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
        past=st.floats(1.0, 4.0))
+@example(seed=1011, n=10, past=1.0)
 def test_float_line_search_stops_before_an_impact_hits_zero(seed, n, past):
     stops_before_an_impact_hits_zero(floats_step, seed, n, past)
 

@@ -193,24 +193,39 @@ class TestMarginals:
 
     @settings(max_examples=50, deadline=None)
     @given(**MIXTURES, pick=st.integers(0, 5))
-    def test_take_gives_the_users_own_marginals(self, seed, m, n, pick):
+    def test_dense_of_a_user_is_its_entry_of_the_whole(self, seed, m, n, pick):
         mix = random_mixture(seed, m, n, zero_weights=True)
         user = pick % m
-        assert np.array_equal(mix.take(user).dense(), mix.dense()[user:user + 1])
-
-    def test_take_keeps_views(self):
-        mix = RankingMixture.from_counts(3, [1, 2, 1], [1.0, 0.5, 0.5, 1.0],
-                                         np.full(4, 3), np.tile([2, 0, 1], 4))
-        part = mix.take(np.int64(1))
-        assert part.m == 1 and part.weights.tolist() == [0.5, 0.5]
-        for name in ("weights", "lengths", "items"):
-            assert np.shares_memory(getattr(part, name), getattr(mix, name))
-        assert np.array_equal(part.dense(), mix.dense()[1:2])
+        assert np.array_equal(mix.dense(np.int64(user)), mix.dense()[user])
 
     @pytest.mark.parametrize("user", [3, -1])
-    def test_take_needs_a_user_in_range(self, user):
+    def test_dense_needs_a_user_in_range(self, user):
         with pytest.raises(InputError, match=f"not user {user}"):
-            random_mixture(0, 3, 4).take(user)
+            random_mixture(0, 3, 4).dense(user)
+
+    def test_dense_holds_little_besides_its_output(self):
+        # 300 users of 1 or 2 top-5 prefixes over 40 items: the tails are
+        # added one term's block at a time, so the peak is the output and a
+        # few arrays of one entry per prefix item or per item
+        m, n, k = 300, 40, 5
+        rng = np.random.default_rng(0)
+        counts = rng.integers(1, 3, m)
+        weights = np.concatenate([rng.dirichlet(np.ones(c)) for c in counts])
+        items = np.concatenate([rng.permutation(n)[:k] for _ in weights])
+        mix = RankingMixture.from_counts(n, counts, weights,
+                                         np.full(weights.size, k), items)
+        out = m * n * n * 8
+        tracemalloc.start()
+        try:
+            mix.dense()
+            _, whole = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            mix.dense(7)
+            _, one = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert whole <= 1.1 * out, whole
+        assert one <= 4 * n * n * 8, one
 
     def test_policy_tensor_measures_the_same(self):
         mix = random_mixture(2, 4, 6)

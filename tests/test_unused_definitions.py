@@ -1,10 +1,11 @@
 """No module of the package defines a function, class or name that nothing
 uses.
 
-A module-level function, class or assigned name counts as used when some
-module of the package reads its name (``ast.Name`` in a load context, or the
-attribute of an attribute access) or when ``nswrank.__all__`` exports it.
-Dunder names are the interpreter's to read and are left out.
+A module-level function, class or assigned name, and a method or property
+of a module-level class, counts as used when some module of the package
+reads its name (``ast.Name`` in a load context, or the attribute of an
+attribute access) or when ``nswrank.__all__`` exports it.  Dunder names are
+the interpreter's to read and are left out.
 """
 
 import ast
@@ -28,11 +29,18 @@ ALLOWED = {
 }
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def defined_names(tree):
-    """Each module-level function, class or assigned name, with its line."""
+    """Each module-level function, class or assigned name, and each method
+    or property of a module-level class, with its line."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
+            found = [(node.name, node.lineno)] + [
+                (method.name, method.lineno) for method in node.body
+                if isinstance(method, FUNCTIONS)]
+        elif isinstance(node, FUNCTIONS):
             found = [(node.name, node.lineno)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [
@@ -80,12 +88,16 @@ def test_the_checker_sees_an_unused_definition():
     trees = {
         "a": ast.parse("def read():\n    pass\n\ndef dead():\n    pass\n\n"
                        "class Exported:\n    def method(self):\n        pass\n\n"
+                       "    def __init__(self):\n        pass\n\n"
+                       "    @property\n    def size(self):\n        pass\n\n"
+                       "    def orphan(self):\n        pass\n\n"
                        "def __getattr__(name):\n    pass\n\n"
                        "LIMIT = 3\nunread = None\n__all__ = []\n"),
         "b": ast.parse("from . import a\n\ndef caller():\n    return a.read()\n"
                        "\n\nclass Orphan:\n    pass\n\n"
-                       "x, (y, spare) = a.LIMIT, (1, 2)\nlate: int = x + y\n"),
+                       "x, (y, spare) = a.LIMIT, (1, 2)\nlate: int = x + y\n"
+                       "a.Exported().method()\na.Exported().size\n"),
     }
     assert unused_definitions(trees, ["Exported", "caller"]) == [
-        ("a", "dead", 4), ("a", "unread", 15), ("b", "Orphan", 7),
-        ("b", "spare", 10), ("b", "late", 11)]
+        ("a", "dead", 4), ("a", "orphan", 18), ("a", "unread", 25),
+        ("b", "Orphan", 7), ("b", "spare", 10), ("b", "late", 11)]
